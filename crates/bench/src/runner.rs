@@ -349,18 +349,27 @@ impl CellOutcome {
 }
 
 /// Durable completion log a checkpointed run replays from and commits
-/// to. Implementations must make [`commit`](CheckpointStore::commit)
-/// durable before returning (the service's journal fsyncs); [`MemStore`]
-/// is the in-memory stand-in for tests and overhead measurement.
+/// to. [`commit`](CheckpointStore::commit) may return before the
+/// outcome is durable; [`flush`](CheckpointStore::flush) is the barrier
+/// (the service's journal group-commits: one fsync covers every record
+/// appended while the previous fsync ran). [`MemStore`] is the
+/// in-memory stand-in for tests and overhead measurement.
 pub trait CheckpointStore: Sync {
     /// The already-recorded terminal result for `label`, if any:
     /// `Ok(payload)` for a completed cell, `Err(reason)` for one that
     /// exhausted its retries in a previous run.
     fn lookup(&self, label: &str) -> Option<Result<String, String>>;
 
-    /// Durably records a terminal outcome. Called at most once per cell
-    /// per run, before the result is published to the caller.
+    /// Records a terminal outcome. Called at most once per cell per
+    /// run. The store must not announce the outcome to anyone before it
+    /// is durable, but it need not wait for that before returning.
     fn commit(&self, outcome: &CellOutcome);
+
+    /// Blocks until every outcome committed so far is durable and
+    /// published. `Runner::run_with_checkpoint` calls it before it
+    /// returns, so whatever the caller does with the results comes
+    /// strictly after the last cell is durable.
+    fn flush(&self) {}
 
     /// Streaming hook: an attempt on `label` is starting.
     fn started(&self, _index: usize, _label: &str, _attempt: u32) {}
@@ -453,9 +462,10 @@ impl Runner {
     /// terminal in `store` are replayed without execution; the rest run
     /// across the worker pool with per-attempt wall deadlines, bounded
     /// retry with exponential backoff, and panic containment. Terminal
-    /// outcomes are committed to `store` *before* being published, so a
-    /// process killed at any instant resumes by re-running exactly the
-    /// cells whose completion never reached the store.
+    /// outcomes are committed to `store` as they land and the store is
+    /// flushed before the results are returned, so a process killed at
+    /// any instant resumes by re-running exactly the cells whose
+    /// completion never reached the store.
     ///
     /// Setting `cancel` drains the run: in-flight attempts finish (and
     /// commit), unclaimed cells come back [`CellStatus::Pending`].
@@ -590,15 +600,16 @@ impl Runner {
                         }
                     }
                     if let Some(out) = outcome {
-                        // Durability before visibility: the store commit
-                        // (journal append + fsync) happens before the
-                        // result is published.
+                        // The store announces the outcome once it is
+                        // durable; the caller sees it only after the
+                        // flush below.
                         store.commit(&out);
                         *slots[i].lock().expect("slot lock") = Some(out);
                     }
                 });
             }
         });
+        store.flush();
 
         slots
             .into_iter()

@@ -3,7 +3,8 @@
 //! `Runner::run_with_checkpoint` against a real fsync'd journal.
 //!
 //! The sweep is simulation-dominated, so journalling (one checksummed
-//! append + fsync per cell, plus payload stringification) must stay in
+//! append per cell, group-committed fsyncs off the cell path, plus
+//! payload stringification) must stay in
 //! the noise — the committed `BENCH_pr9.json` records it at under 2%.
 //! Both paths execute identical cell closures and the payloads are
 //! asserted equal, so the benchmark doubles as a differential check of
@@ -45,7 +46,7 @@ fn main() {
     // The two paths are interleaved rep-by-rep, alternating which goes
     // first, so slow machine drift cannot masquerade as overhead. Each
     // checkpoint rep gets a fresh journal (every cell executes and
-    // fsyncs; reuse would measure the resume path instead).
+    // commits; reuse would measure the resume path instead).
     let state = std::env::temp_dir().join(format!("xcache-bench-ckpt-{}", std::process::id()));
     let policy = CheckpointPolicy::default();
     let mut wall_ms_runner = f64::INFINITY;
@@ -71,12 +72,14 @@ fn main() {
         let journal = Journal::create(&dir, &manifest_value("bench", &spec.normalized()))
             .expect("create bench journal");
         let start = Instant::now();
-        let outcomes = runner.run_with_checkpoint(
-            xcache_serve::grids::to_runner_cells(&cells),
-            &journal,
-            &policy,
-            &AtomicBool::new(false),
-        );
+        let outcomes = journal.with_committer(|store| {
+            runner.run_with_checkpoint(
+                xcache_serve::grids::to_runner_cells(&cells),
+                store,
+                &policy,
+                &AtomicBool::new(false),
+            )
+        });
         *best = best.min(start.elapsed().as_secs_f64() * 1000.0);
         outcomes
             .into_iter()

@@ -5,31 +5,42 @@
 //! ```text
 //! <state_dir>/<job_id>/
 //!   manifest.json   # schema, job spec, seed, env knobs, git SHA — written once, atomically
-//!   cells.log       # append-only checksummed records, fsync'd per terminal cell
+//!   cells.log       # append-only checksummed records, fsync'd per commit batch
 //!   result.json     # final assembled output — written atomically when the job finishes
 //! ```
 //!
 //! `cells.log` lines are `x1 <16-hex-checksum> <compact-json>\n`. Two
 //! record kinds share the log: `{"t":"exec",...}` marks an execution
 //! attempt starting (the cell-execution counter resume tests audit),
-//! and `{"t":"cell",...}` is a terminal result. Terminal records are
-//! fsync'd *before* the runner publishes the result — durability before
-//! visibility — so a SIGKILL can lose at most in-flight work, never
-//! recorded work.
+//! and `{"t":"cell",...}` is a terminal result.
+//!
+//! Terminal records are group-committed by a [`Committer`] that lives
+//! for one run. A commit appends its record and returns, so the cell
+//! worker moves straight on to the next cell. The committer thread
+//! repeatedly takes every record appended so far, covers them all with
+//! one `sync_all`, and only then runs their publish actions (events,
+//! counters). A batch is whatever accumulated while the previous fsync
+//! ran, so it sizes itself: one record when fsync is cheap, many when
+//! it is slow. Nothing is published before it is durable, so a SIGKILL
+//! can lose at most work no client has seen.
 //!
 //! Recovery replays the longest valid prefix: the first line that is
 //! truncated, fails its checksum, or does not parse ends the replay,
 //! and the file is truncated back to the last valid byte so appends
-//! continue from a clean state. Simulations are deterministic, so
-//! re-running the (few) cells past the salvage point reproduces their
-//! payloads byte for byte — corruption costs work, never correctness.
+//! continue from a clean state. The replayed prefix is fsync'd before
+//! any of it is announced: a record appended but not yet synced when
+//! the previous process died is still in the page cache, and replay
+//! must not publish what a power loss could take back. Simulations are
+//! deterministic, so re-running the (few) cells past the salvage point
+//! reproduces their payloads byte for byte — corruption costs work,
+//! never correctness.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 use xcache_bench::{CellOutcome, CellStatus, CheckpointStore};
 
@@ -91,12 +102,24 @@ pub struct ReplayStats {
     pub discarded: u64,
 }
 
-/// An open per-job journal. Implements [`CheckpointStore`] so
-/// `Runner::run_with_checkpoint` journals directly.
+/// An open per-job journal. A run commits to it through a
+/// [`Committer`] (see [`Journal::with_committer`]).
 pub struct Journal {
     dir: PathBuf,
-    file: Mutex<File>,
+    log: Mutex<Log>,
+    /// A second handle on `cells.log`, so an fsync never holds the
+    /// append lock.
+    sync_handle: File,
+    /// Bytes of `cells.log` covered by the last completed `sync_all`.
+    synced: AtomicU64,
     cells: Mutex<HashMap<String, Result<String, String>>>,
+}
+
+/// The append side of `cells.log`.
+struct Log {
+    file: File,
+    /// End offset of the last appended record.
+    len: u64,
 }
 
 /// splitmix64 folded over the record bytes — the workspace's standard
@@ -167,10 +190,21 @@ impl Journal {
             .truncate(true)
             .write(true)
             .open(log_path(dir))?;
+        Journal::new(dir, file, 0, HashMap::new())
+    }
+
+    fn new(
+        dir: &Path,
+        file: File,
+        len: u64,
+        cells: HashMap<String, Result<String, String>>,
+    ) -> Result<Journal, JournalError> {
         Ok(Journal {
             dir: dir.to_path_buf(),
-            file: Mutex::new(file),
-            cells: Mutex::new(HashMap::new()),
+            sync_handle: file.try_clone()?,
+            log: Mutex::new(Log { file, len }),
+            synced: AtomicU64::new(len),
+            cells: Mutex::new(cells),
         })
     }
 
@@ -248,28 +282,23 @@ impl Journal {
         }
         stats.discarded = (raw.len() - valid_len) as u64;
 
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(false)
             .open(log_path(dir))?;
         file.set_len(valid_len as u64)?;
-        let mut file = file;
-        use std::io::Seek;
         file.seek(std::io::SeekFrom::End(0))?;
-        if stats.discarded > 0 {
+        // The replayed records are announced as `reused` without ever
+        // passing through a committer, and the previous process may
+        // have died between appending them and syncing them. Sync them
+        // (and any truncation) before they become visible.
+        if !raw.is_empty() {
             file.sync_all()?;
             note_fsync();
         }
-        Ok((
-            manifest,
-            Journal {
-                dir: dir.to_path_buf(),
-                file: Mutex::new(file),
-                cells: Mutex::new(cells),
-            },
-            stats,
-        ))
+        let journal = Journal::new(dir, file, valid_len as u64, cells)?;
+        Ok((manifest, journal, stats))
     }
 
     /// The job directory this journal lives in.
@@ -290,42 +319,38 @@ impl Journal {
         self.len() == 0
     }
 
-    fn append(&self, payload: &str, durable: bool) {
+    /// Bytes of `cells.log` covered by the last completed fsync.
+    #[must_use]
+    pub fn synced_len(&self) -> u64 {
+        self.synced.load(Ordering::SeqCst)
+    }
+
+    /// Appends one framed record and returns the log's new end offset.
+    fn append(&self, payload: &str) -> u64 {
         let line = encode_line(payload);
-        let mut f = self.file.lock().expect("journal file lock");
+        let mut log = self.log.lock().expect("journal log lock");
         // A full disk degrades durability, not correctness: the cell
         // re-runs after restart and reproduces the same bytes.
-        let _ = f.write_all(line.as_bytes());
-        if durable {
-            let _ = f.sync_all();
-            note_fsync();
+        if log.file.write_all(line.as_bytes()).is_ok() {
+            log.len += line.len() as u64;
         }
+        log.len
     }
 
-    /// Writes the final assembled job output atomically as
-    /// `result.json`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn write_result(&self, bytes: &[u8]) -> std::io::Result<()> {
-        write_atomic(&self.dir, "result.json", bytes)
+    /// Makes every record appended so far durable; returns the length
+    /// now covered. The fsync runs on the cloned handle, so appends
+    /// continue while it waits on the disk.
+    fn sync(&self) -> u64 {
+        let len = self.log.lock().expect("journal log lock").len;
+        let _ = self.sync_handle.sync_all();
+        note_fsync();
+        self.synced.fetch_max(len, Ordering::SeqCst);
+        len
     }
 
-    /// The final output written by [`write_result`](Self::write_result),
-    /// if the job already finished.
-    #[must_use]
-    pub fn read_result(&self) -> Option<String> {
-        fs::read_to_string(self.dir.join("result.json")).ok()
-    }
-}
-
-impl CheckpointStore for Journal {
-    fn lookup(&self, label: &str) -> Option<Result<String, String>> {
-        self.cells.lock().expect("journal lock").get(label).cloned()
-    }
-
-    fn commit(&self, outcome: &CellOutcome) {
+    /// Appends the terminal record for `outcome` and returns its end
+    /// offset, or `None` for a pending outcome (never recorded).
+    fn record(&self, outcome: &CellOutcome) -> Option<u64> {
         let (payload, result) = match &outcome.status {
             CellStatus::Done(v) => (
                 // `v` is the cell's JSON payload; embed it raw so the
@@ -345,26 +370,180 @@ impl CheckpointStore for Journal {
                 ),
                 Err(reason.clone()),
             ),
-            CellStatus::Pending => return,
+            CellStatus::Pending => return None,
         };
-        self.append(&payload, true);
+        let end = self.append(&payload);
         self.cells
             .lock()
             .expect("journal lock")
             .insert(outcome.label.clone(), result);
+        Some(end)
+    }
+
+    /// The recorded terminal result for `label`, if any.
+    #[must_use]
+    pub fn lookup(&self, label: &str) -> Option<Result<String, String>> {
+        self.cells.lock().expect("journal lock").get(label).cloned()
+    }
+
+    /// Appends an execution-attempt marker. Exec markers are the resume
+    /// audit trail ("did a completed cell re-execute?"); losing one to a
+    /// crash only means the attempt is re-counted, so nothing waits for
+    /// its fsync.
+    pub fn started(&self, index: usize, label: &str, attempt: u32) {
+        self.append(&format!(
+            "{{\"t\":\"exec\",\"index\":{index},\"label\":{},\"attempt\":{attempt}}}",
+            json_str(label)
+        ));
+    }
+
+    /// Runs `run` with a [`Committer`] over this journal and a committer
+    /// thread behind it. When `run` returns (or unwinds), every record
+    /// committed through the committer is durable and published.
+    pub fn with_committer<'a, R>(&'a self, run: impl FnOnce(&Committer<'a>) -> R) -> R {
+        let committer = Committer {
+            journal: self,
+            queue: Mutex::new(Queue::default()),
+            cond: Condvar::new(),
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| committer.sync_loop());
+            // Also on unwind: the scope joins the committer thread, so
+            // it must be told to stop.
+            let _close = Defer(|| committer.update(|q| q.closed = true));
+            run(&committer)
+        })
+    }
+
+    /// Writes the final assembled job output atomically as
+    /// `result.json`. Call it after the run's final flush: the result
+    /// must never be durable while a record it summarises is not.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem failures.
+    pub fn write_result(&self, bytes: &[u8]) -> std::io::Result<()> {
+        debug_assert_eq!(
+            self.synced_len(),
+            self.log.lock().expect("journal log lock").len,
+            "result.json written before the final flush"
+        );
+        write_atomic(&self.dir, "result.json", bytes)
+    }
+
+    /// The final output written by [`write_result`](Self::write_result),
+    /// if the job already finished.
+    #[must_use]
+    pub fn read_result(&self) -> Option<String> {
+        fs::read_to_string(self.dir.join("result.json")).ok()
+    }
+}
+
+/// What to do once a committed record is durable: announce the cell.
+pub type Publish<'a> = Box<dyn FnOnce() + Send + 'a>;
+
+/// The pipelined group commit of one run over one [`Journal`]. Commits
+/// append and return; the committer thread fsyncs whole batches and
+/// runs each record's [`Publish`] action only after the fsync that
+/// covers it.
+pub struct Committer<'a> {
+    journal: &'a Journal,
+    queue: Mutex<Queue<'a>>,
+    cond: Condvar,
+}
+
+#[derive(Default)]
+struct Queue<'a> {
+    /// Appended records awaiting an fsync: end offset and publish action.
+    waiting: Vec<(u64, Publish<'a>)>,
+    /// Committed records not yet published (waiting plus the batch
+    /// being synced).
+    unpublished: usize,
+    /// The run is over: drain what is waiting, then stop.
+    closed: bool,
+    /// The committer thread has exited; only a panic stops it while
+    /// records are still unpublished.
+    stopped: bool,
+}
+
+impl<'a> Committer<'a> {
+    /// Appends the terminal record for `outcome` and returns at once;
+    /// `publish` runs on the committer thread once the record is
+    /// durable. A pending outcome is neither recorded nor published.
+    pub fn commit_then(&self, outcome: &CellOutcome, publish: Publish<'a>) {
+        let Some(end) = self.journal.record(outcome) else {
+            return;
+        };
+        let mut queue = self.queue.lock().expect("commit queue lock");
+        queue.waiting.push((end, publish));
+        queue.unpublished += 1;
+        self.cond.notify_all();
+    }
+
+    /// Locks the queue (even a poisoned one: this also runs during
+    /// unwinds), applies `f`, and wakes every waiter.
+    fn update(&self, f: impl FnOnce(&mut Queue<'a>)) {
+        f(&mut self.queue.lock().unwrap_or_else(PoisonError::into_inner));
+        self.cond.notify_all();
+    }
+
+    fn sync_loop(&self) {
+        let _stopped = Defer(|| self.update(|q| q.stopped = true));
+        let mut queue = self.queue.lock().expect("commit queue lock");
+        loop {
+            if queue.waiting.is_empty() {
+                if queue.closed {
+                    return;
+                }
+                queue = self.cond.wait(queue).expect("commit queue wait");
+                continue;
+            }
+            let batch = std::mem::take(&mut queue.waiting);
+            drop(queue);
+            let synced = self.journal.sync();
+            let n = batch.len();
+            for (end, publish) in batch {
+                debug_assert!(
+                    end <= synced,
+                    "record ending at byte {end} published with {synced} bytes durable"
+                );
+                publish();
+            }
+            queue = self.queue.lock().expect("commit queue lock");
+            queue.unpublished -= n;
+            self.cond.notify_all();
+        }
+    }
+}
+
+impl CheckpointStore for Committer<'_> {
+    fn lookup(&self, label: &str) -> Option<Result<String, String>> {
+        self.journal.lookup(label)
+    }
+
+    fn commit(&self, outcome: &CellOutcome) {
+        self.commit_then(outcome, Box::new(|| {}));
+    }
+
+    fn flush(&self) {
+        let mut queue = self.queue.lock().expect("commit queue lock");
+        while queue.unpublished > 0 {
+            assert!(!queue.stopped, "journal committer thread panicked");
+            queue = self.cond.wait(queue).expect("commit queue wait");
+        }
     }
 
     fn started(&self, index: usize, label: &str, attempt: u32) {
-        // Exec markers are the resume audit trail ("did a completed
-        // cell re-execute?"); losing one to a crash only means the
-        // attempt is re-counted, so no fsync.
-        self.append(
-            &format!(
-                "{{\"t\":\"exec\",\"index\":{index},\"label\":{},\"attempt\":{attempt}}}",
-                json_str(label)
-            ),
-            false,
-        );
+        self.journal.started(index, label, attempt);
+    }
+}
+
+/// Runs its closure when dropped, including during an unwind.
+struct Defer<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for Defer<F> {
+    fn drop(&mut self) {
+        (self.0)();
     }
 }
 
@@ -447,13 +626,15 @@ mod tests {
         let spec = json::parse(r#"{"grid":"fig18","seed":7}"#).unwrap();
         let j = Journal::create(&dir, &manifest_value("job-a", &spec)).unwrap();
         j.started(0, "c0", 1);
-        j.commit(&done("c0", r#"{"v":1}"#));
-        j.commit(&CellOutcome {
-            index: 1,
-            label: "c1".into(),
-            status: CellStatus::Failed("boom".into()),
-            attempts: 3,
-            reused: false,
+        j.with_committer(|c| {
+            c.commit(&done("c0", r#"{"v":1}"#));
+            c.commit(&CellOutcome {
+                index: 1,
+                label: "c1".into(),
+                status: CellStatus::Failed("boom".into()),
+                attempts: 3,
+                reused: false,
+            });
         });
         drop(j);
 
@@ -476,11 +657,46 @@ mod tests {
     }
 
     #[test]
+    fn group_commit_publishes_each_record_once_and_only_when_durable() {
+        let dir = tmpdir("group");
+        let spec = json::parse("{}").unwrap();
+        let j = Journal::create(&dir, &manifest_value("job-g", &spec)).unwrap();
+        let published = Mutex::new(Vec::new());
+        // Where `label`'s terminal record ends in the log.
+        let record_end = |label: &str| {
+            let log = fs::read_to_string(log_path(&dir)).unwrap();
+            let at = log.find(&format!("\"label\":\"{label}\"")).unwrap();
+            (at + log[at..].find('\n').unwrap() + 1) as u64
+        };
+        j.with_committer(|c| {
+            for i in 0..20 {
+                let label = format!("c{i}");
+                let (j, published, record_end) = (&j, &published, &record_end);
+                c.commit_then(
+                    &done(&label, "{}"),
+                    Box::new(move || {
+                        assert!(j.synced_len() >= record_end(&label));
+                        published.lock().unwrap().push(label);
+                    }),
+                );
+            }
+            c.flush();
+            assert_eq!(published.lock().unwrap().len(), 20);
+        });
+        let mut labels = published.into_inner().unwrap();
+        labels.sort();
+        labels.dedup();
+        assert_eq!(labels.len(), 20);
+        assert_eq!(j.synced_len(), fs::metadata(log_path(&dir)).unwrap().len());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn torn_tail_is_truncated_and_appends_continue() {
         let dir = tmpdir("torn");
         let spec = json::parse("{}").unwrap();
         let j = Journal::create(&dir, &manifest_value("job-b", &spec)).unwrap();
-        j.commit(&done("c0", r#"{"v":0}"#));
+        j.with_committer(|c| c.commit(&done("c0", r#"{"v":0}"#)));
         drop(j);
         // Simulate a crash mid-append: a torn final line.
         let mut f = OpenOptions::new()
@@ -496,7 +712,7 @@ mod tests {
         assert!(stats.discarded > 0);
         assert_eq!(j2.lookup("c1"), None);
         // Appends land after the salvage point and replay cleanly.
-        j2.commit(&done("c1", r#"{"v":1}"#));
+        j2.with_committer(|c| c.commit(&done("c1", r#"{"v":1}"#)));
         drop(j2);
         let (_, j3, stats) = Journal::open(&dir).unwrap();
         assert_eq!(stats.cells, 2);
@@ -510,8 +726,10 @@ mod tests {
         let dir = tmpdir("bitrot");
         let spec = json::parse("{}").unwrap();
         let j = Journal::create(&dir, &manifest_value("job-c", &spec)).unwrap();
-        j.commit(&done("c0", r#"{"v":0}"#));
-        j.commit(&done("c1", r#"{"v":1}"#));
+        j.with_committer(|c| {
+            c.commit(&done("c0", r#"{"v":0}"#));
+            c.commit(&done("c1", r#"{"v":1}"#));
+        });
         drop(j);
         // Flip a payload byte in the first record; both records must be
         // rejected (replay stops at the first bad line).

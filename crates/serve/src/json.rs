@@ -159,11 +159,10 @@ pub fn json_str(s: &str) -> String {
 ///
 /// Returns a byte offset and description of the first syntax error.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let v = parse_value(input, &mut pos)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(format!("trailing garbage at byte {pos}"));
     }
     Ok(v)
@@ -184,14 +183,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(s: &str, pos: &mut usize) -> Result<Value, String> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(b, pos, "null", Value::Null),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Value::Str),
+        Some(b'"') => parse_string(s, pos).map(Value::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -201,7 +201,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(s, pos)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -223,10 +223,10 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(s, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(s, pos)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -270,17 +270,26 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     Ok(Value::Num(parsed, raw.to_owned()))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy everything up to the next quote or backslash in one go.
+        // Both are ASCII, so the run ends on a char boundary of the
+        // already-valid input and needs no re-validation.
+        let run = *pos;
+        while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        out.push_str(&s[run..*pos]);
         match b.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            _ => {
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -292,10 +301,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
+                        let hex = s
                             .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+                            .ok_or_else(|| "truncated or bad \\u escape".to_string())?;
                         let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                         // Surrogate pairs are not reassembled; the
                         // workspace never emits them (all output is
@@ -306,14 +314,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => return Err(format!("bad escape at byte {}", *pos)),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| format!("invalid utf-8 at byte {}", *pos))?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -372,5 +372,50 @@ mod tests {
         let rendered = json_str(original);
         let back = parse(&rendered).unwrap();
         assert_eq!(back.as_str(), Some(original));
+    }
+
+    #[test]
+    fn multibyte_text_survives_around_escapes() {
+        let v = parse(r#"{"k":"héllo ✓\n→\u00e9"}"#).unwrap();
+        assert_eq!(v.get("k").and_then(Value::as_str), Some("héllo ✓\n→é"));
+        assert!(parse(r#""\é""#).is_err());
+        assert!(parse(r#""\u00é""#).is_err());
+    }
+
+    /// String-heavy documents parse in linear time. The bound is loose
+    /// (an unoptimised build parses both in well under a second); a
+    /// parser that re-scans the rest of the input per character takes
+    /// minutes on the first and tens of seconds on the second.
+    #[test]
+    fn large_documents_parse_quickly() {
+        let start = std::time::Instant::now();
+
+        let big = "x".repeat(1 << 20) + "é\"tail";
+        let doc = format!("{{\"blob\":{}}}", json_str(&big));
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get("blob").and_then(Value::as_str), Some(big.as_str()));
+
+        // `/metrics` after 35k cells.
+        let cells: Vec<String> = (0..35_000)
+            .map(|i| format!("{{\"label\":\"demo-{i:04}\",\"wall_us\":{}}}", 100 + i % 7))
+            .collect();
+        let doc = format!(
+            "{{\"queue_depth\":0,\"shed\":{{\"rate_limited\":0,\"queue_full\":0,\"draining\":0}},\"journal_fsyncs\":9,\"cells\":[{}]}}",
+            cells.join(",")
+        );
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.render(), doc);
+        let cells = v.get("cells").and_then(Value::as_arr).unwrap();
+        assert_eq!(cells.len(), 35_000);
+        assert_eq!(
+            cells[34_999].get("label").and_then(Value::as_str),
+            Some("demo-34999")
+        );
+
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(10),
+            "took {:?}",
+            start.elapsed()
+        );
     }
 }

@@ -8,11 +8,11 @@
 //! the service expands it into cells, runs them through
 //! `Runner::run_with_checkpoint` against a per-job on-disk journal
 //! (`XCACHE_STATE_DIR`), and assembles the final result from the
-//! journal. Every terminal cell is checksummed and fsync'd before it
-//! becomes visible, so a SIGKILL'd server restarted on the same state
-//! dir resumes, re-runs only the incomplete cells, and — because every
-//! simulation is deterministic — produces output byte-identical to an
-//! uninterrupted run.
+//! journal. Every terminal cell is checksummed and group-committed
+//! (fsync'd in a batch) before it becomes visible, so a SIGKILL'd
+//! server restarted on the same state dir resumes, re-runs only the
+//! incomplete cells, and — because every simulation is deterministic —
+//! produces output byte-identical to an uninterrupted run.
 //!
 //! Modules:
 //! - [`json`] — dependency-free JSON parse/serialize.

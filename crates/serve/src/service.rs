@@ -3,10 +3,10 @@
 //!
 //! One worker thread drains a bounded job queue; each job's cells run
 //! through `Runner::run_with_checkpoint` against its on-disk journal,
-//! so every terminal cell is durable before it is visible. Submission
-//! is guarded by a per-client token bucket and the queue bound — both
-//! shed load with `429` + `Retry-After` rather than queueing without
-//! limit. A drain (SIGTERM or `POST /drain`) lets in-flight cells
+//! whose group commit makes every terminal cell durable before it is
+//! visible. Submission is guarded by a per-client token bucket and the
+//! queue bound — both shed load with `429` + `Retry-After` rather than
+//! queueing without limit. A drain (SIGTERM or `POST /drain`) lets in-flight cells
 //! finish and commit, then exits; interrupted jobs resume from their
 //! journals on the next start.
 
@@ -23,7 +23,7 @@ use xcache_sim::{env_parse, env_parse_map, EnvError};
 
 use crate::grids::{to_runner_cells, JobSpec};
 use crate::http::{respond, start_ndjson, Request};
-use crate::journal::{self, Journal, JournalError};
+use crate::journal::{self, Committer, Journal, JournalError};
 use crate::json::{self, json_str, Value};
 
 /// Result schema version stamped into every final output.
@@ -176,6 +176,15 @@ impl Job {
         }
     }
 
+    fn bump(&self, ok: bool) {
+        let mut inner = self.inner.lock().expect("job lock");
+        if ok {
+            inner.cells_done += 1;
+        } else {
+            inner.cells_failed += 1;
+        }
+    }
+
     fn emit(&self, event: String) {
         let mut inner = self.inner.lock().expect("job lock");
         inner.events.push(event);
@@ -205,10 +214,11 @@ struct Metrics {
     /// Submissions refused during a drain (503).
     shed_draining: AtomicU64,
     /// `(label, wall µs)` per cell executed by this process, in
-    /// completion order (journal-reused cells don't run, so they don't
-    /// appear). Completion order is deterministic only for sequential
-    /// runners, so consumers treat this as an operational log, not a
-    /// result artifact.
+    /// publication order (journal-reused cells don't run, so they don't
+    /// appear). The wall time runs from the attempt's start to the
+    /// journal append; the fsync is not on the cell's path. The order
+    /// is deterministic only for sequential runners, so consumers treat
+    /// this as an operational log, not a result artifact.
     cell_walls: Mutex<Vec<(String, u128)>>,
     /// Start stamps of in-flight cells, keyed by cell index.
     cell_started: Mutex<HashMap<usize, Instant>>,
@@ -235,31 +245,22 @@ struct State {
     metrics: Metrics,
 }
 
-/// The journal-plus-events checkpoint store a running job uses: every
-/// terminal cell is journalled (fsync'd) first, then announced to
-/// subscribers — durability before visibility.
-struct EventingStore<'a> {
+/// The checkpoint store a running job uses: the journal's committer
+/// plus the job's events and metrics. A terminal cell is announced
+/// (`cell_done`, counters, `/metrics` wall entry) by the committer once
+/// its record is durable — durability before visibility.
+struct EventingStore<'c, 'a> {
+    commits: &'c Committer<'a>,
     job: &'a Job,
     metrics: &'a Metrics,
 }
 
-impl EventingStore<'_> {
-    fn bump(&self, ok: bool) {
-        let mut inner = self.job.inner.lock().expect("job lock");
-        if ok {
-            inner.cells_done += 1;
-        } else {
-            inner.cells_failed += 1;
-        }
-    }
-}
-
-impl CheckpointStore for EventingStore<'_> {
+impl CheckpointStore for EventingStore<'_, '_> {
     fn lookup(&self, label: &str) -> Option<Result<String, String>> {
         let hit = self.job.journal.lookup(label)?;
         // A journal hit is the resume path: count it and announce it,
         // exactly once, without re-executing anything.
-        self.bump(hit.is_ok());
+        self.job.bump(hit.is_ok());
         self.job.emit(format!(
             "{{\"event\":\"cell_done\",\"job\":{},\"label\":{},\"status\":{},\"reused\":true}}",
             json_str(&self.job.id),
@@ -270,33 +271,44 @@ impl CheckpointStore for EventingStore<'_> {
     }
 
     fn commit(&self, outcome: &CellOutcome) {
-        self.job.journal.commit(outcome);
-        if let Some(at) = self
-            .metrics
-            .cell_started
-            .lock()
-            .expect("metrics lock")
-            .remove(&outcome.index)
-        {
-            self.metrics
-                .cell_walls
-                .lock()
-                .expect("metrics lock")
-                .push((outcome.label.clone(), at.elapsed().as_micros()));
-        }
         let status = match &outcome.status {
             CellStatus::Done(_) => "done",
             CellStatus::Failed(_) => "failed",
             CellStatus::Pending => return,
         };
-        self.bump(status == "done");
-        self.job.emit(format!(
-            "{{\"event\":\"cell_done\",\"job\":{},\"index\":{},\"label\":{},\"status\":{},\"reused\":false}}",
-            json_str(&self.job.id),
-            outcome.index,
-            json_str(&outcome.label),
-            json_str(status)
-        ));
+        let wall_us = self
+            .metrics
+            .cell_started
+            .lock()
+            .expect("metrics lock")
+            .remove(&outcome.index)
+            .map(|at| at.elapsed().as_micros());
+        let (job, metrics) = (self.job, self.metrics);
+        let (index, label) = (outcome.index, outcome.label.clone());
+        self.commits.commit_then(
+            outcome,
+            Box::new(move || {
+                let event = format!(
+                    "{{\"event\":\"cell_done\",\"job\":{},\"index\":{index},\"label\":{},\"status\":{},\"reused\":false}}",
+                    json_str(&job.id),
+                    json_str(&label),
+                    json_str(status)
+                );
+                if let Some(us) = wall_us {
+                    metrics
+                        .cell_walls
+                        .lock()
+                        .expect("metrics lock")
+                        .push((label, us));
+                }
+                job.bump(status == "done");
+                job.emit(event);
+            }),
+        );
+    }
+
+    fn flush(&self) {
+        self.commits.flush();
     }
 
     fn started(&self, index: usize, label: &str, attempt: u32) {
@@ -519,15 +531,20 @@ impl State {
             inner.phase = Phase::Running;
         }
         let cells = to_runner_cells(&job.spec.build_cells());
-        let store = EventingStore {
-            job,
-            metrics: &self.metrics,
-        };
         let runner = self
             .cfg
             .cell_jobs
             .map_or_else(Runner::from_env, Runner::with_jobs);
-        let outcomes = runner.run_with_checkpoint(cells, &store, &self.cfg.policy, &self.cancel);
+        // The run flushes before it returns: every cell is durable and
+        // announced before the result, `job_done` or `Interrupted`.
+        let outcomes = job.journal.with_committer(|commits| {
+            let store = EventingStore {
+                commits,
+                job,
+                metrics: &self.metrics,
+            };
+            runner.run_with_checkpoint(cells, &store, &self.cfg.policy, &self.cancel)
+        });
 
         let complete = outcomes.iter().all(CellOutcome::is_terminal);
         if complete {
@@ -820,7 +837,7 @@ fn handle_connection(state: &Arc<State>, mut stream: TcpStream) {
 }
 
 /// Operational metrics as order-preserving JSON: fields render in a
-/// fixed order and the `cells` array keeps completion order, so two
+/// fixed order and the `cells` array keeps publication order, so two
 /// reads differ only where the underlying counters moved.
 fn render_metrics(state: &Arc<State>) -> String {
     let queue_depth = state.queue.lock().expect("queue lock").len();

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 
 use proptest::prelude::*;
-use xcache_bench::{CellStatus, CheckpointPolicy, CheckpointStore, Runner};
+use xcache_bench::{CellStatus, CheckpointPolicy, Runner};
 use xcache_serve::grids::to_runner_cells;
 use xcache_serve::journal::{manifest_value, Journal};
 use xcache_serve::json;
@@ -41,13 +41,21 @@ fn run_to_completion(spec: &JobSpec, journal: &Journal) -> Vec<Result<String, St
         backoff_ms: 0,
         timeout_ms: None,
     };
-    Runner::with_jobs(2)
-        .run_with_checkpoint(
-            to_runner_cells(&spec.build_cells()),
-            journal,
-            &policy,
-            &AtomicBool::new(false),
-        )
+    journal
+        .with_committer(|store| {
+            let outcomes = Runner::with_jobs(2).run_with_checkpoint(
+                to_runner_cells(&spec.build_cells()),
+                store,
+                &policy,
+                &AtomicBool::new(false),
+            );
+            // The run flushed before returning: the whole log is durable.
+            let log_len = std::fs::metadata(journal.dir().join("cells.log"))
+                .unwrap()
+                .len();
+            assert_eq!(journal.synced_len(), log_len);
+            outcomes
+        })
         .into_iter()
         .map(|o| match o.status {
             CellStatus::Done(v) => Ok(v),

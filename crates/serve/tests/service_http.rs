@@ -361,19 +361,21 @@ fn resume_after_partial_journal_is_byte_identical() {
     let job_dir = cut_dir.join("r");
     {
         let journal = Journal::create(&job_dir, &manifest_value("r", &spec.normalized())).unwrap();
-        for (i, cell) in spec.build_cells().iter().take(3).enumerate() {
-            let status = match (cell.run)() {
-                Ok(v) => CellStatus::Done(v),
-                Err(e) => CellStatus::Failed(e),
-            };
-            journal.commit(&CellOutcome {
-                index: i,
-                label: cell.label.clone(),
-                status,
-                attempts: 1,
-                reused: false,
-            });
-        }
+        journal.with_committer(|store| {
+            for (i, cell) in spec.build_cells().iter().take(3).enumerate() {
+                let status = match (cell.run)() {
+                    Ok(v) => CellStatus::Done(v),
+                    Err(e) => CellStatus::Failed(e),
+                };
+                store.commit(&CellOutcome {
+                    index: i,
+                    label: cell.label.clone(),
+                    status,
+                    attempts: 1,
+                    reused: false,
+                });
+            }
+        });
     }
     let pre_log_len = std::fs::metadata(job_dir.join("cells.log")).unwrap().len();
 
@@ -517,5 +519,146 @@ fn cell_deadline_fails_structurally() {
 
     server.drain();
     server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Per-label `cell_done` counts in an event log, and whether every
+/// `cell_done` precedes the (at most one) `job_done`.
+fn cell_done_counts(lines: &[String]) -> (HashMap<String, u32>, usize, bool) {
+    let mut counts: HashMap<String, u32> = HashMap::new();
+    let mut job_done = 0;
+    let mut ordered = true;
+    for line in lines {
+        let v = json::parse(line).expect("event line parses");
+        match v.get("event").and_then(Value::as_str).unwrap() {
+            "cell_done" => {
+                ordered &= job_done == 0;
+                *counts
+                    .entry(v.get("label").and_then(Value::as_str).unwrap().to_owned())
+                    .or_default() += 1;
+            }
+            "job_done" => job_done += 1,
+            _ => {}
+        }
+    }
+    (counts, job_done, ordered)
+}
+
+/// Follows a job's event stream from a new thread; `ready` fires once
+/// `after` cells have been announced.
+fn follow(
+    addr: &str,
+    id: &str,
+    after: usize,
+    ready: std::sync::mpsc::Sender<()>,
+) -> std::thread::JoinHandle<Vec<String>> {
+    let (addr, path) = (addr.to_owned(), format!("/jobs/{id}/events"));
+    std::thread::spawn(move || {
+        let mut lines = Vec::new();
+        let mut done = 0;
+        let status = http::request_stream(&addr, &path, |l| {
+            lines.push(l.to_owned());
+            if l.contains("\"cell_done\"") {
+                done += 1;
+                if done == after {
+                    let _ = ready.send(());
+                }
+            }
+        })
+        .unwrap();
+        assert_eq!(status, 200);
+        lines
+    })
+}
+
+/// Group commit publishes a cell only after the fsync that covers it,
+/// from a thread other than the cell worker. Followed live, a 50-cell
+/// job still announces each cell exactly once, before `job_done`. A
+/// drain mid-job stops with every announced cell in the journal and no
+/// result, and the restart announces each cell exactly once again
+/// (`reused` for the journalled ones) and matches the undisturbed run.
+/// The journal's debug assertions (no publication past the synced
+/// length, no `result.json` before the final flush) run throughout.
+#[test]
+fn group_commit_announces_each_cell_once_across_a_drain() {
+    let spec = r#"{"id":"g","grid":"demo","cells":50,"seed":13,"cell_sleep_ms":10}"#;
+
+    let ref_dir = tmpdir("group-ref");
+    let (server, addr) = spawn(test_config(ref_dir.clone()));
+    assert_eq!(
+        http::request(&addr, "POST", "/jobs", &[], Some(spec))
+            .unwrap()
+            .0,
+        202
+    );
+    let (tx, _rx) = std::sync::mpsc::channel();
+    let lines = follow(&addr, "g", 0, tx).join().unwrap();
+    let (counts, job_done, ordered) = cell_done_counts(&lines);
+    assert_eq!(job_done, 1, "{lines:?}");
+    assert!(ordered, "a cell_done after job_done: {lines:?}");
+    assert_eq!(counts.len(), 50);
+    assert!(counts.values().all(|&n| n == 1), "{counts:?}");
+    let reference = wait_done(&addr, "g", Duration::from_secs(10));
+    assert_eq!(
+        std::fs::read_to_string(ref_dir.join("g/result.json")).unwrap(),
+        reference
+    );
+    server.drain();
+    server.join();
+
+    // Drain once five cells have been announced.
+    let dir = tmpdir("group-drain");
+    let (server, addr) = spawn(test_config(dir.clone()));
+    assert_eq!(
+        http::request(&addr, "POST", "/jobs", &[], Some(spec))
+            .unwrap()
+            .0,
+        202
+    );
+    let (tx, rx) = std::sync::mpsc::channel();
+    let follower = follow(&addr, "g", 5, tx);
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("five cells announced");
+    server.drain();
+    let lines = follower.join().unwrap();
+    server.join();
+    let (counts, job_done, _) = cell_done_counts(&lines);
+    assert_eq!(job_done, 0, "{lines:?}");
+    assert!(counts.values().all(|&n| n == 1), "{counts:?}");
+    assert!(
+        (5..50).contains(&counts.len()),
+        "expected a partial run, got {} cells",
+        counts.len()
+    );
+    // Announced is exactly journalled: the run flushed before the job
+    // turned `interrupted`, so nothing durable went unannounced either.
+    let (_, journal, stats) = Journal::open(&dir.join("g")).unwrap();
+    assert_eq!(stats.cells, counts.len());
+    for label in counts.keys() {
+        assert!(
+            journal.lookup(label).is_some(),
+            "{label} announced, not journalled"
+        );
+    }
+    assert!(journal.read_result().is_none());
+    drop(journal);
+
+    let (server, addr) = spawn(test_config(dir.clone()));
+    let (tx, _rx) = std::sync::mpsc::channel();
+    let lines = follow(&addr, "g", 0, tx).join().unwrap();
+    let (resumed, job_done, ordered) = cell_done_counts(&lines);
+    assert_eq!(job_done, 1, "{lines:?}");
+    assert!(ordered, "a cell_done after job_done: {lines:?}");
+    assert_eq!(resumed.len(), 50);
+    assert!(resumed.values().all(|&n| n == 1), "{resumed:?}");
+    let reused = lines
+        .iter()
+        .filter(|l| l.contains("\"reused\":true"))
+        .count();
+    assert_eq!(reused, counts.len());
+    assert_eq!(wait_done(&addr, "g", Duration::from_secs(10)), reference);
+    server.drain();
+    server.join();
+    let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
