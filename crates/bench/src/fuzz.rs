@@ -7,9 +7,6 @@
 //!
 //! * **skip differential** — idle-cycle fast-forwarding on vs off must
 //!   leave every observable byte-identical ([`skip_differential`]);
-//! * **scheduler differential** — the timing-wheel scheduler vs the
-//!   fold-based reference (`XCACHE_SCHED=scan`) must steer simulated time
-//!   identically ([`sched_differential`]);
 //! * **exec differential** — the macro-step engine (fused
 //!   superinstructions, batched dispatch, epoch-aggregated stats) vs the
 //!   micro-step reference (`XCACHE_EXEC=micro`) must leave every
@@ -38,9 +35,7 @@ use xcache_core::{splitmix64, MetaAccess, MetaKey, XCache, XCacheConfig};
 use xcache_isa::gen;
 use xcache_isa::{EventId, StateId};
 use xcache_mem::{DramConfig, DramModel, MainMemory};
-use xcache_sim::{
-    with_exec_mode, with_sched_mode, with_skip, Cycle, ExecMode, SchedMode, StatsSnapshot,
-};
+use xcache_sim::{with_exec_mode, with_skip, Cycle, ExecMode, StatsSnapshot};
 
 use crate::runner::{Runner, Scenario};
 
@@ -200,34 +195,6 @@ pub fn skip_differential(seed: u64, accesses: usize) -> Result<String, String> {
     } else {
         Err(format!(
             "seed {seed}: skip and no-skip runs diverged\n  skip:    {fast}\n  no-skip: {slow}"
-        ))
-    }
-}
-
-/// Runs `seed` under the timing-wheel scheduler and under the fold-based
-/// reference scheduler (`XCACHE_SCHED=scan`) — both with fast-forwarding
-/// on, where the schedulers actually steer time — and demands
-/// byte-identical reports. Returns the canonical JSON on agreement.
-///
-/// Like [`skip_differential`], this uses the thread-local override, so
-/// call it on the thread that owns the comparison.
-///
-/// # Errors
-///
-/// Returns `Err` with both renderings when the runs diverge.
-pub fn sched_differential(seed: u64, accesses: usize) -> Result<String, String> {
-    let wheel = with_sched_mode(SchedMode::Wheel, || {
-        with_skip(true, || run_seed(seed, accesses))
-    });
-    let scan = with_sched_mode(SchedMode::Scan, || {
-        with_skip(true, || run_seed(seed, accesses))
-    });
-    let (wheel, scan) = (wheel.stats_json(), scan.stats_json());
-    if wheel == scan {
-        Ok(wheel)
-    } else {
-        Err(format!(
-            "seed {seed}: wheel and scan schedulers diverged\n  wheel: {wheel}\n  scan:  {scan}"
         ))
     }
 }

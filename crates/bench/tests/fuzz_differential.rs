@@ -6,9 +6,7 @@
 //! both worker counts (its cells never touch `with_skip`).
 
 use proptest::prelude::*;
-use xcache_bench::fuzz::{
-    exec_differential, jobs_differential, run_seed, sched_differential, skip_differential,
-};
+use xcache_bench::fuzz::{exec_differential, jobs_differential, run_seed, skip_differential};
 
 /// Seeds per in-tree test run — small enough for a debug build, spread
 /// over a couple of windows so both generator shapes (hashed, store
@@ -23,13 +21,6 @@ fn skip_and_step_runs_are_byte_identical() {
 }
 
 #[test]
-fn wheel_and_scan_schedulers_are_byte_identical() {
-    for seed in SEEDS {
-        sched_differential(seed, 48).unwrap();
-    }
-}
-
-#[test]
 fn macro_and_micro_engines_are_byte_identical() {
     for seed in SEEDS {
         exec_differential(seed, 48).unwrap();
@@ -37,18 +28,11 @@ fn macro_and_micro_engines_are_byte_identical() {
 }
 
 proptest! {
-    // Each case runs a generated program twice (wheel + scan), so keep the
-    // case count near the deterministic seed window's size; the strategy
-    // still explores seeds far outside `SEEDS` and varies the workload
-    // length enough to shift which cycles the schedulers must agree on.
+    // Each case runs a generated program twice (macro + micro), so keep
+    // the case count near the deterministic seed window's size; the
+    // strategy still explores seeds far outside `SEEDS` and varies the
+    // workload length.
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn wheel_matches_scan_on_arbitrary_seeds(seed in any::<u64>(), accesses in 8usize..96) {
-        if let Err(e) = sched_differential(seed, accesses) {
-            panic!("{e}");
-        }
-    }
 
     /// Superinstruction fusion is semantics-preserving: for
     /// generator-produced verifier-clean programs, the fused macro-step

@@ -250,9 +250,11 @@ pub struct XCache<D> {
     /// Cached `downstream.next_event` from its last tick: the downstream
     /// level is only ticked when this falls due or [`ds_dirty`] is set, so
     /// an idle memory level costs nothing per controller cycle. Sound
-    /// because the `Component` contract already requires downstream ticks
-    /// to tolerate gaps (skip mode exercises exactly that), and per-tick
-    /// stall counters pin `next_event` to `now + 1` while they count.
+    /// because the `next_event` contract on
+    /// [`fast_forward`](xcache_sim::fast_forward) already requires
+    /// downstream ticks to tolerate gaps (skip mode exercises exactly
+    /// that), and per-tick stall counters pin `next_event` to `now + 1`
+    /// while they count.
     ///
     /// [`ds_dirty`]: XCache::ds_dirty
     pub(crate) ds_next: Option<Cycle>,
@@ -664,9 +666,9 @@ impl<D: MemoryPort> XCache<D> {
     }
 
     /// Earliest cycle strictly after `now` at which `tick` could do
-    /// observable work (same contract as
-    /// [`Component::next_event`](xcache_sim::Component::next_event);
-    /// queried after `tick(now)`).
+    /// observable work (the `next_event` contract on
+    /// [`fast_forward`](xcache_sim::fast_forward); queried after
+    /// `tick(now)`).
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         xcache_sim::prof_scope!("xcache.next_event");
@@ -740,24 +742,6 @@ impl<D: MemoryPort> XCache<D> {
             return self.busy().then(|| now.next());
         }
         Some(next)
-    }
-}
-
-impl<D: MemoryPort> xcache_sim::Component for XCache<D> {
-    fn name(&self) -> &str {
-        &self.program.name
-    }
-    fn tick(&mut self, now: Cycle) {
-        XCache::tick(self, now);
-    }
-    fn busy(&self) -> bool {
-        XCache::busy(self)
-    }
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        XCache::next_event(self, now)
-    }
-    fn report(&self, stats: &mut Stats) {
-        stats.merge(&self.ctx.stats);
     }
 }
 

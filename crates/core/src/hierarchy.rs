@@ -53,8 +53,8 @@ pub trait MetaPort {
     fn busy(&self) -> bool;
 
     /// Earliest cycle strictly after `now` at which `tick` could do
-    /// observable work, or `None` when idle with nothing scheduled. Same
-    /// contract as [`Component::next_event`](xcache_sim::Component::next_event).
+    /// observable work, or `None` when idle with nothing scheduled. The
+    /// `next_event` contract on [`fast_forward`](xcache_sim::fast_forward).
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now.next())
     }

@@ -189,8 +189,8 @@ impl<P: MemoryPort> StreamReader<P> {
     }
 
     /// Earliest cycle strictly after `now` at which `tick` could do
-    /// observable work (same contract as
-    /// [`Component::next_event`](xcache_sim::Component::next_event)).
+    /// observable work (the `next_event` contract on
+    /// [`fast_forward`](xcache_sim::fast_forward)).
     /// Arrived-but-unconsumed words do not count: consuming them is the
     /// datapath's move, so the *driver* must fold its own readiness in.
     #[must_use]

@@ -157,9 +157,9 @@ impl<D: MemoryPort, T: ProbeTask> ProbeEngine<D, T> {
     }
 
     /// Earliest cycle strictly after `now` at which `tick` could do
-    /// observable work (same contract as
-    /// [`Component::next_event`](xcache_sim::Component::next_event);
-    /// queried after `tick(now)`).
+    /// observable work (the `next_event` contract on
+    /// [`fast_forward`](xcache_sim::fast_forward); queried after
+    /// `tick(now)`).
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         // Undelivered arrivals and refillable idle units act every cycle.
@@ -259,7 +259,7 @@ impl<D: MemoryPort, T: ProbeTask> ProbeEngine<D, T> {
         }
     }
 
-    /// Engine statistics.
+    /// Probe-engine statistics.
     #[must_use]
     pub fn stats(&self) -> &Stats {
         &self.stats

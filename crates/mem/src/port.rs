@@ -128,8 +128,8 @@ pub trait MemoryPort {
     /// Earliest cycle strictly after `now` at which this port could do
     /// observable work (retire a transaction, deliver a response, count a
     /// stall), or `None` when idle with nothing scheduled. Queried after
-    /// `tick(now)`; same strict no-op contract as
-    /// [`Component::next_event`](xcache_sim::Component::next_event).
+    /// `tick(now)`; the strict no-op `next_event` contract on
+    /// [`fast_forward`](xcache_sim::fast_forward).
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now.next())
     }

@@ -552,19 +552,14 @@ impl<F: FnMut()> Drop for Defer<F> {
 /// the env knobs that shape results).
 #[must_use]
 pub fn manifest_value(job_id: &str, spec: &Value) -> Value {
-    let knobs = [
-        "XCACHE_FAULT_SPEC",
-        "XCACHE_FAULT_SEED",
-        "XCACHE_SCHED",
-        "XCACHE_PAR",
-    ]
-    .iter()
-    .filter_map(|k| {
-        std::env::var(k)
-            .ok()
-            .map(|v| ((*k).to_owned(), Value::Str(v)))
-    })
-    .collect();
+    let knobs = ["XCACHE_FAULT_SPEC", "XCACHE_FAULT_SEED", "XCACHE_PAR"]
+        .iter()
+        .filter_map(|k| {
+            std::env::var(k)
+                .ok()
+                .map(|v| ((*k).to_owned(), Value::Str(v)))
+        })
+        .collect();
     Value::Obj(vec![
         ("schema".into(), Value::Str(SCHEMA.into())),
         ("job".into(), Value::Str(job_id.into())),

@@ -6,11 +6,11 @@
 //! The paper drives cycle-accurate RTL simulation through Verilator/TSIM;
 //! this crate provides the equivalent foundation in pure Rust: a cycle
 //! clock, latency-insensitive message queues (the paper's "parameterized
-//! message bundles"), a component/tick abstraction, a statistics registry,
-//! and trace hooks. Every model in the workspace (DRAM, address cache, the
-//! X-Cache controller, the DSA datapaths) is built on these primitives, and
-//! all of them are fully deterministic: the same inputs always produce the
-//! same cycle counts.
+//! message bundles"), idle-cycle fast-forwarding, a timing wheel, a
+//! statistics registry, and trace hooks. Every model in the workspace
+//! (DRAM, address cache, the X-Cache controller, the DSA datapaths) is
+//! built on these primitives, and all of them are fully deterministic: the
+//! same inputs always produce the same cycle counts.
 //!
 //! ## Quick example
 //!
@@ -25,9 +25,7 @@
 //! ```
 
 mod clock;
-mod component;
 mod context;
-mod engine;
 pub mod env;
 mod fault;
 mod fxhash;
@@ -41,9 +39,7 @@ mod watchdog;
 mod wheel;
 
 pub use clock::Cycle;
-pub use component::Component;
 pub use context::SimContext;
-pub use engine::{Engine, RunOutcome, RunResult};
 pub use env::{env_flag, env_parse, env_parse_map, exit2, EnvError};
 pub use fault::{with_fault_plan, FaultHit, FaultKind, FaultPlan};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
@@ -54,8 +50,7 @@ pub use parallel::{
 pub use prof::{prof_enabled, prof_record, prof_reset, prof_snapshot, ProfEntry, ProfGuard};
 pub use queue::{MsgQueue, PushError};
 pub use skip::{
-    earliest, exec_mode, fast_forward, sched_mode, skip_enabled, with_exec_mode, with_sched_mode,
-    with_skip, ExecMode, SchedMode,
+    earliest, exec_mode, fast_forward, skip_enabled, with_exec_mode, with_skip, ExecMode,
 };
 pub use stats::{CounterId, EpochStats, Histogram, Stats, StatsSnapshot};
 pub use trace::{TraceBuffer, TraceEvent, TraceKind};

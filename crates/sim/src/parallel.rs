@@ -6,7 +6,8 @@
 //! cell advance independently to an agreed target cycle, then drains
 //! responses and picks the next target. Because no cell ever observes
 //! another cell mid-horizon, any horizon length is conservative-safe; the
-//! lookahead derived from [`Component::next_event`](crate::Component) and
+//! lookahead derived from the cells' `next_event` reports (see
+//! [`fast_forward`](crate::fast_forward)) and
 //! the interconnect's minimum link latency only bounds how *coarse* the
 //! boundaries may be before driver feedback (e.g. bypass retries) lags.
 //!
@@ -30,13 +31,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::FaultPlan;
-use crate::{sched_mode, skip_enabled, with_fault_plan, with_sched_mode, with_skip, Cycle};
+use crate::{exec_mode, skip_enabled, with_exec_mode, with_fault_plan, with_skip, Cycle};
 
 /// Which engine drives a sharded run.
 ///
 /// Both modes must produce byte-identical output; `Seq` is retained as the
 /// reference implementation for differential testing and as an escape
-/// hatch (`XCACHE_PAR=seq`), mirroring `XCACHE_SCHED=scan`.
+/// hatch (`XCACHE_PAR=seq`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParMode {
     /// Single-threaded reference: the caller advances every cell in shard
@@ -142,7 +143,7 @@ pub fn parallel_fallbacks() -> u64 {
 /// `advance(to)` must bring the cell's local clock exactly to `to`, doing
 /// whatever internal stepping/fast-forwarding the cell needs, and must
 /// depend only on the cell's own state and `to` (plus the thread-locals
-/// `run_horizons` propagates: skip mode, scheduler mode, fault plan) — the
+/// `run_horizons` propagates: skip mode, execution mode, fault plan) — the
 /// determinism of parallel execution rests on that purity.
 pub trait ParCell: Send {
     /// Advances the cell's local clock to `to`.
@@ -273,7 +274,7 @@ fn run_pooled<C: ParCell>(
     // Workers inherit this thread's per-thread simulation configuration so
     // a cell advances identically regardless of which thread runs it.
     let skip = skip_enabled();
-    let sched = sched_mode();
+    let exec = exec_mode();
     let plan = FaultPlan::current();
     let advance_stripe = |worker: usize, to: Cycle| {
         let mut i = worker;
@@ -291,7 +292,7 @@ fn run_pooled<C: ParCell>(
             let plan = plan.clone();
             scope.spawn(move || {
                 with_skip(skip, || {
-                    with_sched_mode(sched, || {
+                    with_exec_mode(exec, || {
                         with_fault_plan(plan, || loop {
                             barrier.wait();
                             if done.load(Ordering::Acquire) {
@@ -343,6 +344,17 @@ mod tests {
         }
     }
 
+    /// Serializes the tests that run a `Par` pool: on a small host any of
+    /// them may bump the process-global fallback counter, which
+    /// `oversubscribed_pool_falls_back_to_seq` asserts on.
+    static POOL_TESTS: Mutex<()> = Mutex::new(());
+
+    fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
+        POOL_TESTS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn drive(mode: ParMode, threads: usize) -> Vec<u64> {
         with_par_mode(mode, || {
             with_par_threads(threads, || {
@@ -366,6 +378,7 @@ mod tests {
 
     #[test]
     fn seq_and_par_agree_at_any_width() {
+        let _pool = pool_lock();
         let reference = drive(ParMode::Seq, 1);
         assert_eq!(reference, vec![70; 5]);
         for threads in [1, 2, 4, 9] {
@@ -375,6 +388,7 @@ mod tests {
 
     #[test]
     fn boundary_sees_advanced_cells() {
+        let _pool = pool_lock();
         with_par_mode(ParMode::Par, || {
             with_par_threads(3, || {
                 let cells = (0..3)
@@ -418,6 +432,7 @@ mod tests {
                 })
             })
         };
+        let _pool = pool_lock();
         let before = parallel_fallbacks();
         let par = run(ParMode::Par);
         assert!(
@@ -447,23 +462,37 @@ mod tests {
 
     #[test]
     fn workers_inherit_skip_override() {
-        struct SkipProbe {
+        use crate::ExecMode;
+        struct ModeProbe {
             saw_skip: bool,
+            saw_exec: ExecMode,
         }
-        impl ParCell for SkipProbe {
+        impl ParCell for ModeProbe {
             fn advance(&mut self, _to: Cycle) {
                 self.saw_skip = skip_enabled();
+                self.saw_exec = exec_mode();
             }
         }
+        // Two threads: a wider pool takes the seq fallback on small hosts
+        // and never reaches a worker.
+        let _pool = pool_lock();
         with_skip(false, || {
-            with_par_mode(ParMode::Par, || {
-                with_par_threads(4, || {
-                    let cells = (0..4).map(|_| SkipProbe { saw_skip: true }).collect();
-                    let mut fired = false;
-                    let cells = run_horizons(cells, Cycle(0), |_, t| {
-                        (!std::mem::replace(&mut fired, true)).then(|| t + 1)
+            with_exec_mode(ExecMode::Micro, || {
+                with_par_mode(ParMode::Par, || {
+                    with_par_threads(2, || {
+                        let cells = (0..4)
+                            .map(|_| ModeProbe {
+                                saw_skip: true,
+                                saw_exec: ExecMode::Macro,
+                            })
+                            .collect();
+                        let mut fired = false;
+                        let cells = run_horizons(cells, Cycle(0), |_, t| {
+                            (!std::mem::replace(&mut fired, true)).then(|| t + 1)
+                        });
+                        assert!(cells.iter().all(|c| !c.saw_skip));
+                        assert!(cells.iter().all(|c| c.saw_exec == ExecMode::Micro));
                     });
-                    assert!(cells.iter().all(|c| !c.saw_skip));
                 });
             });
         });

@@ -1,14 +1,15 @@
 //! Idle-cycle fast-forwarding.
 //!
 //! Most simulated cycles do no work: walkers park on long-latency DRAM
-//! fills and every model just re-checks empty queues. Components advertise
+//! fills and every model just re-checks empty queues. Models advertise
 //! the earliest cycle at which their next `tick` could do observable work
-//! via [`Component::next_event`](crate::Component::next_event), and tick
-//! loops jump simulated time straight there with [`fast_forward`] instead
-//! of stepping one cycle at a time. The contract is strict: skipping must
-//! leave every counter, histogram, and end cycle byte-identical to
-//! single-stepping, so a component may only report a wake-up later than
-//! `now + 1` when the intervening ticks would be complete no-ops.
+//! through a `next_event` method (the contract is documented on
+//! [`fast_forward`]), and tick loops jump simulated time straight there
+//! with [`fast_forward`] instead of stepping one cycle at a time. The
+//! contract is strict: skipping must leave every counter, histogram, and
+//! end cycle byte-identical to single-stepping, so a model may only report
+//! a wake-up later than `now + 1` when the intervening ticks would be
+//! complete no-ops.
 //!
 //! Setting the environment variable `XCACHE_NO_SKIP=1` disables skipping
 //! process-wide (the escape hatch for differential debugging); tests can
@@ -49,65 +50,11 @@ pub fn with_skip<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Which scheduler drives event-skipped execution.
-///
-/// Both modes must produce byte-identical statistics; `Scan` is retained as
-/// the reference implementation for differential testing and as an escape
-/// hatch (`XCACHE_SCHED=scan`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Timing-wheel scheduling: only components/events whose due cycle has
-    /// arrived are processed; idle ones cost nothing (the default).
-    Wheel,
-    /// The original PR 2 behaviour: tick everything every step and fold
-    /// `next_event` reports with a linear scan.
-    Scan,
-}
-
-fn env_sched_mode() -> SchedMode {
-    static MODE: OnceLock<SchedMode> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        crate::env::exit2(crate::env::env_parse_map("XCACHE_SCHED", |s| match s {
-            "scan" => Ok(SchedMode::Scan),
-            "wheel" => Ok(SchedMode::Wheel),
-            other => Err(format!(
-                "unknown mode `{other}` (expected `wheel` or `scan`)"
-            )),
-        }))
-        .unwrap_or(SchedMode::Wheel)
-    })
-}
-
-thread_local! {
-    static SCHED_OVERRIDE: Cell<Option<SchedMode>> = const { Cell::new(None) };
-}
-
-/// The active scheduler mode on this thread: a [`with_sched_mode`] override
-/// wins, otherwise `XCACHE_SCHED` (`scan` selects the fold-based reference
-/// path; anything else, including unset, selects the timing wheel).
-#[must_use]
-pub fn sched_mode() -> SchedMode {
-    SCHED_OVERRIDE
-        .with(Cell::get)
-        .unwrap_or_else(env_sched_mode)
-}
-
-/// Runs `f` with the scheduler mode forced for the current thread, restoring
-/// the previous setting afterwards — the wheel-vs-scan differential tests'
-/// analogue of [`with_skip`].
-pub fn with_sched_mode<T>(mode: SchedMode, f: impl FnOnce() -> T) -> T {
-    let prev = SCHED_OVERRIDE.with(|c| c.replace(Some(mode)));
-    let out = f();
-    SCHED_OVERRIDE.with(|c| c.set(prev));
-    out
-}
-
 /// Granularity of walker execution inside the controller.
 ///
 /// Both modes must produce byte-identical statistics and end cycles;
 /// `Micro` is retained as the reference implementation for differential
-/// testing and as an escape hatch (`XCACHE_EXEC=micro`), mirroring
-/// `XCACHE_SCHED=scan`.
+/// testing and as an escape hatch (`XCACHE_EXEC=micro`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// One micro-op per walker per cycle — the PR 6 reference path.
@@ -149,7 +96,7 @@ pub fn exec_mode() -> ExecMode {
 
 /// Runs `f` with the execution granularity forced for the current thread,
 /// restoring the previous setting afterwards — the macro-vs-micro
-/// differential tests' analogue of [`with_sched_mode`].
+/// differential tests' analogue of [`with_skip`].
 pub fn with_exec_mode<T>(mode: ExecMode, f: impl FnOnce() -> T) -> T {
     let prev = EXEC_OVERRIDE.with(|c| c.replace(Some(mode)));
     let out = f();
@@ -157,13 +104,29 @@ pub fn with_exec_mode<T>(mode: ExecMode, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// The next value of `now` for a tick loop: `next` (a component's reported
+/// The next value of `now` for a tick loop: `next` (a model's reported
 /// wake-up) when skipping is enabled and the report is a usable future
 /// cycle, else `now + 1`.
 ///
 /// `None` and [`Cycle::NEVER`] both fall back to single-stepping rather
 /// than terminating the loop, so quiescence and deadlock detection stay
 /// where they always were — in `busy()` checks and cycle limits.
+///
+/// # The `next_event` contract
+///
+/// Every clocked model (the controller, memory ports, streams, DSA
+/// datapaths) exposes `next_event(&self, now) -> Option<Cycle>`: the
+/// earliest cycle strictly after `now` at which its next `tick` could do
+/// observable work, or `None` when it is idle with no scheduled wake-up.
+/// It is queried *after* `tick(now)` has run; drivers fold the reports of
+/// every model they tick with [`earliest`] and pass the result here.
+///
+/// The contract is strict: the driver jumps simulated time straight to
+/// the reported wake-up, so every skipped tick must be a complete no-op —
+/// no state change, no counter increment. A model that counts per-cycle
+/// stalls or charges per-cycle occupancy must report `now + 1` while such
+/// a charge is pending. `Some(now + 1)` is always safe: it reproduces
+/// single-stepping.
 #[must_use]
 #[inline]
 pub fn fast_forward(now: Cycle, next: Option<Cycle>) -> Cycle {
@@ -234,17 +197,6 @@ mod tests {
                 assert_eq!(exec_mode(), ExecMode::Macro);
             });
             assert_eq!(exec_mode(), ExecMode::Micro);
-        });
-    }
-
-    #[test]
-    fn sched_mode_override_nests_and_restores() {
-        with_sched_mode(SchedMode::Scan, || {
-            assert_eq!(sched_mode(), SchedMode::Scan);
-            with_sched_mode(SchedMode::Wheel, || {
-                assert_eq!(sched_mode(), SchedMode::Wheel);
-            });
-            assert_eq!(sched_mode(), SchedMode::Scan);
         });
     }
 }

@@ -228,6 +228,8 @@ impl<T> std::fmt::Debug for TimingWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn pops_in_due_then_seq_order() {
@@ -330,5 +332,65 @@ mod tests {
         w.schedule(Cycle(2), 2u8);
         w.pop_due_into(Cycle(2), &mut buf);
         assert_eq!(buf, vec![(Cycle(2), 2)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The wheel against a `BTreeMap<(due, seq), item>` model over
+        /// random interleavings of tied, near, far and past schedules with
+        /// pops that step, jump past the ring, land an existing due on the
+        /// near-window edge, or aim behind the clock.
+        #[test]
+        fn matches_btreemap_model(
+            start in 0u64..10_000,
+            ops in prop::collection::vec((0u8..8, 0u64..1_000), 1..300),
+        ) {
+            let slots = SLOTS as u64;
+            let mut w = TimingWheel::new(Cycle(start));
+            let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+            let (mut now, mut seq) = (start, 0u64);
+            for (kind, arg) in ops {
+                // An already-scheduled due, for ties and edge pops.
+                let existing = match model.len() {
+                    0 => now,
+                    n => model.keys().nth(arg as usize % n).unwrap().0,
+                };
+                let due = match kind {
+                    0 => Some(existing),
+                    1 => Some(now + arg % slots),
+                    2 => Some(now + slots + arg % 512),
+                    3 => Some(now.saturating_sub(arg)),
+                    _ => None,
+                };
+                if let Some(due) = due {
+                    w.schedule(Cycle(due), seq);
+                    model.insert((due.max(now), seq), seq);
+                    seq += 1;
+                } else {
+                    let t = match kind {
+                        4 => now + arg % 16,
+                        5 => now + slots + arg,
+                        // `existing` ends up just inside, at, or just past
+                        // the edge of the near window.
+                        6 => existing.saturating_sub(slots - 2 + (arg >> 4) % 3),
+                        _ => now.saturating_sub(arg % 8),
+                    };
+                    now = now.max(t);
+                    let later = model.split_off(&(now + 1, 0));
+                    let popped = std::mem::replace(&mut model, later);
+                    let expected: Vec<_> =
+                        popped.into_iter().map(|((d, _), item)| (Cycle(d), item)).collect();
+                    prop_assert_eq!(w.pop_due(Cycle(t)), expected);
+                }
+                prop_assert_eq!(w.next_due(), model.keys().next().map(|&(d, _)| Cycle(d)));
+                prop_assert_eq!(w.len(), model.len());
+                prop_assert_eq!(w.now(), Cycle(now));
+            }
+            let end = model.keys().next_back().map_or(now, |&(d, _)| d);
+            let rest: Vec<_> = model.into_iter().map(|((d, _), item)| (Cycle(d), item)).collect();
+            prop_assert_eq!(w.pop_due(Cycle(end)), rest);
+            prop_assert!(w.is_empty());
+        }
     }
 }
