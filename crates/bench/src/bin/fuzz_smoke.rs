@@ -2,10 +2,9 @@
 //!
 //! Generates `XCACHE_FUZZ_SEEDS` walker programs (default 200), runs each
 //! on its synthetic workload with idle-cycle fast-forwarding on and off,
-//! and demands byte-identical stats JSON; runs each under the macro-step
-//! engine vs the micro-step reference (`XCACHE_EXEC`) with the same
-//! demand; then replays the whole batch through the scenario runner at
-//! one and two worker threads and demands the per-seed results agree.
+//! and demands byte-identical stats JSON; then replays the whole batch
+//! through the scenario runner at one and two worker threads and demands
+//! the per-seed results agree.
 //! Any divergence prints both renderings and exits nonzero.
 //!
 //! Environment:
@@ -16,9 +15,7 @@
 
 use std::process::ExitCode;
 
-use xcache_bench::fuzz::{
-    exec_differential, jobs_differential, skip_differential, DEFAULT_ACCESSES,
-};
+use xcache_bench::fuzz::{jobs_differential, skip_differential, DEFAULT_ACCESSES};
 
 fn main() -> ExitCode {
     let count = xcache_bench::env_u64_or("XCACHE_FUZZ_SEEDS", 200);
@@ -40,19 +37,6 @@ fn main() -> ExitCode {
         "skip-vs-step differential: {}/{count} seeds byte-identical",
         count as usize - failures
     );
-
-    let mut exec_failures = 0usize;
-    for &seed in &seeds {
-        if let Err(e) = exec_differential(seed, DEFAULT_ACCESSES) {
-            eprintln!("FAIL {e}");
-            exec_failures += 1;
-        }
-    }
-    println!(
-        "macro-vs-micro differential: {}/{count} seeds byte-identical",
-        count as usize - exec_failures
-    );
-    failures += exec_failures;
 
     match jobs_differential(&seeds, DEFAULT_ACCESSES) {
         Ok(_) => println!("jobs=1 vs jobs=2 differential: {count}/{count} seeds byte-identical"),

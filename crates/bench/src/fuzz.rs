@@ -7,10 +7,6 @@
 //!
 //! * **skip differential** — idle-cycle fast-forwarding on vs off must
 //!   leave every observable byte-identical ([`skip_differential`]);
-//! * **exec differential** — the macro-step engine (fused
-//!   superinstructions, batched dispatch, epoch-aggregated stats) vs the
-//!   micro-step reference (`XCACHE_EXEC=micro`) must leave every
-//!   observable byte-identical ([`exec_differential`]);
 //! * **jobs differential** — running a batch of seeds through the
 //!   [`Runner`] at one vs two worker threads must produce identical
 //!   per-seed results ([`jobs_differential`]).
@@ -35,7 +31,7 @@ use xcache_core::{splitmix64, MetaAccess, MetaKey, XCache, XCacheConfig};
 use xcache_isa::gen;
 use xcache_isa::{EventId, StateId};
 use xcache_mem::{DramConfig, DramModel, MainMemory};
-use xcache_sim::{with_exec_mode, with_skip, Cycle, ExecMode, StatsSnapshot};
+use xcache_sim::{with_skip, Cycle, StatsSnapshot};
 
 use crate::runner::{Runner, Scenario};
 
@@ -195,31 +191,6 @@ pub fn skip_differential(seed: u64, accesses: usize) -> Result<String, String> {
     } else {
         Err(format!(
             "seed {seed}: skip and no-skip runs diverged\n  skip:    {fast}\n  no-skip: {slow}"
-        ))
-    }
-}
-
-/// Runs `seed` under the macro-step engine (fused superinstructions,
-/// batched walker dispatch, epoch-aggregated stats) and under the
-/// micro-step reference (`XCACHE_EXEC=micro`) and demands byte-identical
-/// reports — the fusion pass and the batching layer must be pure
-/// plumbing. Returns the canonical JSON on agreement.
-///
-/// Like [`skip_differential`], this uses the thread-local override, so
-/// call it on the thread that owns the comparison.
-///
-/// # Errors
-///
-/// Returns `Err` with both renderings when the runs diverge.
-pub fn exec_differential(seed: u64, accesses: usize) -> Result<String, String> {
-    let mac = with_exec_mode(ExecMode::Macro, || run_seed(seed, accesses));
-    let mic = with_exec_mode(ExecMode::Micro, || run_seed(seed, accesses));
-    let (mac, mic) = (mac.stats_json(), mic.stats_json());
-    if mac == mic {
-        Ok(mac)
-    } else {
-        Err(format!(
-            "seed {seed}: macro and micro engines diverged\n  macro: {mac}\n  micro: {mic}"
         ))
     }
 }

@@ -5,8 +5,7 @@
 //! the test thread; the jobs differential goes through the `Runner` at
 //! both worker counts (its cells never touch `with_skip`).
 
-use proptest::prelude::*;
-use xcache_bench::fuzz::{exec_differential, jobs_differential, run_seed, skip_differential};
+use xcache_bench::fuzz::{jobs_differential, run_seed, skip_differential};
 
 /// Seeds per in-tree test run — small enough for a debug build, spread
 /// over a couple of windows so both generator shapes (hashed, store
@@ -17,34 +16,6 @@ const SEEDS: std::ops::Range<u64> = 0..20;
 fn skip_and_step_runs_are_byte_identical() {
     for seed in SEEDS {
         skip_differential(seed, 48).unwrap();
-    }
-}
-
-#[test]
-fn macro_and_micro_engines_are_byte_identical() {
-    for seed in SEEDS {
-        exec_differential(seed, 48).unwrap();
-    }
-}
-
-proptest! {
-    // Each case runs a generated program twice (macro + micro), so keep
-    // the case count near the deterministic seed window's size; the
-    // strategy still explores seeds far outside `SEEDS` and varies the
-    // workload length.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Superinstruction fusion is semantics-preserving: for
-    /// generator-produced verifier-clean programs, the fused macro-step
-    /// engine and the unfused micro-step reference must agree on every
-    /// register/memory effect — the response checksum folds every
-    /// returned payload word, and the counter map folds every
-    /// architectural event, so byte-equal JSON means byte-equal effects.
-    #[test]
-    fn fused_matches_unfused_on_arbitrary_seeds(seed in any::<u64>(), accesses in 8usize..96) {
-        if let Err(e) = exec_differential(seed, accesses) {
-            panic!("{e}");
-        }
     }
 }
 

@@ -62,3 +62,31 @@ fn fig20_reproduces_the_reference_layout() {
     assert!(out.contains("0.110"), "controller mm^2");
     assert!(out.contains("65000"), "cells");
 }
+
+#[test]
+fn bench_baseline_rejects_a_bad_knob_before_measuring() {
+    // Run in a scratch directory and name the output file so a
+    // regression that measures anyway cannot overwrite a committed
+    // baseline.
+    let dir = std::env::temp_dir().join(format!("bench_baseline_bad_knob_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let out_path = dir.join("baseline.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_bench_baseline"))
+        .arg(&out_path)
+        .current_dir(&dir)
+        .env("XCACHE_JOBS", "0")
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("XCACHE_JOBS"), "stderr: {stderr}");
+    // Every scenario line names its scenario and its cycle count.
+    for stream in [&stdout, &stderr] {
+        assert!(
+            !stream.contains("dram_read_roundtrip_x1000") && !stream.contains(" cycles,"),
+            "a scenario ran before the knob was rejected:\n{stream}"
+        );
+    }
+}

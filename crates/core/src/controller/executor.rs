@@ -125,20 +125,9 @@ fn handler_for<D: MemoryPort>(kind: DecKind) -> Handler<D> {
 }
 
 impl<D: MemoryPort> XCache<D> {
-    /// Runs every active lane for one cycle.
-    ///
-    /// Macro mode (`XCACHE_EXEC=macro`, the default): a lane whose next
-    /// action heads a fused superinstruction run executes the whole run
-    /// in one dispatch loop, then sleeps until the cycle the run's last
-    /// action would have completed one-per-cycle (`Lane::resume`).
-    /// Fused ops touch only per-walker state and cannot fault while the
-    /// walker is live, so bulk application at cycle `T` is
-    /// byte-identical to one-per-cycle at `T..T+n-1`; stat increments
-    /// buffer in the epoch scratch and trace emissions in the trace
-    /// epoch, both flushed once per batch.
+    /// Runs every active lane for one cycle: each lane not parked on a
+    /// yield executes exactly one action of its routine.
     pub(super) fn execute(&mut self, now: Cycle) {
-        let fuse_runs = matches!(xcache_sim::exec_mode(), xcache_sim::ExecMode::Macro);
-        self.ctx.trace.begin_epoch();
         for lane_idx in 0..self.lanes.len() {
             let Some(mut lane) = self.lanes[lane_idx] else {
                 continue;
@@ -151,16 +140,9 @@ impl<D: MemoryPort> XCache<D> {
                 self.lanes[lane_idx] = None;
                 continue;
             }
-            if lane.resume > now {
-                continue; // macro-dormant: fused run already executed
-            }
             // Copy the table word out: entries are small and `Copy`, and
             // handlers need `&mut self`.
             let entry = self.dispatch[lane.routine.0 as usize][lane.pc];
-            if fuse_runs && entry.op.fuse > 1 {
-                self.execute_fused(now, lane_idx, lane, entry.op.fuse);
-                continue;
-            }
             self.ctx.stats.incr_id(counter!("xcache.ucode_read"));
             self.ctx.stats.incr_id(entry.category);
             let outcome = match (entry.handler)(self, now, lane.slot, &entry.op) {
@@ -229,60 +211,16 @@ impl<D: MemoryPort> XCache<D> {
                 }
             }
         }
-        self.ctx.trace.flush_epoch();
-        if !self.epoch.is_empty() {
-            self.epoch.flush(&mut self.ctx.stats);
-        }
-    }
-
-    /// Executes a whole fused superinstruction run (`run` actions from
-    /// `lane.pc`) in one dispatch loop, then parks the lane until
-    /// `now + run` — the cycle micro mode would execute the boundary op.
-    ///
-    /// Every op in a run is in the fusible set (infallible while the
-    /// walker is live, per-walker state only, always `Advance`), so
-    /// per-op outcome handling reduces to the advance arm; the counters
-    /// micro mode bumps once per cycle accumulate in the epoch scratch
-    /// with identical totals.
-    fn execute_fused(&mut self, now: Cycle, lane_idx: usize, mut lane: super::Lane, run: u16) {
-        self.epoch
-            .add_id(counter!("xcache.ucode_read"), u64::from(run));
-        for k in 0..usize::from(run) {
-            let e = self.dispatch[lane.routine.0 as usize][lane.pc + k];
-            self.epoch.incr_id(e.category);
-            match (e.handler)(self, now, lane.slot, &e.op) {
-                Ok(Outcome::Advance) => {}
-                Ok(_) => unreachable!("fused ops always advance"),
-                Err(mut err) => {
-                    // Unreachable for fusible ops on a live walker; kept
-                    // as a structured fault (not a panic) to match the
-                    // executor's no-panic contract.
-                    debug_assert!(false, "fused op failed: {err}");
-                    err.routine = Some(self.program.routines[lane.routine.0 as usize].name.clone());
-                    self.runtime_error(now, &err);
-                    self.lanes[lane_idx] = None;
-                    return;
-                }
-            }
-        }
-        lane.pc += usize::from(run);
-        lane.stall_cycles = 0;
-        lane.resume = now + u64::from(run);
-        self.lanes[lane_idx] = Some(lane);
-        self.note_progress(now + (u64::from(run) - 1), lane.slot);
     }
 
     /// Records forward progress for the watchdog: the walker in `slot`
-    /// advanced at `at`. Stalled outcomes deliberately do *not* count —
+    /// advanced at `now`. Stalled outcomes deliberately do *not* count —
     /// a lane spinning on a hazard is exactly what the watchdog exists
-    /// to interrupt. Max-semantics: a macro fused run stamps the cycle
-    /// its last action completes (still in the future), and no later
-    /// same-run stamp may regress it; in micro mode stamps are monotone,
-    /// so `max` is the identity.
-    fn note_progress(&mut self, at: Cycle, slot: usize) {
-        self.global_progress = self.global_progress.max(at);
+    /// to interrupt.
+    fn note_progress(&mut self, now: Cycle, slot: usize) {
+        self.global_progress = now;
         if self.arena.is_live(slot) {
-            self.arena.last_progress[slot] = self.arena.last_progress[slot].max(at);
+            self.arena.last_progress[slot] = now;
         }
     }
 

@@ -111,7 +111,7 @@ impl<D: MemoryPort> XCache<D> {
                     self.fault_walker(now, slot);
                 }
                 // The watchdog acting *is* forward progress.
-                self.global_progress = self.global_progress.max(now);
+                self.global_progress = now;
             }
             self.wd_earliest = next_deadline;
         }
@@ -165,7 +165,7 @@ impl<D: MemoryPort> XCache<D> {
             self.respond(now, a.id(), a.key(), false, Vec::new());
         }
         self.launch_stalled = false;
-        self.global_progress = self.global_progress.max(now);
+        self.global_progress = now;
     }
 
     /// Aborts the walker in `slot` and schedules its access (and waiters)

@@ -197,12 +197,6 @@ pub(crate) struct Lane {
     /// Thread discipline: lane is held while the walker waits for events.
     pub(crate) waiting: bool,
     pub(crate) stall_cycles: u32,
-    /// Macro-step dormancy: the lane next executes at this cycle. The
-    /// macro engine runs a whole fused superinstruction run in one
-    /// dispatch and parks the lane until the cycle the run's last action
-    /// would have completed one-per-cycle, so the cycles in between can
-    /// be fast-forwarded. Micro mode never sets a future value.
-    pub(crate) resume: Cycle,
 }
 
 /// A generated domain-specific cache instance.
@@ -308,15 +302,6 @@ pub struct XCache<D> {
     /// the respond path draws from here so steady-state hits and walker
     /// completions allocate nothing.
     pub(crate) data_pool: Vec<Vec<u64>>,
-    /// Per-macro-step stat scratch: the macro executor buffers
-    /// `CounterId` increments for a whole fused batch here and flushes
-    /// once per execute pass (counter totals are order-insensitive, so
-    /// deferred application is byte-identical).
-    pub(crate) epoch: xcache_sim::EpochStats,
-    /// Scratch for the trigger stage's batched window probes (macro
-    /// mode): reused across ticks so the multi-probe pass allocates
-    /// nothing.
-    pub(crate) probe_batch: Vec<crate::metatag::LaunchProbe>,
     /// Meta-tag path degraded (bypassed) until this cycle.
     pub(crate) degraded_until: Cycle,
     /// Health strikes accumulated in the current window.
@@ -455,8 +440,6 @@ impl<D: MemoryPort> XCache<D> {
             delayed_replay: Vec::new(),
             probe_cache: None,
             data_pool: Vec::new(),
-            epoch: xcache_sim::EpochStats::new(),
-            probe_batch: Vec::new(),
             degraded_until: Cycle::ZERO,
             health_strikes: 0,
             health_window_start: Cycle::ZERO,
@@ -676,16 +659,8 @@ impl<D: MemoryPort> XCache<D> {
         // executes (and counts) one action every cycle; an undispatched
         // walker event is examined every cycle; spilled responses retry
         // every cycle; a trigger window that is not known-stalled may
-        // serve another access next cycle. A macro-dormant lane (its
-        // fused run already executed; `resume` in the future) is *not*
-        // per-cycle work — its wake-up folds into the schedulable set
-        // below, so the cycles a micro run would spend one-per-action
-        // are fast-forwarded.
-        if self
-            .lanes
-            .iter()
-            .flatten()
-            .any(|l| !l.waiting && l.resume <= now.next())
+        // serve another access next cycle.
+        if self.lanes.iter().flatten().any(|l| !l.waiting)
             || self.arena.ready_events() > 0
             || !self.resp_spill.is_empty()
             || !self.replay_q.is_empty()
@@ -695,11 +670,6 @@ impl<D: MemoryPort> XCache<D> {
         }
         let mut next = Cycle::NEVER;
         let mut wake = |t: Cycle| next = next.min(t);
-        for l in self.lanes.iter().flatten() {
-            if !l.waiting {
-                wake(l.resume.max(now.next()));
-            }
-        }
         if let Some(due) = self.delayed.next_due() {
             wake(due.max(now.next()));
         }

@@ -112,20 +112,15 @@ impl<D: MemoryPort> XCache<D> {
         self.arena.pop_event(slot);
         self.arena.msg[slot] = payload;
         self.arena.in_lane[slot] = true;
-        // Max-semantics: a macro-mode fused run stamps progress with the
-        // cycle its last action completes, which may still be in the
-        // future here; plain assignment would regress it (in micro mode
-        // stamps are monotone, so `max` is the identity).
-        self.arena.last_progress[slot] = self.arena.last_progress[slot].max(now);
+        self.arena.last_progress[slot] = now;
         self.arena.cold[slot].last_routine = Some(routine);
-        self.global_progress = self.global_progress.max(now);
+        self.global_progress = now;
         self.lanes[lane_idx] = Some(Lane {
             slot,
             routine,
             pc: 0,
             waiting: false,
             stall_cycles: 0,
-            resume: now,
         });
         self.ctx.stats.incr_id(counter!("xcache.wakeup"));
         self.ctx

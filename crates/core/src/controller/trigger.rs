@@ -33,10 +33,8 @@ impl<D: MemoryPort> XCache<D> {
             }
             self.arena.cold[slot].fill_data = Some(resp.data);
             self.arena.push_event(slot, EventId::FILL, payload);
-            // Max-semantics: a fill can land while the slot's lane is
-            // macro-dormant holding a future-dated progress stamp.
-            self.arena.last_progress[slot] = self.arena.last_progress[slot].max(now);
-            self.global_progress = self.global_progress.max(now);
+            self.arena.last_progress[slot] = now;
+            self.global_progress = now;
             self.ctx.stats.incr_id(counter!("xcache.fill_resp"));
             self.ctx
                 .trace
@@ -57,8 +55,8 @@ impl<D: MemoryPort> XCache<D> {
         for &(_, (slot, gen, ev, payload)) in &buf {
             if self.arena.is_live(slot) && self.arena.gen[slot] == gen {
                 self.arena.push_event(slot, ev, payload);
-                self.arena.last_progress[slot] = self.arena.last_progress[slot].max(now);
-                self.global_progress = self.global_progress.max(now);
+                self.arena.last_progress[slot] = now;
+                self.global_progress = now;
             }
         }
         buf.clear();
@@ -131,7 +129,7 @@ impl<D: MemoryPort> XCache<D> {
         // `probe_cache`, is key-validated by the consumer), so the slow
         // path below can also skip re-checking candidate 0.
         self.probe_cache = None;
-        if self.can_serve(now, &head, wake_budget, None) {
+        if self.can_serve(now, &head, wake_budget) {
             self.launch_stalled = false;
             let access = self.pending.pop_front().expect("head exists");
             self.serve_access(now, access, wake_budget);
@@ -139,47 +137,19 @@ impl<D: MemoryPort> XCache<D> {
         }
         let window = self.pending.len().min(SCHED_WINDOW);
         let mut seen_keys = [MetaKey::new(0); SCHED_WINDOW];
-        let mut cand = [0usize; SCHED_WINDOW];
         seen_keys[0] = head.key();
         let mut seen = 1usize;
+        let mut serve: Option<usize> = None;
         for i in 1..window {
-            let key = self.pending[i].key();
+            let access = self.pending[i];
+            let key = access.key();
             if seen_keys[..seen].contains(&key) {
                 continue; // per-key order preserved
             }
             seen_keys[seen] = key;
-            cand[seen] = i;
             seen += 1;
-        }
-        // Macro mode: the head candidate keeps its lazy probe (handled
-        // above); past it, hazard checks are primed through
-        // [`MetaTagArray::launch_probe_batch`] in geometrically growing
-        // chunks — deep scans coalesce into a few multi-probe passes
-        // while shallow ones over-probe at most one chunk. The batch
-        // probe is pure and uncounted, so probing candidates the scan
-        // never reaches is byte-invisible. Micro mode keeps the fully
-        // lazy per-candidate probe as the reference path.
-        let macro_mode = seen > 1 && matches!(xcache_sim::exec_mode(), xcache_sim::ExecMode::Macro);
-        if macro_mode {
-            self.probe_batch.clear();
-        }
-        let mut serve: Option<usize> = None;
-        for (c, &cand_c) in cand.iter().enumerate().take(seen).skip(1) {
-            let prefetched = if macro_mode {
-                // `probe_batch[i]` answers candidate `1 + i`.
-                if c > self.probe_batch.len() {
-                    let covered = 1 + self.probe_batch.len();
-                    let chunk_end = seen.min((c * 2).max(c + 2));
-                    self.tags
-                        .launch_probe_batch(&seen_keys[covered..chunk_end], &mut self.probe_batch);
-                }
-                Some(self.probe_batch[c - 1])
-            } else {
-                None
-            };
-            let access = self.pending[cand_c];
-            if self.can_serve(now, &access, wake_budget, prefetched) {
-                serve = Some(cand_c);
+            if self.can_serve(now, &access, wake_budget) {
+                serve = Some(i);
                 break;
             }
         }
@@ -195,15 +165,8 @@ impl<D: MemoryPort> XCache<D> {
 
     /// Whether `access` can make progress this cycle (trigger-stage hazard
     /// check — "routines are not triggered until all the hazard conditions
-    /// are eliminated", §4.1 ③). `prefetched` carries this key's answer
-    /// from the macro-mode batched window probe, when one ran.
-    fn can_serve(
-        &mut self,
-        now: Cycle,
-        access: &MetaAccess,
-        wake_budget: &usize,
-        prefetched: Option<crate::metatag::LaunchProbe>,
-    ) -> bool {
+    /// are eliminated", §4.1 ③).
+    fn can_serve(&mut self, now: Cycle, access: &MetaAccess, wake_budget: &usize) -> bool {
         let key = access.key();
         if let Some(_slot) = self.launching.get(&key) {
             // Loads attach as waiters (always possible); stores/takes must
@@ -220,7 +183,7 @@ impl<D: MemoryPort> XCache<D> {
         // the same set). Remember where it landed: if this access is the
         // one served, `serve_access` completes the lookup via `probe_at`
         // without re-scanning the set.
-        let probe = prefetched.unwrap_or_else(|| self.tags.launch_probe(key));
+        let probe = self.tags.launch_probe(key);
         self.probe_cache = Some((key, probe.hit));
         let hit = match probe.hit {
             Some(r) => !self.misfires(access, self.tags.entry(r).pinned),
@@ -421,7 +384,7 @@ impl<D: MemoryPort> XCache<D> {
         self.arena.push_event(slot, event, msg);
         self.wd_earliest = self.wd_earliest.min(now + self.wd_budget);
         self.launching.insert(access.key(), slot);
-        self.global_progress = self.global_progress.max(now);
+        self.global_progress = now;
         self.ctx.stats.incr_id(counter!("xcache.walker_launch"));
         if event == EventId::MISS {
             self.ctx.stats.incr_id(counter!("xcache.miss"));

@@ -61,7 +61,7 @@ impl<D: MemoryPort> XCache<D> {
         found: bool,
         data: Vec<u64>,
     ) {
-        self.global_progress = self.global_progress.max(now);
+        self.global_progress = now;
         let sectors = data.len().div_ceil(self.data.words_per_sector()).max(1) as u64;
         let resp = MetaResp {
             id,
@@ -92,7 +92,7 @@ impl<D: MemoryPort> XCache<D> {
     /// Successful completion: entry rests, waiters replay, resources free.
     pub(super) fn retire_walker(&mut self, now: Cycle, slot: usize) {
         debug_assert!(self.arena.is_live(slot), "retire on empty slot");
-        self.global_progress = self.global_progress.max(now);
+        self.global_progress = now;
         // Frees X-regs/lanes and removes the launching claim: a stalled
         // trigger window may now make progress.
         self.launch_stalled = false;
@@ -143,7 +143,7 @@ impl<D: MemoryPort> XCache<D> {
         if !self.arena.is_live(slot) {
             return;
         }
-        self.global_progress = self.global_progress.max(now);
+        self.global_progress = now;
         // Frees X-regs/lanes/tag claims: a stalled trigger window may now
         // make progress, so it must be re-examined before fast-forwarding.
         self.launch_stalled = false;
@@ -193,7 +193,7 @@ impl<D: MemoryPort> XCache<D> {
         if !self.arena.is_live(slot) {
             return;
         }
-        self.global_progress = self.global_progress.max(now);
+        self.global_progress = now;
         // Frees X-regs/lanes/tag claims like a fault does.
         self.launch_stalled = false;
         let c = &mut self.arena.cold[slot];

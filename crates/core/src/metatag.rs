@@ -289,21 +289,6 @@ impl MetaTagArray {
         probe
     }
 
-    /// Multi-probe form of [`launch_probe`](Self::launch_probe): probes
-    /// every key in `keys` in one call, appending the answers to `out`
-    /// in order (`out` is *not* cleared, so chunked window scans can
-    /// extend their coverage incrementally).
-    ///
-    /// The macro-step trigger stage uses this to prime the hazard
-    /// checks for its scheduling window in batched passes instead of
-    /// one interleaved probe per candidate. Like the single-probe form
-    /// it is read-only and counts nothing, so probing candidates the
-    /// window scan never reaches is invisible to stats, recency, and
-    /// therefore byte-identity.
-    pub fn launch_probe_batch(&self, keys: &[MetaKey], out: &mut Vec<LaunchProbe>) {
-        out.extend(keys.iter().map(|&k| self.launch_probe(k)));
-    }
-
     /// The entry at `r`.
     ///
     /// # Panics

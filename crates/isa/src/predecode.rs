@@ -106,13 +106,6 @@ pub struct DecOp {
     pub event: EventId,
     /// Target state for `Yield`.
     pub state: StateId,
-    /// Superinstruction run length: the number of ops starting here
-    /// (inclusive) that form one verifier-proven straight-line fusible run
-    /// — always ≥ 1, and 1 for any op that is not a run of several.
-    /// Computed by the [`fuse_runs`] post-pass; the macro-step executor
-    /// dispatches all `fuse` ops in one handler round-trip, while the
-    /// micro reference path ignores the field entirely.
-    pub fuse: u16,
 }
 
 impl DecOp {
@@ -127,89 +120,7 @@ impl DecOp {
             aux: 0,
             event: EventId(0),
             state: StateId(0),
-            fuse: 1,
         }
-    }
-}
-
-/// Whether `op` may join a fused superinstruction run.
-///
-/// The fusible set is deliberately conservative — an op qualifies only if,
-/// for a live walker holding a lane, it is *infallible* (always advances,
-/// never stalls/faults/yields) and touches nothing but per-walker state
-/// (X-registers and the latched message payload). That is what makes
-/// executing the whole run at the cycle its first op dispatched
-/// byte-equivalent to one-op-per-cycle execution:
-///
-/// * the nine ALU kinds, `Mov`, `Peek` and `AllocR` (a no-op at execution
-///   time — registers are allocated at launch) qualify;
-/// * anything that can branch, yield, retire, fault, stall, or touch a
-///   shared structure (meta-tags, data RAM, DRAM queues, the event wheel)
-///   does not — their effects are ordered against other walkers and
-///   against simulated time;
-/// * `Hash`/`PostEvent` schedule wheel events relative to `now`, so early
-///   execution would shift due cycles — excluded;
-/// * any op reading [`DecOperand::MetaSector`] is excluded even when its
-///   kind qualifies: that operand can fault (no meta entry), and a fault
-///   timestamp must not move.
-fn fusible(op: &DecOp) -> bool {
-    let kind_ok = matches!(
-        op.kind,
-        DecKind::AluAdd
-            | DecKind::AluSub
-            | DecKind::AluAnd
-            | DecKind::AluOr
-            | DecKind::AluXor
-            | DecKind::AluShl
-            | DecKind::AluSrl
-            | DecKind::AluSra
-            | DecKind::AluMul
-            | DecKind::Mov
-            | DecKind::Peek
-            | DecKind::AllocR
-    );
-    kind_ok
-        && !matches!(op.a, DecOperand::MetaSector)
-        && !matches!(op.b, DecOperand::MetaSector)
-        && !matches!(op.c, DecOperand::MetaSector)
-}
-
-/// The superinstruction-fusion post-pass: stamps every op's [`DecOp::fuse`]
-/// with the length of the longest straight-line fusible run starting there.
-///
-/// A run never crosses a non-fusible op (see [`fusible`]) and never crosses
-/// a *branch target* — a pc some branch in the routine can jump to. Each
-/// position carries its own (suffix) run length, so execution entering at
-/// any pc — sequentially or via a jump — sees exactly the ops it would
-/// have executed one per cycle.
-fn fuse_runs(routine: &mut [DecOp]) {
-    // Collect branch targets; runs must not extend across them.
-    let mut is_target = vec![false; routine.len()];
-    for op in routine.iter() {
-        if matches!(
-            op.kind,
-            DecKind::BrEq
-                | DecKind::BrNe
-                | DecKind::BrLt
-                | DecKind::BrGe
-                | DecKind::BrLe
-                | DecKind::BrMiss
-                | DecKind::BrHit
-        ) {
-            if let Some(t) = is_target.get_mut(op.aux as usize) {
-                *t = true;
-            }
-        }
-    }
-    for i in (0..routine.len()).rev() {
-        let mut run: u16 = 1;
-        if fusible(&routine[i]) && i + 1 < routine.len() && !is_target[i + 1] {
-            let next = &routine[i + 1];
-            if fusible(next) {
-                run = next.fuse.saturating_add(1);
-            }
-        }
-        routine[i].fuse = run;
     }
 }
 
@@ -374,13 +285,10 @@ pub fn predecode(program: &WalkerProgram, params: &[u64], msg_words: usize) -> D
             .routines
             .iter()
             .map(|r| {
-                let mut ops: Vec<DecOp> = r
-                    .actions
+                r.actions
                     .iter()
                     .map(|&a| dec_action(a, params, msg_words))
-                    .collect();
-                fuse_runs(&mut ops);
-                ops.into_boxed_slice()
+                    .collect()
             })
             .collect(),
     }
@@ -461,130 +369,5 @@ mod tests {
     fn categories_carry_over() {
         let op = dec_action(Action::AllocM, &[], 4);
         assert_eq!(op.category, Action::AllocM.category());
-    }
-
-    /// A bare op of `kind` for fusion-shape tests (operands unused).
-    fn bare(kind: DecKind) -> DecOp {
-        DecOp::new(kind, ActionCategory::Agen)
-    }
-
-    fn branch_to(target: u32) -> DecOp {
-        DecOp {
-            aux: target,
-            ..DecOp::new(DecKind::BrEq, ActionCategory::Control)
-        }
-    }
-
-    fn fuses(ops: &mut [DecOp]) -> Vec<u16> {
-        fuse_runs(ops);
-        ops.iter().map(|o| o.fuse).collect()
-    }
-
-    use crate::ActionCategory;
-
-    #[test]
-    fn straight_line_runs_fuse_with_suffix_lengths() {
-        let mut ops = vec![
-            bare(DecKind::Peek),
-            bare(DecKind::AluAnd),
-            bare(DecKind::AluMul),
-            bare(DecKind::AluAdd),
-            bare(DecKind::DramRead),
-            bare(DecKind::Yield),
-        ];
-        // Every position in the run carries its own suffix length, so a
-        // jump landing mid-run still executes exactly its remaining ops.
-        assert_eq!(fuses(&mut ops), vec![4, 3, 2, 1, 1, 1]);
-    }
-
-    #[test]
-    fn fusion_never_crosses_yield_branch_or_queue_op() {
-        // The boundary op itself never joins a run, and ops before it
-        // cannot fuse across it.
-        for boundary in [
-            DecKind::Yield,
-            DecKind::BrNe,
-            DecKind::DramRead,
-            DecKind::DramWrite,
-            DecKind::Hash,
-            DecKind::PostEvent,
-            DecKind::Respond,
-            DecKind::AllocM,
-            DecKind::InsertM,
-            DecKind::AllocD,
-            DecKind::ReadD,
-            DecKind::WriteD,
-            DecKind::Retire,
-        ] {
-            let mut ops = vec![
-                bare(DecKind::AluAdd),
-                bare(boundary),
-                bare(DecKind::AluSub),
-                bare(DecKind::Retire),
-            ];
-            assert_eq!(fuses(&mut ops), vec![1, 1, 1, 1], "boundary {boundary:?}");
-        }
-    }
-
-    #[test]
-    fn fusion_never_crosses_a_branch_target() {
-        let mut ops = vec![
-            bare(DecKind::AluAdd), // 0: cannot extend into the target at 1
-            bare(DecKind::AluSub), // 1: branch target — starts its own run
-            bare(DecKind::AluMul), // 2
-            branch_to(1),          // 3
-            bare(DecKind::Retire), // 4
-        ];
-        assert_eq!(fuses(&mut ops), vec![1, 2, 1, 1, 1]);
-    }
-
-    #[test]
-    fn metasector_operand_blocks_fusion() {
-        let mut ops = vec![
-            bare(DecKind::AluAdd),
-            DecOp {
-                a: DecOperand::MetaSector,
-                ..DecOp::new(DecKind::Mov, ActionCategory::Agen)
-            },
-            bare(DecKind::AluSub),
-            bare(DecKind::Retire),
-        ];
-        // The MetaSector read can fault, so it must execute at its own
-        // micro-timestamp: no run includes it.
-        assert_eq!(fuses(&mut ops), vec![1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn predecode_stamps_fuse_lengths() {
-        use crate::{Reg, Routine, RoutineTable, WalkerProgram};
-        let program = WalkerProgram {
-            name: "fusetest".into(),
-            state_names: vec!["Default".into()],
-            event_names: vec!["START".into()],
-            regs: 4,
-            param_names: vec![],
-            routines: vec![Routine {
-                name: "start".into(),
-                actions: vec![
-                    Action::Peek {
-                        dst: Reg(0),
-                        word: 0,
-                    },
-                    Action::Alu {
-                        op: AluOp::Add,
-                        dst: Reg(1),
-                        a: Operand::Reg(Reg(0)),
-                        b: Operand::Imm(1),
-                    },
-                    Action::Retire,
-                ],
-            }],
-            table: RoutineTable::new(1, 1),
-        };
-        let dec = predecode(&program, &[], 4);
-        assert_eq!(
-            dec.routines[0].iter().map(|o| o.fuse).collect::<Vec<_>>(),
-            vec![2, 1, 1]
-        );
     }
 }

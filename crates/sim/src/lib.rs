@@ -49,10 +49,8 @@ pub use parallel::{
 };
 pub use prof::{prof_enabled, prof_record, prof_reset, prof_snapshot, ProfEntry, ProfGuard};
 pub use queue::{MsgQueue, PushError};
-pub use skip::{
-    earliest, exec_mode, fast_forward, skip_enabled, with_exec_mode, with_skip, ExecMode,
-};
-pub use stats::{CounterId, EpochStats, Histogram, Stats, StatsSnapshot};
+pub use skip::{earliest, fast_forward, skip_enabled, with_skip};
+pub use stats::{CounterId, Histogram, Stats, StatsSnapshot};
 pub use trace::{TraceBuffer, TraceEvent, TraceKind};
 pub use watchdog::{
     watchdog_budget, with_watchdog_budget, HostDeadline, StallReport, DEFAULT_WATCHDOG_CYCLES,

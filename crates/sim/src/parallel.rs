@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::FaultPlan;
-use crate::{exec_mode, skip_enabled, with_exec_mode, with_fault_plan, with_skip, Cycle};
+use crate::{skip_enabled, with_fault_plan, with_skip, Cycle};
 
 /// Which engine drives a sharded run.
 ///
@@ -143,7 +143,7 @@ pub fn parallel_fallbacks() -> u64 {
 /// `advance(to)` must bring the cell's local clock exactly to `to`, doing
 /// whatever internal stepping/fast-forwarding the cell needs, and must
 /// depend only on the cell's own state and `to` (plus the thread-locals
-/// `run_horizons` propagates: skip mode, execution mode, fault plan) — the
+/// `run_horizons` propagates: skip mode and fault plan) — the
 /// determinism of parallel execution rests on that purity.
 pub trait ParCell: Send {
     /// Advances the cell's local clock to `to`.
@@ -274,7 +274,6 @@ fn run_pooled<C: ParCell>(
     // Workers inherit this thread's per-thread simulation configuration so
     // a cell advances identically regardless of which thread runs it.
     let skip = skip_enabled();
-    let exec = exec_mode();
     let plan = FaultPlan::current();
     let advance_stripe = |worker: usize, to: Cycle| {
         let mut i = worker;
@@ -292,15 +291,13 @@ fn run_pooled<C: ParCell>(
             let plan = plan.clone();
             scope.spawn(move || {
                 with_skip(skip, || {
-                    with_exec_mode(exec, || {
-                        with_fault_plan(plan, || loop {
-                            barrier.wait();
-                            if done.load(Ordering::Acquire) {
-                                break;
-                            }
-                            advance_stripe(worker, Cycle(target.load(Ordering::Acquire)));
-                            barrier.wait();
-                        });
+                    with_fault_plan(plan, || loop {
+                        barrier.wait();
+                        if done.load(Ordering::Acquire) {
+                            break;
+                        }
+                        advance_stripe(worker, Cycle(target.load(Ordering::Acquire)));
+                        barrier.wait();
                     });
                 });
             });
@@ -462,37 +459,26 @@ mod tests {
 
     #[test]
     fn workers_inherit_skip_override() {
-        use crate::ExecMode;
         struct ModeProbe {
             saw_skip: bool,
-            saw_exec: ExecMode,
         }
         impl ParCell for ModeProbe {
             fn advance(&mut self, _to: Cycle) {
                 self.saw_skip = skip_enabled();
-                self.saw_exec = exec_mode();
             }
         }
         // Two threads: a wider pool takes the seq fallback on small hosts
         // and never reaches a worker.
         let _pool = pool_lock();
         with_skip(false, || {
-            with_exec_mode(ExecMode::Micro, || {
-                with_par_mode(ParMode::Par, || {
-                    with_par_threads(2, || {
-                        let cells = (0..4)
-                            .map(|_| ModeProbe {
-                                saw_skip: true,
-                                saw_exec: ExecMode::Macro,
-                            })
-                            .collect();
-                        let mut fired = false;
-                        let cells = run_horizons(cells, Cycle(0), |_, t| {
-                            (!std::mem::replace(&mut fired, true)).then(|| t + 1)
-                        });
-                        assert!(cells.iter().all(|c| !c.saw_skip));
-                        assert!(cells.iter().all(|c| c.saw_exec == ExecMode::Micro));
+            with_par_mode(ParMode::Par, || {
+                with_par_threads(2, || {
+                    let cells = (0..4).map(|_| ModeProbe { saw_skip: true }).collect();
+                    let mut fired = false;
+                    let cells = run_horizons(cells, Cycle(0), |_, t| {
+                        (!std::mem::replace(&mut fired, true)).then(|| t + 1)
                     });
+                    assert!(cells.iter().all(|c| !c.saw_skip));
                 });
             });
         });

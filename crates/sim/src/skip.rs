@@ -50,60 +50,6 @@ pub fn with_skip<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Granularity of walker execution inside the controller.
-///
-/// Both modes must produce byte-identical statistics and end cycles;
-/// `Micro` is retained as the reference implementation for differential
-/// testing and as an escape hatch (`XCACHE_EXEC=micro`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// One micro-op per walker per cycle — the PR 6 reference path.
-    Micro,
-    /// Macro-step execution (the default): verifier-proven straight-line
-    /// op runs execute as one fused superinstruction, the lane then sleeps
-    /// until the cycle the last op would have finished at, and stats/trace
-    /// updates are epoch-aggregated per batch.
-    Macro,
-}
-
-fn env_exec_mode() -> ExecMode {
-    static MODE: OnceLock<ExecMode> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        crate::env::exit2(crate::env::env_parse_map("XCACHE_EXEC", |s| match s {
-            "micro" => Ok(ExecMode::Micro),
-            "macro" => Ok(ExecMode::Macro),
-            other => Err(format!(
-                "unknown mode `{other}` (expected `micro` or `macro`)"
-            )),
-        }))
-        .unwrap_or(ExecMode::Macro)
-    })
-}
-
-thread_local! {
-    static EXEC_OVERRIDE: Cell<Option<ExecMode>> = const { Cell::new(None) };
-}
-
-/// The active execution granularity on this thread: a [`with_exec_mode`]
-/// override wins, otherwise `XCACHE_EXEC` (`micro` selects the
-/// one-op-per-cycle reference path; anything else, including unset,
-/// selects macro-step execution).
-#[must_use]
-#[inline]
-pub fn exec_mode() -> ExecMode {
-    EXEC_OVERRIDE.with(Cell::get).unwrap_or_else(env_exec_mode)
-}
-
-/// Runs `f` with the execution granularity forced for the current thread,
-/// restoring the previous setting afterwards — the macro-vs-micro
-/// differential tests' analogue of [`with_skip`].
-pub fn with_exec_mode<T>(mode: ExecMode, f: impl FnOnce() -> T) -> T {
-    let prev = EXEC_OVERRIDE.with(|c| c.replace(Some(mode)));
-    let out = f();
-    EXEC_OVERRIDE.with(|c| c.set(prev));
-    out
-}
-
 /// The next value of `now` for a tick loop: `next` (a model's reported
 /// wake-up) when skipping is enabled and the report is a usable future
 /// cycle, else `now + 1`.
@@ -186,17 +132,6 @@ mod tests {
             assert!(!skip_enabled());
             with_skip(true, || assert!(skip_enabled()));
             assert!(!skip_enabled());
-        });
-    }
-
-    #[test]
-    fn exec_mode_override_nests_and_restores() {
-        with_exec_mode(ExecMode::Micro, || {
-            assert_eq!(exec_mode(), ExecMode::Micro);
-            with_exec_mode(ExecMode::Macro, || {
-                assert_eq!(exec_mode(), ExecMode::Macro);
-            });
-            assert_eq!(exec_mode(), ExecMode::Micro);
         });
     }
 }

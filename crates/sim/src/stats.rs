@@ -252,73 +252,6 @@ impl StatsSnapshot {
     }
 }
 
-/// A per-macro-step scratch arena for counter increments.
-///
-/// The macro-step executor touches the same handful of counters (microcode
-/// reads, per-category action counts, register-file traffic) many times per
-/// batch of same-cycle-ready walkers. Instead of paying a [`Stats`] slot
-/// update per op, increments accumulate here and [`flush`](Self::flush)
-/// applies them to the registry once per batch. Because counters are
-/// timestamp-free monotonic totals, deferred application is invisible:
-/// flushing at the end of the batch produces byte-identical snapshots to
-/// per-op increments.
-///
-/// A counter touched with delta zero still flushes (as `add_id(id, 0)`), so
-/// "touched zero" counters appear in snapshots exactly as they would have
-/// without the epoch buffer.
-#[derive(Debug, Default)]
-pub struct EpochStats {
-    deltas: Vec<Option<u64>>,
-    touched: Vec<CounterId>,
-}
-
-impl EpochStats {
-    /// Creates an empty scratch arena.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Buffers one increment of the counter behind `id`.
-    #[inline]
-    pub fn incr_id(&mut self, id: CounterId) {
-        self.add_id(id, 1);
-    }
-
-    /// Buffers `delta` for the counter behind `id`.
-    #[inline]
-    pub fn add_id(&mut self, id: CounterId, delta: u64) {
-        let idx = id.index();
-        if idx >= self.deltas.len() {
-            self.deltas.resize(idx + 1, None);
-        }
-        match &mut self.deltas[idx] {
-            Some(v) => *v += delta,
-            slot @ None => {
-                *slot = Some(delta);
-                self.touched.push(id);
-            }
-        }
-    }
-
-    /// Whether no increments are buffered.
-    #[must_use]
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.touched.is_empty()
-    }
-
-    /// Applies every buffered increment to `stats` and clears the arena
-    /// (the epoch flush point). Keeps its allocations for the next epoch.
-    pub fn flush(&mut self, stats: &mut Stats) {
-        for id in self.touched.drain(..) {
-            if let Some(delta) = self.deltas[id.index()].take() {
-                stats.add_id(id, delta);
-            }
-        }
-    }
-}
-
 /// Registry of named counters and histograms.
 ///
 /// Names are free-form; by convention they are dot-separated paths such as
@@ -557,40 +490,6 @@ mod tests {
         }
         assert_eq!(s.get("macro.hits"), 3);
         assert_eq!(counter!("macro.hits"), CounterId::intern("macro.hits"));
-    }
-
-    #[test]
-    fn epoch_stats_flush_matches_direct_increments() {
-        let a_id = CounterId::intern("epoch.a");
-        let b_id = CounterId::intern("epoch.b");
-        let mut direct = Stats::new();
-        direct.incr_id(a_id);
-        direct.incr_id(a_id);
-        direct.add_id(b_id, 5);
-        let mut buffered = Stats::new();
-        let mut epoch = EpochStats::new();
-        epoch.incr_id(a_id);
-        epoch.incr_id(a_id);
-        epoch.add_id(b_id, 5);
-        assert!(!epoch.is_empty());
-        assert_eq!(buffered.get_id(a_id), 0, "nothing lands before flush");
-        epoch.flush(&mut buffered);
-        assert!(epoch.is_empty());
-        assert_eq!(direct.snapshot(), buffered.snapshot());
-        // The arena is reusable after a flush.
-        epoch.incr_id(a_id);
-        epoch.flush(&mut buffered);
-        assert_eq!(buffered.get_id(a_id), 3);
-    }
-
-    #[test]
-    fn epoch_stats_preserves_touched_zero() {
-        let id = CounterId::intern("epoch.zero");
-        let mut epoch = EpochStats::new();
-        epoch.add_id(id, 0);
-        let mut s = Stats::new();
-        epoch.flush(&mut s);
-        assert!(s.snapshot().counters.contains_key("epoch.zero"));
     }
 
     #[test]

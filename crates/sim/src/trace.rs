@@ -85,16 +85,6 @@ pub struct TraceBuffer {
     events: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
-    /// Per-macro-step scratch: while an epoch is open, emitted events
-    /// buffer here until the next [`flush_epoch`], so a batch of
-    /// same-cycle walkers pays one ring-buffer interaction instead of
-    /// one per event.
-    ///
-    /// [`flush_epoch`]: TraceBuffer::flush_epoch
-    epoch: Vec<TraceEvent>,
-    /// Emissions currently route to the epoch scratch (see
-    /// [`begin_epoch`](TraceBuffer::begin_epoch)).
-    epoch_open: bool,
 }
 
 impl TraceBuffer {
@@ -111,8 +101,6 @@ impl TraceBuffer {
             events: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
             dropped: 0,
-            epoch: Vec::new(),
-            epoch_open: false,
         }
     }
 
@@ -140,52 +128,16 @@ impl TraceBuffer {
         if self.capacity == 0 {
             return;
         }
-        let event = TraceEvent {
-            at,
-            kind,
-            source,
-            detail: detail(),
-        };
-        if self.epoch_open {
-            self.epoch.push(event);
-            return;
-        }
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
         }
-        self.events.push_back(event);
-    }
-
-    /// Opens a macro-step epoch: until the next
-    /// [`flush_epoch`](Self::flush_epoch), emitted events buffer in the
-    /// per-epoch scratch arena instead of the ring. Emission order is
-    /// preserved and nothing interleaves, so `begin_epoch … flush_epoch`
-    /// around any region retains exactly what direct emission would
-    /// have — it only batches the ring interaction.
-    #[inline]
-    pub fn begin_epoch(&mut self) {
-        self.epoch_open = true;
-    }
-
-    /// Drains the epoch scratch into the ring in emission order and
-    /// closes the epoch (the batch flush point). A no-op when nothing
-    /// was buffered.
-    #[inline]
-    pub fn flush_epoch(&mut self) {
-        self.epoch_open = false;
-        if self.epoch.is_empty() {
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.epoch);
-        for e in scratch.drain(..) {
-            if self.events.len() == self.capacity {
-                self.events.pop_front();
-                self.dropped += 1;
-            }
-            self.events.push_back(e);
-        }
-        self.epoch = scratch;
+        self.events.push_back(TraceEvent {
+            at,
+            kind,
+            source,
+            detail: detail(),
+        });
     }
 
     /// Events currently retained, oldest first.
@@ -251,33 +203,6 @@ mod tests {
         assert_eq!(t.dropped(), 2);
         let details: Vec<_> = t.events().map(|e| e.detail.as_str()).collect();
         assert_eq!(details, vec!["2", "3"]);
-    }
-
-    #[test]
-    fn epoch_buffer_flushes_in_order_with_eviction() {
-        let mut direct = TraceBuffer::with_capacity(3);
-        let mut epoch = TraceBuffer::with_capacity(3);
-        epoch.begin_epoch();
-        for i in 0..5u64 {
-            direct.emit(Cycle(i), TraceKind::Yield, "c", format!("{i}"));
-            epoch.emit(Cycle(i), TraceKind::Yield, "c", format!("{i}"));
-        }
-        assert!(epoch.is_empty(), "nothing lands before flush");
-        epoch.flush_epoch();
-        assert_eq!(
-            direct.events().collect::<Vec<_>>(),
-            epoch.events().collect::<Vec<_>>()
-        );
-        assert_eq!(direct.dropped(), epoch.dropped());
-    }
-
-    #[test]
-    fn epoch_buffer_disabled_costs_nothing() {
-        let mut t = TraceBuffer::disabled();
-        t.begin_epoch();
-        t.emit_with(Cycle(0), TraceKind::Hit, "c", || unreachable!());
-        t.flush_epoch();
-        assert!(t.is_empty());
     }
 
     #[test]
