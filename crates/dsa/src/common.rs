@@ -6,8 +6,14 @@
 //! [`ProbeEngine`], which models a DSA datapath with a fixed number of
 //! concurrent walk units issuing memory transactions with zero-cost
 //! ("ideal walker", §8) orchestration decisions.
+//!
+//! The engine hands each memory response straight to the one unit waiting
+//! on its request id, and each cycle steps only the units that act (a
+//! refill, a due delay or a delivered response); waiting units stay
+//! parked in their slots, so a cycle costs no hashing and no allocation.
 
-use xcache_mem::{MainMemory, MemReq, MemoryPort};
+use bytes::Bytes;
+use xcache_mem::{MainMemory, MemReq, MemResp, MemoryPort};
 use xcache_sim::{counter, Cycle, Stats, StatsSnapshot};
 
 /// Copies layout segments into a simulated memory image.
@@ -71,9 +77,9 @@ pub trait ProbeTask {
 }
 
 enum Slot<T> {
-    Ready(T, Cycle),
     Delayed(T, Cycle, Cycle), // (task, resume-at, started-at)
     Waiting(T, u64, Cycle),   // (task, expected request id, started-at)
+    Arrived(T, Bytes, Cycle), // (task, response payload, started-at)
 }
 
 /// Drives up to `parallelism` [`ProbeTask`]s concurrently over a
@@ -83,7 +89,6 @@ pub struct ProbeEngine<D, T> {
     port: D,
     queue: std::collections::VecDeque<T>,
     active: Vec<Option<Slot<T>>>,
-    arrivals: std::collections::HashMap<u64, Vec<u8>>,
     next_id: u64,
     checksum: u64,
     completed: usize,
@@ -103,7 +108,6 @@ impl<D: MemoryPort, T: ProbeTask> ProbeEngine<D, T> {
             port,
             queue: tasks.into(),
             active: (0..parallelism).map(|_| None).collect(),
-            arrivals: std::collections::HashMap::new(),
             next_id: 1,
             checksum: 0,
             completed: 0,
@@ -162,16 +166,14 @@ impl<D: MemoryPort, T: ProbeTask> ProbeEngine<D, T> {
     /// `tick(now)`).
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        // Undelivered arrivals and refillable idle units act every cycle.
-        if !self.arrivals.is_empty()
-            || (!self.queue.is_empty() && self.active.iter().any(Option::is_none))
-        {
+        // Refillable idle units act every cycle.
+        if !self.queue.is_empty() && self.active.iter().any(Option::is_none) {
             return Some(now.next());
         }
         let mut next = Cycle::NEVER;
         for slot in self.active.iter().flatten() {
             match slot {
-                Slot::Ready(..) => return Some(now.next()),
+                Slot::Arrived(..) => return Some(now.next()),
                 Slot::Delayed(_, until, _) => next = next.min((*until).max(now.next())),
                 Slot::Waiting(..) => {}
             }
@@ -191,28 +193,45 @@ impl<D: MemoryPort, T: ProbeTask> ProbeEngine<D, T> {
     pub fn tick(&mut self, now: Cycle) {
         self.port.tick(now);
         while let Some(resp) = self.port.take_response(now) {
-            self.arrivals.insert(resp.id.0, resp.data.to_vec());
+            self.deliver(resp);
         }
+        // Units step in index order, each at most once per cycle; an idle
+        // unit is refilled and steps in the same cycle. Waiting and
+        // not-yet-due units stay parked in their slots.
         for i in 0..self.active.len() {
-            // Refill an idle unit.
-            if self.active[i].is_none() {
-                if let Some(t) = self.queue.pop_front() {
-                    self.active[i] = Some(Slot::Ready(t, now));
-                } else {
-                    continue;
-                }
-            }
-            // Progress the unit; each unit advances at most one step/cycle.
-            let slot = self.active[i].take().expect("filled above");
-            self.active[i] = match slot {
-                Slot::Delayed(t, until, st) if until > now => Some(Slot::Delayed(t, until, st)),
-                Slot::Delayed(t, _, st) => self.step(now, t, None, st),
-                Slot::Waiting(t, id, st) => match self.arrivals.remove(&id) {
-                    Some(data) => self.step(now, t, Some(&data), st),
-                    None => Some(Slot::Waiting(t, id, st)),
-                },
-                Slot::Ready(t, st) => self.step(now, t, None, st),
+            let acts = match &self.active[i] {
+                None => !self.queue.is_empty(),
+                Some(Slot::Delayed(_, until, _)) => *until <= now,
+                Some(Slot::Waiting(..)) => false,
+                Some(Slot::Arrived(..)) => true,
             };
+            if !acts {
+                continue;
+            }
+            self.active[i] = match self.active[i].take() {
+                None => self
+                    .queue
+                    .pop_front()
+                    .and_then(|t| self.step(now, t, None, now)),
+                Some(Slot::Delayed(t, _, st)) => self.step(now, t, None, st),
+                Some(Slot::Arrived(t, data, st)) => self.step(now, t, Some(&data), st),
+                parked @ Some(Slot::Waiting(..)) => parked,
+            };
+        }
+    }
+
+    /// Hands `resp` to the unit waiting on its request id. Ids are unique,
+    /// so exactly one unit waits for each response.
+    fn deliver(&mut self, resp: MemResp) {
+        let slot = self
+            .active
+            .iter_mut()
+            .find(|s| matches!(s, Some(Slot::Waiting(_, id, _)) if *id == resp.id.0));
+        debug_assert!(slot.is_some(), "{} matches no waiting unit", resp.id);
+        if let Some(slot) = slot {
+            if let Some(Slot::Waiting(t, _, st)) = slot.take() {
+                *slot = Some(Slot::Arrived(t, resp.data, st));
+            }
         }
     }
 
@@ -336,6 +355,55 @@ mod tests {
         assert!(cycles > 3, "three serial DRAM hops take real time");
         assert_eq!(e.completed(), 1);
         assert_eq!(e.stats().get("engine.reads"), 3);
+
+        // Concurrent chains whose responses return out of issue order.
+        // `test_tiny` maps 256-byte rows alternately to two banks. Chain 1
+        // reads bank 0 row 0, then row 1 (a row conflict); chain 2 reads
+        // bank 1 row 0 twice (the second a row hit), so its second
+        // response overtakes chain 1's. Each chain's result is weighted by
+        // its number, so any unit handed another unit's payload changes
+        // the checksum.
+        struct Tagged {
+            chain: u64,
+            chase: Chase,
+            log: std::rc::Rc<std::cell::RefCell<Vec<u64>>>,
+        }
+        impl ProbeTask for Tagged {
+            fn advance(&mut self, last: Option<&[u8]>) -> TaskStep {
+                if last.is_some() {
+                    self.log.borrow_mut().push(self.chain);
+                }
+                match self.chase.advance(last) {
+                    TaskStep::Done(v) => TaskStep::Done(v * self.chain),
+                    step => step,
+                }
+            }
+        }
+        let mut dram = DramModel::new(DramConfig::test_tiny());
+        let mem = dram.memory_mut();
+        mem.write_u64(0x000, 0x200); // chain 1: bank 0 row 0 ...
+        mem.write_u64(0x200, 0xa1); // ... then bank 0 row 1
+        mem.write_u64(0x100, 0x108); // chain 2: bank 1 row 0 ...
+        mem.write_u64(0x108, 0xb2); // ... then the same row again
+        mem.write_u64(0x010, 0x310); // chain 3: bank 0 row 0, bank 1 row 1
+        mem.write_u64(0x310, 0xc3);
+        let log = std::rc::Rc::default();
+        let tasks = [0x000, 0x100, 0x010]
+            .into_iter()
+            .zip(1..)
+            .map(|(next, chain)| Tagged {
+                chain,
+                chase: Chase { next, hops_left: 2 },
+                log: std::rc::Rc::clone(&log),
+            })
+            .collect();
+        let mut e = ProbeEngine::new(dram, tasks, 3);
+        let (_, sum) = e.run(100_000);
+        // Both hops issue in chain order; chain 2's row hit returns first.
+        assert_eq!(*log.borrow(), [1, 2, 3, 2, 1, 3], "delivery order");
+        assert_eq!(sum, 0xa1 + 2 * 0xb2 + 3 * 0xc3);
+        assert_eq!(e.completed(), 3);
+        assert_eq!(e.stats().get("engine.reads"), 6);
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! touches and replay them through this cache, charging no cycles for the
 //! decision logic itself — all measured differences come from address tags.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 
-use xcache_sim::{counter, Cycle, MsgQueue, Stats};
+use xcache_sim::{counter, Cycle, FxHashMap, MsgQueue, Stats};
 
 use crate::{ConfigError, MemReq, MemReqKind, MemResp, MemoryPort, ReqId};
 
@@ -135,8 +135,8 @@ pub struct AddressCache<D> {
     lines: Vec<Line>, // sets * ways, row-major by set
     input: MsgQueue<MemReq>,
     resp: MsgQueue<MemResp>,
-    mshrs: HashMap<u64, Mshr>, // keyed by block address
-    pending_down: Vec<MemReq>, // requests refused downstream, to retry
+    mshrs: FxHashMap<u64, Mshr>, // keyed by block address
+    pending_down: Vec<MemReq>,   // requests refused downstream, to retry
     /// Responses refused by a full response queue, re-offered (in order,
     /// ahead of fresh responses) every tick — backpressure, not a crash.
     resp_spill: VecDeque<MemResp>,
@@ -145,7 +145,7 @@ pub struct AddressCache<D> {
     rng_state: u64,
     next_internal_id: u64,
     /// Maps our internal downstream-read ids to the block address filled.
-    inflight_fills: HashMap<ReqId, u64>,
+    inflight_fills: FxHashMap<ReqId, u64>,
     stats: Stats,
 }
 
@@ -190,14 +190,14 @@ impl<D: MemoryPort> AddressCache<D> {
             input: MsgQueue::new("cache.in", 16, 1),
             resp: MsgQueue::new("cache.resp", 64, cfg.hit_latency.max(1)),
             lines,
-            mshrs: HashMap::new(),
+            mshrs: FxHashMap::default(),
             pending_down: Vec::new(),
             resp_spill: VecDeque::new(),
             downstream,
             use_counter: 0,
             rng_state: rng_seed,
             next_internal_id: 1 << 48, // distinct from issuer id space
-            inflight_fills: HashMap::new(),
+            inflight_fills: FxHashMap::default(),
             stats: Stats::new(),
             cfg,
         })

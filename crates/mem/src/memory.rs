@@ -1,6 +1,6 @@
 //! Functional byte-addressable backing store.
 
-use std::collections::HashMap;
+use xcache_sim::FxHashMap;
 
 /// Log2 of the page size used for sparse allocation.
 const PAGE_SHIFT: u32 = 12;
@@ -23,7 +23,7 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MainMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: FxHashMap<u64, Box<[u8; PAGE_SIZE]>>,
 }
 
 impl MainMemory {

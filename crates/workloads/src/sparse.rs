@@ -161,29 +161,51 @@ impl CsrMatrix {
     /// Reference SpGEMM (`self × rhs`) by Gustavson's algorithm — the
     /// functional oracle the DSA simulations are checked against.
     ///
+    /// Each output row accumulates in a dense `rhs.cols`-wide buffer plus
+    /// a list of the columns it touched, emitted in column order. Every
+    /// entry sums its products in `(k, j)` scan order.
+    ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
     #[must_use]
     pub fn multiply(&self, rhs: &CsrMatrix) -> CsrMatrix {
         assert_eq!(self.cols, rhs.rows, "dimension mismatch");
-        let mut triples = Vec::new();
-        let mut acc: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+        let mut acc = vec![0.0f64; rhs.cols as usize];
+        let mut seen = vec![false; rhs.cols as usize];
+        let mut touched: Vec<u32> = Vec::new();
+        let mut row_ptr = Vec::with_capacity(self.rows as usize + 1);
+        row_ptr.push(0u32);
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
         for i in 0..self.rows {
-            acc.clear();
             let (a, b) = self.row_range(i);
             for k in a..b {
                 let (ka, kb) = rhs.row_range(self.col_idx[k]);
                 let va = self.values[k];
                 for j in ka..kb {
-                    *acc.entry(rhs.col_idx[j]).or_insert(0.0) += va * rhs.values[j];
+                    let c = rhs.col_idx[j] as usize;
+                    if !seen[c] {
+                        seen[c] = true;
+                        touched.push(c as u32);
+                    }
+                    acc[c] += va * rhs.values[j];
                 }
             }
-            for (&j, &v) in &acc {
-                triples.push((i, j, v));
+            touched.sort_unstable();
+            for c in touched.drain(..) {
+                col_idx.push(c);
+                values.push(std::mem::take(&mut acc[c as usize]));
+                seen[c as usize] = false;
             }
+            row_ptr.push(col_idx.len() as u32);
         }
-        CsrMatrix::from_triples(self.rows, rhs.cols, &triples)
+        CsrMatrix {
+            rows: self.rows,
+            cols: rhs.cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
     }
 
     /// Lays the matrix out as a byte image at `base` (see
@@ -389,28 +411,44 @@ mod tests {
 
     #[test]
     fn multiply_matches_dense_reference() {
-        let a = CsrMatrix::generate(16, 12, 60, SparsePattern::ErdosRenyi, 7);
-        let b = CsrMatrix::generate(12, 10, 50, SparsePattern::ErdosRenyi, 8);
-        let c = a.multiply(&b);
-        // Dense check.
-        let mut dense = vec![vec![0.0f64; 10]; 16];
-        for (i, k, va) in a.triples() {
-            for (kk, j, vb) in b.triples() {
-                if k == kk {
-                    dense[i as usize][j as usize] += va * vb;
+        // (rows, inner, cols, nnz(A), nnz(B), pattern): square and
+        // non-square shapes; R-MAT leaves empty rows and columns.
+        let cases = [
+            (16, 12, 10, 60, 50, SparsePattern::ErdosRenyi),
+            (9, 30, 50, 40, 300, SparsePattern::ErdosRenyi),
+            (40, 40, 40, 200, 200, SparsePattern::RMat),
+            (33, 64, 17, 150, 120, SparsePattern::RMat),
+            (48, 48, 48, 200, 200, SparsePattern::Banded { bandwidth: 3 }),
+        ];
+        for (m, n, p, nnz_a, nnz_b, pattern) in cases {
+            for seed in 0..4u64 {
+                let a = CsrMatrix::generate(m, n, nnz_a, pattern, 2 * seed + 7);
+                let b = CsrMatrix::generate(n, p, nnz_b, pattern, 2 * seed + 8);
+                if pattern == SparsePattern::RMat {
+                    assert!((0..m).any(|r| a.row(r).is_empty()), "no empty row");
                 }
-            }
-        }
-        for (i, j, v) in c.triples() {
-            assert!(
-                (dense[i as usize][j as usize] - v).abs() < 1e-9,
-                "mismatch at ({i},{j})"
-            );
-            dense[i as usize][j as usize] = 0.0;
-        }
-        for row in dense {
-            for v in row {
-                assert_eq!(v, 0.0, "product missing a non-zero");
+                let c = a.multiply(&b);
+                // Canonical CSR: each row sorted by column, no duplicates.
+                let triples: Vec<_> = c.triples().collect();
+                assert_eq!(c, CsrMatrix::from_triples(m, p, &triples));
+                // Dense check; the values are small integers, so exact.
+                let mut dense = vec![vec![0.0f64; p as usize]; m as usize];
+                for (i, k, va) in a.triples() {
+                    for (kk, j, vb) in b.triples() {
+                        if k == kk {
+                            dense[i as usize][j as usize] += va * vb;
+                        }
+                    }
+                }
+                for (i, j, v) in triples {
+                    assert_eq!(dense[i as usize][j as usize], v, "mismatch at ({i},{j})");
+                    dense[i as usize][j as usize] = 0.0;
+                }
+                for row in dense {
+                    for v in row {
+                        assert_eq!(v, 0.0, "product missing a non-zero");
+                    }
+                }
             }
         }
     }
