@@ -6,20 +6,20 @@
 //! at most ~10% (DRAM-bound, and hits already bypass the walkers).
 
 use xcache_bench::{
-    graphpulse_geometry, maybe_dump_table_json, render_table, scale, widx_geometry, widx_workload,
-    Runner, Scenario,
+    graphpulse_geometry, graphpulse_workload, maybe_dump_table_json, render_table, scale,
+    widx_geometry, widx_workload, Runner, Scenario, FIG18_GRID,
 };
 use xcache_core::XCacheConfig;
 use xcache_dsa::{graphpulse, widx};
-use xcache_workloads::{CsrMatrix, Graph, GraphPreset, QueryClass, SparsePattern};
+use xcache_workloads::QueryClass;
 
-const GRID: [(usize, usize); 4] = [(4, 1), (8, 2), (16, 4), (32, 8)];
 const HEADERS: [&str; 3] = ["#Active/#Exe", "cycles", "speedup vs 4/1"];
 
 /// Cycle counts into display rows, with cell 0 as the speedup base.
 fn rows_vs_first(cycles: &[u64]) -> Vec<Vec<String>> {
     let base = cycles[0];
-    GRID.iter()
+    FIG18_GRID
+        .iter()
         .zip(cycles)
         .map(|(&(active, exe), &c)| {
             vec![
@@ -37,14 +37,9 @@ fn main() {
     let runner = Runner::from_env();
 
     // --- GraphPulse: p2p-Gnutella08-shaped PageRank ---
-    let (n, e) = GraphPreset::P2pGnutella08.dims();
-    let n = (n / scale).max(64);
-    let e = (e / scale as usize).max(256);
-    let gw = graphpulse::GraphPulseWorkload {
-        graph: Graph::from_adjacency(CsrMatrix::generate(n, n, e, SparsePattern::RMat, 7)),
-        iterations: 2,
-    };
-    let cells: Vec<Scenario<'_, u64>> = GRID
+    let gw = graphpulse_workload(scale, 7);
+    let n = gw.graph.vertices();
+    let cells: Vec<Scenario<'_, u64>> = FIG18_GRID
         .into_iter()
         .map(|(active, exe)| {
             let gw = &gw;
@@ -65,7 +60,7 @@ fn main() {
 
     // --- Widx: TPC-H-22 ---
     let ww = widx_workload(QueryClass::Q22, scale, 7);
-    let cells: Vec<Scenario<'_, u64>> = GRID
+    let cells: Vec<Scenario<'_, u64>> = FIG18_GRID
         .into_iter()
         .map(|(active, exe)| {
             let ww = &ww;

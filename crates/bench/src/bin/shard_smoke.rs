@@ -13,8 +13,8 @@
 //! `XCACHE_PAR_THREADS`, `XCACHE_JOBS`, `XCACHE_SCALE`, `XCACHE_JSON`.
 
 use xcache_bench::{
-    graphpulse_geometry, maybe_dump_table_json, note_sim_cycles, render_table, scale,
-    spgemm_geometry, widx_geometry, widx_workload, Runner, Scenario,
+    graphpulse_geometry, graphpulse_workload, maybe_dump_table_json, note_sim_cycles, render_table,
+    scale, spgemm_geometry, widx_geometry, widx_workload, Runner, Scenario,
 };
 use xcache_core::{shards_from_env, splitmix64};
 use xcache_dsa::{graphpulse, spgemm, widx, RunReport};
@@ -74,22 +74,8 @@ fn main() {
             )
         }),
         Scenario::new("GraphPulse", move || {
-            let (n, e) = xcache_workloads::GraphPreset::P2pGnutella08.dims();
-            let n = (n / scale).max(64);
-            let e = (e / scale as usize).max(256);
-            let w = graphpulse::GraphPulseWorkload {
-                graph: xcache_workloads::Graph::from_adjacency(
-                    xcache_workloads::CsrMatrix::generate(
-                        n,
-                        n,
-                        e,
-                        xcache_workloads::SparsePattern::RMat,
-                        7,
-                    ),
-                ),
-                iterations: 2,
-            };
-            let g = graphpulse_geometry(n);
+            let w = graphpulse_workload(scale, 7);
+            let g = graphpulse_geometry(w.graph.vertices());
             row(
                 "GraphPulse",
                 &graphpulse::run_xcache_sharded(&w, Some(g), shards),

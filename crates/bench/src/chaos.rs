@@ -32,8 +32,10 @@
 //!   machinery*: sharded Widx (fig04 workload) and sharded SpGEMM
 //!   (Gustavson), where the oracle checksum binds and is enforced, and
 //!   sharded GraphPulse, where on-chip-only event state makes the
-//!   checksum unenforceable and the cell asserts termination with
-//!   exactly-once completion instead.
+//!   checksum unenforceable and the cell asserts termination only. The
+//!   Widx and SpGEMM drives also fail a run that answers a probe or
+//!   element twice, or one they never issued, so their cells enforce
+//!   exactly-once completion as well.
 //!
 //! The `chaos_smoke` binary drives both layers over `XCACHE_CHAOS_SEEDS`
 //! seeds in CI and dumps violating runs (with their harvested
@@ -55,7 +57,9 @@ use xcache_workloads::QueryClass;
 
 use crate::fuzz::{access_stream, FUZZ_BASE, WINDOW_BYTES};
 use crate::runner::{Runner, Scenario};
-use crate::{graphpulse_geometry, note_sim_cycles, widx_geometry, widx_workload};
+use crate::{
+    graphpulse_geometry, graphpulse_workload, note_sim_cycles, widx_geometry, widx_workload,
+};
 
 /// The aggressive spec for fuzz-program chaos: every fault kind armed at
 /// rates that fire several times per 96-access run without drowning it.
@@ -357,18 +361,23 @@ pub enum ChaosCell {
     GraphPulse,
     /// The fig04 workload on the [`CHAOS_SHARDS`]-shard topology under
     /// [`SHARD_CHAOS_SPEC`] (bank conflict storms + crossbar link
-    /// delays); timing-only, so the oracle checksum is enforced.
+    /// delays); timing-only, so the oracle checksum is enforced, and the
+    /// drive fails on a probe answered twice or never issued.
     WidxSharded,
     /// SpGEMM (Gustavson) on the sharded topology under
     /// [`SHARD_CHAOS_SPEC`]. The product checksum folds exact small-int
     /// f64 MACs order-independently, so timing-only faults must leave it
-    /// equal to the oracle — enforced, like the sharded Widx cell.
+    /// equal to the oracle — enforced, like the sharded Widx cell. The
+    /// drive fails on an element answered twice or never issued, and
+    /// finishes only when every element has retired, so each A-element's
+    /// MACs are charged exactly once.
     SpgemmSharded,
     /// GraphPulse PageRank on the sharded topology under
     /// [`SHARD_CHAOS_SPEC`]. Event payloads live on-chip, so a watchdog
     /// kill legitimately drops in-flight upserts — the checksum does not
     /// bind (same rationale as the non-sharded GraphPulse cell); the cell
-    /// asserts termination plus the skip/jobs byte-identity.
+    /// asserts termination (the cycle bound and the requeue livelock
+    /// bound) plus the skip/jobs byte-identity.
     GraphPulseSharded,
 }
 
@@ -441,192 +450,93 @@ pub fn cell_has_violation(rendered: &str) -> bool {
 /// rendering. Overrides are applied inside, so this is safe from runner
 /// worker threads; determinism differentials compare the returned
 /// strings byte-for-byte.
+///
+/// Each cell calls the unchecked drive that the checked `run_xcache*`
+/// wrappers call, so a hang comes back as a violation instead of a
+/// panic, and so does a response for a probe or element the Widx and
+/// SpGEMM drives never issued or already answered.
 #[must_use]
 pub fn run_dsa_chaos_cell(cell: ChaosCell, scale: u32, seed: u64, fault_seed: u64) -> String {
-    match cell {
-        ChaosCell::WidxFig04 => {
-            widx_chaos(cell, scale, seed, fault_seed, WalkerDiscipline::Coroutine)
-        }
-        ChaosCell::WidxBlockingThread => widx_chaos(
-            cell,
-            scale,
-            seed,
-            fault_seed,
-            WalkerDiscipline::BlockingThread,
-        ),
-        ChaosCell::GraphPulse => graphpulse_chaos(scale, seed, fault_seed),
-        ChaosCell::WidxSharded => widx_sharded_chaos(cell, scale, seed, fault_seed),
-        ChaosCell::SpgemmSharded => spgemm_sharded_chaos(cell, scale, seed, fault_seed),
-        ChaosCell::GraphPulseSharded => graphpulse_sharded_chaos(cell, scale, seed, fault_seed),
-    }
-}
-
-/// The sharded Widx chaos cell: the fig04 workload across
-/// [`CHAOS_SHARDS`] controller instances with bank-conflict storms on
-/// the shared banked DRAM and delays on the crossbar links. The plan is
-/// armed *outside* the horizon runner, so worker threads inherit it
-/// through the parallel-time machinery — exactly the path where a
-/// thread-dependent fault decision would break byte-identity.
-fn widx_sharded_chaos(cell: ChaosCell, scale: u32, seed: u64, fault_seed: u64) -> String {
-    let w = widx_workload(QueryClass::Q19, scale, seed);
-    let g = widx_geometry(scale);
-    let plan = plan_for(SHARD_CHAOS_SPEC, fault_seed, cell as u64 + 1);
-    let out = with_fault_plan(Some(plan), || {
-        with_watchdog_budget(CHAOS_WATCHDOG_BUDGET, || {
-            widx::run_xcache_sharded_chaos(&w, Some(g), CHAOS_SHARDS)
-        })
-    });
-    match out {
-        Ok(r) => {
-            note_sim_cycles(r.cycles);
-            // Timing-only faults must not change what the walks compute.
-            let oracle = w.oracle_checksum();
-            let violation = (r.checksum != oracle).then(|| {
-                format!(
-                    "timing-only faults changed sharded results: checksum {} != oracle {oracle}",
-                    r.checksum
-                )
-            });
-            render_cell(cell, Ok(&r), violation)
-        }
-        Err(e) => render_cell(cell, Err(&e), None),
-    }
-}
-
-/// The sharded SpGEMM chaos cell: Gustavson A×B across [`CHAOS_SHARDS`]
-/// controller instances under the timing-only [`SHARD_CHAOS_SPEC`].
-/// Every A-element must be answered exactly once (the sharded driver's
-/// in-flight map panics on a duplicate and the run only completes when
-/// all elements retire), and because the product checksum folds exact
-/// integer-valued f64 MACs order-independently, bank-conflict storms and
-/// link delays must leave it equal to the oracle.
-fn spgemm_sharded_chaos(cell: ChaosCell, scale: u32, seed: u64, fault_seed: u64) -> String {
     use xcache_dsa::spgemm::{self, Algorithm, SpgemmWorkload};
 
-    let w = SpgemmWorkload::paper_like(Algorithm::Gustavson, scale, seed);
-    let g = crate::spgemm_geometry(scale);
-    let plan = plan_for(SHARD_CHAOS_SPEC, fault_seed, cell as u64 + 1);
-    let out = with_fault_plan(Some(plan), || {
-        with_watchdog_budget(CHAOS_WATCHDOG_BUDGET, || {
-            spgemm::run_xcache_sharded_chaos(&w, Some(g), CHAOS_SHARDS)
-        })
-    });
-    match out {
-        Ok(r) => {
-            note_sim_cycles(r.cycles);
-            let oracle = w.oracle_checksum();
-            let violation = (r.checksum != oracle).then(|| {
-                format!(
-                    "timing-only faults changed sharded spgemm product: checksum {} != oracle {oracle}",
-                    r.checksum
-                )
-            });
-            render_cell(cell, Ok(&r), violation)
+    match cell {
+        ChaosCell::WidxFig04 | ChaosCell::WidxBlockingThread => {
+            let w = widx_workload(QueryClass::Q19, scale, seed);
+            let mut g = widx_geometry(scale);
+            if cell == ChaosCell::WidxBlockingThread {
+                g.discipline = WalkerDiscipline::BlockingThread;
+            }
+            let oracle = (w.oracle_checksum(), "results");
+            chaos_cell(cell, DSA_TIMING_SPEC, fault_seed, Some(oracle), || {
+                widx::drive_xcache(&w, Some(g), widx::walker())
+            })
         }
-        Err(e) => render_cell(cell, Err(&e), None),
+        // The sharded cells arm the plan *outside* the horizon runner, so
+        // worker threads inherit it through the parallel-time machinery —
+        // exactly the path where a thread-dependent fault decision would
+        // break byte-identity.
+        ChaosCell::WidxSharded => {
+            let w = widx_workload(QueryClass::Q19, scale, seed);
+            let g = widx_geometry(scale);
+            let oracle = (w.oracle_checksum(), "sharded results");
+            chaos_cell(cell, SHARD_CHAOS_SPEC, fault_seed, Some(oracle), || {
+                widx::drive_xcache_sharded(&w, Some(g), CHAOS_SHARDS)
+            })
+        }
+        ChaosCell::SpgemmSharded => {
+            let w = SpgemmWorkload::paper_like(Algorithm::Gustavson, scale, seed);
+            let g = crate::spgemm_geometry(scale);
+            let oracle = (w.oracle_checksum(), "sharded spgemm product");
+            chaos_cell(cell, SHARD_CHAOS_SPEC, fault_seed, Some(oracle), || {
+                spgemm::drive_xcache_sharded(&w, Some(g), CHAOS_SHARDS)
+            })
+        }
+        ChaosCell::GraphPulse | ChaosCell::GraphPulseSharded => {
+            let w = graphpulse_workload(scale, seed);
+            let g = graphpulse_geometry(w.graph.vertices());
+            if cell == ChaosCell::GraphPulse {
+                chaos_cell(cell, DEFAULT_CHAOS_SPEC, fault_seed, None, || {
+                    graphpulse::drive_xcache(&w, Some(g)).map(|(r, _)| r)
+                })
+            } else {
+                chaos_cell(cell, SHARD_CHAOS_SPEC, fault_seed, None, || {
+                    graphpulse::drive_xcache_sharded(&w, Some(g), CHAOS_SHARDS).map(|(r, _)| r)
+                })
+            }
+        }
     }
 }
 
-/// The sharded GraphPulse chaos cell: PageRank event processing across
-/// [`CHAOS_SHARDS`] instances under [`SHARD_CHAOS_SPEC`]. Termination
-/// (every issued upsert answered exactly once — the sharded driver's
-/// requeue accounting errors out otherwise) is the property under test;
-/// the checksum is *not* enforced because accumulated ranks live only
-/// on-chip, so a watchdog-killed walker legitimately loses events.
-fn graphpulse_sharded_chaos(cell: ChaosCell, scale: u32, seed: u64, fault_seed: u64) -> String {
-    let (n, e) = xcache_workloads::GraphPreset::P2pGnutella08.dims();
-    let n = (n / scale).max(64);
-    let e = (e / scale as usize).max(256);
-    let w = graphpulse::GraphPulseWorkload {
-        graph: xcache_workloads::Graph::from_adjacency(xcache_workloads::CsrMatrix::generate(
-            n,
-            n,
-            e,
-            xcache_workloads::SparsePattern::RMat,
-            seed,
-        )),
-        iterations: 2,
-    };
-    let g = graphpulse_geometry(n);
-    let plan = plan_for(SHARD_CHAOS_SPEC, fault_seed, cell as u64 + 1);
-    let out = with_fault_plan(Some(plan), || {
-        with_watchdog_budget(CHAOS_WATCHDOG_BUDGET, || {
-            graphpulse::run_xcache_sharded_chaos(&w, Some(g), CHAOS_SHARDS)
-        })
-    });
-    match out {
-        Ok(r) => {
-            note_sim_cycles(r.cycles);
-            render_cell(cell, Ok(&r), None)
-        }
-        Err(e) => render_cell(cell, Err(&e), None),
-    }
-}
-
-fn widx_chaos(
+/// Runs `drive` under `spec`'s plan for `cell` and the chaos watchdog
+/// budget, and renders the outcome. `oracle` is the checksum timing-only
+/// faults must leave alone, with what it checks; a cell without one
+/// asserts termination only.
+fn chaos_cell(
     cell: ChaosCell,
-    scale: u32,
-    seed: u64,
+    spec: &str,
     fault_seed: u64,
-    discipline: WalkerDiscipline,
+    oracle: Option<(u64, &str)>,
+    drive: impl FnOnce() -> Result<xcache_dsa::RunReport, String>,
 ) -> String {
-    let w = widx_workload(QueryClass::Q19, scale, seed);
-    let mut g = widx_geometry(scale);
-    g.discipline = discipline;
-    let plan = plan_for(DSA_TIMING_SPEC, fault_seed, cell as u64 + 1);
+    let plan = plan_for(spec, fault_seed, cell as u64 + 1);
     let out = with_fault_plan(Some(plan), || {
-        with_watchdog_budget(CHAOS_WATCHDOG_BUDGET, || {
-            widx::run_xcache_chaos(&w, Some(g))
-        })
+        with_watchdog_budget(CHAOS_WATCHDOG_BUDGET, drive)
     });
     match out {
         Ok(r) => {
             note_sim_cycles(r.cycles);
-            // Timing-only faults must not change what the walks compute.
-            let oracle = w.oracle_checksum();
-            let violation = (r.checksum != oracle).then(|| {
-                format!(
-                    "timing-only faults changed results: checksum {} != oracle {oracle}",
-                    r.checksum
-                )
-            });
+            let violation =
+                oracle
+                    .filter(|&(expected, _)| r.checksum != expected)
+                    .map(|(expected, what)| {
+                        format!(
+                            "timing-only faults changed {what}: checksum {} != oracle {expected}",
+                            r.checksum
+                        )
+                    });
             render_cell(cell, Ok(&r), violation)
         }
         Err(e) => render_cell(cell, Err(&e), None),
-    }
-}
-
-fn graphpulse_chaos(scale: u32, seed: u64, fault_seed: u64) -> String {
-    let (n, e) = xcache_workloads::GraphPreset::P2pGnutella08.dims();
-    let n = (n / scale).max(64);
-    let e = (e / scale as usize).max(256);
-    let w = graphpulse::GraphPulseWorkload {
-        graph: xcache_workloads::Graph::from_adjacency(xcache_workloads::CsrMatrix::generate(
-            n,
-            n,
-            e,
-            xcache_workloads::SparsePattern::RMat,
-            seed,
-        )),
-        iterations: 2,
-    };
-    let g = graphpulse_geometry(n);
-    let plan = plan_for(
-        DEFAULT_CHAOS_SPEC,
-        fault_seed,
-        ChaosCell::GraphPulse as u64 + 1,
-    );
-    let out = with_fault_plan(Some(plan), || {
-        with_watchdog_budget(CHAOS_WATCHDOG_BUDGET, || {
-            graphpulse::run_xcache_chaos(&w, Some(g))
-        })
-    });
-    match out {
-        Ok(r) => {
-            note_sim_cycles(r.cycles);
-            render_cell(ChaosCell::GraphPulse, Ok(&r), None)
-        }
-        Err(e) => render_cell(ChaosCell::GraphPulse, Err(&e), None),
     }
 }
 
@@ -764,10 +674,10 @@ mod tests {
 
     #[test]
     fn new_sharded_cells_terminate_exactly_once_under_chaos() {
-        // SpGEMM: a completed run means every A-element was answered
-        // exactly once (the sharded driver panics on duplicates and only
-        // finishes when all retire); the product checksum must survive
-        // timing-only faults.
+        // SpGEMM: a clean run means every A-element was answered exactly
+        // once (the sharded drive returns `Err`, rendered as a violation,
+        // on a duplicate or unissued answer, and only finishes when all
+        // retire); the product checksum must survive timing-only faults.
         let spgemm = run_dsa_chaos_cell(ChaosCell::SpgemmSharded, 64, 1, 2);
         assert!(!cell_has_violation(&spgemm), "cell violated: {spgemm}");
         assert!(

@@ -37,8 +37,10 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use xcache_core::XCacheConfig;
+use xcache_dsa::graphpulse::GraphPulseWorkload;
+use xcache_dsa::spgemm;
 use xcache_dsa::widx::WidxWorkload;
-use xcache_workloads::QueryClass;
+use xcache_workloads::{CsrMatrix, Graph, GraphPreset, QueryClass, SparsePattern};
 
 static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
 
@@ -173,6 +175,22 @@ pub fn widx_workload(class: QueryClass, scale: u32, seed: u64) -> WidxWorkload {
     WidxWorkload::from_preset(&preset, seed)
 }
 
+/// The standard GraphPulse workload at the harness scale: two PageRank
+/// iterations on a p2p-Gnutella08-shaped R-MAT graph.
+#[must_use]
+pub fn graphpulse_workload(scale: u32, seed: u64) -> GraphPulseWorkload {
+    let (n, e) = GraphPreset::P2pGnutella08.dims();
+    let n = (n / scale).max(64);
+    let e = (e / scale as usize).max(256);
+    GraphPulseWorkload {
+        graph: Graph::from_adjacency(CsrMatrix::generate(n, n, e, SparsePattern::RMat, seed)),
+        iterations: 2,
+    }
+}
+
+/// Figure 18's `#Active/#Exe` sweep points.
+pub const FIG18_GRID: [(usize, usize); 4] = [(4, 1), (8, 2), (16, 4), (32, 8)];
+
 /// A Widx geometry scaled with the workload so hit rates sit in the
 /// paper's regime (hot set resident, tail missing).
 #[must_use]
@@ -233,107 +251,118 @@ impl DsaRun {
     }
 }
 
-/// The full DSA sweep as a scenario grid: every evaluated DSA in all
-/// three storage configurations at `scale`. Each cell is one DSA cluster
-/// (its three runs), so cells are independent and the runner can execute
-/// them in parallel.
+/// One Figure 14 cluster: an evaluated DSA with its workload, run in all
+/// three storage configurations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DsaCluster {
+    /// Widx on a TPC-H query class.
+    Widx(QueryClass),
+    /// DASX on the same dataset as Widx's Q22 class (§7.2).
+    Dasx,
+    /// GraphPulse PageRank on [`graphpulse_workload`].
+    GraphPulse,
+    /// SpArch or Gamma: A × A on a p2p-Gnutella31-shaped matrix.
+    Spgemm(spgemm::Algorithm),
+}
+
+impl DsaCluster {
+    /// Every cluster, in Figure 14's order.
+    #[must_use]
+    pub fn all() -> Vec<DsaCluster> {
+        let mut all: Vec<DsaCluster> = QueryClass::all().map(DsaCluster::Widx).to_vec();
+        all.extend([
+            DsaCluster::Dasx,
+            DsaCluster::GraphPulse,
+            DsaCluster::Spgemm(spgemm::Algorithm::OuterProduct),
+            DsaCluster::Spgemm(spgemm::Algorithm::Gustavson),
+        ]);
+        all
+    }
+
+    /// The cluster label as the paper prints it (e.g. `Widx TPC-H-19`).
+    #[must_use]
+    pub fn name(self) -> String {
+        match self {
+            DsaCluster::Widx(class) => format!("Widx {}", class.name()),
+            DsaCluster::Dasx => "DASX".into(),
+            DsaCluster::GraphPulse => "GraphPulse p2p-08".into(),
+            DsaCluster::Spgemm(alg) => format!("{} p2p-31", alg.name()),
+        }
+    }
+
+    /// Runs the cluster's three configurations at `scale` and credits
+    /// their cycles to [`note_sim_cycles`].
+    #[must_use]
+    pub fn run(self, scale: u32, seed: u64) -> DsaRun {
+        use xcache_dsa::{dasx, graphpulse, widx};
+
+        let name = self.name();
+        let run = match self {
+            DsaCluster::Widx(class) => {
+                let w = widx_workload(class, scale, seed);
+                let g = widx_geometry(scale);
+                DsaRun {
+                    name,
+                    geometry: g.clone(),
+                    xcache: widx::run_xcache(&w, Some(g.clone())),
+                    addr: widx::run_address_cache(&w, Some(g.clone())),
+                    baseline: widx::run_baseline(&w, Some(g)),
+                }
+            }
+            DsaCluster::Dasx => {
+                let mut preset = QueryClass::Q22.preset().scaled_down(scale as usize);
+                preset.probes = (preset.probes * 3).max(2_000);
+                let w = dasx::DasxWorkload::from_preset(&preset, seed);
+                let mut g = widx_geometry(scale);
+                g.exe = XCacheConfig::dasx().exe;
+                DsaRun {
+                    name,
+                    geometry: g.clone(),
+                    xcache: dasx::run_xcache(&w, Some(g.clone())),
+                    addr: dasx::run_address_cache(&w, Some(g.clone())),
+                    baseline: dasx::run_baseline(&w, Some(g)),
+                }
+            }
+            DsaCluster::GraphPulse => {
+                let w = graphpulse_workload(scale, seed);
+                let g = graphpulse_geometry(w.graph.vertices());
+                DsaRun {
+                    name,
+                    geometry: g.clone(),
+                    xcache: graphpulse::run_xcache(&w, Some(g.clone())),
+                    addr: graphpulse::run_address_cache(&w, Some(g)),
+                    // A single-port hardwired coalescing queue (one event
+                    // per cycle enters a bin), GraphPulse's dedicated
+                    // structure.
+                    baseline: graphpulse::run_baseline(&w, 1),
+                }
+            }
+            DsaCluster::Spgemm(alg) => {
+                let w = spgemm::SpgemmWorkload::paper_like(alg, scale, seed);
+                let g = spgemm_geometry(scale);
+                DsaRun {
+                    name,
+                    geometry: g.clone(),
+                    xcache: spgemm::run_xcache(&w, Some(g.clone())),
+                    addr: spgemm::run_address_cache(&w, Some(g.clone())),
+                    baseline: spgemm::run_baseline(&w, Some(g)),
+                }
+            }
+        };
+        note_sim_cycles(run.sim_cycles());
+        run
+    }
+}
+
+/// The full DSA sweep as a scenario grid: every [`DsaCluster`] at
+/// `scale`. Cells are independent, so the runner can execute them in
+/// parallel.
 #[must_use]
 pub fn dsa_scenarios(scale: u32, seed: u64) -> Vec<Scenario<'static, DsaRun>> {
-    use xcache_dsa::{dasx, graphpulse, spgemm, widx};
-
-    let mut cells = Vec::new();
-
-    // Widx: TPC-H queries 19/20/22.
-    for class in QueryClass::all() {
-        let name = format!("Widx {}", class.name());
-        cells.push(Scenario::new(name.clone(), move || {
-            let w = widx_workload(class, scale, seed);
-            let g = widx_geometry(scale);
-            let run = DsaRun {
-                name,
-                geometry: g.clone(),
-                xcache: widx::run_xcache(&w, Some(g.clone())),
-                addr: widx::run_address_cache(&w, Some(g.clone())),
-                baseline: widx::run_baseline(&w, Some(g)),
-            };
-            note_sim_cycles(run.sim_cycles());
-            run
-        }));
-    }
-
-    // DASX on the same dataset (Q22 class, §7.2).
-    cells.push(Scenario::new("DASX", move || {
-        let w = dasx::DasxWorkload::from_preset(
-            &{
-                let mut p = QueryClass::Q22.preset().scaled_down(scale as usize);
-                p.probes = (p.probes * 3).max(2_000);
-                p
-            },
-            seed,
-        );
-        let mut g = widx_geometry(scale);
-        g.exe = XCacheConfig::dasx().exe;
-        let run = DsaRun {
-            name: "DASX".into(),
-            geometry: g.clone(),
-            xcache: dasx::run_xcache(&w, Some(g.clone())),
-            addr: dasx::run_address_cache(&w, Some(g.clone())),
-            baseline: dasx::run_baseline(&w, Some(g)),
-        };
-        note_sim_cycles(run.sim_cycles());
-        run
-    }));
-
-    // GraphPulse: p2p-Gnutella08-shaped graph, PageRank.
-    cells.push(Scenario::new("GraphPulse p2p-08", move || {
-        let (n, e) = xcache_workloads::GraphPreset::P2pGnutella08.dims();
-        let n = (n / scale).max(64);
-        let e = (e / scale as usize).max(256);
-        let w = graphpulse::GraphPulseWorkload {
-            graph: xcache_workloads::Graph::from_adjacency(xcache_workloads::CsrMatrix::generate(
-                n,
-                n,
-                e,
-                xcache_workloads::SparsePattern::RMat,
-                seed,
-            )),
-            iterations: 2,
-        };
-        let g = graphpulse_geometry(n);
-        let run = DsaRun {
-            name: "GraphPulse p2p-08".into(),
-            geometry: g.clone(),
-            xcache: graphpulse::run_xcache(&w, Some(g.clone())),
-            addr: graphpulse::run_address_cache(&w, Some(g)),
-            // A single-port hardwired coalescing queue (one event per
-            // cycle enters a bin), GraphPulse's dedicated structure.
-            baseline: graphpulse::run_baseline(&w, 1),
-        };
-        note_sim_cycles(run.sim_cycles());
-        run
-    }));
-
-    // SpArch and Gamma: A x A on a p2p-Gnutella31-shaped matrix.
-    for alg in [
-        spgemm::Algorithm::OuterProduct,
-        spgemm::Algorithm::Gustavson,
-    ] {
-        cells.push(Scenario::new(format!("{} p2p-31", alg.name()), move || {
-            let w = spgemm::SpgemmWorkload::paper_like(alg, scale, seed);
-            let g = spgemm_geometry(scale);
-            let run = DsaRun {
-                name: format!("{} p2p-31", alg.name()),
-                geometry: g.clone(),
-                xcache: spgemm::run_xcache(&w, Some(g.clone())),
-                addr: spgemm::run_address_cache(&w, Some(g.clone())),
-                baseline: spgemm::run_baseline(&w, Some(g)),
-            };
-            note_sim_cycles(run.sim_cycles());
-            run
-        }));
-    }
-
-    cells
+    DsaCluster::all()
+        .into_iter()
+        .map(|cluster| Scenario::new(cluster.name(), move || cluster.run(scale, seed)))
+        .collect()
 }
 
 /// Runs every evaluated DSA in all three configurations at `scale`

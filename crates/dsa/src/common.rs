@@ -11,9 +11,18 @@
 //! on its request id, and each cycle steps only the units that act (a
 //! refill, a due delay or a delivered response); waiting units stay
 //! parked in their slots, so a cycle costs no hashing and no allocation.
+//!
+//! The X-Cache drives share `Answered`, which holds them to answering
+//! each request exactly once, and the sharded drives share `shard_cells`
+//! and `shard_stats`, which build the shard set and merge its
+//! statistics.
 
 use bytes::Bytes;
-use xcache_mem::{MainMemory, MemReq, MemResp, MemoryPort};
+use xcache_core::{shard_geometry, ShardCell, XCache, XCacheConfig, DEFAULT_LINK_LATENCY};
+use xcache_isa::WalkerProgram;
+use xcache_mem::{
+    BankGroup, BankGroupConfig, DramConfig, DramModel, MainMemory, MemReq, MemResp, MemoryPort,
+};
 use xcache_sim::{counter, Cycle, Stats, StatsSnapshot};
 
 /// Copies layout segments into a simulated memory image.
@@ -49,6 +58,76 @@ impl RunReport {
     pub fn speedup_over(&self, other: &RunReport) -> f64 {
         other.cycles as f64 / self.cycles.max(1) as f64
     }
+}
+
+/// Which of a drive's requests have been answered. Drives number their
+/// requests densely from zero (the probe or element index), so a response
+/// for an id never issued, or for one already answered, breaks the
+/// exactly-once contract; [`record`](Self::record) reports it as an
+/// `Err` instead of letting the drive count the request twice.
+pub(crate) struct Answered(Vec<bool>);
+
+impl Answered {
+    /// Tracks requests `0..total`.
+    pub(crate) fn new(total: usize) -> Self {
+        Answered(vec![false; total])
+    }
+
+    /// Records the answer to request `id`, of which ids `0..issued` have
+    /// been issued.
+    pub(crate) fn record(&mut self, id: u64, issued: usize) -> Result<(), String> {
+        let slot = usize::try_from(id)
+            .ok()
+            .filter(|&i| i < issued)
+            .and_then(|i| self.0.get_mut(i))
+            .ok_or_else(|| format!("response for request {id}, which was never issued"))?;
+        if std::mem::replace(slot, true) {
+            return Err(format!("request {id} answered twice"));
+        }
+        Ok(())
+    }
+
+    /// How many requests have been answered.
+    pub(crate) fn count(&self) -> usize {
+        self.0.iter().filter(|&&a| a).count()
+    }
+}
+
+/// The sharded topology's cells: `shards` controllers running `program`,
+/// each with the [`shard_geometry`] of `base` as `configure` adjusts it,
+/// over its [`BankGroup`] view of a banked DRAM holding `mem`.
+pub(crate) fn shard_cells(
+    base: &XCacheConfig,
+    shards: usize,
+    mem: &MainMemory,
+    program: fn() -> WalkerProgram,
+    configure: impl Fn(XCacheConfig) -> XCacheConfig,
+) -> Result<Vec<ShardCell<BankGroup>>, String> {
+    (0..shards)
+        .map(|s| {
+            let bank = BankGroup::new(
+                BankGroupConfig {
+                    shards,
+                    shard_id: s,
+                    ..BankGroupConfig::default()
+                },
+                DramModel::with_memory(DramConfig::default(), mem.clone()),
+            );
+            let xc = XCache::new(configure(shard_geometry(base, shards)), program(), bank)
+                .map_err(|e| format!("invalid shard {s}: {e}"))?;
+            Ok(ShardCell::new(s, xc, DEFAULT_LINK_LATENCY))
+        })
+        .collect()
+}
+
+/// Every cell's controller and crossbar statistics merged with its DRAM's.
+pub(crate) fn shard_stats(cells: &[ShardCell<BankGroup>]) -> Stats {
+    let mut stats = Stats::new();
+    for cell in cells {
+        cell.merge_stats_into(&mut stats);
+        cell.xcache().downstream().merge_stats_into(&mut stats);
+    }
+    stats
 }
 
 /// What a probe task wants to do next.
@@ -456,6 +535,22 @@ mod tests {
         apply_image(&mut mem, &[(0x10, vec![1, 2, 3]), (0x100, vec![9])]);
         assert_eq!(mem.read_vec(0x10, 3), vec![1, 2, 3]);
         assert_eq!(mem.read_vec(0x100, 1), vec![9]);
+    }
+
+    #[test]
+    fn answered_rejects_unissued_and_repeated_ids() {
+        let mut a = Answered::new(4);
+        assert_eq!(a.record(0, 2), Ok(()));
+        assert_eq!(a.record(1, 2), Ok(()));
+        assert_eq!(a.record(1, 2), Err("request 1 answered twice".into()));
+        let never = Err("response for request 2, which was never issued".into());
+        assert_eq!(a.record(2, 2), never);
+        assert_eq!(a.record(2, 3), Ok(()));
+        assert!(
+            a.record(4, 4).is_err(),
+            "ids past the total were never issued"
+        );
+        assert!(a.record(u64::MAX, 4).is_err());
     }
 
     #[test]

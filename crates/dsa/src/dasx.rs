@@ -55,10 +55,10 @@ impl DasxWorkload {
 /// Panics on deadlock or oracle divergence.
 #[must_use]
 pub fn run_xcache(workload: &DasxWorkload, geometry: Option<XCacheConfig>) -> RunReport {
-    let g = geometry.unwrap_or_else(XCacheConfig::dasx);
-    let mut r = widx::run_xcache(&workload.0, Some(g));
-    r.label = "xcache".into();
-    r
+    widx::run_xcache(
+        &workload.0,
+        Some(geometry.unwrap_or_else(XCacheConfig::dasx)),
+    )
 }
 
 /// Runs the matched address-based cache with an ideal walker. The walk is
@@ -69,7 +69,7 @@ pub fn run_address_cache(workload: &DasxWorkload, geometry: Option<XCacheConfig>
     widx::run_probe_engine_with(
         &workload.0,
         "addr-cache",
-        &g,
+        widx::matched_address_cache_config(&g),
         g.active,
         DASX_HASH_LATENCY, // coupled hashing on every node step
     )
@@ -80,7 +80,13 @@ pub fn run_address_cache(workload: &DasxWorkload, geometry: Option<XCacheConfig>
 #[must_use]
 pub fn run_baseline(workload: &DasxWorkload, geometry: Option<XCacheConfig>) -> RunReport {
     let g = geometry.unwrap_or_else(XCacheConfig::dasx);
-    widx::run_probe_engine_with(&workload.0, "baseline", &g, 8, DASX_HASH_LATENCY)
+    widx::run_probe_engine_with(
+        &workload.0,
+        "baseline",
+        widx::matched_address_cache_config(&g),
+        8,
+        DASX_HASH_LATENCY,
+    )
 }
 
 #[cfg(test)]
@@ -120,7 +126,8 @@ mod tests {
         let (w, g) = small();
         let x = run_xcache(&w, Some(g.clone()));
         let dasx_speedup = x.speedup_over(&run_address_cache(&w, Some(g.clone())));
-        let widx_addr = widx::run_probe_engine_with(&w.0, "addr", &g, g.active, 0);
+        let cache = widx::matched_address_cache_config(&g);
+        let widx_addr = widx::run_probe_engine_with(&w.0, "addr", cache, g.active, 0);
         let widx_speedup = x.speedup_over(&widx_addr);
         assert!(
             dasx_speedup > widx_speedup,

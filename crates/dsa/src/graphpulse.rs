@@ -23,23 +23,21 @@
 //!   dedicated on-chip structure with fixed per-event occupancy and no
 //!   programmability tax.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
 use bytes::Bytes;
 
 use xcache_core::{
-    horizon_target, owner_of, shard_geometry, MetaAccess, MetaKey, ShardCell, XCache, XCacheConfig,
-    DEFAULT_HORIZON, DEFAULT_LINK_LATENCY,
+    horizon_target, owner_of, shard_geometry, MetaAccess, MetaKey, MetaResp, ShardCell, XCache,
+    XCacheConfig, DEFAULT_HORIZON,
 };
 use xcache_isa::asm::assemble;
 use xcache_isa::WalkerProgram;
-use xcache_mem::{
-    AddressCache, BankGroup, BankGroupConfig, DramConfig, DramModel, MemReq, MemoryPort,
-};
+use xcache_mem::{AddressCache, BankGroup, DramConfig, DramModel, MainMemory, MemReq, MemoryPort};
 use xcache_sim::{run_horizons, Cycle, Stats};
 use xcache_workloads::{Graph, GraphPreset};
 
-use crate::common::RunReport;
+use crate::common::{shard_cells, shard_stats, RunReport};
 use crate::widx::matched_address_cache_config;
 
 /// Fixed-point scale for rank payloads (`Q32.32`).
@@ -71,6 +69,11 @@ impl GraphPulseWorkload {
     #[must_use]
     pub fn oracle(&self) -> Vec<f64> {
         self.graph.pagerank(self.iterations, DAMPING)
+    }
+
+    /// The X-Cache drives' bound on requeued inserts (see [`requeue`]).
+    fn max_requeues(&self) -> u64 {
+        1_000 + 100 * self.graph.edges() as u64 * self.iterations as u64
     }
 }
 
@@ -114,8 +117,7 @@ pub fn walker() -> WalkerProgram {
     .expect("graphpulse walker is well-formed")
 }
 
-/// Drives one PageRank iteration structure shared by all variants: the
-/// caller supplies `emit(dst, delta_fixed)` and `drain(dst) -> total`.
+/// The PageRank state every variant iterates: the current ranks.
 struct RankState {
     rank: Vec<f64>,
     n: usize,
@@ -132,6 +134,23 @@ impl RankState {
     fn base(&self) -> f64 {
         (1.0 - DAMPING) / self.n as f64
     }
+
+    /// Calls `emit(dst, delta)` for every edge of `g` in source order: each
+    /// vertex sends its damped rank, split evenly over its out-edges, as a
+    /// `Q32.32` delta.
+    fn emit_events(&self, g: &Graph, mut emit: impl FnMut(u32, u64)) {
+        for src in 0..g.vertices() {
+            let deg = g.out_degree(src);
+            if deg == 0 {
+                continue;
+            }
+            let delta = DAMPING * self.rank[src as usize] / deg as f64;
+            let fixed = (delta * FIXED_ONE) as u64;
+            for &dst in g.neighbors(src) {
+                emit(dst, fixed);
+            }
+        }
+    }
 }
 
 fn rank_close(actual: &[f64], oracle: &[f64]) -> bool {
@@ -143,261 +162,245 @@ fn checksum(rank: &[f64]) -> u64 {
         .fold(0u64, |acc, r| acc.wrapping_add((r * FIXED_ONE) as u64))
 }
 
+/// Pops the longest prefix of `events` that touches at most `max_keys`
+/// distinct vertices and returns it with those vertices in ascending
+/// order. Bounding the live event keys to half the tag capacity keeps an
+/// insert from livelocking on a full pinned set (the paper's binning plays
+/// the same role).
+fn next_batch(events: &mut VecDeque<(u32, u64)>, max_keys: usize) -> (Vec<(u32, u64)>, Vec<u32>) {
+    let mut live: HashSet<u32> = HashSet::new();
+    let mut batch = Vec::new();
+    while let Some(&(dst, _)) = events.front() {
+        if !live.contains(&dst) && live.len() >= max_keys {
+            break;
+        }
+        live.insert(dst);
+        batch.push(events.pop_front().expect("front exists"));
+    }
+    let mut keys: Vec<u32> = live.into_iter().collect();
+    keys.sort_unstable();
+    (batch, keys)
+}
+
+/// Counts one rejected insert the PE requeues. A pathological fault plan
+/// could bounce the same event forever, so past `max` requeues this is a
+/// livelock `Err`; healthy runs, including the paper's pinned-set-full
+/// overflow, never come near it.
+fn requeue(requeues: &mut u64, max: u64) -> Result<(), String> {
+    *requeues += 1;
+    if *requeues > max {
+        return Err(format!(
+            "graphpulse insert-reject requeue livelocked after {max} requeues"
+        ));
+    }
+    Ok(())
+}
+
+/// One issue-tick-drain phase on a single controller: issues `access(i)`
+/// for `i` in `0..len` in order as the controller accepts them, ticks
+/// until every access is answered, and hands each response to `on_resp`.
+///
+/// Returns `Err` from `on_resp`, or when the phase runs `bound` cycles.
+fn run_phase(
+    xc: &mut XCache<DramModel>,
+    now: &mut Cycle,
+    len: usize,
+    access: impl Fn(usize) -> MetaAccess,
+    mut on_resp: impl FnMut(&MetaResp) -> Result<(), String>,
+    bound: u64,
+    phase: &str,
+) -> Result<(), String> {
+    let mut issued = 0usize;
+    let mut outstanding = 0usize;
+    let started = *now;
+    while issued < len || outstanding > 0 {
+        while issued < len && xc.can_accept() {
+            xc.try_access(*now, access(issued))
+                .expect("can_accept checked");
+            issued += 1;
+            outstanding += 1;
+        }
+        xc.tick(*now);
+        while let Some(resp) = xc.take_response(*now) {
+            outstanding -= 1;
+            on_resp(&resp)?;
+            xc.recycle(resp);
+        }
+        *now = if issued >= len && outstanding == 0 {
+            now.next() // same end-cycle as the single-stepped loop
+        } else {
+            let mut wake = xc.next_event(*now);
+            if issued < len && xc.can_accept() {
+                wake = Some(now.next());
+            }
+            xcache_sim::fast_forward(*now, wake)
+        };
+        if now.since(started) >= bound {
+            return Err(format!("{phase} phase exceeded {bound} cycles"));
+        }
+    }
+    Ok(())
+}
+
+/// A single-controller instance of `program` over an empty DRAM.
+fn instance(cfg: XCacheConfig, program: WalkerProgram) -> Result<XCache<DramModel>, String> {
+    XCache::new(cfg, program, DramModel::new(DramConfig::default())).map_err(|e| e.to_string())
+}
+
 /// Runs the X-Cache configuration (Table 3 GraphPulse geometry by
 /// default: direct-mapped, 131072 sets, 8-word sectors).
 ///
 /// # Panics
 ///
-/// Panics on deadlock or divergence from the PageRank oracle.
+/// Panics if [`drive_xcache`] fails or its ranks diverge from the
+/// PageRank oracle.
 #[must_use]
 pub fn run_xcache(workload: &GraphPulseWorkload, geometry: Option<XCacheConfig>) -> RunReport {
-    drive_xcache(workload, geometry, true).expect("graphpulse x-cache run deadlocked")
+    let (report, ranks) = drive_xcache(workload, geometry).expect("graphpulse x-cache run failed");
+    assert!(
+        rank_close(&ranks, &workload.oracle()),
+        "x-cache PageRank diverged from the oracle"
+    );
+    report
 }
 
-/// [`run_xcache`] for chaos runs: the same drive loop, but hangs come
-/// back as `Err` instead of panicking and the PageRank oracle is not
-/// enforced — under an armed fault plan a watchdog-killed upsert loses
-/// its (on-chip-only) accumulated events, so ranks legitimately drift.
-/// The store-requeue overflow path still bounds retries, so termination
-/// is still asserted, just non-fatally.
+/// Drives the single-controller X-Cache topology and returns the report
+/// with the final ranks, unchecked: each round, PageRank events coalesce
+/// in the cache in key-bounded batches, each stored and then drained with
+/// `Take` accesses. Under an armed fault plan a watchdog-killed upsert
+/// loses its on-chip-only events, so ranks legitimately drift; the chaos
+/// harness calls this and leaves the oracle out.
 ///
 /// # Errors
 ///
-/// Returns `Err` when a store or drain phase exceeds its cycle bound or
-/// the insert-reject requeue path stops making progress.
-pub fn run_xcache_chaos(
+/// Returns `Err` when the controller cannot be built, a store or drain
+/// phase exceeds its cycle bound, or the insert-reject requeue path stops
+/// making progress.
+pub fn drive_xcache(
     workload: &GraphPulseWorkload,
     geometry: Option<XCacheConfig>,
-) -> Result<RunReport, String> {
-    drive_xcache(workload, geometry, false)
-}
-
-fn drive_xcache(
-    workload: &GraphPulseWorkload,
-    geometry: Option<XCacheConfig>,
-    check_oracle: bool,
-) -> Result<RunReport, String> {
+) -> Result<(RunReport, Vec<f64>), String> {
     let cfg = geometry.unwrap_or_else(XCacheConfig::graphpulse);
-    let dram = DramModel::new(DramConfig::default());
-    let mut xc = XCache::new(cfg.clone(), walker(), dram).expect("valid graphpulse instance");
+    let batch_keys = (cfg.meta_entries() / 2).max(8);
+    let mut xc = instance(cfg, walker())?;
 
     let g = &workload.graph;
     let n = g.vertices() as usize;
     let mut state = RankState::new(n);
     let mut now = Cycle(0);
-    // Bound concurrently-live event keys to half the tag capacity so
-    // insert never livelocks on a full pinned set (the paper's binning
-    // plays the same role).
-    let batch_keys = (cfg.meta_entries() / 2).max(8);
     let max_cycles_per_round = 4_000u64 * g.edges() as u64 + 1_000_000;
-    // Livelock backstop for the chaos path: rejected inserts requeue, so
-    // a pathological fault plan could in principle bounce the same event
-    // forever. Generous enough that healthy runs (including the paper's
-    // pinned-set-full overflow) never come near it.
-    let max_requeues = 1_000 + 100 * g.edges() as u64 * workload.iterations as u64;
+    let max_requeues = workload.max_requeues();
     let mut requeues = 0u64;
 
     for _round in 0..workload.iterations {
         let mut next = vec![state.base(); n];
-        // The round's full event list; processed in key-bounded batches.
-        let mut events: Vec<(u32, u64)> = Vec::new();
-        for src in 0..g.vertices() {
-            let deg = g.out_degree(src);
-            if deg == 0 {
-                continue;
-            }
-            let delta = DAMPING * state.rank[src as usize] / deg as f64;
-            let fixed = (delta * FIXED_ONE) as u64;
-            for &dst in g.neighbors(src) {
-                events.push((dst, fixed));
-            }
-        }
-        let mut remaining: std::collections::VecDeque<(u32, u64)> = events.into();
+        let mut remaining = VecDeque::new();
+        state.emit_events(g, |dst, fixed| remaining.push_back((dst, fixed)));
         while !remaining.is_empty() {
-            // Take a batch with a bounded number of distinct keys.
-            let mut live: HashSet<u32> = HashSet::new();
-            let mut queue: Vec<(u32, u64)> = Vec::new();
-            while let Some(&(dst, _)) = remaining.front() {
-                if !live.contains(&dst) && live.len() >= batch_keys {
-                    break;
-                }
-                live.insert(dst);
-                queue.push(remaining.pop_front().expect("front exists"));
-            }
+            let (batch, keys) = next_batch(&mut remaining, batch_keys);
             // Issue the batch's stores; a `found: false` ack means the
             // insert was rejected (set of pinned events full) — the PE
             // requeues it for after the drain, GraphPulse's overflow path.
-            let mut qi = 0usize;
-            let mut outstanding = 0usize;
-            let started = now;
-            while qi < queue.len() || outstanding > 0 {
-                while qi < queue.len() && xc.can_accept() {
-                    let (dst, fixed) = queue[qi];
-                    let access = MetaAccess::Store {
-                        id: qi as u64,
-                        key: MetaKey::new(u64::from(dst)),
-                        payload: [fixed, 0],
-                    };
-                    xc.try_access(now, access).expect("can_accept checked");
-                    qi += 1;
-                    outstanding += 1;
-                }
-                xc.tick(now);
-                while let Some(resp) = xc.take_response(now) {
-                    outstanding -= 1;
+            run_phase(
+                &mut xc,
+                &mut now,
+                batch.len(),
+                |i| MetaAccess::Store {
+                    id: i as u64,
+                    key: MetaKey::new(u64::from(batch[i].0)),
+                    payload: [batch[i].1, 0],
+                },
+                |resp| {
                     if !resp.found {
-                        let (dst, fixed) = queue[resp.id as usize];
-                        debug_assert_eq!(u64::from(dst), resp.key.raw());
-                        requeues += 1;
-                        if requeues > max_requeues {
-                            return Err(format!(
-                                "graphpulse insert-reject requeue livelocked after \
-                                 {max_requeues} requeues"
-                            ));
-                        }
-                        remaining.push_back((dst, fixed));
+                        requeue(&mut requeues, max_requeues)?;
+                        remaining.push_back(batch[resp.id as usize]);
                     }
-                    xc.recycle(resp);
-                }
-                now = if qi >= queue.len() && outstanding == 0 {
-                    now.next() // same end-cycle as the single-stepped loop
-                } else {
-                    let mut wake = xc.next_event(now);
-                    if qi < queue.len() && xc.can_accept() {
-                        wake = Some(now.next());
-                    }
-                    xcache_sim::fast_forward(now, wake)
-                };
-                if now.since(started) >= max_cycles_per_round {
-                    return Err(format!(
-                        "graphpulse store phase exceeded {max_cycles_per_round} cycles"
-                    ));
-                }
-            }
+                    Ok(())
+                },
+                max_cycles_per_round,
+                "graphpulse store",
+            )?;
             // Drain the batch's coalesced events.
-            let mut keys: Vec<u32> = live.into_iter().collect();
-            keys.sort_unstable();
-            let mut ki = 0usize;
-            let started = now;
-            while ki < keys.len() || outstanding > 0 {
-                while ki < keys.len() && xc.can_accept() {
-                    let access = MetaAccess::Take {
-                        id: u64::from(keys[ki]),
-                        key: MetaKey::new(u64::from(keys[ki])),
-                    };
-                    xc.try_access(now, access).expect("can_accept checked");
-                    ki += 1;
-                    outstanding += 1;
-                }
-                xc.tick(now);
-                while let Some(resp) = xc.take_response(now) {
-                    outstanding -= 1;
+            run_phase(
+                &mut xc,
+                &mut now,
+                keys.len(),
+                |i| MetaAccess::Take {
+                    id: u64::from(keys[i]),
+                    key: MetaKey::new(u64::from(keys[i])),
+                },
+                |resp| {
                     if resp.found && !resp.data.is_empty() {
                         next[resp.key.raw() as usize] += resp.data[0] as f64 / FIXED_ONE;
                     }
-                    xc.recycle(resp);
-                }
-                now = if ki >= keys.len() && outstanding == 0 {
-                    now.next() // same end-cycle as the single-stepped loop
-                } else {
-                    let mut wake = xc.next_event(now);
-                    if ki < keys.len() && xc.can_accept() {
-                        wake = Some(now.next());
-                    }
-                    xcache_sim::fast_forward(now, wake)
-                };
-                if now.since(started) >= max_cycles_per_round {
-                    return Err(format!(
-                        "graphpulse drain phase exceeded {max_cycles_per_round} cycles"
-                    ));
-                }
-            }
+                    Ok(())
+                },
+                max_cycles_per_round,
+                "graphpulse drain",
+            )?;
         }
         state.rank = next;
     }
 
-    if check_oracle {
-        let oracle = workload.oracle();
-        assert!(
-            rank_close(&state.rank, &oracle),
-            "x-cache PageRank diverged from the oracle"
-        );
-    }
     let mut stats = xc.stats().clone();
     stats.merge(xc.downstream().stats());
-    Ok(RunReport {
+    let report = RunReport {
         label: "xcache".into(),
         cycles: now.raw(),
         stats: stats.snapshot(),
         checksum: checksum(&state.rank),
-    })
+    };
+    Ok((report, state.rank))
 }
 
-/// Runs the sharded X-Cache topology: the vertex space is interleaved by
-/// [`owner_of`] across `shards` event-queue instances, each coalescing its
-/// own events on-chip; the PEs route events over crossbar links. Shards
-/// run their store/drain batch cycles independently and meet only at the
-/// per-iteration rank barrier.
+/// Runs the sharded X-Cache topology ([`drive_xcache_sharded`]) and checks
+/// its ranks against the PageRank oracle.
 ///
 /// # Panics
 ///
-/// Panics on deadlock or divergence from the PageRank oracle.
+/// Panics if the drive fails or its ranks diverge from the PageRank
+/// oracle.
 #[must_use]
 pub fn run_xcache_sharded(
     workload: &GraphPulseWorkload,
     geometry: Option<XCacheConfig>,
     shards: usize,
 ) -> RunReport {
-    drive_xcache_sharded(workload, geometry, shards, true)
-        .expect("sharded graphpulse x-cache run deadlocked")
+    let (report, ranks) = drive_xcache_sharded(workload, geometry, shards)
+        .expect("sharded graphpulse x-cache run failed");
+    assert!(
+        rank_close(&ranks, &workload.oracle()),
+        "sharded x-cache PageRank diverged from the oracle"
+    );
+    report
 }
 
-/// [`run_xcache_sharded`] for chaos runs: hangs and livelocks come back
-/// as `Err`, and the oracle is not enforced (killed upserts legitimately
-/// lose on-chip-only events), mirroring [`run_xcache_chaos`].
+/// Drives the sharded X-Cache topology and returns the report with the
+/// final ranks, unchecked: the vertex space is interleaved by
+/// [`owner_of`] across `shards` event-queue instances, each coalescing its
+/// own events on-chip; the PEs route events over crossbar links. Shards
+/// run their store/drain batch cycles independently and meet only at the
+/// per-iteration rank barrier.
 ///
 /// # Errors
 ///
-/// Returns `Err` when the run exceeds its cycle bound or the
-/// insert-reject requeue path stops making progress.
-pub fn run_xcache_sharded_chaos(
+/// Returns `Err` when a shard cannot be built or answers while idle, the
+/// run exceeds its cycle bound, or the insert-reject requeue path stops
+/// making progress.
+pub fn drive_xcache_sharded(
     workload: &GraphPulseWorkload,
     geometry: Option<XCacheConfig>,
     shards: usize,
-) -> Result<RunReport, String> {
-    drive_xcache_sharded(workload, geometry, shards, false)
-}
-
-#[allow(clippy::too_many_lines)]
-fn drive_xcache_sharded(
-    workload: &GraphPulseWorkload,
-    geometry: Option<XCacheConfig>,
-    shards: usize,
-    check_oracle: bool,
-) -> Result<RunReport, String> {
+) -> Result<(RunReport, Vec<f64>), String> {
     let shards = shards.max(1);
     let base = geometry.unwrap_or_else(XCacheConfig::graphpulse);
-    let mut cells: Vec<ShardCell<BankGroup>> = (0..shards)
-        .map(|s| {
-            let cfg = shard_geometry(&base, shards);
-            let bank = BankGroup::new(
-                BankGroupConfig {
-                    shards,
-                    shard_id: s,
-                    ..BankGroupConfig::default()
-                },
-                DramModel::new(DramConfig::default()),
-            );
-            let xc = XCache::new(cfg, walker(), bank).expect("valid graphpulse shard");
-            ShardCell::new(s, xc, DEFAULT_LINK_LATENCY)
-        })
-        .collect();
+    let mut cells = shard_cells(&base, shards, &MainMemory::new(), walker, |cfg| cfg)?;
     let batch_keys = (shard_geometry(&base, shards).meta_entries() / 2).max(8);
 
     let g = &workload.graph;
     let n = g.vertices() as usize;
     let mut state = RankState::new(n);
-    let max_requeues = 1_000 + 100 * g.edges() as u64 * workload.iterations as u64;
+    let max_requeues = workload.max_requeues();
     let max_cycles = (4_000u64 * g.edges() as u64 + 1_000_000) * workload.iterations.max(1) as u64;
     let mut requeues = 0u64;
 
@@ -409,7 +412,7 @@ fn drive_xcache_sharded(
         Idle,
     }
     struct Drive {
-        remaining: std::collections::VecDeque<(u32, u64)>,
+        remaining: VecDeque<(u32, u64)>,
         queue: Vec<(u32, u64)>,
         keys: Vec<u32>,
         outstanding: usize,
@@ -417,7 +420,7 @@ fn drive_xcache_sharded(
     }
     let mut drives: Vec<Drive> = (0..shards)
         .map(|_| Drive {
-            remaining: std::collections::VecDeque::new(),
+            remaining: VecDeque::new(),
             queue: Vec::new(),
             keys: Vec::new(),
             outstanding: 0,
@@ -427,15 +430,7 @@ fn drive_xcache_sharded(
 
     // Builds a shard's next key-bounded batch and sends its stores.
     let start_batch = |d: &mut Drive, cell: &mut ShardCell<BankGroup>, t: Cycle| {
-        let mut live: HashSet<u32> = HashSet::new();
-        d.queue.clear();
-        while let Some(&(dst, _)) = d.remaining.front() {
-            if !live.contains(&dst) && live.len() >= batch_keys {
-                break;
-            }
-            live.insert(dst);
-            d.queue.push(d.remaining.pop_front().expect("front exists"));
-        }
+        (d.queue, d.keys) = next_batch(&mut d.remaining, batch_keys);
         for (qi, &(dst, fixed)) in d.queue.iter().enumerate() {
             cell.send(
                 t,
@@ -447,24 +442,14 @@ fn drive_xcache_sharded(
             );
         }
         d.outstanding = d.queue.len();
-        d.keys = live.into_iter().collect();
-        d.keys.sort_unstable();
         d.phase = Phase::StoreWait;
     };
-
-    let emit_events = |state: &RankState, drives: &mut Vec<Drive>| {
-        for src in 0..g.vertices() {
-            let deg = g.out_degree(src);
-            if deg == 0 {
-                continue;
-            }
-            let delta = DAMPING * state.rank[src as usize] / deg as f64;
-            let fixed = (delta * FIXED_ONE) as u64;
-            for &dst in g.neighbors(src) {
-                let owner = owner_of(MetaKey::new(u64::from(dst)), shards);
-                drives[owner].remaining.push_back((dst, fixed));
-            }
-        }
+    // Routes a round's events to their owner shards.
+    let emit_events = |state: &RankState, drives: &mut [Drive]| {
+        state.emit_events(g, |dst, fixed| {
+            let owner = owner_of(MetaKey::new(u64::from(dst)), shards);
+            drives[owner].remaining.push_back((dst, fixed));
+        });
     };
 
     let mut round = 0usize;
@@ -492,12 +477,8 @@ fn drive_xcache_sharded(
                             // Insert rejected (pinned set full): requeue
                             // for after the drain — GraphPulse's overflow
                             // path.
-                            requeues += 1;
-                            if requeues > max_requeues {
-                                err = Some(format!(
-                                    "graphpulse insert-reject requeue livelocked after \
-                                     {max_requeues} requeues"
-                                ));
+                            if let Err(e) = requeue(&mut requeues, max_requeues) {
+                                err = Some(e);
                             }
                             d.remaining.push_back(d.queue[resp.id as usize]);
                         }
@@ -507,7 +488,12 @@ fn drive_xcache_sharded(
                             next[resp.key.raw() as usize] += resp.data[0] as f64 / FIXED_ONE;
                         }
                     }
-                    Phase::Idle => unreachable!("idle shard received a response"),
+                    Phase::Idle => {
+                        err = Some(format!(
+                            "idle shard {s} received a response for request {}",
+                            resp.id
+                        ));
+                    }
                 }
             }
             if err.is_some() {
@@ -572,25 +558,13 @@ fn drive_xcache_sharded(
     if let Some(e) = err {
         return Err(e);
     }
-    if check_oracle {
-        let oracle = workload.oracle();
-        assert!(
-            rank_close(&state.rank, &oracle),
-            "sharded x-cache PageRank diverged from the oracle"
-        );
-    }
-
-    let mut stats = Stats::new();
-    for cell in &cells {
-        cell.merge_stats_into(&mut stats);
-        cell.xcache().downstream().merge_stats_into(&mut stats);
-    }
-    Ok(RunReport {
+    let report = RunReport {
         label: format!("xcache-sharded{shards}"),
         cycles: end.raw(),
-        stats: stats.snapshot(),
+        stats: shard_stats(&cells).snapshot(),
         checksum: checksum(&state.rank),
-    })
+    };
+    Ok((report, state.rank))
 }
 
 /// Runs the address-cache configuration: the event accumulator array is
@@ -627,17 +601,7 @@ pub fn run_address_cache(
         let mut next = vec![state.base(); n];
         // Emit all events: RMW accumulate into the DRAM array.
         let mut events: Vec<(u32, u64)> = Vec::new();
-        for src in 0..g.vertices() {
-            let deg = g.out_degree(src);
-            if deg == 0 {
-                continue;
-            }
-            let delta = DAMPING * state.rank[src as usize] / deg as f64;
-            let fixed = (delta * FIXED_ONE) as u64;
-            for &dst in g.neighbors(src) {
-                events.push((dst, fixed));
-            }
-        }
+        state.emit_events(g, |dst, fixed| events.push((dst, fixed)));
         let mut touched: HashSet<u32> = HashSet::new();
         // Drive UNITS concurrent RMW state machines.
         let mut idx = 0usize;
@@ -838,20 +802,12 @@ pub fn run_baseline(workload: &GraphPulseWorkload, ports: usize) -> RunReport {
     for _ in 0..workload.iterations {
         let mut next = vec![state.base(); n];
         let mut touched: HashSet<u32> = HashSet::new();
-        for src in 0..g.vertices() {
-            let deg = g.out_degree(src);
-            if deg == 0 {
-                continue;
-            }
-            let delta = DAMPING * state.rank[src as usize] / deg as f64;
-            let fixed = (delta * FIXED_ONE) as u64;
-            for &dst in g.neighbors(src) {
-                // Hardwired coalesce: fixed 1-op cost.
-                next[dst as usize] += (fixed as f64) / FIXED_ONE;
-                touched.insert(dst);
-                ops += 1;
-            }
-        }
+        state.emit_events(g, |dst, fixed| {
+            // Hardwired coalesce: fixed 1-op cost.
+            next[dst as usize] += (fixed as f64) / FIXED_ONE;
+            touched.insert(dst);
+            ops += 1;
+        });
         ops += touched.len() as u64; // drain ops
         state.rank = next;
     }
@@ -913,6 +869,9 @@ pub fn min_merge_walker() -> WalkerProgram {
     .expect("min-merge walker is well-formed")
 }
 
+/// Unreached vertices' SSSP distance.
+const INF: u64 = u64::MAX / 4;
+
 /// Event-driven single-source shortest paths through the X-Cache event
 /// queue with the [`min_merge_walker`]: relaxations coalesce on-chip by
 /// taking the minimum tentative distance per vertex.
@@ -923,17 +882,31 @@ pub fn min_merge_walker() -> WalkerProgram {
 ///
 /// # Panics
 ///
-/// Panics on deadlock or divergence from the oracle.
+/// Panics if the drive fails or its distances diverge from the oracle.
 #[must_use]
 pub fn run_sssp_xcache(
     workload: &GraphPulseWorkload,
     source: u32,
     geometry: Option<XCacheConfig>,
 ) -> (RunReport, Vec<u64>) {
-    const INF: u64 = u64::MAX / 4;
+    let (report, dist) =
+        drive_sssp_xcache(workload, source, geometry).expect("sssp x-cache run failed");
+    assert_eq!(
+        dist,
+        bellman_ford(&workload.graph, source),
+        "sssp diverged from Bellman-Ford"
+    );
+    (report, dist)
+}
+
+fn drive_sssp_xcache(
+    workload: &GraphPulseWorkload,
+    source: u32,
+    geometry: Option<XCacheConfig>,
+) -> Result<(RunReport, Vec<u64>), String> {
     let cfg = geometry.unwrap_or_else(XCacheConfig::graphpulse);
-    let dram = DramModel::new(DramConfig::default());
-    let mut xc = XCache::new(cfg.clone(), min_merge_walker(), dram).expect("valid sssp instance");
+    let batch_keys = (cfg.meta_entries() / 2).max(8);
+    let mut xc = instance(cfg, min_merge_walker())?;
 
     let g = &workload.graph;
     let n = g.vertices() as usize;
@@ -941,7 +914,6 @@ pub fn run_sssp_xcache(
     let mut dist = vec![INF; n];
     dist[source as usize] = 0;
     let mut now = Cycle(0);
-    let batch_keys = (cfg.meta_entries() / 2).max(8);
     let max_cycles_per_wave = 4_000u64 * g.edges() as u64 + 1_000_000;
 
     // Wave-by-wave relaxation (Bellman-Ford style): vertices improved in
@@ -951,8 +923,10 @@ pub fn run_sssp_xcache(
     let mut waves = 0usize;
     while !frontier.is_empty() {
         waves += 1;
-        assert!(waves <= n + 1, "negative cycle cannot happen here");
-        let mut events: std::collections::VecDeque<(u32, u64)> = std::collections::VecDeque::new();
+        if waves > n + 1 {
+            return Err(format!("sssp still relaxing after {n} waves"));
+        }
+        let mut events: VecDeque<(u32, u64)> = VecDeque::new();
         for &v in &frontier {
             let (a, b) = adj.row_range(v);
             for i in a..b {
@@ -963,70 +937,35 @@ pub fn run_sssp_xcache(
         }
         let mut improved: Vec<u32> = Vec::new();
         while !events.is_empty() {
-            let mut live: HashSet<u32> = HashSet::new();
-            let mut queue: Vec<(u32, u64)> = Vec::new();
-            while let Some(&(dst, _)) = events.front() {
-                if !live.contains(&dst) && live.len() >= batch_keys {
-                    break;
-                }
-                live.insert(dst);
-                queue.push(events.pop_front().expect("front exists"));
-            }
-            let mut qi = 0usize;
-            let mut outstanding = 0usize;
-            let started = now;
-            while qi < queue.len() || outstanding > 0 {
-                while qi < queue.len() && xc.can_accept() {
-                    let (dst, d) = queue[qi];
-                    let access = MetaAccess::Store {
-                        id: qi as u64,
-                        key: MetaKey::new(u64::from(dst)),
-                        payload: [d, 0],
-                    };
-                    xc.try_access(now, access).expect("can_accept checked");
-                    qi += 1;
-                    outstanding += 1;
-                }
-                xc.tick(now);
-                while let Some(resp) = xc.take_response(now) {
-                    outstanding -= 1;
+            let (batch, keys) = next_batch(&mut events, batch_keys);
+            run_phase(
+                &mut xc,
+                &mut now,
+                batch.len(),
+                |i| MetaAccess::Store {
+                    id: i as u64,
+                    key: MetaKey::new(u64::from(batch[i].0)),
+                    payload: [batch[i].1, 0],
+                },
+                |resp| {
                     if !resp.found {
-                        events.push_back(queue[resp.id as usize]);
+                        events.push_back(batch[resp.id as usize]);
                     }
-                    xc.recycle(resp);
-                }
-                now = if qi >= queue.len() && outstanding == 0 {
-                    now.next() // same end-cycle as the single-stepped loop
-                } else {
-                    let mut wake = xc.next_event(now);
-                    if qi < queue.len() && xc.can_accept() {
-                        wake = Some(now.next());
-                    }
-                    xcache_sim::fast_forward(now, wake)
-                };
-                assert!(
-                    now.since(started) < max_cycles_per_wave,
-                    "sssp store deadlock"
-                );
-            }
+                    Ok(())
+                },
+                max_cycles_per_wave,
+                "sssp store",
+            )?;
             // Drain the coalesced minima.
-            let mut keys: Vec<u32> = live.into_iter().collect();
-            keys.sort_unstable();
-            let mut ki = 0usize;
-            let started = now;
-            while ki < keys.len() || outstanding > 0 {
-                while ki < keys.len() && xc.can_accept() {
-                    let access = MetaAccess::Take {
-                        id: u64::from(keys[ki]),
-                        key: MetaKey::new(u64::from(keys[ki])),
-                    };
-                    xc.try_access(now, access).expect("can_accept checked");
-                    ki += 1;
-                    outstanding += 1;
-                }
-                xc.tick(now);
-                while let Some(resp) = xc.take_response(now) {
-                    outstanding -= 1;
+            run_phase(
+                &mut xc,
+                &mut now,
+                keys.len(),
+                |i| MetaAccess::Take {
+                    id: u64::from(keys[i]),
+                    key: MetaKey::new(u64::from(keys[i])),
+                },
+                |resp| {
                     if resp.found && !resp.data.is_empty() {
                         let v = resp.key.raw() as usize;
                         if resp.data[0] < dist[v] {
@@ -1034,52 +973,16 @@ pub fn run_sssp_xcache(
                             improved.push(v as u32);
                         }
                     }
-                    xc.recycle(resp);
-                }
-                now = if ki >= keys.len() && outstanding == 0 {
-                    now.next() // same end-cycle as the single-stepped loop
-                } else {
-                    let mut wake = xc.next_event(now);
-                    if ki < keys.len() && xc.can_accept() {
-                        wake = Some(now.next());
-                    }
-                    xcache_sim::fast_forward(now, wake)
-                };
-                assert!(
-                    now.since(started) < max_cycles_per_wave,
-                    "sssp drain deadlock"
-                );
-            }
+                    Ok(())
+                },
+                max_cycles_per_wave,
+                "sssp drain",
+            )?;
         }
         improved.sort_unstable();
         improved.dedup();
         frontier = improved;
     }
-
-    // Bellman-Ford oracle.
-    let mut oracle = vec![INF; n];
-    oracle[source as usize] = 0;
-    loop {
-        let mut changed = false;
-        for v in 0..g.vertices() {
-            if oracle[v as usize] >= INF {
-                continue;
-            }
-            let (a, b) = adj.row_range(v);
-            for i in a..b {
-                let u = adj.col_idx[i] as usize;
-                let cand = oracle[v as usize] + adj.values[i] as u64;
-                if cand < oracle[u] {
-                    oracle[u] = cand;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    assert_eq!(dist, oracle, "sssp diverged from Bellman-Ford");
 
     let mut stats = xc.stats().clone();
     stats.merge(xc.downstream().stats());
@@ -1092,7 +995,35 @@ pub fn run_sssp_xcache(
             .map(|&d| if d >= INF { 0 } else { d })
             .fold(0u64, u64::wrapping_add),
     };
-    (report, dist)
+    Ok((report, dist))
+}
+
+/// The SSSP oracle: Bellman-Ford distances from `source` over `g`'s
+/// adjacency weights.
+fn bellman_ford(g: &Graph, source: u32) -> Vec<u64> {
+    let adj = g.adjacency();
+    let mut dist = vec![INF; g.vertices() as usize];
+    dist[source as usize] = 0;
+    loop {
+        let mut changed = false;
+        for v in 0..g.vertices() {
+            if dist[v as usize] >= INF {
+                continue;
+            }
+            let (a, b) = adj.row_range(v);
+            for i in a..b {
+                let u = adj.col_idx[i] as usize;
+                let cand = dist[v as usize] + adj.values[i] as u64;
+                if cand < dist[u] {
+                    dist[u] = cand;
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            return dist;
+        }
+    }
 }
 
 #[cfg(test)]

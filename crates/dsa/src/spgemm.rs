@@ -20,22 +20,25 @@
 //!   `k` of B is reused whenever column `k` reappears in later A rows
 //!   (dynamic input-dependent reuse).
 
-use xcache_sim::FxHashMap;
+use std::collections::VecDeque;
+
+use bytes::Bytes;
 
 use xcache_core::{
-    horizon_target, owner_of, shard_geometry, MetaAccess, MetaKey, ShardCell, StreamConfig,
-    StreamReader, XCache, XCacheConfig, DEFAULT_HORIZON, DEFAULT_LINK_LATENCY,
+    horizon_target, owner_of, MetaAccess, MetaKey, StreamConfig, StreamReader, XCache,
+    XCacheConfig, DEFAULT_HORIZON,
 };
 use xcache_isa::asm::assemble;
 use xcache_isa::WalkerProgram;
 use xcache_mem::{
-    AddressCache, BankGroup, BankGroupConfig, DramConfig, DramModel, MainMemory, MemoryPort,
-    PortHandle, SharedPort,
+    AddressCache, DramConfig, DramModel, MainMemory, MemReq, MemoryPort, PortHandle, SharedPort,
 };
-use xcache_sim::{run_horizons, Cycle, Stats};
+use xcache_sim::{run_horizons, Cycle, FxHashMap, Stats};
 use xcache_workloads::{CsrMatrix, MatrixLayout, SparsePattern};
 
-use crate::common::{apply_image, ProbeTask, RunReport, TaskStep};
+use crate::common::{
+    apply_image, shard_cells, shard_stats, Answered, ProbeTask, RunReport, TaskStep,
+};
 use crate::widx::matched_address_cache_config;
 
 /// Which SpGEMM dataflow drives the access order.
@@ -55,6 +58,14 @@ impl Algorithm {
             Algorithm::OuterProduct => "SpArch",
             Algorithm::Gustavson => "Gamma",
         }
+    }
+
+    /// `geometry`, or this DSA's Table 3 geometry when `None`.
+    fn geometry(self, geometry: Option<XCacheConfig>) -> XCacheConfig {
+        geometry.unwrap_or_else(|| match self {
+            Algorithm::OuterProduct => XCacheConfig::sparch(),
+            Algorithm::Gustavson => XCacheConfig::gamma(),
+        })
     }
 }
 
@@ -199,52 +210,43 @@ fn layout_b(b: &CsrMatrix) -> MatrixLayout {
     b.layout(IMAGE_BASE)
 }
 
-/// Serialises the A-element stream (row, col, value-bits) as 24-byte
-/// records for the stream engine.
-fn a_stream_bytes(items: &[(u32, u32, f64)]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(items.len() * 24);
+/// One DRAM holding B's image and A's element stream, serialised as
+/// 24-byte `(row, col, value-bits)` records, and the stream engine that
+/// feeds those elements to the datapath, 8 per fetch.
+fn streamed_a(
+    layout: &MatrixLayout,
+    items: &[(u32, u32, f64)],
+) -> (SharedPort<DramModel>, StreamReader<PortHandle<DramModel>>) {
+    let mut stream_img = Vec::with_capacity(items.len() * 24);
     for &(i, k, a) in items {
-        v.extend_from_slice(&u64::from(i).to_le_bytes());
-        v.extend_from_slice(&u64::from(k).to_le_bytes());
-        v.extend_from_slice(&a.to_bits().to_le_bytes());
+        stream_img.extend_from_slice(&u64::from(i).to_le_bytes());
+        stream_img.extend_from_slice(&u64::from(k).to_le_bytes());
+        stream_img.extend_from_slice(&a.to_bits().to_le_bytes());
     }
-    v
-}
-
-/// Runs the X-Cache (MXS) configuration: A streamed, B rows via X-Cache.
-///
-/// # Panics
-///
-/// Panics on deadlock or oracle divergence.
-#[must_use]
-pub fn run_xcache(workload: &SpgemmWorkload, geometry: Option<XCacheConfig>) -> RunReport {
-    let mut cfg = geometry.unwrap_or_else(|| match workload.algorithm {
-        Algorithm::OuterProduct => XCacheConfig::sparch(),
-        Algorithm::Gustavson => XCacheConfig::gamma(),
-    });
-    let layout = layout_b(&workload.b);
-    let items = workload.element_stream();
-    let stream_img = a_stream_bytes(&items);
-
     let mut mem = MainMemory::new();
     apply_image(&mut mem, &layout.segments);
     mem.write(A_STREAM_BASE, &stream_img);
     let shared = SharedPort::new(DramModel::with_memory(DramConfig::default(), mem));
-
-    let mut stream = StreamReader::new(
+    let stream = StreamReader::new(
         StreamConfig {
             base: A_STREAM_BASE,
             len: stream_img.len() as u64,
-            chunk_bytes: 192, // 8 elements per fetch
+            chunk_bytes: 192,
             lookahead: 4,
         },
         shared.handle(),
     );
+    (shared, stream)
+}
+
+/// The controller configuration for B's `layout` on geometry `cfg`: the
+/// walker's parameters. Rows larger than 1/8 of the data RAM bypass the
+/// cache (SpArch caps its cached tile size); the datapath fetches them
+/// directly from DRAM.
+fn controller_config(cfg: XCacheConfig, layout: &MatrixLayout) -> XCacheConfig {
     let sector_bytes = cfg.sector_bytes();
-    // Rows larger than 1/8 of the data RAM bypass the cache (SpArch caps
-    // its cached tile size); the datapath fetches them directly from DRAM.
     let max_row_bytes = (cfg.data_capacity_bytes() / 8).max(sector_bytes * 4);
-    cfg = cfg.with_params(vec![
+    let cfg = cfg.with_params(vec![
         layout.row_ptr_base,
         layout.pairs_base,
         sector_bytes,
@@ -255,38 +257,192 @@ pub fn run_xcache(workload: &SpgemmWorkload, geometry: Option<XCacheConfig>) -> 
         32,
         "walker's srl #5 assumes 32-byte sectors"
     );
+    cfg
+}
+
+/// The extent `(start, end)` of a B row in the pair array, decoded from
+/// the 16-byte `row_ptr[k..=k+1]` read.
+fn row_extent(ptrs: &[u8]) -> (u64, u64) {
+    let start = u64::from_le_bytes(ptrs[0..8].try_into().expect("ptr"));
+    let end = u64::from_le_bytes(ptrs[8..16].try_into().expect("ptr"));
+    (start, end)
+}
+
+/// The `(col, value)` pairs of a B row as DRAM holds it: 16-byte
+/// `[col, value-bits]` records.
+fn dram_row_pairs(row: &[u8]) -> impl Iterator<Item = (u32, f64)> + '_ {
+    row.chunks(16).map(|pair| {
+        let j = u64::from_le_bytes(pair[0..8].try_into().expect("col")) as u32;
+        let bv = f64::from_bits(u64::from_le_bytes(pair[8..16].try_into().expect("val")));
+        (j, bv)
+    })
+}
+
+/// The `(col, value)` pairs of a B row as the cache returns it: sector
+/// words `[col, value-bits]`. Sector rounding pads the tail with zero
+/// words; real pairs always have nonzero value bits.
+fn sector_row_pairs(words: &[u64]) -> impl Iterator<Item = (u32, f64)> + '_ {
+    words
+        .chunks(2)
+        .filter(|pair| pair.len() == 2 && pair[1] != 0)
+        .map(|pair| (pair[0] as u32, f64::from_bits(pair[1])))
+}
+
+/// The datapath's MAC units: the C accumulator, and the cycle until which
+/// the four MACs per cycle are busy.
+#[derive(Default)]
+struct Macs {
+    acc: FxHashMap<(u32, u32), f64>,
+    busy_until: Cycle,
+}
+
+impl Macs {
+    /// Accumulates `a × B[k][j]` into `C[i][j]` for every `(j, B[k][j])`
+    /// pair of a B row, returning the number of pairs.
+    fn accumulate(&mut self, i: u32, a: f64, pairs: impl Iterator<Item = (u32, f64)>) -> u64 {
+        let mut n = 0u64;
+        for (j, bv) in pairs {
+            *self.acc.entry((i, j)).or_insert(0.0) += a * bv;
+            n += 1;
+        }
+        n
+    }
+
+    /// Occupies the MACs with `pairs` multiplies from `at` on, four per
+    /// cycle.
+    fn occupy(&mut self, at: Cycle, pairs: u64) {
+        self.busy_until = self.busy_until.max(at) + pairs.div_ceil(4);
+    }
+
+    /// The checksum of the accumulated product.
+    fn checksum(&self) -> u64 {
+        product_checksum(
+            self.acc
+                .iter()
+                .filter(|(_, v)| **v != 0.0)
+                .map(|(&(i, j), &v)| (i, j, v)),
+        )
+    }
+}
+
+/// SpArch's row buffer: the last few bypassed rows stay resident in the
+/// datapath, so back-to-back elements of the same column do not refetch a
+/// hub row.
+#[derive(Default)]
+struct RowBuffer(VecDeque<(u64, Bytes)>);
+
+impl RowBuffer {
+    const ENTRIES: usize = 4;
+
+    /// Holds row `k`, evicting the oldest row when full.
+    fn insert(&mut self, k: u64, row: Bytes) {
+        if self.0.len() == Self::ENTRIES {
+            self.0.pop_front();
+        }
+        self.0.push_back((k, row));
+    }
+
+    /// Row `k`, if the buffer holds it.
+    fn get(&self, k: u64) -> Option<Bytes> {
+        self.0
+            .iter()
+            .find(|(rk, _)| *rk == k)
+            .map(|(_, row)| row.clone())
+    }
+}
+
+/// A bypass-path DRAM read in flight, naming the element (an index into
+/// the element stream) whose B row it fetches.
+enum Bypass {
+    /// The row's `row_ptr[k..=k+1]`.
+    Ptr(usize),
+    /// The row's pairs.
+    Row(usize),
+}
+
+/// Reads `row_ptr[k..=k+1]`.
+fn row_ptr_read(id: u64, layout: &MatrixLayout, k: u32) -> MemReq {
+    MemReq::read(id, layout.row_ptr_base + u64::from(k) * 8, 16)
+}
+
+/// Reads the pairs `start..end` of a row.
+fn row_read(id: u64, layout: &MatrixLayout, start: u64, end: u64) -> MemReq {
+    MemReq::read(
+        id,
+        layout.pairs_base + start * 16,
+        ((end - start) * 16) as u32,
+    )
+}
+
+/// Every counter of `stats` as `name=value` pairs, for a hang report.
+fn counter_dump(stats: &Stats) -> String {
+    stats
+        .counters()
+        .map(|(k, v)| format!("{k}={v}"))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// Runs the X-Cache (MXS) configuration ([`drive_xcache`]) and checks its
+/// product against the SpGEMM oracle.
+///
+/// # Panics
+///
+/// Panics if the drive fails or the product diverges from the oracle.
+#[must_use]
+pub fn run_xcache(workload: &SpgemmWorkload, geometry: Option<XCacheConfig>) -> RunReport {
+    let report = drive_xcache(workload, geometry).expect("spgemm x-cache run failed");
+    assert_eq!(
+        report.checksum,
+        workload.oracle_checksum(),
+        "{} x-cache run diverged from the SpGEMM oracle",
+        workload.algorithm.name()
+    );
+    report
+}
+
+/// Drives the single-controller X-Cache topology without checking the
+/// product: A is streamed from DRAM by the stream engine, and the
+/// datapath requests each element's B row from the X-Cache and MACs it
+/// into C. MAC occupancy counts a cached row's sector padding as pairs,
+/// unlike [`drive_xcache_sharded`].
+///
+/// # Errors
+///
+/// Returns `Err` when the controller cannot be built, answers an element
+/// twice or one never issued, or the run exceeds its cycle bound.
+#[allow(clippy::too_many_lines)]
+pub fn drive_xcache(
+    workload: &SpgemmWorkload,
+    geometry: Option<XCacheConfig>,
+) -> Result<RunReport, String> {
+    let layout = layout_b(&workload.b);
+    let items = workload.element_stream();
+    let (shared, mut stream) = streamed_a(&layout, &items);
+    let cfg = controller_config(workload.algorithm.geometry(geometry), &layout);
     let mut xc: XCache<PortHandle<DramModel>> =
-        XCache::new(cfg, walker(), shared.handle()).expect("valid spgemm instance");
+        XCache::new(cfg, walker(), shared.handle()).map_err(|e| e.to_string())?;
 
     // The datapath: pops (i, k, a) elements, requests B row k, MACs the
     // returned row into the accumulator. Loads are issued ahead of the
-    // MAC units draining (decoupled preload).
-    let mut acc: FxHashMap<(u32, u32), f64> = FxHashMap::default();
-    let mut inflight: FxHashMap<u64, (u32, f64)> = FxHashMap::default(); // id -> (i, a)
-    let mut next_id = 0u64;
-    let mut pending_elem: Option<(u64, u64, u64)> = None;
+    // MAC units draining (decoupled preload); a load's id is its
+    // element's index in the stream.
+    let total = items.len();
+    let mut answered = Answered::new(total);
+    let mut macs = Macs::default();
+    let mut issued = 0usize;
+    let mut pending_row: Option<u64> = None; // B row of the popped element
     let mut now = Cycle(0);
     let mut done = 0usize;
-    let total = items.len();
     let max_cycles = 10_000 * total as u64 + 2_000_000;
-    let mut mac_busy_until = Cycle(0);
 
     // Bypass path for rows the cache refuses (empty or oversized): read
     // row_ptr, then the row, directly from DRAM.
     let mut bypass_port = shared.handle();
-    enum Bypass {
-        Ptr { i: u32, a: f64, k: u64 },
-        Row { i: u32, a: f64, k: u64 },
-    }
     let mut bypass: FxHashMap<u64, Bypass> = FxHashMap::default();
-    let mut bypass_retry: Vec<(u32, f64, u64)> = Vec::new(); // (i, a, k)
+    let mut bypass_retry: Vec<usize> = Vec::new(); // elements to re-read
     let mut next_bypass_id = 1u64 << 32;
-    // SpArch keeps the current large row in a dedicated row buffer: the
-    // last few bypassed rows stay resident in the datapath, so back-to-back
-    // elements of the same column do not refetch a hub row.
-    let mut row_buffer: std::collections::VecDeque<(u64, bytes::Bytes)> =
-        std::collections::VecDeque::new();
-    const ROW_BUFFER_ENTRIES: usize = 4;
+    let mut row_buffer = RowBuffer::default();
 
     while done < total {
         {
@@ -296,132 +452,89 @@ pub fn run_xcache(workload: &SpgemmWorkload, geometry: Option<XCacheConfig>) -> 
         }
         // Retry bypass row_ptr reads the port had no room for.
         while !bypass_retry.is_empty() && bypass_port.can_accept() {
-            let (i, a, k) = bypass_retry[0];
-            let req = xcache_mem::MemReq::read(next_bypass_id, layout.row_ptr_base + k * 8, 16);
+            let id = bypass_retry[0];
+            let req = row_ptr_read(next_bypass_id, &layout, items[id].1);
             bypass_port
                 .try_request(now, req)
                 .expect("can_accept checked");
-            bypass.insert(next_bypass_id, Bypass::Ptr { i, a, k });
+            bypass.insert(next_bypass_id, Bypass::Ptr(id));
             next_bypass_id += 1;
             bypass_retry.swap_remove(0);
         }
         while let Some(resp) = bypass_port.take_response(now) {
             match bypass.remove(&resp.id.0) {
-                Some(Bypass::Ptr { i, a, k }) => {
-                    let s = u64::from_le_bytes(resp.data[0..8].try_into().expect("ptr"));
-                    let e = u64::from_le_bytes(resp.data[8..16].try_into().expect("ptr"));
+                Some(Bypass::Ptr(id)) => {
+                    let (s, e) = row_extent(&resp.data);
                     if s == e {
                         done += 1; // genuinely empty row
-                        let _ = k;
                         continue;
                     }
                     if bypass_port.can_accept() {
-                        let req = xcache_mem::MemReq::read(
-                            next_bypass_id,
-                            layout.pairs_base + s * 16,
-                            ((e - s) * 16) as u32,
-                        );
+                        let req = row_read(next_bypass_id, &layout, s, e);
                         bypass_port
                             .try_request(now, req)
                             .expect("can_accept checked");
-                        bypass.insert(next_bypass_id, Bypass::Row { i, a, k });
+                        bypass.insert(next_bypass_id, Bypass::Row(id));
                         next_bypass_id += 1;
                     } else {
                         // Re-read the pointer later (simpler than holding
                         // partial state; rare path).
-                        bypass_retry.push((i, a, k));
+                        bypass_retry.push(id);
                     }
                 }
-                Some(Bypass::Row { i, a, k }) => {
-                    if row_buffer.len() == ROW_BUFFER_ENTRIES {
-                        row_buffer.pop_front();
-                    }
-                    row_buffer.push_back((k, resp.data.clone()));
-                    for pair in resp.data.chunks(16) {
-                        let j = u64::from_le_bytes(pair[0..8].try_into().expect("col")) as u32;
-                        let bv = f64::from_bits(u64::from_le_bytes(
-                            pair[8..16].try_into().expect("val"),
-                        ));
-                        *acc.entry((i, j)).or_insert(0.0) += a * bv;
-                    }
-                    let macs = (resp.data.len() as u64 / 16).div_ceil(4);
-                    mac_busy_until = mac_busy_until.max(now) + macs;
+                Some(Bypass::Row(id)) => {
+                    let (i, k, a) = items[id];
+                    let pairs = macs.accumulate(i, a, dram_row_pairs(&resp.data));
+                    macs.occupy(now, pairs);
+                    row_buffer.insert(u64::from(k), resp.data);
                     done += 1;
                 }
                 None => {}
             }
         }
-        // Pop the next element (3 words) when available.
-        if pending_elem.is_none() {
-            if let (Some(i), Some(k), Some(a)) = {
-                let i = stream.pop_word();
-                if i.is_some() {
-                    (i, stream.pop_word(), stream.pop_word())
-                } else {
-                    (None, None, None)
-                }
-            } {
-                pending_elem = Some((i, k, a));
-            }
+        // Pop the next element (3 words) when available; its row and
+        // value are read back from `items` when the answer arrives.
+        if pending_row.is_none() && stream.pop_word().is_some() {
+            pending_row = Some(stream.pop_word().expect("stream element is 3 words"));
+            stream.pop_word().expect("stream element is 3 words");
         }
-        if let Some((i, k, a)) = pending_elem {
+        if let Some(k) = pending_row {
             if xc.can_accept() {
                 let access = MetaAccess::Load {
-                    id: next_id,
+                    id: issued as u64,
                     key: MetaKey::new(k),
                 };
                 xc.try_access(now, access).expect("can_accept checked");
-                inflight.insert(next_id, (i as u32, f64::from_bits(a)));
-                next_id += 1;
-                pending_elem = None;
+                issued += 1;
+                pending_row = None;
             }
         }
         xc.tick(now);
         {
             xcache_sim::prof_scope!("driver.resp");
             while let Some(resp) = xc.take_response(now) {
-                let (i, a) = inflight.remove(&resp.id).expect("issued");
-                if !resp.found {
-                    // Cache refused (empty or oversized row): bypass, unless
-                    // the datapath's row buffer still holds it.
-                    let k = resp.key.raw();
-                    if let Some((_, data)) = row_buffer.iter().find(|(rk, _)| *rk == k) {
-                        let data = data.clone();
-                        for pair in data.chunks(16) {
-                            let j = u64::from_le_bytes(pair[0..8].try_into().expect("col")) as u32;
-                            let bv = f64::from_bits(u64::from_le_bytes(
-                                pair[8..16].try_into().expect("val"),
-                            ));
-                            *acc.entry((i, j)).or_insert(0.0) += a * bv;
-                        }
-                        let macs = (data.len() as u64 / 16).div_ceil(4);
-                        mac_busy_until = mac_busy_until.max(now) + macs;
-                        xc.recycle(resp);
-                        done += 1;
-                        continue;
-                    }
-                    bypass_retry.push((i, a, k));
-                    xc.recycle(resp);
-                    continue;
-                }
+                answered.record(resp.id, issued)?;
+                let id = resp.id as usize;
+                let (i, k, a) = items[id];
                 if resp.found {
-                    // Row data: (col, value) pairs. Trailing zero padding (from
-                    // sector rounding) has col == 0 && value-bits == 0; real
-                    // pairs always have nonzero value bits.
-                    for pair in resp.data.chunks(2) {
-                        if pair.len() < 2 || pair[1] == 0 {
-                            continue;
-                        }
-                        let j = pair[0] as u32;
-                        let bv = f64::from_bits(pair[1]);
-                        *acc.entry((i, j)).or_insert(0.0) += a * bv;
-                    }
-                    // MAC occupancy: 4 MACs per cycle.
-                    let macs = (resp.data.len() as u64 / 2).div_ceil(4);
-                    mac_busy_until = mac_busy_until.max(now) + macs;
+                    macs.accumulate(i, a, sector_row_pairs(&resp.data));
+                    // MAC occupancy counts the sector padding as pairs
+                    // here; the sharded drive counts only real pairs.
+                    // Two-pair (32-byte) sectors pad an odd row by one
+                    // pair, which never changes the four-per-cycle
+                    // charge, so the two agree today.
+                    macs.occupy(now, resp.data.len() as u64 / 2);
+                    done += 1;
+                } else if let Some(row) = row_buffer.get(u64::from(k)) {
+                    // Cache refused (empty or oversized row), but the
+                    // datapath's row buffer still holds it.
+                    let pairs = macs.accumulate(i, a, dram_row_pairs(&row));
+                    macs.occupy(now, pairs);
+                    done += 1;
+                } else {
+                    bypass_retry.push(id);
                 }
                 xc.recycle(resp);
-                done += 1;
             }
         }
         xcache_sim::prof_scope!("driver.wake");
@@ -431,7 +544,7 @@ pub fn run_xcache(workload: &SpgemmWorkload, geometry: Option<XCacheConfig>) -> 
             // Cheap checks first: when more work is issuable right now the
             // wake is the next cycle regardless, so the (comparatively
             // expensive) component next-event queries can be skipped.
-            let issuable = (pending_elem.is_some() || stream.word_ready()) && xc.can_accept();
+            let issuable = (pending_row.is_some() || stream.word_ready()) && xc.can_accept();
             let retryable = !bypass_retry.is_empty() && bypass_port.can_accept();
             if issuable || retryable {
                 now.next()
@@ -443,53 +556,38 @@ pub fn run_xcache(workload: &SpgemmWorkload, geometry: Option<XCacheConfig>) -> 
             }
         };
         if now.raw() >= max_cycles {
-            eprintln!(
-                "DEADLOCK: done={done}/{total} pending_elem={} inflight={} bypass={} retry={}",
-                pending_elem.is_some(),
-                inflight.len(),
+            return Err(format!(
+                "spgemm x-cache run exceeded {max_cycles} cycles with {done}/{total} elements \
+                 done (element pending {}, {} issued, {} answered, bypass in-flight {}, \
+                 bypass retry {}); controller counters: {}",
+                pending_row.is_some(),
+                issued,
+                answered.count(),
                 bypass.len(),
-                bypass_retry.len()
-            );
-            for (k, v) in xc.stats().counters() {
-                eprintln!("  {k}={v}");
-            }
-            panic!("spgemm x-cache run deadlocked");
+                bypass_retry.len(),
+                counter_dump(xc.stats())
+            ));
         }
     }
-    now = now.max(mac_busy_until);
+    let end = now.max(macs.busy_until);
 
-    let got = product_checksum(
-        acc.iter()
-            .filter(|(_, v)| **v != 0.0)
-            .map(|(&(i, j), &v)| (i, j, v)),
-    );
-    assert_eq!(
-        got,
-        workload.oracle_checksum(),
-        "{} x-cache run diverged from the SpGEMM oracle",
-        workload.algorithm.name()
-    );
     let mut stats = xc.stats().clone();
     stats.merge(stream.stats());
     shared.with(|d| stats.merge(d.stats()));
-    RunReport {
+    Ok(RunReport {
         label: "xcache".into(),
-        cycles: now.raw(),
+        cycles: end.raw(),
         stats: stats.snapshot(),
-        checksum: got,
-    }
+        checksum: macs.checksum(),
+    })
 }
 
-/// Runs the sharded X-Cache topology: B's row space is interleaved across
-/// `shards` controller instances by [`owner_of`], each over its
-/// [`BankGroup`] view of the banked DRAM; the element stream is routed to
-/// owners over crossbar links, replacing the stream engine as the pacing
-/// element. Oversized/empty rows still bypass to a driver-side DRAM port,
-/// serviced at horizon boundaries.
+/// Runs the sharded X-Cache topology ([`drive_xcache_sharded`]) and checks
+/// its product against the SpGEMM oracle.
 ///
 /// # Panics
 ///
-/// Panics on deadlock or oracle divergence.
+/// Panics if the drive fails or the product diverges from the oracle.
 #[must_use]
 pub fn run_xcache_sharded(
     workload: &SpgemmWorkload,
@@ -497,7 +595,7 @@ pub fn run_xcache_sharded(
     shards: usize,
 ) -> RunReport {
     let report = drive_xcache_sharded(workload, geometry, shards)
-        .expect("sharded spgemm x-cache run deadlocked");
+        .expect("sharded spgemm x-cache run failed");
     assert_eq!(
         report.checksum,
         workload.oracle_checksum(),
@@ -507,65 +605,35 @@ pub fn run_xcache_sharded(
     report
 }
 
-/// [`run_xcache_sharded`] for chaos runs: deadlocks come back as `Err`
-/// and the oracle is not enforced (faults may legitimately drop MACs).
+/// Drives the sharded X-Cache topology without checking the product: B's
+/// row space is interleaved across `shards` controller instances by
+/// [`owner_of`], each over its [`BankGroup`](xcache_mem::BankGroup) view
+/// of the banked DRAM; the element stream is routed to owners over
+/// crossbar links, replacing the stream engine as the pacing element.
+/// Oversized/empty rows still bypass to a driver-side DRAM port, serviced
+/// at horizon boundaries. MAC occupancy counts only a row's real pairs,
+/// unlike [`drive_xcache`].
 ///
 /// # Errors
 ///
-/// Returns `Err` when the run exceeds its cycle bound.
-pub fn run_xcache_sharded_chaos(
-    workload: &SpgemmWorkload,
-    geometry: Option<XCacheConfig>,
-    shards: usize,
-) -> Result<RunReport, String> {
-    drive_xcache_sharded(workload, geometry, shards)
-}
-
+/// Returns `Err` when a shard cannot be built, an element is answered
+/// twice or was never issued, or the run exceeds its cycle bound.
 #[allow(clippy::too_many_lines)]
-fn drive_xcache_sharded(
+pub fn drive_xcache_sharded(
     workload: &SpgemmWorkload,
     geometry: Option<XCacheConfig>,
     shards: usize,
 ) -> Result<RunReport, String> {
     let shards = shards.max(1);
-    let base = geometry.unwrap_or_else(|| match workload.algorithm {
-        Algorithm::OuterProduct => XCacheConfig::sparch(),
-        Algorithm::Gustavson => XCacheConfig::gamma(),
-    });
+    let base = workload.algorithm.geometry(geometry);
     let layout = layout_b(&workload.b);
     let items = workload.element_stream();
 
     let mut mem = MainMemory::new();
     apply_image(&mut mem, &layout.segments);
-
-    let mut cells: Vec<ShardCell<BankGroup>> = (0..shards)
-        .map(|s| {
-            let mut cfg = shard_geometry(&base, shards);
-            let sector_bytes = cfg.sector_bytes();
-            let max_row_bytes = (cfg.data_capacity_bytes() / 8).max(sector_bytes * 4);
-            cfg = cfg.with_params(vec![
-                layout.row_ptr_base,
-                layout.pairs_base,
-                sector_bytes,
-                max_row_bytes,
-            ]);
-            assert_eq!(
-                cfg.sector_bytes(),
-                32,
-                "walker's srl #5 assumes 32-byte sectors"
-            );
-            let bank = BankGroup::new(
-                BankGroupConfig {
-                    shards,
-                    shard_id: s,
-                    ..BankGroupConfig::default()
-                },
-                DramModel::with_memory(DramConfig::default(), mem.clone()),
-            );
-            let xc = XCache::new(cfg, walker(), bank).expect("valid spgemm shard");
-            ShardCell::new(s, xc, DEFAULT_LINK_LATENCY)
-        })
-        .collect();
+    let mut cells = shard_cells(&base, shards, &mem, walker, |cfg| {
+        controller_config(cfg, &layout)
+    })?;
 
     // Route every element to its row's owner shard up front; per-shard
     // issue order is the dataflow order restricted to owned rows, so
@@ -583,105 +651,68 @@ fn drive_xcache_sharded(
 
     let total = items.len();
     let max_cycles = 10_000 * total as u64 + 2_000_000;
-    let mut acc: FxHashMap<(u32, u32), f64> = FxHashMap::default();
+    let mut answered = Answered::new(total);
+    let mut macs = Macs::default();
     let mut done = 0usize;
     let mut end = Cycle::ZERO;
-    let mut mac_busy_until = Cycle::ZERO;
-    let mut deadlocked = false;
+    let mut err = None;
 
     // Bypass path for rows the cache refuses (empty or oversized): a
     // driver-side DRAM port over the same image, serviced once per
     // horizon boundary — coarse but deterministic in both engines.
     let mut bypass_port = DramModel::with_memory(DramConfig::default(), mem);
-    enum Bypass {
-        Ptr { i: u32, a: f64 },
-        Row { i: u32, a: f64, k: u64 },
-    }
     let mut bypass: FxHashMap<u64, Bypass> = FxHashMap::default();
-    let mut bypass_retry: Vec<(u32, f64, u64)> = Vec::new(); // (i, a, k)
-                                                             // Rows whose pointers are already resolved but whose data read hit
-                                                             // port backpressure. Held (not re-read) and issued with priority —
-                                                             // at boundary granularity responses arrive in bursts, so re-reading
-                                                             // pointers against the retry stream livelocks on a full port.
-    let mut row_pending: Vec<(u32, f64, u64, u64, u64)> = Vec::new(); // (i, a, k, start, end)
+    let mut bypass_retry: Vec<usize> = Vec::new(); // elements to re-read
+                                                   // Rows whose pointers are already resolved but whose data read hit
+                                                   // port backpressure. Held (not re-read) and issued with priority — at
+                                                   // boundary granularity responses arrive in bursts, so re-reading
+                                                   // pointers against the retry stream livelocks on a full port.
+    let mut row_pending: Vec<(usize, u64, u64)> = Vec::new(); // (element, start, end)
     let mut next_bypass_id = 1u64 << 32;
-    let mut row_buffer: std::collections::VecDeque<(u64, bytes::Bytes)> =
-        std::collections::VecDeque::new();
-    const ROW_BUFFER_ENTRIES: usize = 4;
-    let mut mac = |i: u32, a: f64, pairs: &mut dyn Iterator<Item = (u32, f64)>, at: Cycle| {
-        let mut n = 0u64;
-        for (j, bv) in pairs {
-            *acc.entry((i, j)).or_insert(0.0) += a * bv;
-            n += 1;
-        }
-        // MAC occupancy: 4 MACs per cycle.
-        mac_busy_until = mac_busy_until.max(at) + n.div_ceil(4);
-    };
+    let mut row_buffer = RowBuffer::default();
 
     let cells = run_horizons(cells, Cycle::ZERO, |cells, t| {
         bypass_port.tick(t);
         while !row_pending.is_empty() && bypass_port.can_accept() {
-            let (i, a, k, s, e) = row_pending[0];
-            let req = xcache_mem::MemReq::read(
-                next_bypass_id,
-                layout.pairs_base + s * 16,
-                ((e - s) * 16) as u32,
-            );
+            let (id, s, e) = row_pending[0];
+            let req = row_read(next_bypass_id, &layout, s, e);
             bypass_port.try_request(t, req).expect("can_accept checked");
-            bypass.insert(next_bypass_id, Bypass::Row { i, a, k });
+            bypass.insert(next_bypass_id, Bypass::Row(id));
             next_bypass_id += 1;
             row_pending.swap_remove(0);
         }
         while !bypass_retry.is_empty() && bypass_port.can_accept() {
-            let (i, a, k) = bypass_retry[0];
-            let req = xcache_mem::MemReq::read(next_bypass_id, layout.row_ptr_base + k * 8, 16);
+            let id = bypass_retry[0];
+            let req = row_ptr_read(next_bypass_id, &layout, items[id].1);
             bypass_port.try_request(t, req).expect("can_accept checked");
-            bypass.insert(next_bypass_id, Bypass::Ptr { i, a });
+            bypass.insert(next_bypass_id, Bypass::Ptr(id));
             next_bypass_id += 1;
             bypass_retry.swap_remove(0);
         }
         while let Some(resp) = bypass_port.take_response(t) {
             let at = resp.completed_at.max(t);
             match bypass.remove(&resp.id.0) {
-                Some(Bypass::Ptr { i, a }) => {
-                    let s = u64::from_le_bytes(resp.data[0..8].try_into().expect("ptr"));
-                    let e = u64::from_le_bytes(resp.data[8..16].try_into().expect("ptr"));
-                    let k = (resp.addr - layout.row_ptr_base) / 8;
+                Some(Bypass::Ptr(id)) => {
+                    let (s, e) = row_extent(&resp.data);
                     if s == e {
                         done += 1; // genuinely empty row
                         end = end.max(at);
                         continue;
                     }
                     if bypass_port.can_accept() {
-                        let req = xcache_mem::MemReq::read(
-                            next_bypass_id,
-                            layout.pairs_base + s * 16,
-                            ((e - s) * 16) as u32,
-                        );
+                        let req = row_read(next_bypass_id, &layout, s, e);
                         bypass_port.try_request(t, req).expect("can_accept checked");
-                        bypass.insert(next_bypass_id, Bypass::Row { i, a, k });
+                        bypass.insert(next_bypass_id, Bypass::Row(id));
                         next_bypass_id += 1;
                     } else {
-                        row_pending.push((i, a, k, s, e));
+                        row_pending.push((id, s, e));
                     }
                 }
-                Some(Bypass::Row { i, a, k }) => {
-                    if row_buffer.len() == ROW_BUFFER_ENTRIES {
-                        row_buffer.pop_front();
-                    }
-                    row_buffer.push_back((k, resp.data.clone()));
-                    mac(
-                        i,
-                        a,
-                        &mut resp.data.chunks(16).map(|pair| {
-                            let j = u64::from_le_bytes(pair[0..8].try_into().expect("col")) as u32;
-                            let bv = f64::from_bits(u64::from_le_bytes(
-                                pair[8..16].try_into().expect("val"),
-                            ));
-                            (j, bv)
-                        }),
-                        at,
-                    );
+                Some(Bypass::Row(id)) => {
+                    let (i, k, a) = items[id];
+                    let pairs = macs.accumulate(i, a, dram_row_pairs(&resp.data));
+                    macs.occupy(at, pairs);
+                    row_buffer.insert(u64::from(k), resp.data);
                     done += 1;
                     end = end.max(at);
                 }
@@ -691,60 +722,42 @@ fn drive_xcache_sharded(
         for cell in cells {
             let mut cell = cell.lock().expect("shard cell poisoned");
             while let Some((at, resp)) = cell.recv_response(t) {
-                let idx = resp.id as usize;
-                let (i, _, a) = items[idx];
+                if let Err(e) = answered.record(resp.id, total) {
+                    err = Some(e);
+                    return None;
+                }
+                let id = resp.id as usize;
+                let (i, k, a) = items[id];
                 end = end.max(at);
                 if resp.found {
-                    // Row data: (col, value-bits) pairs; zero-padded tails
-                    // from sector rounding have zero value bits.
-                    mac(
-                        i,
-                        a,
-                        &mut resp
-                            .data
-                            .chunks(2)
-                            .filter(|pair| pair.len() == 2 && pair[1] != 0)
-                            .map(|pair| (pair[0] as u32, f64::from_bits(pair[1]))),
-                        at,
-                    );
+                    let pairs = macs.accumulate(i, a, sector_row_pairs(&resp.data));
+                    macs.occupy(at, pairs);
                     done += 1;
-                    continue;
-                }
-                let k = resp.key.raw();
-                if let Some((_, data)) = row_buffer.iter().find(|(rk, _)| *rk == k) {
-                    let data = data.clone();
-                    mac(
-                        i,
-                        a,
-                        &mut data.chunks(16).map(|pair| {
-                            let j = u64::from_le_bytes(pair[0..8].try_into().expect("col")) as u32;
-                            let bv = f64::from_bits(u64::from_le_bytes(
-                                pair[8..16].try_into().expect("val"),
-                            ));
-                            (j, bv)
-                        }),
-                        at,
-                    );
+                } else if let Some(row) = row_buffer.get(u64::from(k)) {
+                    let pairs = macs.accumulate(i, a, dram_row_pairs(&row));
+                    macs.occupy(at, pairs);
                     done += 1;
-                    continue;
+                } else {
+                    bypass_retry.push(id);
                 }
-                bypass_retry.push((i, a, k));
             }
         }
         if done >= total {
             return None;
         }
         if t.raw() >= max_cycles {
-            eprintln!(
-                "DEADLOCK at {t}: busy={} next_event={:?} can_accept={}",
+            err = Some(format!(
+                "sharded spgemm run exceeded {max_cycles} cycles with {done}/{total} elements \
+                 done at {t} (bypass in-flight {}, bypass retry {}, row reads held {}; bypass \
+                 port busy {}, next event {:?}, can accept {}); bypass port counters: {}",
+                bypass.len(),
+                bypass_retry.len(),
+                row_pending.len(),
                 bypass_port.busy(),
                 bypass_port.next_event(t),
-                bypass_port.can_accept()
-            );
-            for (k, v) in bypass_port.stats().counters() {
-                eprintln!("  {k}={v}");
-            }
-            deadlocked = true;
+                bypass_port.can_accept(),
+                counter_dump(bypass_port.stats())
+            ));
             return None;
         }
         let target = horizon_target(cells, t, DEFAULT_HORIZON);
@@ -762,32 +775,18 @@ fn drive_xcache_sharded(
             Some(target.min(dense))
         }
     });
-    if deadlocked {
-        return Err(format!(
-            "sharded spgemm run exceeded {max_cycles} cycles with {done}/{total} elements done \
-             (bypass in-flight {}, bypass retry {})",
-            bypass.len(),
-            bypass_retry.len()
-        ));
+    if let Some(e) = err {
+        return Err(e);
     }
-    let end = end.max(mac_busy_until);
+    let end = end.max(macs.busy_until);
 
-    let got = product_checksum(
-        acc.iter()
-            .filter(|(_, v)| **v != 0.0)
-            .map(|(&(i, j), &v)| (i, j, v)),
-    );
-    let mut stats = Stats::new();
-    for cell in &cells {
-        cell.merge_stats_into(&mut stats);
-        cell.xcache().downstream().merge_stats_into(&mut stats);
-    }
+    let mut stats = shard_stats(&cells);
     stats.merge(bypass_port.stats());
     Ok(RunReport {
         label: format!("xcache-sharded{shards}"),
         cycles: end.raw(),
         stats: stats.snapshot(),
-        checksum: got,
+        checksum: macs.checksum(),
     })
 }
 
@@ -886,26 +885,10 @@ impl ProbeTask for RowFetch {
 /// and per-block reads, even when the row is resident.
 #[must_use]
 pub fn run_address_cache(workload: &SpgemmWorkload, geometry: Option<XCacheConfig>) -> RunReport {
-    let g = geometry.unwrap_or_else(|| match workload.algorithm {
-        Algorithm::OuterProduct => XCacheConfig::sparch(),
-        Algorithm::Gustavson => XCacheConfig::gamma(),
-    });
+    let g = workload.algorithm.geometry(geometry);
     let layout = layout_b(&workload.b);
     let items = workload.element_stream();
-    let stream_img = a_stream_bytes(&items);
-    let mut mem = MainMemory::new();
-    apply_image(&mut mem, &layout.segments);
-    mem.write(A_STREAM_BASE, &stream_img);
-    let shared = SharedPort::new(DramModel::with_memory(DramConfig::default(), mem));
-    let mut stream = StreamReader::new(
-        StreamConfig {
-            base: A_STREAM_BASE,
-            len: stream_img.len() as u64,
-            chunk_bytes: 192,
-            lookahead: 4,
-        },
-        shared.handle(),
-    );
+    let (shared, mut stream) = streamed_a(&layout, &items);
     let cache = AddressCache::new(matched_address_cache_config(&g), shared.handle());
     let total = items.len();
     let mut engine = crate::common::ProbeEngine::new(cache, Vec::new(), g.active);
@@ -958,10 +941,7 @@ pub fn run_address_cache(workload: &SpgemmWorkload, geometry: Option<XCacheConfi
 /// and the dispatch pipeline is free (see DESIGN.md §5, ablations).
 #[must_use]
 pub fn run_baseline(workload: &SpgemmWorkload, geometry: Option<XCacheConfig>) -> RunReport {
-    let mut g = geometry.unwrap_or_else(|| match workload.algorithm {
-        Algorithm::OuterProduct => XCacheConfig::sparch(),
-        Algorithm::Gustavson => XCacheConfig::gamma(),
-    });
+    let mut g = workload.algorithm.geometry(geometry);
     g.exe = g.active; // a lane per hardwired fill unit: no contention
     let mut r = run_xcache(workload, Some(g));
     r.label = "baseline".into();

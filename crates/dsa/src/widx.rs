@@ -15,19 +15,18 @@
 //!   address-based cache and, hence, always walked").
 
 use xcache_core::{
-    horizon_target, owner_of, shard_geometry, MetaAccess, MetaKey, ShardCell, XCache, XCacheConfig,
-    DEFAULT_HORIZON, DEFAULT_LINK_LATENCY,
+    horizon_target, owner_of, MetaAccess, MetaKey, XCache, XCacheConfig, DEFAULT_HORIZON,
 };
 use xcache_isa::asm::assemble;
 use xcache_isa::WalkerProgram;
-use xcache_mem::{
-    AddressCache, BankGroup, BankGroupConfig, CacheConfig, DramConfig, DramModel, MainMemory,
-};
+use xcache_mem::{AddressCache, CacheConfig, DramConfig, DramModel, MainMemory};
 use xcache_sim::{run_horizons, Cycle, Stats};
 use xcache_workloads::hashidx::NODE_BYTES;
 use xcache_workloads::{HashIndex, TpchPreset};
 
-use crate::common::{apply_image, ProbeTask, RunReport, TaskStep};
+use crate::common::{
+    apply_image, shard_cells, shard_stats, Answered, ProbeTask, RunReport, TaskStep,
+};
 
 /// A materialised Widx workload.
 #[derive(Debug, Clone)]
@@ -189,7 +188,7 @@ fn memory_image(workload: &WidxWorkload) -> (MainMemory, u64, u64) {
 ///
 /// # Panics
 ///
-/// Panics if the simulation deadlocks or the checksum diverges from the
+/// Panics if [`drive_xcache`] fails or the checksum diverges from the
 /// functional oracle.
 #[must_use]
 pub fn run_xcache(workload: &WidxWorkload, geometry: Option<XCacheConfig>) -> RunReport {
@@ -201,7 +200,7 @@ pub fn run_xcache(workload: &WidxWorkload, geometry: Option<XCacheConfig>) -> Ru
 ///
 /// # Panics
 ///
-/// Panics if the simulation deadlocks or the checksum diverges from the
+/// Panics if [`drive_xcache`] fails or the checksum diverges from the
 /// functional oracle.
 #[must_use]
 pub fn run_xcache_with_walker(
@@ -209,7 +208,7 @@ pub fn run_xcache_with_walker(
     geometry: Option<XCacheConfig>,
     program: WalkerProgram,
 ) -> RunReport {
-    let report = drive_xcache(workload, geometry, program).expect("widx x-cache run deadlocked");
+    let report = drive_xcache(workload, geometry, program).expect("widx x-cache run failed");
     assert_eq!(
         report.checksum,
         workload.oracle_checksum(),
@@ -218,24 +217,17 @@ pub fn run_xcache_with_walker(
     report
 }
 
-/// [`run_xcache`] for chaos runs: the same drive loop, minus the two
-/// panics. Under an armed fault plan a watchdog-killed or degraded walk
-/// legitimately answers "not found", so the oracle checksum no longer
-/// binds, and a hang must surface as a structured violation the chaos
-/// harness can report rather than a process abort.
+/// Drives the single-controller X-Cache topology without checking the
+/// result: the datapath issues every probe as a meta load in stream order
+/// and sums the rids of the found ones. Under an armed fault plan a
+/// watchdog-killed walk legitimately answers "not found", so the chaos
+/// harness calls this and judges the checksum itself.
 ///
 /// # Errors
 ///
-/// Returns `Err` when the run exceeds its cycle bound — i.e. the
-/// watchdog failed to keep the instance live.
-pub fn run_xcache_chaos(
-    workload: &WidxWorkload,
-    geometry: Option<XCacheConfig>,
-) -> Result<RunReport, String> {
-    drive_xcache(workload, geometry, walker())
-}
-
-fn drive_xcache(
+/// Returns `Err` when the controller cannot be built, answers a probe
+/// twice or one never issued, or the run exceeds its cycle bound.
+pub fn drive_xcache(
     workload: &WidxWorkload,
     geometry: Option<XCacheConfig>,
     program: WalkerProgram,
@@ -245,13 +237,14 @@ fn drive_xcache(
     let mut cfg = geometry.unwrap_or_else(XCacheConfig::widx);
     cfg.hash_latency = workload.hash_latency;
     cfg = cfg.with_params(vec![bucket_base, NODE_BYTES, mask]);
-    let mut xc = XCache::new(cfg, program, dram).expect("valid widx instance");
+    let mut xc = XCache::new(cfg, program, dram).map_err(|e| e.to_string())?;
 
     let mut now = Cycle(0);
     let mut next = 0usize;
     let mut done = 0usize;
     let mut checksum = 0u64;
     let total = workload.probes.len();
+    let mut answered = Answered::new(total);
     let max_cycles = 2_000 * total as u64 + 1_000_000;
     while done < total {
         // Issue as many probes as the access queue accepts this cycle.
@@ -265,6 +258,7 @@ fn drive_xcache(
         }
         xc.tick(now);
         while let Some(resp) = xc.take_response(now) {
+            answered.record(resp.id, next)?;
             if resp.found {
                 // Node layout: [key, rid, next, pad].
                 checksum = checksum.wrapping_add(resp.data[1]);
@@ -296,25 +290,21 @@ fn drive_xcache(
     })
 }
 
-/// Runs the sharded X-Cache topology: `shards` controller + meta-path
-/// instances, each owning an address-interleaved slice of the probe key
-/// space over its [`BankGroup`] view of the shared banked DRAM, with the
-/// driver routing probes over fixed-latency crossbar links. Execution is
-/// horizon-synchronized ([`run_horizons`]) and byte-deterministic across
-/// `XCACHE_PAR=seq|par` and any thread count.
+/// Runs the sharded X-Cache topology ([`drive_xcache_sharded`]) and checks
+/// its checksum against the functional oracle.
 ///
 /// # Panics
 ///
-/// Panics if the simulation deadlocks or the checksum diverges from the
-/// functional oracle.
+/// Panics if the drive fails or the checksum diverges from the functional
+/// oracle.
 #[must_use]
 pub fn run_xcache_sharded(
     workload: &WidxWorkload,
     geometry: Option<XCacheConfig>,
     shards: usize,
 ) -> RunReport {
-    let report = drive_xcache_sharded(workload, geometry, shards)
-        .expect("sharded widx x-cache run deadlocked");
+    let report =
+        drive_xcache_sharded(workload, geometry, shards).expect("sharded widx x-cache run failed");
     assert_eq!(
         report.checksum,
         workload.oracle_checksum(),
@@ -323,21 +313,19 @@ pub fn run_xcache_sharded(
     report
 }
 
-/// [`run_xcache_sharded`] for chaos runs: no oracle or deadlock panics,
-/// mirroring [`run_xcache_chaos`].
+/// Drives the sharded X-Cache topology without checking the result:
+/// `shards` controller + meta-path instances, each owning an
+/// address-interleaved slice of the probe key space over its
+/// [`BankGroup`](xcache_mem::BankGroup) view of the shared banked DRAM, with the driver routing
+/// probes over fixed-latency crossbar links. Execution is
+/// horizon-synchronized ([`run_horizons`]) and byte-deterministic across
+/// `XCACHE_PAR=seq|par` and any thread count.
 ///
 /// # Errors
 ///
-/// Returns `Err` when the run exceeds its cycle bound.
-pub fn run_xcache_sharded_chaos(
-    workload: &WidxWorkload,
-    geometry: Option<XCacheConfig>,
-    shards: usize,
-) -> Result<RunReport, String> {
-    drive_xcache_sharded(workload, geometry, shards)
-}
-
-fn drive_xcache_sharded(
+/// Returns `Err` when a shard cannot be built, a probe is answered twice
+/// or was never issued, or the run exceeds its cycle bound.
+pub fn drive_xcache_sharded(
     workload: &WidxWorkload,
     geometry: Option<XCacheConfig>,
     shards: usize,
@@ -345,23 +333,10 @@ fn drive_xcache_sharded(
     let shards = shards.max(1);
     let (mem, bucket_base, mask) = memory_image(workload);
     let base = geometry.unwrap_or_else(XCacheConfig::widx);
-    let mut cells: Vec<ShardCell<BankGroup>> = (0..shards)
-        .map(|s| {
-            let mut cfg = shard_geometry(&base, shards);
-            cfg.hash_latency = workload.hash_latency;
-            cfg = cfg.with_params(vec![bucket_base, NODE_BYTES, mask]);
-            let bank = BankGroup::new(
-                BankGroupConfig {
-                    shards,
-                    shard_id: s,
-                    ..BankGroupConfig::default()
-                },
-                DramModel::with_memory(DramConfig::default(), mem.clone()),
-            );
-            let xc = XCache::new(cfg, walker(), bank).expect("valid widx shard");
-            ShardCell::new(s, xc, DEFAULT_LINK_LATENCY)
-        })
-        .collect();
+    let mut cells = shard_cells(&base, shards, &mem, walker, |mut cfg| {
+        cfg.hash_latency = workload.hash_latency;
+        cfg.with_params(vec![bucket_base, NODE_BYTES, mask])
+    })?;
 
     // Route every probe to its owner shard up front; the crossbar's
     // 1-message-per-cycle lanes pace actual delivery, so issue order per
@@ -379,14 +354,19 @@ fn drive_xcache_sharded(
 
     let total = workload.probes.len();
     let max_cycles = 2_000 * total as u64 + 1_000_000;
+    let mut answered = Answered::new(total);
     let mut done = 0usize;
     let mut checksum = 0u64;
     let mut end = Cycle::ZERO;
-    let mut deadlocked = false;
+    let mut err = None;
     let cells = run_horizons(cells, Cycle::ZERO, |cells, t| {
         for cell in cells {
             let mut cell = cell.lock().expect("shard cell poisoned");
             while let Some((at, resp)) = cell.recv_response(t) {
+                if let Err(e) = answered.record(resp.id, total) {
+                    err = Some(e);
+                    return None;
+                }
                 if resp.found {
                     // Node layout: [key, rid, next, pad].
                     checksum = checksum.wrapping_add(resp.data[1]);
@@ -401,25 +381,20 @@ fn drive_xcache_sharded(
             return None;
         }
         if t.raw() >= max_cycles {
-            deadlocked = true;
+            err = Some(format!(
+                "sharded widx run exceeded {max_cycles} cycles with {done}/{total} probes answered"
+            ));
             return None;
         }
         Some(horizon_target(cells, t, DEFAULT_HORIZON))
     });
-    if deadlocked {
-        return Err(format!(
-            "sharded widx run exceeded {max_cycles} cycles with {done}/{total} probes answered"
-        ));
-    }
-    let mut stats = Stats::new();
-    for cell in &cells {
-        cell.merge_stats_into(&mut stats);
-        cell.xcache().downstream().merge_stats_into(&mut stats);
+    if let Some(e) = err {
+        return Err(e);
     }
     Ok(RunReport {
         label: format!("xcache-sharded{shards}"),
         cycles: end.raw(),
-        stats: stats.snapshot(),
+        stats: shard_stats(&cells).snapshot(),
         checksum,
     })
 }
@@ -550,18 +525,19 @@ pub fn matched_address_cache_config(geometry: &XCacheConfig) -> CacheConfig {
     }
 }
 
-/// Shared probe-engine runner, also used by the DASX model (which passes a
-/// nonzero `per_node_delay` for its hash-coupled walking).
+/// Shared probe-engine runner: `parallelism` ideal walk units over an
+/// address cache configured by `cache_cfg`. The DASX model passes a
+/// nonzero `per_node_delay` for its hash-coupled walking.
 pub(crate) fn run_probe_engine_with(
     workload: &WidxWorkload,
     label: &str,
-    geometry: &XCacheConfig,
+    cache_cfg: CacheConfig,
     parallelism: usize,
     per_node_delay: u64,
 ) -> RunReport {
     let (mem, bucket_base, mask) = memory_image(workload);
     let dram = DramModel::with_memory(DramConfig::default(), mem);
-    let cache = AddressCache::new(matched_address_cache_config(geometry), dram);
+    let cache = AddressCache::new(cache_cfg, dram);
     let tasks = make_probes(workload, bucket_base, mask, per_node_delay);
     let total = tasks.len() as u64;
     let mut engine = crate::common::ProbeEngine::new(cache, tasks, parallelism);
@@ -591,24 +567,7 @@ pub fn run_address_cache_with_policy(
     geometry: &XCacheConfig,
     cache_cfg: CacheConfig,
 ) -> RunReport {
-    let (mem, bucket_base, mask) = memory_image(workload);
-    let dram = DramModel::with_memory(DramConfig::default(), mem);
-    let cache = AddressCache::new(cache_cfg, dram);
-    let tasks = make_probes(workload, bucket_base, mask, 0);
-    let total = tasks.len() as u64;
-    let mut engine = crate::common::ProbeEngine::new(cache, tasks, geometry.active);
-    let (cycles, checksum) = engine.run(5_000 * total + 1_000_000);
-    assert_eq!(checksum, workload.oracle_checksum(), "policy run diverged");
-    let mut stats = Stats::new();
-    stats.merge(engine.stats());
-    stats.merge(engine.port().stats());
-    stats.merge(engine.port().downstream().stats());
-    RunReport {
-        label: "addr-cache".into(),
-        cycles,
-        stats: stats.snapshot(),
-        checksum,
-    }
+    run_probe_engine_with(workload, "addr-cache", cache_cfg, geometry.active, 0)
 }
 
 /// Runs the address-based cache with an ideal walker (§8.1): the same
@@ -618,7 +577,13 @@ pub fn run_address_cache_with_policy(
 #[must_use]
 pub fn run_address_cache(workload: &WidxWorkload, geometry: Option<XCacheConfig>) -> RunReport {
     let g = geometry.unwrap_or_else(XCacheConfig::widx);
-    run_probe_engine_with(workload, "addr-cache", &g, g.active, 0)
+    run_probe_engine_with(
+        workload,
+        "addr-cache",
+        matched_address_cache_config(&g),
+        g.active,
+        0,
+    )
 }
 
 /// Runs the hardwired Widx baseline: eight dedicated walker units (the
@@ -627,7 +592,7 @@ pub fn run_address_cache(workload: &WidxWorkload, geometry: Option<XCacheConfig>
 #[must_use]
 pub fn run_baseline(workload: &WidxWorkload, geometry: Option<XCacheConfig>) -> RunReport {
     let g = geometry.unwrap_or_else(XCacheConfig::widx);
-    run_probe_engine_with(workload, "baseline", &g, 8, 0)
+    run_probe_engine_with(workload, "baseline", matched_address_cache_config(&g), 8, 0)
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@
 //!   and Widx across `#Active/#Exe` ∈ {4/1, 8/2, 16/4, 32/8}.
 //! - `fig14` — one cell per DSA cluster (Widx Q19/Q20/Q22, DASX,
 //!   GraphPulse, SpArch, Gamma), each evaluated in all three storage
-//!   configurations, mirroring `dsa_scenarios`.
+//!   configurations: `xcache_bench::DsaCluster`, as `dsa_scenarios` runs
+//!   them.
 //! - `demo` — a synthetic grid of cheap splitmix cells, for tests and
 //!   saturation drills where simulation time would be noise.
 //!
@@ -23,10 +24,13 @@
 
 use std::sync::Arc;
 
-use xcache_bench::{graphpulse_geometry, spgemm_geometry, widx_geometry, widx_workload, Cell};
+use xcache_bench::{
+    graphpulse_geometry, graphpulse_workload, widx_geometry, widx_workload, Cell, DsaCluster,
+    FIG18_GRID,
+};
 use xcache_core::{splitmix64, XCacheConfig};
-use xcache_dsa::{dasx, graphpulse, spgemm, widx};
-use xcache_workloads::{CsrMatrix, Graph, GraphPreset, QueryClass, SparsePattern};
+use xcache_dsa::{graphpulse, widx};
+use xcache_workloads::QueryClass;
 
 use crate::journal::checksum;
 use crate::json::{json_str, Value};
@@ -230,32 +234,17 @@ pub fn to_runner_cells(specs: &[CellSpec]) -> Vec<Cell<'static>> {
         .collect()
 }
 
-/// Figure-18 sweep grid: `#Active/#Exe` points for both DSAs.
-const FIG18_GRID: [(usize, usize); 4] = [(4, 1), (8, 2), (16, 4), (32, 8)];
-
 fn fig18_cells(scale: u32, seed: u64) -> Vec<CellSpec> {
     let mut out = Vec::new();
     for (active, exe) in FIG18_GRID {
         out.push(CellSpec {
             label: format!("graphpulse {active}/{exe}"),
             run: Arc::new(move || {
-                let (n, e) = GraphPreset::P2pGnutella08.dims();
-                let n = (n / scale).max(64);
-                let e = (e / scale as usize).max(256);
-                let w = graphpulse::GraphPulseWorkload {
-                    graph: Graph::from_adjacency(CsrMatrix::generate(
-                        n,
-                        n,
-                        e,
-                        SparsePattern::RMat,
-                        seed,
-                    )),
-                    iterations: 2,
-                };
+                let w = graphpulse_workload(scale, seed);
                 let g = XCacheConfig {
                     active,
                     exe,
-                    ..graphpulse_geometry(n)
+                    ..graphpulse_geometry(w.graph.vertices())
                 };
                 let cycles = graphpulse::run_xcache(&w, Some(g)).cycles;
                 xcache_bench::note_sim_cycles(cycles);
@@ -300,100 +289,13 @@ fn dsa_payload(run: &xcache_bench::DsaRun) -> String {
 }
 
 fn fig14_cells(scale: u32, seed: u64) -> Vec<CellSpec> {
-    let mut out = Vec::new();
-    for class in QueryClass::all() {
-        let name = format!("Widx {}", class.name());
-        out.push(CellSpec {
-            label: name.clone(),
-            run: Arc::new(move || {
-                let w = widx_workload(class, scale, seed);
-                let g = widx_geometry(scale);
-                let run = xcache_bench::DsaRun {
-                    name: name.clone(),
-                    geometry: g.clone(),
-                    xcache: widx::run_xcache(&w, Some(g.clone())),
-                    addr: widx::run_address_cache(&w, Some(g.clone())),
-                    baseline: widx::run_baseline(&w, Some(g)),
-                };
-                xcache_bench::note_sim_cycles(run.sim_cycles());
-                Ok(dsa_payload(&run))
-            }),
-        });
-    }
-    out.push(CellSpec {
-        label: "DASX".into(),
-        run: Arc::new(move || {
-            let w = dasx::DasxWorkload::from_preset(
-                &{
-                    let mut p = QueryClass::Q22.preset().scaled_down(scale as usize);
-                    p.probes = (p.probes * 3).max(2_000);
-                    p
-                },
-                seed,
-            );
-            let mut g = widx_geometry(scale);
-            g.exe = XCacheConfig::dasx().exe;
-            let run = xcache_bench::DsaRun {
-                name: "DASX".into(),
-                geometry: g.clone(),
-                xcache: dasx::run_xcache(&w, Some(g.clone())),
-                addr: dasx::run_address_cache(&w, Some(g.clone())),
-                baseline: dasx::run_baseline(&w, Some(g)),
-            };
-            xcache_bench::note_sim_cycles(run.sim_cycles());
-            Ok(dsa_payload(&run))
-        }),
-    });
-    out.push(CellSpec {
-        label: "GraphPulse p2p-08".into(),
-        run: Arc::new(move || {
-            let (n, e) = GraphPreset::P2pGnutella08.dims();
-            let n = (n / scale).max(64);
-            let e = (e / scale as usize).max(256);
-            let w = graphpulse::GraphPulseWorkload {
-                graph: Graph::from_adjacency(CsrMatrix::generate(
-                    n,
-                    n,
-                    e,
-                    SparsePattern::RMat,
-                    seed,
-                )),
-                iterations: 2,
-            };
-            let g = graphpulse_geometry(n);
-            let run = xcache_bench::DsaRun {
-                name: "GraphPulse p2p-08".into(),
-                geometry: g.clone(),
-                xcache: graphpulse::run_xcache(&w, Some(g.clone())),
-                addr: graphpulse::run_address_cache(&w, Some(g)),
-                baseline: graphpulse::run_baseline(&w, 1),
-            };
-            xcache_bench::note_sim_cycles(run.sim_cycles());
-            Ok(dsa_payload(&run))
-        }),
-    });
-    for alg in [
-        spgemm::Algorithm::OuterProduct,
-        spgemm::Algorithm::Gustavson,
-    ] {
-        out.push(CellSpec {
-            label: format!("{} p2p-31", alg.name()),
-            run: Arc::new(move || {
-                let w = spgemm::SpgemmWorkload::paper_like(alg, scale, seed);
-                let g = spgemm_geometry(scale);
-                let run = xcache_bench::DsaRun {
-                    name: format!("{} p2p-31", alg.name()),
-                    geometry: g.clone(),
-                    xcache: spgemm::run_xcache(&w, Some(g.clone())),
-                    addr: spgemm::run_address_cache(&w, Some(g.clone())),
-                    baseline: spgemm::run_baseline(&w, Some(g)),
-                };
-                xcache_bench::note_sim_cycles(run.sim_cycles());
-                Ok(dsa_payload(&run))
-            }),
-        });
-    }
-    out
+    DsaCluster::all()
+        .into_iter()
+        .map(|cluster| CellSpec {
+            label: cluster.name(),
+            run: Arc::new(move || Ok(dsa_payload(&cluster.run(scale, seed)))),
+        })
+        .collect()
 }
 
 fn demo_cells(cells: u32, seed: u64) -> Vec<CellSpec> {
