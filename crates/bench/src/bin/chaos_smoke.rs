@@ -17,7 +17,8 @@
 //!
 //! Environment:
 //!
-//! * `XCACHE_CHAOS_SEEDS` — number of program seeds (default 25).
+//! * `XCACHE_CHAOS_SEEDS` — number of program seeds (default 25; 0 exits
+//!   2).
 //! * `XCACHE_CHAOS_BASE_SEED` — first seed (default 0).
 //! * `XCACHE_FAULT_SEED` — chaos seed the per-run plans derive from
 //!   (default `0xFA01`).
@@ -31,13 +32,13 @@ use std::fs;
 use std::process::ExitCode;
 
 use xcache_bench::chaos::{
-    cell_has_violation, chaos_jobs_differential, chaos_skip_differential,
-    dsa_chaos_jobs_differential, dsa_chaos_skip_differential, ChaosCell,
+    cell_has_violation, run_dsa_chaos_cell, run_fuzz_chaos, ChaosCell, ChaosReport,
 };
 use xcache_bench::fuzz::DEFAULT_ACCESSES;
+use xcache_bench::{jobs_differential, skip_differential};
 
 fn main() -> ExitCode {
-    let count = xcache_bench::env_u64_or("XCACHE_CHAOS_SEEDS", 25);
+    let count = xcache_bench::seed_count("XCACHE_CHAOS_SEEDS", 25);
     let base = xcache_bench::env_u64_or("XCACHE_CHAOS_BASE_SEED", 0);
     let fault_seed = xcache_bench::env_u64_or("XCACHE_FAULT_SEED", 0xFA01);
     let scale = xcache_bench::scale();
@@ -56,7 +57,9 @@ fn main() -> ExitCode {
     let mut stalls = 0usize;
     let mut clean = 0usize;
     for &seed in &seeds {
-        match chaos_skip_differential(seed, fault_seed, DEFAULT_ACCESSES) {
+        let label = format!("chaos seed {seed} (fault seed {fault_seed})");
+        let run = || run_fuzz_chaos(seed, fault_seed, DEFAULT_ACCESSES);
+        match skip_differential(&label, run, ChaosReport::stats_json) {
             Ok(report) => {
                 stalls += report.stall_reports.len();
                 if report.ok() {
@@ -84,7 +87,9 @@ fn main() -> ExitCode {
          {stalls} stall report(s) recovered by the watchdog"
     );
 
-    match chaos_jobs_differential(&seeds, fault_seed, DEFAULT_ACCESSES) {
+    match jobs_differential("chaos seed", &seeds, |seed| {
+        run_fuzz_chaos(seed, fault_seed, DEFAULT_ACCESSES).stats_json()
+    }) {
         Ok(_) => println!("chaos jobs=1 vs jobs=2 differential: {count}/{count} seeds agree"),
         Err(e) => {
             failures += 1;
@@ -94,25 +99,23 @@ fn main() -> ExitCode {
     }
 
     // DSA cells: skip differential (inline) + jobs differential.
-    match dsa_chaos_skip_differential(scale, 42, fault_seed) {
-        Ok(cells) => {
-            for (rendered, cell) in cells.iter().zip(ChaosCell::ALL) {
-                if cell_has_violation(rendered) {
-                    failures += 1;
-                    eprintln!("FAIL dsa cell {}: {rendered}", cell.name());
-                    let _ = writeln!(artifact, "dsa cell {}: {rendered}", cell.name());
-                } else {
-                    println!("dsa chaos cell {}: clean, skip-vs-step agree", cell.name());
-                }
+    let dsa_cell = |cell| run_dsa_chaos_cell(cell, scale, 42, fault_seed);
+    for cell in ChaosCell::ALL {
+        match skip_differential(cell.name(), || dsa_cell(cell), String::clone) {
+            Ok(rendered) if cell_has_violation(&rendered) => {
+                failures += 1;
+                eprintln!("FAIL dsa cell {}: {rendered}", cell.name());
+                let _ = writeln!(artifact, "dsa cell {}: {rendered}", cell.name());
+            }
+            Ok(_) => println!("dsa chaos cell {}: clean, skip-vs-step agree", cell.name()),
+            Err(e) => {
+                failures += 1;
+                eprintln!("FAIL {e}");
+                let _ = writeln!(artifact, "{e}");
             }
         }
-        Err(e) => {
-            failures += 1;
-            eprintln!("FAIL {e}");
-            let _ = writeln!(artifact, "{e}");
-        }
     }
-    match dsa_chaos_jobs_differential(scale, 42, fault_seed) {
+    match jobs_differential("chaos cell", &ChaosCell::ALL, dsa_cell) {
         Ok(_) => println!("dsa chaos cells: jobs=1 vs jobs=2 agree"),
         Err(e) => {
             failures += 1;

@@ -1,13 +1,13 @@
 //! Differential cross-validation smoke: the cycle-level simulator vs the
 //! analytical `xcache-oracle` model.
 //!
-//! Runs `XCACHE_CROSSVAL_SEEDS` fuzz seeds (default 50) through both the
-//! serially-driven (**Exact**) and pipelined (**Bounded**) classes, plus
-//! the paper's Widx and SpGEMM scenario cells, and fails if any cell
-//! disagrees beyond its declared tolerance (see
-//! `xcache_bench::crossval`). On failure the full per-cell comparison is
-//! written to `results/crossval/disagreements.txt` so CI can upload it
-//! as an artifact.
+//! Runs `XCACHE_CROSSVAL_SEEDS` fuzz seeds (default 50; 0 exits 2)
+//! through both the serially-driven (**Exact**) and pipelined
+//! (**Bounded**) classes, plus the paper's Widx and SpGEMM scenario
+//! cells, and fails if any cell disagrees beyond its declared tolerance
+//! (see `xcache_bench::crossval`). On failure the full per-cell
+//! comparison is written to `results/crossval/disagreements.txt` so CI
+//! can upload it as an artifact.
 //!
 //! ```text
 //! XCACHE_CROSSVAL_SEEDS=100 cargo run --release --bin crossval_smoke
@@ -19,7 +19,7 @@ use xcache_bench::crossval::{self, CellReport, Tolerance};
 use xcache_bench::fuzz::DEFAULT_ACCESSES;
 
 fn main() -> ExitCode {
-    let seeds = crossval::crossval_seeds();
+    let seeds = xcache_bench::seed_count("XCACHE_CROSSVAL_SEEDS", 50);
     println!("cross-validating {seeds} fuzz seeds (serial + pipelined) + scenario cells\n");
 
     let reports = crossval::run_suite(seeds, DEFAULT_ACCESSES);

@@ -9,16 +9,17 @@
 //!
 //! Environment:
 //!
-//! * `XCACHE_FUZZ_SEEDS` — number of seeds (default 200).
+//! * `XCACHE_FUZZ_SEEDS` — number of seeds (default 200; 0 exits 2).
 //! * `XCACHE_FUZZ_BASE_SEED` — first seed (default 0), for re-running a
 //!   failing window locally.
 
 use std::process::ExitCode;
 
-use xcache_bench::fuzz::{jobs_differential, skip_differential, DEFAULT_ACCESSES};
+use xcache_bench::fuzz::{run_seed, FuzzReport, DEFAULT_ACCESSES};
+use xcache_bench::{jobs_differential, skip_differential};
 
 fn main() -> ExitCode {
-    let count = xcache_bench::env_u64_or("XCACHE_FUZZ_SEEDS", 200);
+    let count = xcache_bench::seed_count("XCACHE_FUZZ_SEEDS", 200);
     let base = xcache_bench::env_u64_or("XCACHE_FUZZ_BASE_SEED", 0);
     let seeds: Vec<u64> = (base..base + count).collect();
     println!(
@@ -28,7 +29,13 @@ fn main() -> ExitCode {
 
     let mut failures = 0usize;
     for &seed in &seeds {
-        if let Err(e) = skip_differential(seed, DEFAULT_ACCESSES) {
+        let run = || run_seed(seed, DEFAULT_ACCESSES);
+        let checked = skip_differential(&format!("seed {seed}"), run, FuzzReport::stats_json)
+            .and_then(|r| {
+                r.hang
+                    .map_or(Ok(()), |h| Err(format!("seed {seed}: hung: {h}")))
+            });
+        if let Err(e) = checked {
             eprintln!("FAIL {e}");
             failures += 1;
         }
@@ -38,7 +45,9 @@ fn main() -> ExitCode {
         count as usize - failures
     );
 
-    match jobs_differential(&seeds, DEFAULT_ACCESSES) {
+    match jobs_differential("fuzz seed", &seeds, |seed| {
+        run_seed(seed, DEFAULT_ACCESSES).stats_json()
+    }) {
         Ok(_) => println!("jobs=1 vs jobs=2 differential: {count}/{count} seeds byte-identical"),
         Err(e) => {
             eprintln!("FAIL {e}");

@@ -1,64 +1,60 @@
-//! Chaos harness: the fuzz/differential machinery re-run under seeded
-//! fault plans with a tightened watchdog budget.
+//! Chaos harness: the generated-program runs and the DSA drives re-run
+//! under seeded fault plans with a tightened watchdog budget.
 //!
 //! Two layers, both replayable byte-for-byte from `(seed, fault_seed)`:
 //!
-//! * **Fuzz-program chaos** ([`run_fuzz_chaos`]) — the PR-3 generated
-//!   walker programs run under the aggressive [`DEFAULT_CHAOS_SPEC`]
-//!   (fill drops, delays, ECC flips, port/response stalls, meta-tag
-//!   misfires). There is no functional oracle for a faulted run, so the
-//!   checks are *liveness and conservation* invariants: every access is
-//!   answered exactly once, the run terminates well inside its cycle
+//! * **Fuzz-program chaos** ([`run_fuzz_chaos`]) — the generated walker
+//!   programs, through the one fixture and drive of [`crate::fuzz`], run
+//!   under the aggressive [`DEFAULT_CHAOS_SPEC`] (fill drops, delays, ECC
+//!   flips, port/response stalls, meta-tag misfires). There is no
+//!   functional oracle for a faulted run, so the checks are *liveness and
+//!   conservation* invariants: the run terminates well inside its cycle
 //!   bound (the watchdog converts stuck walks into retries or contained
-//!   kills), and `walker_launch == walker_retire + walker_fault +
-//!   walker_replay` at quiescence. [`chaos_skip_differential`] and
-//!   [`chaos_jobs_differential`] then demand the usual byte-identity
-//!   under fast-forwarding on/off and 1-vs-2 runner jobs — with faults
-//!   armed, which is exactly when per-tick randomness would betray
-//!   itself.
+//!   kills), the instance quiesces after the stream, every access is
+//!   answered exactly once, and `walker_launch == walker_retire +
+//!   walker_fault + walker_replay` at quiescence.
 //!
-//! * **DSA chaos cells** ([`dsa_chaos_cells`]) — the fig04 Widx workload
-//!   (coroutine and blocking-thread disciplines, fig07's axis) under the
-//!   timing-only [`DSA_TIMING_SPEC`]: delays and stalls may reshape the
-//!   schedule but must not change what the walks compute, so the oracle
-//!   checksum still binds and is checked. The GraphPulse cell runs the
-//!   full [`DEFAULT_CHAOS_SPEC`]; its walker never touches DRAM (event
-//!   payloads live on-chip), so most kinds are structurally inert there
-//!   and the cell asserts termination under an armed plan plus the
-//!   skip/jobs byte-identity. Three cells run the 4-shard topology under
-//!   [`SHARD_CHAOS_SPEC`], which adds the bank-conflict-storm and
-//!   crossbar link-delay kinds — still timing-only — so the
-//!   differentials exercise fault determinism *through the parallel-time
-//!   machinery*: sharded Widx (fig04 workload) and sharded SpGEMM
-//!   (Gustavson), where the oracle checksum binds and is enforced, and
-//!   sharded GraphPulse, where on-chip-only event state makes the
-//!   checksum unenforceable and the cell asserts termination only. The
-//!   Widx and SpGEMM drives also fail a run that answers a probe or
-//!   element twice, or one they never issued, so their cells enforce
+//! * **DSA chaos cells** ([`run_dsa_chaos_cell`]) — the fig04 Widx
+//!   workload (coroutine and blocking-thread disciplines, fig07's axis)
+//!   under the timing-only [`DSA_TIMING_SPEC`]: delays and stalls may
+//!   reshape the schedule but must not change what the walks compute, so
+//!   the oracle checksum still binds and is checked. The GraphPulse cell
+//!   runs the full [`DEFAULT_CHAOS_SPEC`]; its walker never touches DRAM
+//!   (event payloads live on-chip), so most kinds are structurally inert
+//!   there and the cell asserts termination under an armed plan. Three
+//!   cells run the 4-shard topology under [`SHARD_CHAOS_SPEC`], which adds
+//!   the bank-conflict-storm and crossbar link-delay kinds — still
+//!   timing-only — so the differentials exercise fault determinism
+//!   *through the parallel-time machinery*: sharded Widx (fig04 workload)
+//!   and sharded SpGEMM (Gustavson), where the oracle checksum binds and
+//!   is enforced, and sharded GraphPulse, where on-chip-only event state
+//!   makes the checksum unenforceable and the cell asserts termination
+//!   only. The Widx and SpGEMM drives also fail a run that answers a probe
+//!   or element twice, or one they never issued, so their cells enforce
 //!   exactly-once completion as well.
 //!
-//! The `chaos_smoke` binary drives both layers over `XCACHE_CHAOS_SEEDS`
-//! seeds in CI and dumps violating runs (with their harvested
-//! [`StallReport`](xcache_sim::StallReport)s) under `results/chaos/`.
+//! Both layers render each run to a string, and the `chaos_smoke` binary
+//! demands those renderings be byte-identical with fast-forwarding on and
+//! off ([`crate::skip_differential`]) and at one and two runner jobs
+//! ([`crate::jobs_differential`]) — with faults armed, which is exactly
+//! when per-tick randomness would betray itself. It drives both layers
+//! over `XCACHE_CHAOS_SEEDS` seeds in CI and dumps violating runs (with
+//! their harvested [`StallReport`](xcache_sim::StallReport)s) under
+//! `results/chaos/`.
 
-use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::Debug;
 use std::sync::Arc;
 
-use xcache_core::{splitmix64, WalkerDiscipline, XCache, XCacheConfig};
-use xcache_dsa::{graphpulse, widx};
-use xcache_isa::gen;
-use xcache_isa::{EventId, StateId};
-use xcache_mem::{DramConfig, DramModel, MainMemory, MemoryPort};
-use xcache_sim::{
-    with_fault_plan, with_skip, with_watchdog_budget, Cycle, FaultPlan, StatsSnapshot,
-};
+use xcache_core::{splitmix64, WalkerDiscipline};
+use xcache_dsa::{graphpulse, widx, RunReport};
+use xcache_mem::MemoryPort;
+use xcache_sim::{with_fault_plan, with_watchdog_budget, FaultPlan, StatsSnapshot};
 use xcache_workloads::QueryClass;
 
-use crate::fuzz::{access_stream, FUZZ_BASE, WINDOW_BYTES};
-use crate::runner::{Runner, Scenario};
+use crate::fuzz::{drive, fixture, merged_stats};
 use crate::{
-    graphpulse_geometry, graphpulse_workload, note_sim_cycles, widx_geometry, widx_workload,
+    counters_json, graphpulse_geometry, graphpulse_workload, note_sim_cycles, widx_geometry,
+    widx_workload,
 };
 
 /// The aggressive spec for fuzz-program chaos: every fault kind armed at
@@ -119,33 +115,24 @@ impl ChaosReport {
     /// the determinism contract).
     #[must_use]
     pub fn stats_json(&self) -> String {
-        let mut out = format!(
-            "{{\"seed\":{},\"fault_seed\":{},\"cycles\":{},\"checksum\":{},\"stalls\":[",
-            self.seed, self.fault_seed, self.cycles, self.checksum
-        );
-        for (i, s) in self.stall_reports.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{s:?}");
-        }
-        out.push_str("],\"violations\":[");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{v:?}");
-        }
-        out.push_str("],\"counters\":{");
-        for (i, (k, v)) in self.stats.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":{v}");
-        }
-        out.push_str("}}");
-        out
+        format!(
+            "{{\"seed\":{},\"fault_seed\":{},\"cycles\":{},\"checksum\":{},\"stalls\":{},\
+             \"violations\":{},\"counters\":{}}}",
+            self.seed,
+            self.fault_seed,
+            self.cycles,
+            self.checksum,
+            debug_list(&self.stall_reports),
+            debug_list(&self.violations),
+            counters_json(&self.stats)
+        )
     }
+}
+
+/// `items` as a JSON list of their `Debug` renderings.
+fn debug_list<T: Debug>(items: &[T]) -> String {
+    let items: Vec<String> = items.iter().map(|v| format!("{v:?}")).collect();
+    format!("[{}]", items.join(","))
 }
 
 /// The per-run fault plan: one spec, seeded from the chaos seed mixed
@@ -156,10 +143,12 @@ fn plan_for(spec: &str, fault_seed: u64, salt: u64) -> Arc<FaultPlan> {
     Arc::new(FaultPlan::parse(spec, seed).expect("chaos spec parses"))
 }
 
-/// Runs the program generated from `seed` over its synthetic workload
-/// (exactly [`crate::fuzz::run_seed`]'s setup) under the
-/// [`DEFAULT_CHAOS_SPEC`] fault plan and the chaos watchdog budget,
-/// checking liveness and conservation instead of a functional oracle.
+/// Runs the generated-program fixture for `seed` through the fuzz drive
+/// (exactly [`crate::fuzz::run_seed`]'s run) under the
+/// [`DEFAULT_CHAOS_SPEC`] fault plan and the chaos watchdog budget, then
+/// checks liveness and conservation instead of a functional oracle: the
+/// run ends inside its cycle bound, the instance quiesces, every access
+/// is answered exactly once, and walker accounting balances.
 ///
 /// The fault-plan and watchdog overrides are applied *inside* this
 /// function, so it is safe to call from runner worker threads.
@@ -168,183 +157,63 @@ pub fn run_fuzz_chaos(seed: u64, fault_seed: u64, accesses: usize) -> ChaosRepor
     let plan = plan_for(DEFAULT_CHAOS_SPEC, fault_seed, seed);
     with_fault_plan(Some(plan), || {
         with_watchdog_budget(CHAOS_WATCHDOG_BUDGET, || {
-            chaos_drive(seed, fault_seed, accesses)
+            let (mut xc, stream) = fixture(seed, accesses);
+            let run = drive(&mut xc, &stream, usize::MAX);
+            let mut answers = run.answers;
+            let mut violations: Vec<String> = run
+                .hang
+                .into_iter()
+                .map(|h| format!("hung: {h} (watchdog failed to keep the run live)"))
+                .collect();
+
+            // Quiesce: no walk may outlive its access stream, and nothing
+            // may answer twice. Single-stepped, so both skip modes drain
+            // identically.
+            let mut now = run.end;
+            let mut spins = 0u32;
+            while xc.busy() || xc.downstream().busy() {
+                now = now.next();
+                xc.tick(now);
+                while let Some(resp) = xc.take_response(now) {
+                    *answers.entry(resp.id).or_insert(0) += 1;
+                    violations.push(format!(
+                        "stray response for access {} after the stream completed",
+                        resp.id
+                    ));
+                }
+                spins += 1;
+                if spins > 200_000 {
+                    violations.push("instance never quiesced after the stream completed".into());
+                    break;
+                }
+            }
+
+            for (id, n) in answers.iter().filter(|&(_, &n)| n > 1) {
+                violations.push(format!("access {id} answered {n} times"));
+            }
+
+            let launched = xc.stats().get("xcache.walker_launch");
+            let retired = xc.stats().get("xcache.walker_retire");
+            let faulted = xc.stats().get("xcache.walker_fault");
+            let replayed = xc.stats().get("xcache.walker_replay");
+            if launched != retired + faulted + replayed {
+                violations.push(format!(
+                    "walker conservation violated: {launched} launched != \
+                     {retired} retired + {faulted} faulted + {replayed} replayed"
+                ));
+            }
+
+            ChaosReport {
+                seed,
+                fault_seed,
+                cycles: now.raw(),
+                checksum: run.checksum,
+                stall_reports: xc.stall_reports().iter().map(ToString::to_string).collect(),
+                violations,
+                stats: merged_stats(&xc),
+            }
         })
     })
-}
-
-#[allow(clippy::too_many_lines)]
-fn chaos_drive(seed: u64, fault_seed: u64, accesses: usize) -> ChaosReport {
-    let program = gen::generate(seed);
-    let has_store = program
-        .table
-        .lookup(StateId::DEFAULT, EventId::UPDATE)
-        .is_some();
-    let stream = access_stream(seed, accesses, has_store);
-
-    let mut mem = MainMemory::new();
-    let mut x = seed;
-    for w in 0..WINDOW_BYTES / 8 {
-        x = splitmix64(x);
-        mem.write_u64(FUZZ_BASE + w * 8, x);
-    }
-    let dram = DramModel::with_memory(DramConfig::test_tiny(), mem);
-    let cfg = XCacheConfig::test_tiny().with_params(vec![FUZZ_BASE]);
-    let mut xc = XCache::new(cfg, program, dram).expect("generated program is verifier-clean");
-
-    let mut violations = Vec::new();
-    let mut responses: HashMap<u64, u64> = HashMap::new();
-    let mut now = Cycle(0);
-    let mut next = 0usize;
-    let mut done = 0usize;
-    let mut checksum = 0u64;
-    let total = stream.len();
-    let max_cycles = 2_000 * total as u64 + 1_000_000;
-    while done < total {
-        while next < total && xc.can_accept() {
-            xc.try_access(now, stream[next])
-                .expect("can_accept checked");
-            next += 1;
-        }
-        xc.tick(now);
-        while let Some(resp) = xc.take_response(now) {
-            *responses.entry(resp.id).or_insert(0) += 1;
-            checksum = checksum
-                .wrapping_add(splitmix64(resp.id ^ u64::from(resp.found)))
-                .wrapping_add(resp.data.iter().fold(0u64, |a, &w| a.wrapping_add(w)));
-            done += 1;
-        }
-        if done >= total {
-            break;
-        }
-        let mut wake = xc.next_event(now);
-        if next < total && xc.can_accept() {
-            wake = Some(now.next());
-        }
-        now = xcache_sim::fast_forward(now, wake);
-        if now.raw() >= max_cycles {
-            violations.push(format!(
-                "hung: {done}/{total} accesses answered after {max_cycles} cycles \
-                 (watchdog failed to keep the run live)"
-            ));
-            break;
-        }
-    }
-
-    // Quiesce: no walk may outlive its access stream, and nothing may
-    // answer twice. Single-stepped, so both skip modes drain identically.
-    let mut spins = 0u32;
-    while xc.busy() || xc.downstream().busy() {
-        now = now.next();
-        xc.tick(now);
-        while let Some(resp) = xc.take_response(now) {
-            *responses.entry(resp.id).or_insert(0) += 1;
-            violations.push(format!(
-                "stray response for access {} after the stream completed",
-                resp.id
-            ));
-        }
-        spins += 1;
-        if spins > 200_000 {
-            violations.push("instance never quiesced after the stream completed".into());
-            break;
-        }
-    }
-
-    let mut dups: Vec<(u64, u64)> = responses
-        .iter()
-        .filter(|&(_, &n)| n > 1)
-        .map(|(&id, &n)| (id, n))
-        .collect();
-    dups.sort_unstable();
-    for (id, n) in dups {
-        violations.push(format!("access {id} answered {n} times"));
-    }
-
-    let launched = xc.stats().get("xcache.walker_launch");
-    let retired = xc.stats().get("xcache.walker_retire");
-    let faulted = xc.stats().get("xcache.walker_fault");
-    let replayed = xc.stats().get("xcache.walker_replay");
-    if launched != retired + faulted + replayed {
-        violations.push(format!(
-            "walker conservation violated: {launched} launched != \
-             {retired} retired + {faulted} faulted + {replayed} replayed"
-        ));
-    }
-
-    let stall_reports = xc.stall_reports().iter().map(ToString::to_string).collect();
-    let mut stats = xc.stats().clone();
-    stats.merge(xc.downstream().stats());
-    ChaosReport {
-        seed,
-        fault_seed,
-        cycles: now.raw(),
-        checksum,
-        stall_reports,
-        violations,
-        stats: stats.snapshot(),
-    }
-}
-
-/// Runs `seed` under chaos with fast-forwarding on and off and demands
-/// byte-identical reports. Returns the (shared) fast report — including
-/// its invariant verdict — on agreement.
-///
-/// `with_skip` is thread-local: call this on the thread that owns the
-/// comparison (never through the multi-threaded [`Runner`]).
-///
-/// # Errors
-///
-/// Returns `Err` with both renderings when the runs diverge.
-pub fn chaos_skip_differential(
-    seed: u64,
-    fault_seed: u64,
-    accesses: usize,
-) -> Result<ChaosReport, String> {
-    let fast = with_skip(true, || run_fuzz_chaos(seed, fault_seed, accesses));
-    let slow = with_skip(false, || run_fuzz_chaos(seed, fault_seed, accesses));
-    let (fj, sj) = (fast.stats_json(), slow.stats_json());
-    if fj == sj {
-        Ok(fast)
-    } else {
-        Err(format!(
-            "seed {seed} (fault seed {fault_seed}): chaos skip and no-skip runs diverged\n  \
-             skip:    {fj}\n  no-skip: {sj}"
-        ))
-    }
-}
-
-/// Runs every seed under chaos through the [`Runner`] at one and two
-/// worker threads and demands the per-seed JSON vectors agree.
-///
-/// # Errors
-///
-/// Returns `Err` naming the first diverging seed otherwise.
-pub fn chaos_jobs_differential(
-    seeds: &[u64],
-    fault_seed: u64,
-    accesses: usize,
-) -> Result<Vec<String>, String> {
-    let grid = || {
-        seeds
-            .iter()
-            .map(|&seed| {
-                Scenario::new(format!("chaos seed {seed}"), move || {
-                    run_fuzz_chaos(seed, fault_seed, accesses).stats_json()
-                })
-            })
-            .collect::<Vec<_>>()
-    };
-    let seq = Runner::with_jobs(1).run(grid());
-    let par = Runner::with_jobs(2).run(grid());
-    for ((s, p), seed) in seq.iter().zip(&par).zip(seeds) {
-        if s != p {
-            return Err(format!(
-                "seed {seed}: chaos jobs=1 and jobs=2 runs diverged\n  jobs=1: {s}\n  jobs=2: {p}"
-            ));
-        }
-    }
-    Ok(seq)
 }
 
 /// One DSA scenario run under chaos.
@@ -406,37 +275,6 @@ impl ChaosCell {
             ChaosCell::GraphPulseSharded => "graphpulse-sharded",
         }
     }
-}
-
-/// Canonical rendering of one DSA chaos cell (same shape as
-/// [`ChaosReport::stats_json`], keyed by cell name).
-fn render_cell(
-    cell: ChaosCell,
-    run: Result<&xcache_dsa::RunReport, &str>,
-    oracle_violation: Option<String>,
-) -> String {
-    let mut out = format!("{{\"cell\":\"{}\"", cell.name());
-    match run {
-        Ok(r) => {
-            let _ = write!(out, ",\"cycles\":{},\"checksum\":{}", r.cycles, r.checksum);
-            out.push_str(",\"violations\":[");
-            if let Some(v) = &oracle_violation {
-                let _ = write!(out, "{v:?}");
-            }
-            out.push_str("],\"counters\":{");
-            for (i, (k, v)) in r.stats.counters.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{k}\":{v}");
-            }
-            out.push_str("}}");
-        }
-        Err(e) => {
-            let _ = write!(out, ",\"violations\":[{e:?}]}}");
-        }
-    }
-    out
 }
 
 /// Whether a rendered cell (from [`run_dsa_chaos_cell`]) recorded any
@@ -516,12 +354,13 @@ fn chaos_cell(
     spec: &str,
     fault_seed: u64,
     oracle: Option<(u64, &str)>,
-    drive: impl FnOnce() -> Result<xcache_dsa::RunReport, String>,
+    drive: impl FnOnce() -> Result<RunReport, String>,
 ) -> String {
     let plan = plan_for(spec, fault_seed, cell as u64 + 1);
     let out = with_fault_plan(Some(plan), || {
         with_watchdog_budget(CHAOS_WATCHDOG_BUDGET, drive)
     });
+    let name = cell.name();
     match out {
         Ok(r) => {
             note_sim_cycles(r.cycles);
@@ -534,74 +373,20 @@ fn chaos_cell(
                             r.checksum
                         )
                     });
-            render_cell(cell, Ok(&r), violation)
+            format!(
+                "{{\"cell\":\"{name}\",\"cycles\":{},\"checksum\":{},\"violations\":{},\
+                 \"counters\":{}}}",
+                r.cycles,
+                r.checksum,
+                debug_list(violation.as_slice()),
+                counters_json(&r.stats)
+            )
         }
-        Err(e) => render_cell(cell, Err(&e), None),
+        Err(e) => format!(
+            "{{\"cell\":\"{name}\",\"violations\":{}}}",
+            debug_list(&[e])
+        ),
     }
-}
-
-/// The DSA chaos sweep as a scenario grid (one cell per
-/// [`ChaosCell::ALL`] entry).
-#[must_use]
-pub fn dsa_chaos_cells(scale: u32, seed: u64, fault_seed: u64) -> Vec<Scenario<'static, String>> {
-    ChaosCell::ALL
-        .iter()
-        .map(|&cell| {
-            Scenario::new(format!("chaos {}", cell.name()), move || {
-                run_dsa_chaos_cell(cell, scale, seed, fault_seed)
-            })
-        })
-        .collect()
-}
-
-/// Runs every DSA chaos cell with fast-forwarding on and off (inline, on
-/// this thread) and demands byte-identical renderings.
-///
-/// # Errors
-///
-/// Returns `Err` with both renderings on the first diverging cell.
-pub fn dsa_chaos_skip_differential(
-    scale: u32,
-    seed: u64,
-    fault_seed: u64,
-) -> Result<Vec<String>, String> {
-    let mut out = Vec::new();
-    for cell in ChaosCell::ALL {
-        let fast = with_skip(true, || run_dsa_chaos_cell(cell, scale, seed, fault_seed));
-        let slow = with_skip(false, || run_dsa_chaos_cell(cell, scale, seed, fault_seed));
-        if fast != slow {
-            return Err(format!(
-                "cell {}: chaos skip and no-skip runs diverged\n  skip:    {fast}\n  no-skip: {slow}",
-                cell.name()
-            ));
-        }
-        out.push(fast);
-    }
-    Ok(out)
-}
-
-/// Runs the DSA chaos grid at one and two runner jobs and demands the
-/// renderings agree.
-///
-/// # Errors
-///
-/// Returns `Err` naming the first diverging cell otherwise.
-pub fn dsa_chaos_jobs_differential(
-    scale: u32,
-    seed: u64,
-    fault_seed: u64,
-) -> Result<Vec<String>, String> {
-    let seq = Runner::with_jobs(1).run(dsa_chaos_cells(scale, seed, fault_seed));
-    let par = Runner::with_jobs(2).run(dsa_chaos_cells(scale, seed, fault_seed));
-    for ((s, p), cell) in seq.iter().zip(&par).zip(ChaosCell::ALL) {
-        if s != p {
-            return Err(format!(
-                "cell {}: chaos jobs=1 and jobs=2 runs diverged\n  jobs=1: {s}\n  jobs=2: {p}",
-                cell.name()
-            ));
-        }
-    }
-    Ok(seq)
 }
 
 #[cfg(test)]
@@ -641,13 +426,21 @@ mod tests {
 
     #[test]
     fn chaos_skip_differential_agrees() {
-        let r = chaos_skip_differential(11, 5, 48).expect("skip modes agree under faults");
+        let r = crate::skip_differential(
+            "chaos seed 11",
+            || run_fuzz_chaos(11, 5, 48),
+            ChaosReport::stats_json,
+        )
+        .expect("skip modes agree under faults");
         assert!(r.ok(), "violations: {:?}", r.violations);
     }
 
     #[test]
     fn chaos_jobs_differential_agrees() {
-        let out = chaos_jobs_differential(&[1, 2, 3], 9, 32).expect("job counts agree");
+        let out = crate::jobs_differential("chaos seed", &[1, 2, 3], |seed| {
+            run_fuzz_chaos(seed, 9, 32).stats_json()
+        })
+        .expect("job counts agree");
         assert_eq!(out.len(), 3);
     }
 

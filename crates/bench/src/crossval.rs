@@ -39,13 +39,12 @@
 
 use std::fmt::Write as _;
 
-use xcache_core::{splitmix64, MetaAccess, XCache, XCacheConfig};
-use xcache_isa::{effects, gen};
-use xcache_mem::{DramConfig, DramModel, MainMemory};
+use xcache_core::{MetaAccess, XCacheConfig};
+use xcache_isa::effects;
 use xcache_oracle::{CacheModel, MissPlan, OracleGeometry, OracleOp, Prediction, SideInsert};
-use xcache_sim::{Cycle, TraceKind};
+use xcache_sim::{StatsSnapshot, TraceKind};
 
-use crate::fuzz::{access_stream, FUZZ_BASE, WINDOW_BYTES};
+use crate::fuzz::{drive, fixture, program_and_stream};
 use crate::runner::{Runner, Scenario};
 
 /// How closely a cell's simulator counters must match the oracle.
@@ -145,6 +144,14 @@ impl CellReport {
         });
     }
 
+    /// Records a simulator run that hit its cycle bound as a disagreement.
+    fn hung(&mut self, hang: Option<String>) {
+        if let Some(h) = hang {
+            self.disagreements
+                .push(format!("{}: simulator run hung: {h}", self.name));
+        }
+    }
+
     /// Human-readable rendering (one line per metric plus the verdict) —
     /// what the disagreement artifact records.
     #[must_use]
@@ -189,7 +196,7 @@ pub fn oracle_geometry(cfg: &XCacheConfig) -> OracleGeometry {
 /// emits.
 #[must_use]
 pub fn fuzz_oracle_ops(seed: u64, accesses: usize) -> Vec<OracleOp> {
-    let program = gen::generate(seed);
+    let (program, stream) = program_and_stream(seed, accesses);
     let fx = effects::extract(&program);
     let sectors = u32::try_from(
         fx.install_sectors
@@ -200,7 +207,7 @@ pub fn fuzz_oracle_ops(seed: u64, accesses: usize) -> Vec<OracleOp> {
         !fx.has_side_inserts,
         "generated programs do not side-insert; the plan below would be wrong"
     );
-    access_stream(seed, accesses, fx.has_store_handler)
+    stream
         .iter()
         .map(|a| match a {
             MetaAccess::Load { key, .. } => OracleOp::Load {
@@ -286,63 +293,32 @@ pub fn spgemm_oracle_ops(
 
 /// Everything the serial driver observes about one run.
 struct SerialRun {
-    stats: xcache_sim::StatsSnapshot,
+    stats: StatsSnapshot,
     per_set: Vec<xcache_core::SetCounters>,
     trace_hits: u64,
     trace_misses: u64,
     trace_dropped: u64,
+    hang: Option<String>,
 }
 
-/// Drives fuzz seed `seed` strictly serially: one access in flight, the
-/// response taken before the next is issued. Identical setup to
-/// [`crate::fuzz::run_seed`] otherwise.
+/// Drives fuzz seed `seed` strictly serially: the fixture and drive of
+/// [`crate::fuzz::run_seed`] with one access in flight, so each response
+/// is taken before the next access issues.
 fn run_fuzz_serial(seed: u64, accesses: usize) -> SerialRun {
-    let program = gen::generate(seed);
-    let fx = effects::extract(&program);
-    let stream = access_stream(seed, accesses, fx.has_store_handler);
-
-    let mut mem = MainMemory::new();
-    let mut x = seed;
-    for w in 0..WINDOW_BYTES / 8 {
-        x = splitmix64(x);
-        mem.write_u64(FUZZ_BASE + w * 8, x);
-    }
-    let dram = DramModel::with_memory(DramConfig::test_tiny(), mem);
-    let cfg = XCacheConfig::test_tiny().with_params(vec![FUZZ_BASE]);
-    let mut xc = XCache::new(cfg, program, dram).expect("generated program is verifier-clean");
+    let (mut xc, stream) = fixture(seed, accesses);
     // Every event kind lands in the buffer (yields, wakes, DRAM traffic,
     // retires — not just hits/misses), so size it generously: the tap is
     // only a valid hit/miss tally while nothing has been dropped.
     xc.enable_trace(accesses * 64 + 1024);
-
-    let mut now = Cycle(0);
-    for access in stream {
-        assert!(xc.can_accept(), "idle instance must accept");
-        xc.try_access(now, access).expect("can_accept checked");
-        let deadline = now.raw() + 1_000_000;
-        loop {
-            xc.tick(now);
-            if xc.take_response(now).is_some() {
-                break;
-            }
-            let wake = xc.next_event(now);
-            now = xcache_sim::fast_forward(now, wake);
-            assert!(now.raw() < deadline, "serial fuzz seed {seed} deadlocked");
-        }
-        now = now.next();
-    }
+    let run = drive(&mut xc, &stream, 1);
     let trace = xc.trace();
-    let (trace_hits, trace_misses, trace_dropped) = (
-        trace.count_of_kind(TraceKind::Hit),
-        trace.count_of_kind(TraceKind::Miss),
-        trace.dropped(),
-    );
     SerialRun {
-        per_set: xc.meta_set_counters().to_vec(),
-        trace_hits,
-        trace_misses,
-        trace_dropped,
         stats: xc.stats().snapshot(),
+        per_set: xc.meta_set_counters().to_vec(),
+        trace_hits: trace.count_of_kind(TraceKind::Hit),
+        trace_misses: trace.count_of_kind(TraceKind::Miss),
+        trace_dropped: trace.dropped(),
+        hang: run.hang,
     }
 }
 
@@ -360,6 +336,7 @@ pub fn fuzz_serial_cell(seed: u64, accesses: usize) -> CellReport {
         Tolerance::Exact,
         oracle.loads,
     );
+    report.hung(sim.hang);
     compare_common(&mut report, &sim.stats, &oracle);
     // Serial driving leaves nothing in flight when the next access
     // arrives, so the waiter path must never trigger.
@@ -381,45 +358,32 @@ pub fn fuzz_serial_cell(seed: u64, accesses: usize) -> CellReport {
 }
 
 /// Compares the counters both sides define, honouring the cell tolerance.
-fn compare_common(report: &mut CellReport, sim: &xcache_sim::StatsSnapshot, oracle: &Prediction) {
-    report.check("xcache.hit", sim.get("xcache.hit"), oracle.hits);
-    report.check("xcache.miss", sim.get("xcache.miss"), oracle.misses);
-    report.check(
-        "xcache.store_hit",
-        sim.get("xcache.store_hit"),
-        oracle.store_hits,
-    );
-    report.check(
-        "xcache.store_miss",
-        sim.get("xcache.store_miss"),
-        oracle.store_misses,
-    );
-    report.check(
-        "xcache.meta_alloc",
-        sim.get("xcache.meta_alloc"),
-        oracle.meta_allocs,
-    );
-    report.check(
-        "xcache.meta_evict",
-        sim.get("xcache.meta_evict"),
-        oracle.meta_evictions,
-    );
-    report.check("xcache.insertm", sim.get("xcache.insertm"), oracle.insertm);
-    report.check(
-        "xcache.insertm_skip",
-        sim.get("xcache.insertm_skip"),
-        oracle.insertm_skips,
-    );
-    report.check(
-        "xcache.capacity_evict",
-        sim.get("xcache.capacity_evict"),
-        oracle.capacity_evictions,
-    );
-    report.check(
-        "xcache.walker_fault",
-        sim.get("xcache.walker_fault"),
-        oracle.walker_faults,
-    );
+fn compare_common(report: &mut CellReport, sim: &StatsSnapshot, oracle: &Prediction) {
+    for (metric, predicted) in [
+        ("xcache.hit", oracle.hits),
+        ("xcache.miss", oracle.misses),
+        ("xcache.store_hit", oracle.store_hits),
+        ("xcache.store_miss", oracle.store_misses),
+    ] {
+        report.check(metric, sim.get(metric), predicted);
+    }
+    compare_walker_side(report, sim, oracle);
+}
+
+/// Compares the walker-side structural counters — meta allocations and
+/// evictions, side-inserts, capacity evictions and faults — which both
+/// tolerance classes check.
+fn compare_walker_side(report: &mut CellReport, sim: &StatsSnapshot, oracle: &Prediction) {
+    for (metric, predicted) in [
+        ("xcache.meta_alloc", oracle.meta_allocs),
+        ("xcache.meta_evict", oracle.meta_evictions),
+        ("xcache.insertm", oracle.insertm),
+        ("xcache.insertm_skip", oracle.insertm_skips),
+        ("xcache.capacity_evict", oracle.capacity_evictions),
+        ("xcache.walker_fault", oracle.walker_faults),
+    ] {
+        report.check(metric, sim.get(metric), predicted);
+    }
 }
 
 /// Compares a pipelined run against the oracle.
@@ -430,18 +394,16 @@ fn compare_common(report: &mut CellReport, sim: &xcache_sim::StatsSnapshot, orac
 /// retires *replays* through the front-end and counts a second time as
 /// a hit — so `hit + waiter` systematically overcounts by however many
 /// waiters replayed, which no counter isolates. (Exactly-once answering
-/// is enforced by the harness drivers themselves: their in-flight maps
-/// panic on a duplicate or missing response.) The miss side has no such
-/// ambiguity — a walker launches exactly once per counted miss — so the
-/// comparison anchors on the miss/launch population and the walker-side
-/// structural counters, which also pin down the hit side: the drivers
-/// answer every access exactly once, so predicting the misses *is*
-/// predicting the hits.
-fn compare_pipelined(
-    report: &mut CellReport,
-    sim: &xcache_sim::StatsSnapshot,
-    oracle: &Prediction,
-) {
+/// is checked elsewhere: the Widx and SpGEMM drives return `Err` on a
+/// response for an id they never issued or already answered, which the
+/// checked runs these cells call turn into a panic, and the chaos
+/// harness counts the fuzz drive's answers per access.) The miss side
+/// has no such ambiguity — a walker launches exactly once per counted
+/// miss — so the comparison anchors on the miss/launch population and
+/// the walker-side structural counters, which also pin down the hit
+/// side: the drivers answer every access exactly once, so predicting the
+/// misses *is* predicting the hits.
+fn compare_pipelined(report: &mut CellReport, sim: &StatsSnapshot, oracle: &Prediction) {
     let degraded = sim.get("xcache.degraded_load") + sim.get("xcache.degraded_store");
     report.check_invariant("degraded", degraded, 0);
     report.check(
@@ -449,32 +411,7 @@ fn compare_pipelined(
         sim.get("xcache.miss") + sim.get("xcache.store_miss") + sim.get("xcache.take_miss"),
         oracle.misses + oracle.store_misses + oracle.take_misses,
     );
-    report.check(
-        "xcache.meta_alloc",
-        sim.get("xcache.meta_alloc"),
-        oracle.meta_allocs,
-    );
-    report.check(
-        "xcache.meta_evict",
-        sim.get("xcache.meta_evict"),
-        oracle.meta_evictions,
-    );
-    report.check("xcache.insertm", sim.get("xcache.insertm"), oracle.insertm);
-    report.check(
-        "xcache.insertm_skip",
-        sim.get("xcache.insertm_skip"),
-        oracle.insertm_skips,
-    );
-    report.check(
-        "xcache.capacity_evict",
-        sim.get("xcache.capacity_evict"),
-        oracle.capacity_evictions,
-    );
-    report.check(
-        "xcache.walker_fault",
-        sim.get("xcache.walker_fault"),
-        oracle.walker_faults,
-    );
+    compare_walker_side(report, sim, oracle);
 }
 
 /// Tolerance for pipelined fuzz runs. The fuzz cells deliberately stress
@@ -503,6 +440,7 @@ pub fn fuzz_pipelined_cell(seed: u64, accesses: usize) -> CellReport {
         },
         oracle.loads,
     );
+    report.hung(sim.hang);
     compare_pipelined(&mut report, &sim.stats, &oracle);
     report
 }
@@ -601,20 +539,6 @@ pub fn spgemm_cell(algorithm: xcache_dsa::spgemm::Algorithm) -> CellReport {
     report
 }
 
-/// Fuzz-seed count from `XCACHE_CROSSVAL_SEEDS` (default 50). A
-/// malformed or zero value prints the structured error and exits 2.
-#[must_use]
-pub fn crossval_seeds() -> u64 {
-    xcache_sim::exit2(xcache_sim::env_parse_map("XCACHE_CROSSVAL_SEEDS", |s| {
-        let v: u64 = s.parse().map_err(|e| format!("{e}"))?;
-        if v == 0 {
-            return Err("seed count must be >= 1".into());
-        }
-        Ok(v)
-    }))
-    .unwrap_or(50)
-}
-
 /// The full suite: `seeds` fuzz seeds through both classes, plus the
 /// paper's Widx and SpGEMM cells. Cells are independent and run through
 /// the [`Runner`].
@@ -646,6 +570,10 @@ pub fn run_suite(seeds: u64, accesses: usize) -> Vec<CellReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::FUZZ_BASE;
+    use xcache_core::{splitmix64, XCache};
+    use xcache_isa::gen;
+    use xcache_mem::{DramConfig, DramModel};
 
     /// The oracle's Fibonacci set hash must be the simulator's — pinned
     /// across the crate boundary so neither side can drift silently.

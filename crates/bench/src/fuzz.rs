@@ -1,45 +1,48 @@
-//! Seeded fuzz/differential harness over generated walker programs.
+//! Generated-program runs: the one fixture and drive behind the fuzz,
+//! chaos and cross-validation harnesses.
 //!
-//! [`gen::generate`](xcache_isa::gen::generate) produces verifier-clean
-//! walker programs from a `u64` seed; this module executes them on a
-//! synthetic workload and checks the simulator's two central invariances
-//! against them:
+//! [`gen::generate`] produces verifier-clean walker programs from a
+//! `u64` seed. `fixture` builds a seed's controller over a
+//! splitmix64-filled memory window together with a synthetic access
+//! stream, and `drive` runs the stream through it.
+//! Three harnesses share the pair:
 //!
-//! * **skip differential** — idle-cycle fast-forwarding on vs off must
-//!   leave every observable byte-identical ([`skip_differential`]);
-//! * **jobs differential** — running a batch of seeds through the
-//!   [`Runner`] at one vs two worker threads must produce identical
-//!   per-seed results ([`jobs_differential`]).
-//!
-//! "Byte-identical" is literal: each run is flattened to a canonical JSON
-//! string ([`FuzzReport::stats_json`]) — seed, end cycle, response
-//! checksum, and the full counter map — and the strings are compared.
+//! * [`run_seed`] drives every seed pipelined and flattens the run to a
+//!   canonical JSON string ([`FuzzReport::stats_json`]): seed, end cycle,
+//!   response checksum and the full counter map. The `fuzz_smoke` binary
+//!   demands that string be byte-identical with fast-forwarding on and off
+//!   ([`crate::skip_differential`]) and at one and two runner jobs
+//!   ([`crate::jobs_differential`]), over `XCACHE_FUZZ_SEEDS` seeds
+//!   (default 200) in CI.
+//! * [`crate::chaos::run_fuzz_chaos`] runs the same fixture and drive
+//!   under a fault plan, then checks quiescence, exactly-once answering
+//!   and walker conservation.
+//! * [`crate::crossval::fuzz_serial_cell`] drives one access at a time and
+//!   compares the counters with the analytical oracle.
 //!
 //! The shipped walkers only exercise the program shapes their DSAs need;
 //! the generator covers the rest of the ISA envelope (hash prologues,
 //! guarded hops, chained fills of varying width, store handlers), so this
 //! is where event-driven-time or scheduling regressions that the curated
-//! differential tests miss get caught. The `fuzz_smoke` binary runs the
-//! same checks over `XCACHE_FUZZ_SEEDS` seeds (default 200) in CI.
+//! differential tests miss get caught.
 
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use xcache_core::{splitmix64, MetaAccess, MetaKey, XCache, XCacheConfig};
-use xcache_isa::gen;
-use xcache_isa::{EventId, StateId};
+use xcache_isa::{gen, EventId, StateId, WalkerProgram};
 use xcache_mem::{DramConfig, DramModel, MainMemory};
-use xcache_sim::{with_skip, Cycle, StatsSnapshot};
+use xcache_sim::{Cycle, StatsSnapshot};
 
-use crate::runner::{Runner, Scenario};
+use crate::counters_json;
 
 /// Base of the 64 KiB window bound to the generated program's `base`
 /// parameter — every address a generated program can compute lands in
 /// `[FUZZ_BASE, FUZZ_BASE + WINDOW_BYTES)`.
 pub(crate) const FUZZ_BASE: u64 = 0x10_0000;
-pub(crate) const WINDOW_BYTES: u64 = 64 * 1024;
+const WINDOW_BYTES: u64 = 64 * 1024;
 
 /// Accesses per seed — enough to mix hits, misses, and (when the program
 /// has an `Update` handler) stores, while keeping a 200-seed CI run fast.
@@ -50,31 +53,32 @@ pub const DEFAULT_ACCESSES: usize = 96;
 pub struct FuzzReport {
     /// Generator seed the program and workload derive from.
     pub seed: u64,
-    /// End cycle of the run.
+    /// End cycle of the run: one past the last response.
     pub cycles: u64,
     /// Order-independent fold of every response (found flag + payload).
     pub checksum: u64,
     /// Merged controller + DRAM counters.
     pub stats: StatsSnapshot,
+    /// How far the run got when it hit its cycle bound; `None` when every
+    /// access was answered.
+    pub hang: Option<String>,
 }
 
 impl FuzzReport {
     /// Canonical JSON rendering — the byte string the differentials
     /// compare. Counters live in a `BTreeMap`, so the key order (and
-    /// therefore the rendering) is deterministic.
+    /// therefore the rendering) is deterministic. A `hang` key appears
+    /// only in a run that hit its cycle bound.
     #[must_use]
     pub fn stats_json(&self) -> String {
         let mut out = format!(
-            "{{\"seed\":{},\"cycles\":{},\"checksum\":{},\"counters\":{{",
+            "{{\"seed\":{},\"cycles\":{},\"checksum\":{}",
             self.seed, self.cycles, self.checksum
         );
-        for (i, (k, v)) in self.stats.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":{v}");
+        if let Some(hang) = &self.hang {
+            out.push_str(&format!(",\"hang\":{hang:?}"));
         }
-        out.push_str("}}");
+        out.push_str(&format!(",\"counters\":{}}}", counters_json(&self.stats)));
         out
     }
 }
@@ -83,7 +87,7 @@ impl FuzzReport {
 /// universe (so meta-tag hits occur) with stores mixed in when the
 /// program declares an `Update` handler. Derived from `seed` through an
 /// independent RNG stream so workload draws can't perturb program shape.
-pub(crate) fn access_stream(seed: u64, accesses: usize, has_store: bool) -> Vec<MetaAccess> {
+fn access_stream(seed: u64, accesses: usize, has_store: bool) -> Vec<MetaAccess> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xACCE_55ED);
     let universe = (accesses as u64 / 3).max(8);
     (0..accesses as u64)
@@ -102,8 +106,20 @@ pub(crate) fn access_stream(seed: u64, accesses: usize, has_store: bool) -> Vec<
         .collect()
 }
 
-/// Runs the program generated from `seed` over its synthetic workload and
-/// returns the full observable state of the run.
+/// The program generated from `seed` and its access stream, which mixes
+/// in stores when the program handles `Update`.
+pub(crate) fn program_and_stream(seed: u64, accesses: usize) -> (WalkerProgram, Vec<MetaAccess>) {
+    let program = gen::generate(seed);
+    let has_store = program
+        .table
+        .lookup(StateId::DEFAULT, EventId::UPDATE)
+        .is_some();
+    let stream = access_stream(seed, accesses, has_store);
+    (program, stream)
+}
+
+/// The generated-program fixture for `seed`: the program's controller
+/// over `test_tiny` DRAM, with its access stream.
 ///
 /// The memory window is filled with `splitmix64` words (also derived from
 /// `seed`), so peeked fill payloads vary and hop chains fan out across
@@ -111,17 +127,10 @@ pub(crate) fn access_stream(seed: u64, accesses: usize, has_store: bool) -> Vec<
 ///
 /// # Panics
 ///
-/// Panics if the generated program is rejected by the load-time verifier
-/// gate (the generator guarantees it is not) or the run deadlocks.
-#[must_use]
-pub fn run_seed(seed: u64, accesses: usize) -> FuzzReport {
-    let program = gen::generate(seed);
-    let has_store = program
-        .table
-        .lookup(StateId::DEFAULT, EventId::UPDATE)
-        .is_some();
-    let stream = access_stream(seed, accesses, has_store);
-
+/// Panics if the load-time verifier gate rejects the generated program
+/// (the generator guarantees it does not).
+pub(crate) fn fixture(seed: u64, accesses: usize) -> (XCache<DramModel>, Vec<MetaAccess>) {
+    let (program, stream) = program_and_stream(seed, accesses);
     let mut mem = MainMemory::new();
     let mut x = seed;
     for w in 0..WINDOW_BYTES / 8 {
@@ -130,99 +139,91 @@ pub fn run_seed(seed: u64, accesses: usize) -> FuzzReport {
     }
     let dram = DramModel::with_memory(DramConfig::test_tiny(), mem);
     let cfg = XCacheConfig::test_tiny().with_params(vec![FUZZ_BASE]);
-    let mut xc = XCache::new(cfg, program, dram).expect("generated program is verifier-clean");
+    let xc = XCache::new(cfg, program, dram).expect("generated program is verifier-clean");
+    (xc, stream)
+}
 
-    let mut now = Cycle(0);
-    let mut next = 0usize;
-    let mut done = 0usize;
-    let mut checksum = 0u64;
+/// What [`drive`] observed.
+pub(crate) struct Drive {
+    /// Cycle of the last response, or the cycle the bound stopped a hung
+    /// run at.
+    pub(crate) end: Cycle,
+    /// Order-independent fold of every response (found flag + payload).
+    pub(crate) checksum: u64,
+    /// Responses per access id.
+    pub(crate) answers: BTreeMap<u64, u64>,
+    /// How far a run that hit its cycle bound got.
+    pub(crate) hang: Option<String>,
+}
+
+/// Drives `stream` through `xc` with at most `depth` accesses in flight
+/// until every access is answered or the cycle bound passes. Each access
+/// issues as soon as the controller accepts it, so a depth of one retires
+/// every access before the next issues.
+pub(crate) fn drive(xc: &mut XCache<DramModel>, stream: &[MetaAccess], depth: usize) -> Drive {
     let total = stream.len();
     let max_cycles = 2_000 * total as u64 + 1_000_000;
+    let mut answers = BTreeMap::new();
+    let mut hang = None;
+    let mut now = Cycle(0);
+    let (mut next, mut done, mut checksum) = (0usize, 0usize, 0u64);
     while done < total {
-        while next < total && xc.can_accept() {
+        while next < total && next.saturating_sub(done) < depth && xc.can_accept() {
             xc.try_access(now, stream[next])
                 .expect("can_accept checked");
             next += 1;
         }
         xc.tick(now);
         while let Some(resp) = xc.take_response(now) {
+            *answers.entry(resp.id).or_insert(0) += 1;
             checksum = checksum
                 .wrapping_add(splitmix64(resp.id ^ u64::from(resp.found)))
                 .wrapping_add(resp.data.iter().fold(0u64, |a, &w| a.wrapping_add(w)));
             done += 1;
         }
-        now = if done >= total {
-            now.next()
-        } else {
-            let mut wake = xc.next_event(now);
-            if next < total && xc.can_accept() {
-                wake = Some(now.next());
-            }
-            xcache_sim::fast_forward(now, wake)
-        };
-        assert!(now.raw() < max_cycles, "fuzz seed {seed} deadlocked");
-    }
-    let mut stats = xc.stats().clone();
-    stats.merge(xc.downstream().stats());
-    FuzzReport {
-        seed,
-        cycles: now.raw(),
-        checksum,
-        stats: stats.snapshot(),
-    }
-}
-
-/// Runs `seed` with fast-forwarding on and off and demands byte-identical
-/// reports. Returns the (shared) canonical JSON on agreement, or a
-/// description of the divergence.
-///
-/// `with_skip` is thread-local: call this on the thread that owns the
-/// comparison (never through the multi-threaded [`Runner`]).
-///
-/// # Errors
-///
-/// Returns `Err` with both renderings when the runs diverge.
-pub fn skip_differential(seed: u64, accesses: usize) -> Result<String, String> {
-    let fast = with_skip(true, || run_seed(seed, accesses));
-    let slow = with_skip(false, || run_seed(seed, accesses));
-    let (fast, slow) = (fast.stats_json(), slow.stats_json());
-    if fast == slow {
-        Ok(fast)
-    } else {
-        Err(format!(
-            "seed {seed}: skip and no-skip runs diverged\n  skip:    {fast}\n  no-skip: {slow}"
-        ))
-    }
-}
-
-/// Runs every seed through the [`Runner`] at one and two worker threads
-/// and demands the per-seed JSON vectors agree. Returns the canonical
-/// renderings on agreement.
-///
-/// # Errors
-///
-/// Returns `Err` naming the first diverging seed otherwise.
-pub fn jobs_differential(seeds: &[u64], accesses: usize) -> Result<Vec<String>, String> {
-    let grid = || {
-        seeds
-            .iter()
-            .map(|&seed| {
-                Scenario::new(format!("fuzz seed {seed}"), move || {
-                    run_seed(seed, accesses).stats_json()
-                })
-            })
-            .collect::<Vec<_>>()
-    };
-    let seq = Runner::with_jobs(1).run(grid());
-    let par = Runner::with_jobs(2).run(grid());
-    for ((s, p), seed) in seq.iter().zip(&par).zip(seeds) {
-        if s != p {
-            return Err(format!(
-                "seed {seed}: jobs=1 and jobs=2 runs diverged\n  jobs=1: {s}\n  jobs=2: {p}"
+        if done >= total {
+            break;
+        }
+        let mut wake = xc.next_event(now);
+        if next < total && next.saturating_sub(done) < depth && xc.can_accept() {
+            wake = Some(now.next());
+        }
+        now = xcache_sim::fast_forward(now, wake);
+        if now.raw() >= max_cycles {
+            hang = Some(format!(
+                "{done}/{total} accesses answered after {max_cycles} cycles"
             ));
+            break;
         }
     }
-    Ok(seq)
+    Drive {
+        end: now,
+        checksum,
+        answers,
+        hang,
+    }
+}
+
+/// The controller's and its DRAM's counters, merged.
+pub(crate) fn merged_stats(xc: &XCache<DramModel>) -> StatsSnapshot {
+    let mut stats = xc.stats().clone();
+    stats.merge(xc.downstream().stats());
+    stats.snapshot()
+}
+
+/// Runs the program generated from `seed` over its synthetic workload,
+/// pipelined, and returns the full observable state of the run.
+#[must_use]
+pub fn run_seed(seed: u64, accesses: usize) -> FuzzReport {
+    let (mut xc, stream) = fixture(seed, accesses);
+    let run = drive(&mut xc, &stream, usize::MAX);
+    FuzzReport {
+        seed,
+        cycles: run.end.next().raw(),
+        checksum: run.checksum,
+        stats: merged_stats(&xc),
+        hang: run.hang,
+    }
 }
 
 #[cfg(test)]

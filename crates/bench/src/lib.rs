@@ -20,6 +20,15 @@
 //! cells (`XCACHE_JOBS` worker threads, default: all cores) while keeping
 //! each simulation deterministic and the output order fixed — the printed
 //! tables and JSON dumps are byte-identical at any job count.
+//!
+//! ## Differentials
+//!
+//! Every run renders to a canonical string (a counter map is always
+//! [`counters_json`]), and two differentials compare renderings byte for
+//! byte: [`skip_differential`] runs one cell with idle-cycle
+//! fast-forwarding on and off, and [`jobs_differential`] runs a batch at
+//! one and at two runner jobs. The fuzz, chaos and shard harnesses and
+//! the differential tests all go through these two.
 
 pub mod chaos;
 pub mod crossval;
@@ -31,7 +40,7 @@ pub use runner::{
     CheckpointPolicy, CheckpointStore, MemStore, Runner, Scenario,
 };
 
-use std::fmt::Write as _;
+use std::fmt::{Debug, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -40,6 +49,8 @@ use xcache_core::XCacheConfig;
 use xcache_dsa::graphpulse::GraphPulseWorkload;
 use xcache_dsa::spgemm;
 use xcache_dsa::widx::WidxWorkload;
+use xcache_dsa::RunReport;
+use xcache_sim::{with_skip, StatsSnapshot};
 use xcache_workloads::{CsrMatrix, Graph, GraphPreset, QueryClass, SparsePattern};
 
 static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
@@ -122,12 +133,86 @@ pub fn try_scale() -> Result<u32, xcache_sim::EnvError> {
     .unwrap_or(10))
 }
 
-/// A `u64` environment knob with a default — the smoke binaries' seed
-/// counters and friends. Malformed values print the structured error and
-/// exit 2 instead of silently falling back.
+/// A `u64` environment knob with a default — the smoke binaries' base
+/// and fault seeds and friends. Malformed values print the structured
+/// error and exit 2 instead of silently falling back.
 #[must_use]
 pub fn env_u64_or(var: &str, default: u64) -> u64 {
     xcache_sim::exit2(xcache_sim::env_parse::<u64>(var)).unwrap_or(default)
+}
+
+/// A smoke binary's seed count from `var`, or `default` when unset. A
+/// malformed or zero value prints the structured error and exits 2: a
+/// run over no seeds would check nothing and pass.
+#[must_use]
+pub fn seed_count(var: &str, default: u64) -> u64 {
+    xcache_sim::exit2(xcache_sim::env_parse_map(var, |s| {
+        let v: u64 = s.parse().map_err(|e| format!("{e}"))?;
+        if v == 0 {
+            return Err("seed count must be >= 1".into());
+        }
+        Ok(v)
+    }))
+    .unwrap_or(default)
+}
+
+/// Runs `run` with idle-cycle fast-forwarding on, then off, and demands
+/// byte-identical renderings. Returns the fast run.
+///
+/// `with_skip` is thread-local, so both runs execute on the calling
+/// thread.
+///
+/// # Errors
+///
+/// Returns `Err` with both renderings, labelled `label`, when the runs
+/// diverge.
+pub fn skip_differential<T>(
+    label: &str,
+    run: impl Fn() -> T,
+    render: impl Fn(&T) -> String,
+) -> Result<T, String> {
+    let fast = with_skip(true, &run);
+    let slow = with_skip(false, &run);
+    let (f, s) = (render(&fast), render(&slow));
+    if f == s {
+        Ok(fast)
+    } else {
+        Err(format!(
+            "{label}: skip and no-skip runs diverged\n  skip:    {f}\n  no-skip: {s}"
+        ))
+    }
+}
+
+/// Renders every key through the [`Runner`] at one and at two worker
+/// threads and demands each key render the same bytes both times.
+/// Returns the renderings in key order.
+///
+/// # Errors
+///
+/// Returns `Err` naming the first key (prefixed by `what`) whose
+/// renderings differ, with both.
+pub fn jobs_differential<K: Copy + Debug + Send>(
+    what: &str,
+    keys: &[K],
+    render: impl Fn(K) -> String + Sync,
+) -> Result<Vec<String>, String> {
+    let render = &render;
+    let run = |jobs| {
+        let cells = keys
+            .iter()
+            .map(|&k| Scenario::new(format!("{what} {k:?}"), move || render(k)))
+            .collect();
+        Runner::with_jobs(jobs).run(cells)
+    };
+    let (seq, par) = (run(1), run(2));
+    for ((s, p), k) in seq.iter().zip(&par).zip(keys) {
+        if s != p {
+            return Err(format!(
+                "{what} {k:?}: jobs=1 and jobs=2 runs diverged\n  jobs=1: {s}\n  jobs=2: {p}"
+            ));
+        }
+    }
+    Ok(seq)
 }
 
 /// Renders an aligned text table.
@@ -528,6 +613,34 @@ pub fn maybe_dump_table_json(name: &str, headers: &[&str], rows: &[Vec<String>])
     write_results_json(name, "table", &body);
 }
 
+/// Renders `snap`'s counters as one JSON object in name order — the
+/// counter map of every report rendering and JSON dump.
+#[must_use]
+pub fn counters_json(snap: &StatsSnapshot) -> String {
+    let mut out = String::from("{");
+    for (i, (k, v)) in snap.counters.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{}\":{v}", json_escape(k));
+    }
+    out.push('}');
+    out
+}
+
+/// Renders a [`RunReport`] as one JSON object: label, end cycle,
+/// checksum and every counter.
+#[must_use]
+pub fn run_report_json(r: &RunReport) -> String {
+    format!(
+        "{{\"label\":\"{}\",\"cycles\":{},\"checksum\":{},\"counters\":{}}}",
+        json_escape(&r.label),
+        r.cycles,
+        r.checksum,
+        counters_json(&r.stats)
+    )
+}
+
 /// Serialises a set of [`DsaRun`]s to `results/<name>.json` when
 /// `XCACHE_JSON` is set — a machine-readable companion to the printed
 /// tables (flat JSON, hand-rendered; the workspace has no serde_json).
@@ -537,35 +650,15 @@ pub fn maybe_dump_json(name: &str, runs: &[DsaRun]) {
     if std::env::var("XCACHE_JSON").is_err() {
         return;
     }
-    let counters_json = |snap: &xcache_sim::StatsSnapshot| {
-        let mut counters = String::from("{");
-        for (j, (k, v)) in snap.counters.iter().enumerate() {
-            if j > 0 {
-                counters.push(',');
-            }
-            let _ = write!(counters, "\"{}\":{v}", json_escape(k));
-        }
-        counters.push('}');
-        counters
-    };
     let mut body = String::from("[\n");
     for (i, r) in runs.iter().enumerate() {
-        let report = |rep: &xcache_dsa::RunReport| {
-            format!(
-                "{{\"label\":\"{}\",\"cycles\":{},\"checksum\":{},\"counters\":{}}}",
-                json_escape(&rep.label),
-                rep.cycles,
-                rep.checksum,
-                counters_json(&rep.stats)
-            )
-        };
         let _ = writeln!(
             body,
             "  {{\"name\":\"{}\",\"xcache\":{},\"addr\":{},\"baseline\":{}}}{}",
             json_escape(&r.name),
-            report(&r.xcache),
-            report(&r.addr),
-            report(&r.baseline),
+            run_report_json(&r.xcache),
+            run_report_json(&r.addr),
+            run_report_json(&r.baseline),
             if i + 1 < runs.len() { "," } else { "" }
         );
     }

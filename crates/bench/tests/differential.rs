@@ -7,35 +7,16 @@
 //! `with_skip` is thread-local, so every scenario closure runs directly on
 //! the test thread — never through the multi-threaded `Runner`.
 
-use xcache_bench::{widx_geometry, widx_workload};
+use xcache_bench::{run_report_json, skip_differential, widx_geometry, widx_workload};
 use xcache_core::{WalkerDiscipline, XCacheConfig};
 use xcache_dsa::{graphpulse, spgemm, widx, RunReport};
-use xcache_sim::with_skip;
 use xcache_workloads::QueryClass;
 
 /// Runs `f` once with fast-forwarding and once without, and asserts the
-/// reports agree on every observable.
+/// reports render identically: end cycle, checksum, label and every
+/// counter.
 fn assert_skip_invariant(label: &str, f: impl Fn() -> RunReport) {
-    let fast = with_skip(true, &f);
-    let slow = with_skip(false, &f);
-    assert_eq!(
-        fast.cycles, slow.cycles,
-        "{label}: end cycle diverged (skip {} vs no-skip {})",
-        fast.cycles, slow.cycles
-    );
-    assert_eq!(fast.checksum, slow.checksum, "{label}: checksum diverged");
-    assert_eq!(fast.label, slow.label, "{label}: outcome label diverged");
-    for (name, fast_v) in &fast.stats.counters {
-        let slow_v = slow.stats.get(name);
-        assert_eq!(
-            *fast_v, slow_v,
-            "{label}: counter {name} diverged (skip {fast_v} vs no-skip {slow_v})"
-        );
-    }
-    assert_eq!(
-        fast.stats.counters, slow.stats.counters,
-        "{label}: counter sets diverged"
-    );
+    skip_differential(label, f, run_report_json).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// A Figure 4-sized Widx workload small enough for a test.

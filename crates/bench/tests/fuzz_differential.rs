@@ -5,7 +5,8 @@
 //! the test thread; the jobs differential goes through the `Runner` at
 //! both worker counts (its cells never touch `with_skip`).
 
-use xcache_bench::fuzz::{jobs_differential, run_seed, skip_differential};
+use xcache_bench::fuzz::{run_seed, FuzzReport};
+use xcache_bench::{jobs_differential, skip_differential};
 
 /// Seeds per in-tree test run — small enough for a debug build, spread
 /// over a couple of windows so both generator shapes (hashed, store
@@ -15,14 +16,18 @@ const SEEDS: std::ops::Range<u64> = 0..20;
 #[test]
 fn skip_and_step_runs_are_byte_identical() {
     for seed in SEEDS {
-        skip_differential(seed, 48).unwrap();
+        let run = || run_seed(seed, 48);
+        let report = skip_differential(&format!("seed {seed}"), run, FuzzReport::stats_json)
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(report.hang, None, "seed {seed}");
     }
 }
 
 #[test]
 fn one_and_two_job_batches_are_byte_identical() {
     let seeds: Vec<u64> = SEEDS.collect();
-    let jsons = jobs_differential(&seeds, 48).unwrap();
+    let jsons = jobs_differential("fuzz seed", &seeds, |seed| run_seed(seed, 48).stats_json())
+        .unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(jsons.len(), seeds.len());
     // Each run did real work: every report carries controller counters.
     for (seed, json) in seeds.iter().zip(&jsons) {

@@ -90,3 +90,41 @@ fn bench_baseline_rejects_a_bad_knob_before_measuring() {
         );
     }
 }
+
+/// Runs a smoke binary with its seed count set to zero and asserts it
+/// exits 2 with the structured error before running any seed.
+fn assert_rejects_zero_seeds(bin: &str, var: &str) {
+    let out = Command::new(bin)
+        .env(var, "0")
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&format!("invalid {var}=\"0\"")),
+        "stderr: {stderr}"
+    );
+    assert!(
+        stdout.is_empty(),
+        "a seed ran before the count was rejected:\n{stdout}"
+    );
+}
+
+#[test]
+fn fuzz_smoke_rejects_zero_seeds() {
+    assert_rejects_zero_seeds(env!("CARGO_BIN_EXE_fuzz_smoke"), "XCACHE_FUZZ_SEEDS");
+}
+
+#[test]
+fn chaos_smoke_rejects_zero_seeds() {
+    assert_rejects_zero_seeds(env!("CARGO_BIN_EXE_chaos_smoke"), "XCACHE_CHAOS_SEEDS");
+}
+
+#[test]
+fn crossval_smoke_rejects_zero_seeds() {
+    assert_rejects_zero_seeds(
+        env!("CARGO_BIN_EXE_crossval_smoke"),
+        "XCACHE_CROSSVAL_SEEDS",
+    );
+}

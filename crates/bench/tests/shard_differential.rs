@@ -10,23 +10,11 @@
 //! the `Runner`'s worker threads inherit nothing from the test thread.
 
 use proptest::prelude::*;
-use xcache_bench::{widx_geometry, Runner, Scenario};
+use xcache_bench::{jobs_differential, run_report_json, skip_differential, widx_geometry};
 use xcache_core::{owner_of, shard_geometry, MetaKey, XCacheConfig};
 use xcache_dsa::{graphpulse, spgemm, widx, RunReport};
-use xcache_sim::{with_par_mode, with_par_threads, with_skip, ParMode};
+use xcache_sim::{with_par_mode, with_par_threads, ParMode};
 use xcache_workloads::QueryClass;
-
-/// Every observable of a run, for byte-identity comparison.
-fn fingerprint(r: &RunReport) -> (u64, u64, String, Vec<(String, u64)>) {
-    let mut counters: Vec<(String, u64)> = r
-        .stats
-        .counters
-        .iter()
-        .map(|(k, v)| (k.clone(), *v))
-        .collect();
-    counters.sort();
-    (r.cycles, r.checksum, r.label.clone(), counters)
-}
 
 fn small_widx() -> widx::WidxWorkload {
     let mut preset = QueryClass::Q19.preset().scaled_down(400);
@@ -81,32 +69,22 @@ fn small_graphpulse() -> graphpulse::GraphPulseWorkload {
 fn sharded_run_identical_across_par_modes_and_runner_jobs() {
     let w = small_widx();
     let g = widx_geometry(40);
-    let reference = fingerprint(&with_par_mode(ParMode::Seq, || {
+    let reference = run_report_json(&with_par_mode(ParMode::Seq, || {
         widx::run_xcache_sharded(&w, Some(g.clone()), 4)
     }));
 
-    for jobs in [1usize, 2] {
-        let cells: Vec<Scenario<'_, RunReport>> = [ParMode::Seq, ParMode::Par, ParMode::Par]
-            .into_iter()
-            .zip([1usize, 2, 4])
-            .map(|(mode, threads)| {
-                let (w, g) = (&w, &g);
-                Scenario::new(format!("{mode:?} x{threads}"), move || {
-                    with_par_mode(mode, || {
-                        with_par_threads(threads, || {
-                            widx::run_xcache_sharded(w, Some(g.clone()), 4)
-                        })
-                    })
-                })
-            })
-            .collect();
-        for (i, report) in Runner::with_jobs(jobs).run(cells).iter().enumerate() {
-            assert_eq!(
-                fingerprint(report),
-                reference,
-                "widx sharded cell {i} diverged from the sequential reference at {jobs} jobs"
-            );
-        }
+    let modes = [(ParMode::Seq, 1usize), (ParMode::Par, 2), (ParMode::Par, 4)];
+    let rendered = jobs_differential("widx sharded", &modes, |(mode, threads)| {
+        run_report_json(&with_par_mode(mode, || {
+            with_par_threads(threads, || widx::run_xcache_sharded(&w, Some(g.clone()), 4))
+        }))
+    })
+    .unwrap_or_else(|e| panic!("{e}"));
+    for (report, (mode, threads)) in rendered.iter().zip(modes) {
+        assert_eq!(
+            report, &reference,
+            "widx sharded cell {mode:?} x{threads} diverged from the sequential reference"
+        );
     }
 }
 
@@ -116,10 +94,10 @@ fn sharded_run_identical_across_par_modes_and_runner_jobs() {
 fn sharded_spgemm_and_graphpulse_agree_across_modes() {
     let w = small_spgemm();
     let g = spgemm_geometry();
-    let seq = fingerprint(&with_par_mode(ParMode::Seq, || {
+    let seq = run_report_json(&with_par_mode(ParMode::Seq, || {
         spgemm::run_xcache_sharded(&w, Some(g.clone()), 3)
     }));
-    let par = fingerprint(&with_par_mode(ParMode::Par, || {
+    let par = run_report_json(&with_par_mode(ParMode::Par, || {
         with_par_threads(2, || spgemm::run_xcache_sharded(&w, Some(g.clone()), 3))
     }));
     assert_eq!(seq, par, "sharded spgemm diverged between seq and par");
@@ -132,10 +110,10 @@ fn sharded_spgemm_and_graphpulse_agree_across_modes() {
         data_sectors: sets,
         ..XCacheConfig::graphpulse()
     };
-    let seq = fingerprint(&with_par_mode(ParMode::Seq, || {
+    let seq = run_report_json(&with_par_mode(ParMode::Seq, || {
         graphpulse::run_xcache_sharded(&w, Some(g.clone()), 3)
     }));
-    let par = fingerprint(&with_par_mode(ParMode::Par, || {
+    let par = run_report_json(&with_par_mode(ParMode::Par, || {
         with_par_threads(4, || graphpulse::run_xcache_sharded(&w, Some(g.clone()), 3))
     }));
     assert_eq!(seq, par, "sharded graphpulse diverged between seq and par");
@@ -173,9 +151,7 @@ fn sharded_skip_invariant() {
         ),
     ];
     for (label, run) in &runs {
-        let fast = fingerprint(&with_skip(true, run));
-        let slow = fingerprint(&with_skip(false, run));
-        assert_eq!(fast, slow, "{label}: sharded skip/no-skip runs diverged");
+        skip_differential(label, run, run_report_json).unwrap_or_else(|e| panic!("{e}"));
     }
 }
 

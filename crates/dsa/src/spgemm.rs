@@ -374,6 +374,117 @@ fn row_read(id: u64, layout: &MatrixLayout, start: u64, end: u64) -> MemReq {
     )
 }
 
+/// The bypass path for rows the cache refuses (empty or oversized): a
+/// driver-side DRAM port reads the row's `row_ptr`, then its pairs.
+///
+/// Both drives issue in one order: row reads whose pointers are already
+/// resolved go first, pointer reads after. A resolved read that meets a
+/// full port is held, not re-read. Under outer product every waiter on a
+/// hub column faults at once, so hundreds of elements queue here; if
+/// their pointers were re-read, pointer reads would keep the port full
+/// and no row read would ever issue.
+struct BypassPath {
+    /// Reads in flight, by request id.
+    inflight: FxHashMap<u64, Bypass>,
+    /// Elements whose pointer read waits for port room.
+    ptr_reads: Vec<usize>,
+    /// Resolved row reads waiting for port room: (element, start, end).
+    row_reads: Vec<(usize, u64, u64)>,
+    next_id: u64,
+}
+
+impl BypassPath {
+    fn new() -> Self {
+        BypassPath {
+            inflight: FxHashMap::default(),
+            ptr_reads: Vec::new(),
+            row_reads: Vec::new(),
+            next_id: 1 << 32,
+        }
+    }
+
+    /// Queues element `id`'s row fetch.
+    fn fetch(&mut self, id: usize) {
+        self.ptr_reads.push(id);
+    }
+
+    /// Whether reads wait for port room.
+    fn queued(&self) -> bool {
+        !self.ptr_reads.is_empty() || !self.row_reads.is_empty()
+    }
+
+    /// Whether nothing is queued or in flight.
+    fn idle(&self) -> bool {
+        self.inflight.is_empty() && !self.queued()
+    }
+
+    /// Issues queued reads while `port` has room, held row reads first.
+    fn issue(
+        &mut self,
+        port: &mut impl MemoryPort,
+        now: Cycle,
+        layout: &MatrixLayout,
+        items: &[(u32, u32, f64)],
+    ) {
+        while !self.row_reads.is_empty() && port.can_accept() {
+            let (id, s, e) = self.row_reads.swap_remove(0);
+            let req = row_read(self.next_id, layout, s, e);
+            self.send(port, now, req, Bypass::Row(id));
+        }
+        while !self.ptr_reads.is_empty() && port.can_accept() {
+            let id = self.ptr_reads.swap_remove(0);
+            let req = row_ptr_read(self.next_id, layout, items[id].1);
+            self.send(port, now, req, Bypass::Ptr(id));
+        }
+    }
+
+    fn send(&mut self, port: &mut impl MemoryPort, now: Cycle, req: MemReq, read: Bypass) {
+        port.try_request(now, req).expect("can_accept checked");
+        self.inflight.insert(self.next_id, read);
+        self.next_id += 1;
+    }
+
+    /// Takes every response `port` has ready at `now`. A pointer response
+    /// issues its row read, or holds it when the port is full. `fetched`
+    /// gets each element whose fetch finished, with its row (`None` for an
+    /// empty row) and the response's completion cycle.
+    fn take(
+        &mut self,
+        port: &mut impl MemoryPort,
+        now: Cycle,
+        layout: &MatrixLayout,
+        mut fetched: impl FnMut(usize, Option<Bytes>, Cycle),
+    ) {
+        while let Some(resp) = port.take_response(now) {
+            match self.inflight.remove(&resp.id.0) {
+                Some(Bypass::Ptr(id)) => {
+                    let (s, e) = row_extent(&resp.data);
+                    if s == e {
+                        fetched(id, None, resp.completed_at);
+                    } else if port.can_accept() {
+                        let req = row_read(self.next_id, layout, s, e);
+                        self.send(port, now, req, Bypass::Row(id));
+                    } else {
+                        self.row_reads.push((id, s, e));
+                    }
+                }
+                Some(Bypass::Row(id)) => fetched(id, Some(resp.data), resp.completed_at),
+                None => {}
+            }
+        }
+    }
+
+    /// The path's queue depths, for a hang report.
+    fn describe(&self) -> String {
+        format!(
+            "bypass in-flight {}, bypass retry {}, row reads held {}",
+            self.inflight.len(),
+            self.ptr_reads.len(),
+            self.row_reads.len()
+        )
+    }
+}
+
 /// Every counter of `stats` as `name=value` pairs, for a hang report.
 fn counter_dump(stats: &Stats) -> String {
     stats
@@ -436,12 +547,8 @@ pub fn drive_xcache(
     let mut done = 0usize;
     let max_cycles = 10_000 * total as u64 + 2_000_000;
 
-    // Bypass path for rows the cache refuses (empty or oversized): read
-    // row_ptr, then the row, directly from DRAM.
     let mut bypass_port = shared.handle();
-    let mut bypass: FxHashMap<u64, Bypass> = FxHashMap::default();
-    let mut bypass_retry: Vec<usize> = Vec::new(); // elements to re-read
-    let mut next_bypass_id = 1u64 << 32;
+    let mut bypass = BypassPath::new();
     let mut row_buffer = RowBuffer::default();
 
     while done < total {
@@ -450,48 +557,16 @@ pub fn drive_xcache(
             stream.tick(now);
             bypass_port.tick(now);
         }
-        // Retry bypass row_ptr reads the port had no room for.
-        while !bypass_retry.is_empty() && bypass_port.can_accept() {
-            let id = bypass_retry[0];
-            let req = row_ptr_read(next_bypass_id, &layout, items[id].1);
-            bypass_port
-                .try_request(now, req)
-                .expect("can_accept checked");
-            bypass.insert(next_bypass_id, Bypass::Ptr(id));
-            next_bypass_id += 1;
-            bypass_retry.swap_remove(0);
-        }
-        while let Some(resp) = bypass_port.take_response(now) {
-            match bypass.remove(&resp.id.0) {
-                Some(Bypass::Ptr(id)) => {
-                    let (s, e) = row_extent(&resp.data);
-                    if s == e {
-                        done += 1; // genuinely empty row
-                        continue;
-                    }
-                    if bypass_port.can_accept() {
-                        let req = row_read(next_bypass_id, &layout, s, e);
-                        bypass_port
-                            .try_request(now, req)
-                            .expect("can_accept checked");
-                        bypass.insert(next_bypass_id, Bypass::Row(id));
-                        next_bypass_id += 1;
-                    } else {
-                        // Re-read the pointer later (simpler than holding
-                        // partial state; rare path).
-                        bypass_retry.push(id);
-                    }
-                }
-                Some(Bypass::Row(id)) => {
-                    let (i, k, a) = items[id];
-                    let pairs = macs.accumulate(i, a, dram_row_pairs(&resp.data));
-                    macs.occupy(now, pairs);
-                    row_buffer.insert(u64::from(k), resp.data);
-                    done += 1;
-                }
-                None => {}
+        bypass.issue(&mut bypass_port, now, &layout, &items);
+        bypass.take(&mut bypass_port, now, &layout, |id, row, _| {
+            if let Some(row) = row {
+                let (i, k, a) = items[id];
+                let pairs = macs.accumulate(i, a, dram_row_pairs(&row));
+                macs.occupy(now, pairs);
+                row_buffer.insert(u64::from(k), row);
             }
-        }
+            done += 1;
+        });
         // Pop the next element (3 words) when available; its row and
         // value are read back from `items` when the answer arrives.
         if pending_row.is_none() && stream.pop_word().is_some() {
@@ -532,7 +607,7 @@ pub fn drive_xcache(
                     macs.occupy(now, pairs);
                     done += 1;
                 } else {
-                    bypass_retry.push(id);
+                    bypass.fetch(id);
                 }
                 xc.recycle(resp);
             }
@@ -545,7 +620,7 @@ pub fn drive_xcache(
             // wake is the next cycle regardless, so the (comparatively
             // expensive) component next-event queries can be skipped.
             let issuable = (pending_row.is_some() || stream.word_ready()) && xc.can_accept();
-            let retryable = !bypass_retry.is_empty() && bypass_port.can_accept();
+            let retryable = bypass.queued() && bypass_port.can_accept();
             if issuable || retryable {
                 now.next()
             } else {
@@ -558,13 +633,12 @@ pub fn drive_xcache(
         if now.raw() >= max_cycles {
             return Err(format!(
                 "spgemm x-cache run exceeded {max_cycles} cycles with {done}/{total} elements \
-                 done (element pending {}, {} issued, {} answered, bypass in-flight {}, \
-                 bypass retry {}); controller counters: {}",
+                 done (element pending {}, {} issued, {} answered, {}); controller \
+                 counters: {}",
                 pending_row.is_some(),
                 issued,
                 answered.count(),
-                bypass.len(),
-                bypass_retry.len(),
+                bypass.describe(),
                 counter_dump(xc.stats())
             ));
         }
@@ -661,64 +735,23 @@ pub fn drive_xcache_sharded(
     // driver-side DRAM port over the same image, serviced once per
     // horizon boundary — coarse but deterministic in both engines.
     let mut bypass_port = DramModel::with_memory(DramConfig::default(), mem);
-    let mut bypass: FxHashMap<u64, Bypass> = FxHashMap::default();
-    let mut bypass_retry: Vec<usize> = Vec::new(); // elements to re-read
-                                                   // Rows whose pointers are already resolved but whose data read hit
-                                                   // port backpressure. Held (not re-read) and issued with priority — at
-                                                   // boundary granularity responses arrive in bursts, so re-reading
-                                                   // pointers against the retry stream livelocks on a full port.
-    let mut row_pending: Vec<(usize, u64, u64)> = Vec::new(); // (element, start, end)
-    let mut next_bypass_id = 1u64 << 32;
+    let mut bypass = BypassPath::new();
     let mut row_buffer = RowBuffer::default();
 
     let cells = run_horizons(cells, Cycle::ZERO, |cells, t| {
         bypass_port.tick(t);
-        while !row_pending.is_empty() && bypass_port.can_accept() {
-            let (id, s, e) = row_pending[0];
-            let req = row_read(next_bypass_id, &layout, s, e);
-            bypass_port.try_request(t, req).expect("can_accept checked");
-            bypass.insert(next_bypass_id, Bypass::Row(id));
-            next_bypass_id += 1;
-            row_pending.swap_remove(0);
-        }
-        while !bypass_retry.is_empty() && bypass_port.can_accept() {
-            let id = bypass_retry[0];
-            let req = row_ptr_read(next_bypass_id, &layout, items[id].1);
-            bypass_port.try_request(t, req).expect("can_accept checked");
-            bypass.insert(next_bypass_id, Bypass::Ptr(id));
-            next_bypass_id += 1;
-            bypass_retry.swap_remove(0);
-        }
-        while let Some(resp) = bypass_port.take_response(t) {
-            let at = resp.completed_at.max(t);
-            match bypass.remove(&resp.id.0) {
-                Some(Bypass::Ptr(id)) => {
-                    let (s, e) = row_extent(&resp.data);
-                    if s == e {
-                        done += 1; // genuinely empty row
-                        end = end.max(at);
-                        continue;
-                    }
-                    if bypass_port.can_accept() {
-                        let req = row_read(next_bypass_id, &layout, s, e);
-                        bypass_port.try_request(t, req).expect("can_accept checked");
-                        bypass.insert(next_bypass_id, Bypass::Row(id));
-                        next_bypass_id += 1;
-                    } else {
-                        row_pending.push((id, s, e));
-                    }
-                }
-                Some(Bypass::Row(id)) => {
-                    let (i, k, a) = items[id];
-                    let pairs = macs.accumulate(i, a, dram_row_pairs(&resp.data));
-                    macs.occupy(at, pairs);
-                    row_buffer.insert(u64::from(k), resp.data);
-                    done += 1;
-                    end = end.max(at);
-                }
-                None => {}
+        bypass.issue(&mut bypass_port, t, &layout, &items);
+        bypass.take(&mut bypass_port, t, &layout, |id, row, completed_at| {
+            let at = completed_at.max(t);
+            if let Some(row) = row {
+                let (i, k, a) = items[id];
+                let pairs = macs.accumulate(i, a, dram_row_pairs(&row));
+                macs.occupy(at, pairs);
+                row_buffer.insert(u64::from(k), row);
             }
-        }
+            done += 1;
+            end = end.max(at);
+        });
         for cell in cells {
             let mut cell = cell.lock().expect("shard cell poisoned");
             while let Some((at, resp)) = cell.recv_response(t) {
@@ -738,7 +771,7 @@ pub fn drive_xcache_sharded(
                     macs.occupy(at, pairs);
                     done += 1;
                 } else {
-                    bypass_retry.push(id);
+                    bypass.fetch(id);
                 }
             }
         }
@@ -748,11 +781,9 @@ pub fn drive_xcache_sharded(
         if t.raw() >= max_cycles {
             err = Some(format!(
                 "sharded spgemm run exceeded {max_cycles} cycles with {done}/{total} elements \
-                 done at {t} (bypass in-flight {}, bypass retry {}, row reads held {}; bypass \
-                 port busy {}, next event {:?}, can accept {}); bypass port counters: {}",
-                bypass.len(),
-                bypass_retry.len(),
-                row_pending.len(),
+                 done at {t} ({}; bypass port busy {}, next event {:?}, can accept {}); \
+                 bypass port counters: {}",
+                bypass.describe(),
                 bypass_port.busy(),
                 bypass_port.next_event(t),
                 bypass_port.can_accept(),
@@ -761,7 +792,7 @@ pub fn drive_xcache_sharded(
             return None;
         }
         let target = horizon_target(cells, t, DEFAULT_HORIZON);
-        if bypass.is_empty() && bypass_retry.is_empty() && row_pending.is_empty() {
+        if bypass.idle() {
             Some(target)
         } else {
             // Bypass work only progresses at boundaries, and the DRAM
@@ -992,6 +1023,22 @@ mod tests {
             hits > misses,
             "outer product should mostly reuse ({hits} hits vs {misses} misses)"
         );
+    }
+
+    #[test]
+    fn outer_product_finishes_on_a_small_data_ram() {
+        // Hub columns fault every waiter at once, so hundreds of elements
+        // queue for the bypass port; resolved row reads must still issue
+        // ahead of the pointer re-reads or the port never frees.
+        let w = small(Algorithm::OuterProduct);
+        for data_sectors in [96, 128, 192] {
+            let g = XCacheConfig {
+                data_sectors,
+                ..small_geometry()
+            };
+            let r = run_xcache(&w, Some(g));
+            assert!(r.stats.get("xcache.walker_fault") > 0, "{data_sectors}");
+        }
     }
 
     #[test]

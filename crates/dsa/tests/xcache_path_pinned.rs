@@ -798,6 +798,81 @@ fn spgemm_gustavson_xcache_bypass() {
     );
 }
 
+/// The outer-product run on the 128-sector RAM: every waiter on a hub
+/// column faults at once and the bypass port holds resolved row reads
+/// while it drains the queued pointer reads.
+#[test]
+fn spgemm_outer_product_xcache_bypass() {
+    let w = spgemm_workload(Algorithm::OuterProduct);
+    assert_pinned(
+        &spgemm::run_xcache(&w, Some(spgemm_bypass_geometry())),
+        &Pin {
+            cycles: 18506,
+            checksum: 220332342008269353,
+            counters: &[
+                ("dram.bank_queue_stall", 14585),
+                ("dram.bus_busy_cycles", 15352),
+                ("dram.bytes", 108672),
+                ("dram.input_stall", 40926),
+                ("dram.reads", 494),
+                ("dram.refresh", 2),
+                ("dram.requests", 494),
+                ("dram.row_conflict", 12),
+                ("dram.row_hit", 467),
+                ("dram.row_miss", 15),
+                ("stream.bytes", 16800),
+                ("stream.fetch", 88),
+                ("stream.port_stall", 2205),
+                ("xcache.action.agen", 1073),
+                ("xcache.action.control", 399),
+                ("xcache.action.dataram", 148),
+                ("xcache.action.metatag", 156),
+                ("xcache.action.queue", 39115),
+                ("xcache.capacity_evict", 57),
+                ("xcache.data_alloc_sectors", 285),
+                ("xcache.data_read_sector", 285),
+                ("xcache.data_write_sector", 285),
+                ("xcache.dram_req", 156),
+                ("xcache.dram_req_bytes", 9840),
+                ("xcache.exec_stall", 38721),
+                ("xcache.fill_resp", 156),
+                ("xcache.launch_stall", 11687),
+                ("xcache.load_to_use.count", 700),
+                ("xcache.load_to_use.max", 9399),
+                ("xcache.load_to_use.min", 47),
+                ("xcache.load_to_use.p50", 1023),
+                ("xcache.load_to_use.p95", 8191),
+                ("xcache.load_to_use.sum", 1540210),
+                ("xcache.meta_alloc", 82),
+                ("xcache.miss", 82),
+                ("xcache.occupancy_reg_byte_cycles", 5948688),
+                ("xcache.tag_read", 82),
+                ("xcache.tag_write", 221),
+                ("xcache.ucode_read", 40891),
+                ("xcache.waiter", 618),
+                ("xcache.wakeup", 238),
+                ("xcache.walk_latency.count", 74),
+                ("xcache.walk_latency.max", 9392),
+                ("xcache.walk_latency.min", 196),
+                ("xcache.walk_latency.p50", 1023),
+                ("xcache.walk_latency.p95", 8191),
+                ("xcache.walk_latency.sum", 109287),
+                ("xcache.walker_fault", 8),
+                ("xcache.walker_launch", 82),
+                ("xcache.walker_lifetime.count", 82),
+                ("xcache.walker_lifetime.max", 9392),
+                ("xcache.walker_lifetime.min", 44),
+                ("xcache.walker_lifetime.p50", 1023),
+                ("xcache.walker_lifetime.p95", 8191),
+                ("xcache.walker_lifetime.sum", 123931),
+                ("xcache.walker_retire", 74),
+                ("xcache.xreg_read", 55167),
+                ("xcache.xreg_write", 1229),
+            ],
+        },
+    );
+}
+
 #[test]
 fn spgemm_gustavson_xcache_sharded() {
     let w = spgemm_workload(Algorithm::Gustavson);
