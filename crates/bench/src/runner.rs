@@ -128,6 +128,8 @@ impl Runner {
     /// With one job the cells run inline on the calling thread; otherwise
     /// scoped workers pull cells from a shared index and store results by
     /// cell position, so the output order never depends on scheduling.
+    /// `XCACHE_VERBOSE=1` prints a `[runner] i/n <label>` line per cell on
+    /// stderr; a value other than `0`, `1`, `true` or `false` exits 2.
     ///
     /// # Panics
     ///
@@ -137,7 +139,7 @@ impl Runner {
         // grid execution.
         let _ = crate::start_instant();
         let n = cells.len();
-        let verbose = std::env::var("XCACHE_VERBOSE").is_ok();
+        let verbose = xcache_sim::exit2(xcache_sim::env_flag("XCACHE_VERBOSE")).unwrap_or(false);
         let jobs = self.jobs.min(n.max(1));
         if jobs <= 1 {
             return cells

@@ -128,3 +128,36 @@ fn crossval_smoke_rejects_zero_seeds() {
         "XCACHE_CROSSVAL_SEEDS",
     );
 }
+
+/// Runs `tab03_geometry` (a quick runner-driven binary) with
+/// `XCACHE_VERBOSE` set to `value`.
+fn tab03_verbose(value: &str) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_tab03_geometry"))
+        .env("XCACHE_VERBOSE", value)
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn verbose_zero_prints_no_progress() {
+    let out = tab03_verbose("0");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(!stderr.contains("[runner]"), "stderr: {stderr}");
+}
+
+#[test]
+fn verbose_one_prints_progress() {
+    let out = tab03_verbose("1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("[runner] 1/"), "stderr: {stderr}");
+}
+
+#[test]
+fn verbose_rejects_an_unknown_value() {
+    let out = tab03_verbose("yes");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("XCACHE_VERBOSE"), "stderr: {stderr}");
+}

@@ -356,6 +356,48 @@ mod tests {
     }
 
     #[test]
+    fn unchecked_build_runs_only_the_structural_pass() {
+        use xcache_isa::verify::DefectClass;
+        use xcache_isa::{EventId, RoutineId, StateId, WalkerProgram};
+
+        use crate::BuildError;
+
+        let rejected = |program: WalkerProgram, checked: bool| {
+            let (cfg, dram) = (
+                XCacheConfig::test_tiny(),
+                DramModel::new(DramConfig::test_tiny()),
+            );
+            let built = if checked {
+                XCache::new(cfg, program, dram)
+            } else {
+                XCache::new_unchecked(cfg, program, dram)
+            };
+            match built {
+                Err(BuildError::Verify(v)) => v.diagnostics.iter().map(|d| d.class).collect(),
+                Err(other) => panic!("expected BuildError::Verify, got {other:?}"),
+                Ok(_) => Vec::new(),
+            }
+        };
+        // The parking walker is structurally sound: only the full
+        // verifier rejects it, and only for its unwakeable yield.
+        assert_eq!(rejected(parking_walker(), false), vec![]);
+        let found = rejected(parking_walker(), true);
+        assert!(
+            !found.is_empty() && found.iter().all(|c| *c == DefectClass::UnhandledCompletion),
+            "{found:?}"
+        );
+
+        let mut empty = parking_walker();
+        empty.routines[0].actions.clear();
+        assert_eq!(rejected(empty, false), vec![DefectClass::Terminator]);
+        let mut dangling = parking_walker();
+        dangling
+            .table
+            .set(StateId::DEFAULT, EventId::FILL, RoutineId(9));
+        assert_eq!(rejected(dangling, false), vec![DefectClass::TableIntegrity]);
+    }
+
+    #[test]
     fn parked_walker_trips_watchdog_and_faults_only_its_slot() {
         let budget = 300;
         let (healthy, healthy_resps) = drive(&[1, 2, 3], budget);

@@ -20,8 +20,8 @@
 //!   retirement, faults, and abort-and-replay.
 //!
 //! The stages communicate through the instance's
-//! [`SimContext`](xcache_sim::SimContext) (cycle, stats, trace hooks,
-//! seed) plus the shared structural state on [`XCache`] itself.
+//! [`SimContext`](xcache_sim::SimContext) (cycle, stats, trace hooks)
+//! plus the shared structural state on [`XCache`] itself.
 
 mod arena;
 mod executor;
@@ -33,8 +33,8 @@ mod walker;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use xcache_isa::verify::{verify_with, VerifyError, VerifyLimits};
-use xcache_isa::{Action, EventId, Operand, RoutineId, WalkerProgram};
+use xcache_isa::verify::{verify_structure, verify_with, VerifyError, VerifyLimits};
+use xcache_isa::{EventId, Operand, RoutineId, WalkerProgram};
 use xcache_mem::MemoryPort;
 use xcache_sim::{
     counter, watchdog_budget, Cycle, FaultPlan, FxHashMap, MsgQueue, SimContext, StallReport,
@@ -58,8 +58,6 @@ pub(crate) type DelayedEvent = (usize, u32, EventId, [u64; MSG_WORDS]);
 pub enum BuildError {
     /// The geometry failed validation.
     BadConfig(String),
-    /// The walker program failed validation.
-    BadProgram(String),
     /// The program needs more X-registers than the geometry provides.
     RegistersExceeded {
         /// Registers the program declares.
@@ -74,9 +72,9 @@ pub enum BuildError {
         /// Number of parameters configured.
         provided: usize,
     },
-    /// The static verifier rejected the program (§4.2 discipline): the
-    /// defects it found would otherwise surface as runtime faults or
-    /// deadlocks mid-simulation.
+    /// The static verifier rejected the program: its structural pass, or
+    /// under [`XCache::new`] also the §4.2 discipline, whose defects would
+    /// otherwise surface as runtime faults or deadlocks mid-simulation.
     Verify(VerifyError),
 }
 
@@ -84,7 +82,6 @@ impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BuildError::BadConfig(e) => write!(f, "invalid configuration: {e}"),
-            BuildError::BadProgram(e) => write!(f, "invalid walker program: {e}"),
             BuildError::RegistersExceeded { needed, available } => write!(
                 f,
                 "program needs {needed} X-registers but the geometry provides {available}"
@@ -255,7 +252,7 @@ pub struct XCache<D> {
     /// The executor issued a downstream request since the last downstream
     /// tick; the cached [`ds_next`](XCache::ds_next) is stale.
     pub(crate) ds_dirty: bool,
-    /// Ambient services (cycle, stats, trace, seed) shared by all stages.
+    /// Ambient services (cycle, stats, trace) shared by all stages.
     pub(crate) ctx: SimContext,
     /// Cycle of the last `tick`, for fast-forward-aware per-cycle charges
     /// (static occupancy, launch-stall backfill).
@@ -316,9 +313,9 @@ impl<D: MemoryPort> XCache<D> {
     ///
     /// # Errors
     ///
-    /// Returns a [`BuildError`] when the geometry is invalid, the program
-    /// fails validation, or the program's resource needs (X-registers,
-    /// parameters) exceed what the geometry provides.
+    /// Returns a [`BuildError`] when the geometry is invalid, the
+    /// program's resource needs (X-registers, parameters) exceed what the
+    /// geometry provides, or the static verifier rejects the program.
     pub fn new(
         cfg: XCacheConfig,
         program: WalkerProgram,
@@ -327,8 +324,8 @@ impl<D: MemoryPort> XCache<D> {
         Self::build(cfg, program, downstream, true)
     }
 
-    /// Like [`new`](Self::new), but skips the static verifier (basic
-    /// program validation and resource checks still run).
+    /// Like [`new`](Self::new), but runs only the verifier's structural
+    /// pass (the resource checks still run).
     ///
     /// For harnesses that need an intentionally defective program — e.g.
     /// a walker that parks forever to exercise the liveness watchdog —
@@ -336,8 +333,8 @@ impl<D: MemoryPort> XCache<D> {
     ///
     /// # Errors
     ///
-    /// Returns a [`BuildError`] for the same non-verifier reasons as
-    /// [`new`](Self::new).
+    /// Returns a [`BuildError`] for the same reasons as
+    /// [`new`](Self::new), except findings outside the structural pass.
     pub fn new_unchecked(
         cfg: XCacheConfig,
         program: WalkerProgram,
@@ -353,14 +350,6 @@ impl<D: MemoryPort> XCache<D> {
         verify: bool,
     ) -> Result<Self, BuildError> {
         cfg.validate().map_err(BuildError::BadConfig)?;
-        program.validate().map_err(|errs| {
-            BuildError::BadProgram(
-                errs.iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            )
-        })?;
         if usize::from(program.regs) > cfg.xregs_per_walker {
             return Err(BuildError::RegistersExceeded {
                 needed: program.regs,
@@ -370,7 +359,7 @@ impl<D: MemoryPort> XCache<D> {
         // Every referenced parameter must be configured.
         for r in &program.routines {
             for a in &r.actions {
-                for op in action_operands(a) {
+                for op in a.operands() {
                     if let Operand::Param(i) = op {
                         if usize::from(i) >= cfg.params.len() {
                             return Err(BuildError::MissingParam {
@@ -385,16 +374,18 @@ impl<D: MemoryPort> XCache<D> {
         // Static verification against this instance's geometry: programs
         // whose defects would otherwise fault or deadlock mid-simulation
         // are rejected here with located diagnostics (warnings pass — the
-        // error classes alone prove runtime safety).
-        if verify {
+        // error classes alone prove runtime safety). Unchecked builds run
+        // only the structural pass, which predecode relies on.
+        let report = if verify {
             let limits = VerifyLimits {
                 data_sectors: u32::try_from(cfg.data_sectors).unwrap_or(u32::MAX),
                 ..VerifyLimits::default()
             };
             verify_with(&program, &limits)
-                .check(false)
-                .map_err(BuildError::Verify)?;
-        }
+        } else {
+            verify_structure(&program)
+        };
+        report.check(false).map_err(BuildError::Verify)?;
         // Coroutines charge only the walker's declared X-registers for its
         // lifetime; blocking threads additionally pay for their statically
         // allocated hardware contexts every cycle (see `tick`).
@@ -426,7 +417,7 @@ impl<D: MemoryPort> XCache<D> {
             downstream,
             ds_next: None,
             ds_dirty: true,
-            ctx: SimContext::new(0),
+            ctx: SimContext::new(),
             last_tick: None,
             launch_stalled: false,
             fault: FaultPlan::current(),
@@ -713,52 +704,6 @@ impl<D: MemoryPort> XCache<D> {
         }
         Some(next)
     }
-}
-
-pub(crate) fn action_operands(a: &Action) -> Vec<Operand> {
-    let mut v: Vec<Operand> = a.reads().into_iter().map(Operand::Reg).collect();
-    match a {
-        Action::Alu { a, b, .. } | Action::UpdateM { start: a, end: b } => {
-            v.push(*a);
-            v.push(*b);
-        }
-        Action::Mov { a, .. } | Action::Hash { a, .. } | Action::PostEvent { payload: a, .. } => {
-            v.push(*a);
-        }
-        Action::DramRead { addr, len } => {
-            v.push(*addr);
-            v.push(*len);
-        }
-        Action::DramWrite { addr, sector, len } => {
-            v.push(*addr);
-            v.push(*sector);
-            v.push(*len);
-        }
-        Action::Branch { a, b, .. } => {
-            v.push(*a);
-            v.push(*b);
-        }
-        Action::AllocD { count, .. } => v.push(*count),
-        Action::ReadD { sector, word, .. } => {
-            v.push(*sector);
-            v.push(*word);
-        }
-        Action::WriteD {
-            sector,
-            word,
-            value,
-        } => {
-            v.push(*sector);
-            v.push(*word);
-            v.push(*value);
-        }
-        Action::FillD { sector, words } => {
-            v.push(*sector);
-            v.push(*words);
-        }
-        _ => {}
-    }
-    v
 }
 
 /// `SplitMix64` — the deterministic stand-in for the DSA hash unit.

@@ -478,6 +478,51 @@ fn build_rejects_bad_resources() {
     )
     .unwrap_err();
     assert!(matches!(err, xcache_core::BuildError::MissingParam { .. }));
+
+    // A parameter referenced only as an `insertm` operand must be
+    // configured too; otherwise predecode would fold it to 0.
+    let side_insert = assemble(
+        r#"
+        walker side
+        states Default, Wait
+        regs 2
+        params base, extra
+
+        routine start {
+            allocR
+            allocM
+            mul r0, key, 32
+            add r0, r0, base
+            dram_read r0, 32
+            yield Wait
+        }
+        routine fill {
+            insertm extra, 4
+            allocD r1, 1
+            filld r1, 4
+            updatem r1, r1
+            respond
+            retire
+        }
+
+        on Default, Miss -> start
+        on Wait, Fill -> fill
+    "#,
+    )
+    .expect("valid walker");
+    let err = XCache::new(
+        XCacheConfig::test_tiny().with_params(vec![0x1000]), // `extra` missing
+        side_insert,
+        DramModel::new(DramConfig::test_tiny()),
+    )
+    .unwrap_err();
+    assert!(matches!(
+        err,
+        xcache_core::BuildError::MissingParam {
+            idx: 1,
+            provided: 1
+        }
+    ));
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //! and the coupled-walk delay differ.
 
 use xcache_core::XCacheConfig;
-use xcache_workloads::{QueryClass, TpchPreset};
+use xcache_workloads::TpchPreset;
 
 use crate::common::RunReport;
 use crate::widx::{self, WidxWorkload};
@@ -33,12 +33,6 @@ impl DasxWorkload {
         let mut inner = WidxWorkload::from_preset(preset, seed);
         inner.hash_latency = DASX_HASH_LATENCY;
         DasxWorkload(inner)
-    }
-
-    /// The default paper workload (same MonetDB dataset as Widx, §7.2).
-    #[must_use]
-    pub fn paper_default(seed: u64) -> Self {
-        Self::from_preset(&QueryClass::Q22.preset(), seed)
     }
 
     /// Oracle checksum (sum of rids of present probes).
@@ -92,6 +86,7 @@ pub fn run_baseline(workload: &DasxWorkload, geometry: Option<XCacheConfig>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xcache_workloads::QueryClass;
 
     fn small() -> (DasxWorkload, XCacheConfig) {
         let mut preset = QueryClass::Q22.preset().scaled_down(10);

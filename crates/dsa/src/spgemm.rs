@@ -136,7 +136,8 @@ fn product_checksum(triples: impl Iterator<Item = (u32, u32, f64)>) -> u64 {
     })
 }
 
-/// The row-fetch walker shared by SpArch and Gamma.
+/// The row-fetch walker shared by SpArch and Gamma
+/// (`walkers/spgemm_row.xw`).
 ///
 /// `Default,Miss`: read `row_ptr[k]` and `row_ptr[k+1]` (one 16-byte
 /// access — "an extra DRAM access is required to load the start pointer of
@@ -146,61 +147,7 @@ fn product_checksum(triples: impl Iterator<Item = (u32, u32, f64)>) -> u64 {
 /// `setup` (r0) is still live in `fill`.
 #[must_use]
 pub fn walker() -> WalkerProgram {
-    assemble(
-        r#"
-        walker spgemm_row
-        states Default, Meta, Data
-        regs 6
-        params row_ptr_base, pairs_base, sector_bytes, max_row_bytes
-
-        routine start {
-            allocR
-            allocM
-            mul r0, key, 8
-            add r0, r0, row_ptr_base
-            dram_read r0, 16
-            yield Meta
-        }
-
-        ; Row bytes = (end - start) * 16; remember it in r0 across the
-        ; fill yield so the Data routine can size sectors.
-        routine setup {
-            peek r1, 0
-            peek r2, 1
-            sub r3, r2, r1
-            beq r3, 0, @empty
-            mul r0, r3, 16
-            bge r0, max_row_bytes, @empty   ; oversized: bypass the cache
-            mul r1, r1, 16
-            add r1, r1, pairs_base
-            dram_read r1, r0
-            yield Data
-        empty:
-            fault
-        }
-
-        ; sectors = ceil(r0 / sector_bytes); words = ceil(r0 / 8).
-        routine fill {
-            add r4, r0, sector_bytes
-            sub r4, r4, 1
-            srl r4, r4, 5
-            allocD r5, r4
-            add r3, r0, 7
-            srl r3, r3, 3
-            filld r5, r3
-            add r4, r4, r5
-            sub r4, r4, 1
-            updatem r5, r4
-            respond
-            retire
-        }
-
-        on Default, Miss -> start
-        on Meta, Fill -> setup
-        on Data, Fill -> fill
-    "#,
-    )
-    .expect("spgemm walker is well-formed")
+    assemble(include_str!("../../../walkers/spgemm_row.xw")).expect("spgemm walker is well-formed")
 }
 
 const IMAGE_BASE: u64 = 0x100_0000;

@@ -64,76 +64,14 @@ impl WidxWorkload {
 /// Base address of the index image in the simulated heap.
 const IMAGE_BASE: u64 = 0x10_0000;
 
-/// The Widx walker program: hash → bucket head → chain chase → cache node.
+/// The Widx walker program (`walkers/widx.xw`): hash → bucket head →
+/// chain chase → cache node.
 ///
 /// States mirror Figure 10a: `IDX` (hash), `META` (bucket root), `DATA`
 /// (node chase with `MATCH`).
 #[must_use]
 pub fn walker() -> WalkerProgram {
-    assemble(
-        r#"
-        walker widx
-        states Default, Meta, Data
-        events HashDone
-        regs 4
-        params bucket_base, node_bytes, bucket_mask
-
-        ; Miss: start the hash unit and yield until the digest arrives.
-        routine start {
-            allocR
-            allocM
-            hash HashDone, key
-            yield Default
-        }
-
-        ; IDX: digest -> bucket slot; fetch the chain-head pointer.
-        routine idx {
-            peek r0, 0
-            and r0, r0, bucket_mask
-            mul r0, r0, 8
-            add r0, r0, bucket_base
-            dram_read r0, 8
-            yield Meta
-        }
-
-        ; META: follow the head pointer (empty bucket => not found).
-        routine head {
-            peek r1, 0
-            beq r1, 0, @notfound
-            dram_read r1, node_bytes
-            yield Data
-        notfound:
-            fault
-        }
-
-        ; DATA: match the node key or chase `next`. Every node touched is
-        ; side-cached under its own key (insertm), so walking one chain
-        ; warms the cache for every key on it.
-        routine check {
-            peek r2, 0
-            beq r2, key, @found
-            insertm r2, 4
-            peek r1, 2
-            beq r1, 0, @notfound
-            dram_read r1, node_bytes
-            yield Data
-        found:
-            allocD r3, 1
-            filld r3, 4
-            updatem r3, r3
-            respond
-            retire
-        notfound:
-            fault
-        }
-
-        on Default, Miss -> start
-        on Default, HashDone -> idx
-        on Meta, Fill -> head
-        on Data, Fill -> check
-    "#,
-    )
-    .expect("widx walker is well-formed")
+    assemble(include_str!("../../../walkers/widx.xw")).expect("widx walker is well-formed")
 }
 
 /// The Widx walker *without* chain-node side-caching: only the matched
@@ -598,6 +536,7 @@ pub fn run_baseline(workload: &WidxWorkload, geometry: Option<XCacheConfig>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xcache_isa::verify::verify_structure;
     use xcache_workloads::QueryClass;
 
     /// Index ~4x the cache capacity, Zipf-skewed probes, and enough
@@ -714,7 +653,7 @@ mod tests {
     #[test]
     fn walker_program_is_valid_and_small() {
         let p = walker();
-        assert!(p.validate().is_ok());
+        assert!(verify_structure(&p).check(false).is_ok());
         assert!(p.microcode_words() < 40, "walker should stay compact");
         assert_eq!(p.state_names.len(), 3);
     }

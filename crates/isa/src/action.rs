@@ -364,64 +364,61 @@ impl Action {
         matches!(self, Action::Yield { .. } | Action::Retire | Action::Fault)
     }
 
+    /// Every source operand, in field order. This is the one per-variant
+    /// operand list: [`reads`](Self::reads), the verifier's bounds checks
+    /// and the controller's parameter check all derive from it.
+    #[must_use]
+    pub fn operands(&self) -> Vec<Operand> {
+        match *self {
+            Action::Alu { a, b, .. }
+            | Action::DramRead { addr: a, len: b }
+            | Action::UpdateM { start: a, end: b }
+            | Action::InsertM { key: a, words: b }
+            | Action::Branch { a, b, .. }
+            | Action::ReadD {
+                sector: a, word: b, ..
+            }
+            | Action::FillD {
+                sector: a,
+                words: b,
+            } => vec![a, b],
+            Action::Mov { a, .. }
+            | Action::Hash { a, .. }
+            | Action::PostEvent { payload: a, .. }
+            | Action::AllocD { count: a, .. } => vec![a],
+            Action::DramWrite {
+                addr: a,
+                sector: b,
+                len: c,
+            }
+            | Action::WriteD {
+                sector: a,
+                word: b,
+                value: c,
+            } => vec![a, b, c],
+            Action::AllocR
+            | Action::Peek { .. }
+            | Action::Respond
+            | Action::AllocM
+            | Action::DeallocM
+            | Action::PinM
+            | Action::Yield { .. }
+            | Action::Retire
+            | Action::Fault
+            | Action::DeallocD => Vec::new(),
+        }
+    }
+
     /// The X-registers this action reads.
     #[must_use]
     pub fn reads(&self) -> Vec<Reg> {
-        fn op(o: &Operand, out: &mut Vec<Reg>) {
-            if let Operand::Reg(r) = o {
-                out.push(*r);
-            }
-        }
-        let mut v = Vec::new();
-        match self {
-            Action::Alu { a, b, .. } => {
-                op(a, &mut v);
-                op(b, &mut v);
-            }
-            Action::Mov { a, .. } | Action::Hash { a, .. } => op(a, &mut v),
-            Action::DramRead { addr, len } => {
-                op(addr, &mut v);
-                op(len, &mut v);
-            }
-            Action::DramWrite { addr, sector, len } => {
-                op(addr, &mut v);
-                op(sector, &mut v);
-                op(len, &mut v);
-            }
-            Action::PostEvent { payload, .. } => op(payload, &mut v),
-            Action::UpdateM { start, end }
-            | Action::InsertM {
-                key: start,
-                words: end,
-            } => {
-                op(start, &mut v);
-                op(end, &mut v);
-            }
-            Action::Branch { a, b, .. } => {
-                op(a, &mut v);
-                op(b, &mut v);
-            }
-            Action::AllocD { count, .. } => op(count, &mut v),
-            Action::ReadD { sector, word, .. } => {
-                op(sector, &mut v);
-                op(word, &mut v);
-            }
-            Action::WriteD {
-                sector,
-                word,
-                value,
-            } => {
-                op(sector, &mut v);
-                op(word, &mut v);
-                op(value, &mut v);
-            }
-            Action::FillD { sector, words } => {
-                op(sector, &mut v);
-                op(words, &mut v);
-            }
-            _ => {}
-        }
-        v
+        self.operands()
+            .into_iter()
+            .filter_map(|o| match o {
+                Operand::Reg(r) => Some(r),
+                _ => None,
+            })
+            .collect()
     }
 
     /// The X-register this action writes, if any.
@@ -530,6 +527,30 @@ mod tests {
         assert_eq!(a.writes(), Some(Reg(2)));
         assert_eq!(Action::Respond.reads(), vec![]);
         assert_eq!(Action::Respond.writes(), None);
+
+        // `operands` lists every source in field order; `reads` keeps the
+        // registers.
+        let insert = Action::InsertM {
+            key: Operand::Param(1),
+            words: Operand::Imm(4),
+        };
+        assert_eq!(insert.operands(), vec![Operand::Param(1), Operand::Imm(4)]);
+        assert_eq!(insert.reads(), vec![]);
+        let write = Action::DramWrite {
+            addr: Operand::Reg(Reg(0)),
+            sector: Operand::MetaSector,
+            len: Operand::Reg(Reg(1)),
+        };
+        assert_eq!(
+            write.operands(),
+            vec![
+                Operand::Reg(Reg(0)),
+                Operand::MetaSector,
+                Operand::Reg(Reg(1))
+            ]
+        );
+        assert_eq!(write.reads(), vec![Reg(0), Reg(1)]);
+        assert_eq!(Action::Retire.operands(), vec![]);
     }
 
     #[test]

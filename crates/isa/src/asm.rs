@@ -5,7 +5,7 @@
 //! and translates them into a microcode binary that runs on a programmable
 //! controller". The designer writes a table-driven description — states,
 //! events, routines, and the `(state, event) → routine` transitions — and
-//! [`assemble`] produces a validated [`WalkerProgram`].
+//! [`assemble`] produces a structurally checked [`WalkerProgram`].
 //!
 //! # Language
 //!
@@ -58,9 +58,10 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::verify::verify_structure;
 use crate::{
-    Action, AluOp, Cond, EventId, Operand, ProgramError, Reg, Routine, RoutineId, RoutineTable,
-    StateId, WalkerProgram,
+    Action, AluOp, Cond, EventId, Operand, Reg, Routine, RoutineId, RoutineTable, StateId,
+    WalkerProgram,
 };
 
 /// An assembly error with its source line (1-based).
@@ -185,12 +186,13 @@ enum PendingTarget {
     Label(String),
 }
 
-/// Assembles walker source text into a validated [`WalkerProgram`].
+/// Assembles walker source text into a [`WalkerProgram`], rejecting any
+/// program the structural pass ([`verify_structure`]) flags.
 ///
 /// # Errors
 ///
 /// Returns the first syntax error encountered, or (after a syntactically
-/// clean parse) the structural validation errors joined into one message.
+/// clean parse) the structural pass's findings joined into one message.
 pub fn assemble(source: &str) -> Result<WalkerProgram, AsmError> {
     let mut ctx = Ctx {
         events: BUILTIN_EVENTS.iter().map(|s| (*s).to_owned()).collect(),
@@ -337,8 +339,8 @@ pub fn assemble(source: &str) -> Result<WalkerProgram, AsmError> {
         routines: ctx.routines,
         table,
     };
-    program.validate().map_err(|errs| {
-        let msgs: Vec<String> = errs.iter().map(ProgramError::to_string).collect();
+    verify_structure(&program).check(false).map_err(|e| {
+        let msgs: Vec<String> = e.diagnostics.iter().map(ToString::to_string).collect();
         AsmError::at(0, msgs.join("; "))
     })?;
     Ok(program)

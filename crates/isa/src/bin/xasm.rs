@@ -2,10 +2,12 @@
 //!
 //! The paper open-sources "a compiler to translate walkers to microcode";
 //! this is that tool: assemble walker source to a binary microcode image,
-//! disassemble it back, validate programs, and print the routine table.
+//! disassemble it back, check programs, and print the routine table.
+//! Every command assembles first, and the assembler runs the verifier's
+//! structural pass: a structurally broken file fails to load (exit 1).
 //!
 //! ```sh
-//! xasm check  walker.xw           # validate, print a summary
+//! xasm check  walker.xw           # assemble, print a summary
 //! xasm build  walker.xw out.bin   # assemble to the binary image
 //! xasm dump   walker.xw           # routine table + microcode listing
 //! xasm disasm walker.xw           # canonical round-trip source
@@ -21,7 +23,7 @@ use xcache_isa::asm::{assemble, disassemble};
 use xcache_isa::verify::verify;
 use xcache_isa::{encode, EventId, StateId, WalkerProgram};
 
-/// Exit code for load/parse/IO failures.
+/// Exit code for load failures: IO, parse, or the structural pass.
 const EXIT_LOAD: u8 = 1;
 /// Exit code for static-verifier rejections.
 const EXIT_VERIFY: u8 = 2;
@@ -85,7 +87,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   xasm check  [--verify] [--deny-warnings] <walker.xw>
-                                     validate a walker program
+                                     assemble and summarise a walker
   xasm build  [--verify] [--deny-warnings] <walker.xw> <out.bin>
                                      assemble to binary microcode
   xasm dump   <walker.xw>            print routine table + microcode

@@ -12,7 +12,7 @@
 //! dynamic (the SpGEMM row walker sizes its `allocD` from a register, so
 //! its stream must be derived from the workload instead).
 
-use crate::{Action, EventId, Operand, StateId, WalkerProgram};
+use crate::{Action, Operand, WalkerProgram};
 
 /// What a static scan of the routine table can say about a walker's
 /// effect on the meta-tag array and data RAM.
@@ -23,14 +23,6 @@ pub struct ProgramEffects {
     /// `None` when any fill path sizes its allocation from a register or
     /// when no retiring fill path exists.
     pub install_sectors: Option<u64>,
-    /// Whether the program handles `(Default, Update)` — i.e. accepts
-    /// datapath stores.
-    pub has_store_handler: bool,
-    /// Whether the store handler (if any) performs a meta-tag or data-RAM
-    /// allocation. The shipped handlers acknowledge without installing.
-    pub store_installs: bool,
-    /// Whether any routine can fault (not-found tails, guard branches).
-    pub may_fault: bool,
     /// Whether any routine performs speculative side-inserts (`insertM`).
     pub has_side_inserts: bool,
 }
@@ -45,7 +37,6 @@ pub struct ProgramEffects {
 #[must_use]
 pub fn extract(program: &WalkerProgram) -> ProgramEffects {
     let mut install: Option<Option<u64>> = None; // None = no fill path seen
-    let mut may_fault = false;
     let mut has_side_inserts = false;
 
     for routine in program.routines() {
@@ -64,7 +55,6 @@ pub fn extract(program: &WalkerProgram) -> ProgramEffects {
                 Action::UpdateM { .. } => updates_meta = true,
                 Action::Respond => responds = true,
                 Action::Retire => retires = true,
-                Action::Fault => may_fault = true,
                 Action::InsertM { .. } => has_side_inserts = true,
                 _ => {}
             }
@@ -80,19 +70,8 @@ pub fn extract(program: &WalkerProgram) -> ProgramEffects {
         }
     }
 
-    let store = program.table.lookup(StateId::DEFAULT, EventId::UPDATE);
-    let store_installs = store.is_some_and(|rid| {
-        program.routines()[usize::from(rid.0)]
-            .actions
-            .iter()
-            .any(|a| matches!(a, Action::AllocD { .. } | Action::InsertM { .. }))
-    });
-
     ProgramEffects {
         install_sectors: install.flatten(),
-        has_store_handler: store.is_some(),
-        store_installs,
-        may_fault,
         has_side_inserts,
     }
 }
@@ -111,11 +90,6 @@ mod tests {
                 fx.install_sectors,
                 Some(1),
                 "seed {seed}: fuzz finish routines allocate exactly one sector"
-            );
-            assert!(!fx.store_installs, "fuzz store handlers only acknowledge");
-            assert_eq!(
-                fx.has_store_handler,
-                p.table.lookup(StateId::DEFAULT, EventId::UPDATE).is_some()
             );
         }
     }
@@ -149,7 +123,6 @@ mod tests {
         .expect("valid");
         let fx = extract(&p);
         assert_eq!(fx.install_sectors, None);
-        assert!(!fx.may_fault);
         assert!(!fx.has_side_inserts);
     }
 
@@ -184,9 +157,9 @@ mod tests {
         "#,
         )
         .expect("valid");
+        // The fault tail leaves the install size static.
         let fx = extract(&p);
         assert_eq!(fx.install_sectors, Some(1));
-        assert!(fx.may_fault);
         assert!(fx.has_side_inserts);
     }
 }

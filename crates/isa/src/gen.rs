@@ -180,7 +180,6 @@ pub fn generate(seed: u64) -> WalkerProgram {
         routines,
         table,
     };
-    debug_assert_eq!(program.validate(), Ok(()), "generator broke validate()");
     debug_assert!(
         verify(&program).check(true).is_ok(),
         "generator produced verifier findings for seed {seed}: {:?}",
@@ -279,7 +278,6 @@ mod tests {
                     .map(ToString::to_string)
                     .collect::<Vec<_>>()
             );
-            assert_eq!(p.validate(), Ok(()), "seed {seed}");
         }
     }
 

@@ -15,8 +15,9 @@
 //! * [`Action`], [`Operand`], [`Cond`], [`AluOp`] — the action set of
 //!   Figure 8 (five categories: address generation, message queues,
 //!   meta-tags, control flow, data RAM).
-//! * [`Routine`], [`RoutineTable`], [`WalkerProgram`] — the compiled form,
-//!   with structural validation.
+//! * [`Routine`], [`RoutineTable`], [`WalkerProgram`] — the compiled form.
+//! * [`verify`] — every check a program must pass: the structural pass
+//!   the assembler runs, and the §4.2 coroutine discipline.
 //! * [`asm`] — the textual walker language and its compiler, the analogue
 //!   of the paper's "table-driven template" the designer fills in.
 //! * [`encode`]/[`decode`] — a fixed-width binary encoding, used to size
@@ -69,4 +70,4 @@ mod program;
 pub use action::{Action, ActionCategory, AluOp, Cond, Operand, Reg};
 pub use encode::{decode, encode, DecodeError, ACTION_BITS};
 pub use ids::{EventId, StateId};
-pub use program::{ProgramError, Routine, RoutineId, RoutineTable, WalkerProgram};
+pub use program::{Routine, RoutineId, RoutineTable, WalkerProgram};

@@ -275,8 +275,9 @@ fn dec_action(action: Action, params: &[u64], msg_words: usize) -> DecOp {
 }
 
 /// Pre-decodes `program` against a concrete parameter block and message
-/// width. Call after validation/verification; indexing mirrors
-/// `program.routines` exactly.
+/// width. Call after the verifier's structural pass
+/// ([`verify_structure`](crate::verify::verify_structure)); indexing
+/// mirrors `program.routines` exactly.
 #[must_use]
 pub fn predecode(program: &WalkerProgram, params: &[u64], msg_words: usize) -> DecodedProgram {
     assert!(msg_words > 0, "message width must be nonzero");

@@ -1,6 +1,6 @@
-//! Compiled walker programs: routines, the routine table, and validation.
+//! Compiled walker programs: routines and the routine table. Their
+//! checks live in [`verify`](crate::verify).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::{Action, EventId, StateId};
@@ -113,75 +113,7 @@ impl RoutineTable {
     }
 }
 
-/// Structural error in a [`WalkerProgram`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProgramError {
-    /// A routine has no actions.
-    EmptyRoutine(String),
-    /// A routine can run past its final action.
-    MissingTerminator(String),
-    /// A terminator appears before the end yet nothing branches past it —
-    /// the trailing actions can never execute.
-    UnreachableTail(String, usize),
-    /// A branch targets an action index outside the routine.
-    BranchOutOfRange(String, usize, u8),
-    /// An action names an X-register ≥ the declared register count.
-    RegisterOutOfRange(String, u8),
-    /// A `Yield` names a state ≥ the declared state count.
-    StateOutOfRange(String, u8),
-    /// The table references a routine id that does not exist.
-    DanglingRoutine(StateId, EventId, RoutineId),
-    /// No routine handles `(Default, Miss)` — the walker can never start.
-    NoMissHandler,
-    /// An event id used by `Hash`/`PostEvent` is outside the declared
-    /// event count.
-    EventOutOfRange(String, u8),
-}
-
-impl fmt::Display for ProgramError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProgramError::EmptyRoutine(n) => write!(f, "routine `{n}` is empty"),
-            ProgramError::MissingTerminator(n) => {
-                write!(f, "routine `{n}` can fall off its end without a terminator")
-            }
-            ProgramError::UnreachableTail(n, i) => {
-                write!(f, "routine `{n}`: actions after index {i} are unreachable")
-            }
-            ProgramError::BranchOutOfRange(n, i, t) => {
-                write!(
-                    f,
-                    "routine `{n}` action {i}: branch target @{t} out of range"
-                )
-            }
-            ProgramError::RegisterOutOfRange(n, r) => {
-                write!(
-                    f,
-                    "routine `{n}` uses r{r} beyond the declared register count"
-                )
-            }
-            ProgramError::StateOutOfRange(n, s) => {
-                write!(f, "routine `{n}` yields to undeclared state S{s}")
-            }
-            ProgramError::DanglingRoutine(s, e, r) => {
-                write!(f, "table entry ({s}, {e}) points at missing {r}")
-            }
-            ProgramError::NoMissHandler => {
-                write!(
-                    f,
-                    "no routine handles (Default, Miss); the walker can never start"
-                )
-            }
-            ProgramError::EventOutOfRange(n, e) => {
-                write!(f, "routine `{n}` posts undeclared event E{e}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ProgramError {}
-
-/// A complete, validated walker: routines + dispatch table + declarations.
+/// A complete walker: routines + dispatch table + declarations.
 ///
 /// This is what the assembler produces and what the controller in
 /// `xcache-core` loads into its routine RAM.
@@ -245,102 +177,25 @@ impl WalkerProgram {
             .position(|n| n == name)
             .map(|i| i as u8)
     }
-
-    /// Validates every structural invariant; returns all errors found.
-    ///
-    /// # Errors
-    ///
-    /// Returns the (nonempty) list of problems when the program is not
-    /// well-formed.
-    pub fn validate(&self) -> Result<(), Vec<ProgramError>> {
-        let mut errs = Vec::new();
-        for r in &self.routines {
-            if r.actions.is_empty() {
-                errs.push(ProgramError::EmptyRoutine(r.name.clone()));
-                continue;
-            }
-            // Control-flow scan: compute reachability and check the final
-            // reachable instruction set.
-            let n = r.actions.len();
-            let mut reachable = vec![false; n];
-            let mut stack = vec![0usize];
-            let mut falls_off = false;
-            while let Some(i) = stack.pop() {
-                if i >= n {
-                    falls_off = true;
-                    continue;
-                }
-                if reachable[i] {
-                    continue;
-                }
-                reachable[i] = true;
-                match &r.actions[i] {
-                    Action::Branch { target, .. } => {
-                        if (*target as usize) >= n {
-                            errs.push(ProgramError::BranchOutOfRange(r.name.clone(), i, *target));
-                        } else {
-                            stack.push(*target as usize);
-                        }
-                        stack.push(i + 1);
-                    }
-                    a if a.is_terminator() => {}
-                    _ => stack.push(i + 1),
-                }
-            }
-            if falls_off {
-                errs.push(ProgramError::MissingTerminator(r.name.clone()));
-            }
-            if let Some(first_dead) = reachable.iter().position(|x| !x) {
-                errs.push(ProgramError::UnreachableTail(r.name.clone(), first_dead));
-            }
-            // Per-action operand checks.
-            for a in &r.actions {
-                for reg in a.reads().into_iter().chain(a.writes()) {
-                    if reg.0 >= self.regs {
-                        errs.push(ProgramError::RegisterOutOfRange(r.name.clone(), reg.0));
-                    }
-                }
-                match a {
-                    Action::Yield { state } if state.0 as usize >= self.state_names.len() => {
-                        errs.push(ProgramError::StateOutOfRange(r.name.clone(), state.0));
-                    }
-                    Action::Hash { done, .. } | Action::PostEvent { event: done, .. }
-                        if done.0 as usize >= self.event_names.len() =>
-                    {
-                        errs.push(ProgramError::EventOutOfRange(r.name.clone(), done.0));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        // Table entries must point at real routines.
-        for s in 0..self.table.states() {
-            for e in 0..self.table.events() {
-                if let Some(rid) = self.table.lookup(StateId(s), EventId(e)) {
-                    if rid.0 as usize >= self.routines.len() {
-                        errs.push(ProgramError::DanglingRoutine(StateId(s), EventId(e), rid));
-                    }
-                }
-            }
-        }
-        if self.table.lookup(StateId::DEFAULT, EventId::MISS).is_none() {
-            errs.push(ProgramError::NoMissHandler);
-        }
-        // Dedup (register errors repeat per action).
-        let mut seen = BTreeMap::new();
-        errs.retain(|e| seen.insert(format!("{e}"), ()).is_none());
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::{verify_structure, DefectClass, VerifyReport};
     use crate::{AluOp, Operand, Reg};
+
+    /// Asserts the structural pass rejects `p` with a `class` error.
+    fn rejected(p: &WalkerProgram, class: DefectClass) -> VerifyReport {
+        let report = verify_structure(p);
+        assert!(
+            report.has_errors() && report.has_class(class),
+            "expected a `{}` error, got: {:?}",
+            class.code(),
+            report.diagnostics
+        );
+        report
+    }
 
     fn minimal_program() -> WalkerProgram {
         let mut table = RoutineTable::new(2, 3);
@@ -395,7 +250,7 @@ mod tests {
 
     #[test]
     fn minimal_program_validates() {
-        assert_eq!(minimal_program().validate(), Ok(()));
+        assert_eq!(verify_structure(&minimal_program()).diagnostics, vec![]);
     }
 
     #[test]
@@ -424,20 +279,14 @@ mod tests {
     fn missing_terminator_detected() {
         let mut p = minimal_program();
         p.routines[0].actions.pop(); // drop the Yield
-        let errs = p.validate().unwrap_err();
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ProgramError::MissingTerminator(_))));
+        rejected(&p, DefectClass::Terminator);
     }
 
     #[test]
     fn empty_routine_detected() {
         let mut p = minimal_program();
         p.routines[0].actions.clear();
-        let errs = p.validate().unwrap_err();
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ProgramError::EmptyRoutine(_))));
+        rejected(&p, DefectClass::Terminator);
     }
 
     #[test]
@@ -452,10 +301,7 @@ mod tests {
                 target: 99,
             },
         );
-        let errs = p.validate().unwrap_err();
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ProgramError::BranchOutOfRange(..))));
+        rejected(&p, DefectClass::Terminator);
     }
 
     #[test]
@@ -468,20 +314,15 @@ mod tests {
                 a: Operand::Key,
             },
         );
-        let errs = p.validate().unwrap_err();
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ProgramError::RegisterOutOfRange(_, 7))));
+        let report = rejected(&p, DefectClass::Bounds);
+        assert!(report.diagnostics.iter().any(|d| d.message.contains("r7")));
     }
 
     #[test]
     fn dangling_routine_detected() {
         let mut p = minimal_program();
         p.table.set(StateId(1), EventId::UPDATE, RoutineId(9));
-        let errs = p.validate().unwrap_err();
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ProgramError::DanglingRoutine(..))));
+        rejected(&p, DefectClass::TableIntegrity);
     }
 
     #[test]
@@ -489,20 +330,14 @@ mod tests {
         let mut p = minimal_program();
         p.table = RoutineTable::new(2, 3);
         p.table.set(StateId(1), EventId::FILL, RoutineId(1));
-        let errs = p.validate().unwrap_err();
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ProgramError::NoMissHandler)));
+        rejected(&p, DefectClass::TableIntegrity);
     }
 
     #[test]
     fn unreachable_tail_detected() {
         let mut p = minimal_program();
         p.routines[1].actions.push(Action::Respond); // after Retire
-        let errs = p.validate().unwrap_err();
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ProgramError::UnreachableTail(..))));
+        rejected(&p, DefectClass::Terminator);
     }
 
     #[test]
@@ -530,7 +365,7 @@ mod tests {
             Action::Yield { state: StateId(1) },
             Action::Retire,
         ];
-        assert_eq!(p.validate(), Ok(()));
+        assert_eq!(verify_structure(&p).diagnostics, vec![]);
     }
 
     #[test]

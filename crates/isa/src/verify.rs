@@ -1,8 +1,12 @@
 //! Static verification of walker programs.
 //!
-//! [`WalkerProgram::validate`] guarantees a program is *structurally*
-//! well-formed; this module proves the deeper coroutine discipline of §4.2
-//! before the controller ever runs an action:
+//! This module is the one home of every walker-program check. Checks 1
+//! and 2 below, with the id bounds (every register, state, event and
+//! parameter an action names is declared), form the *structural* pass,
+//! [`verify_structure`]: [`assemble`](crate::asm::assemble) and the
+//! controller's unchecked build reject on it. [`verify`] runs that pass
+//! and then proves the deeper coroutine discipline of §4.2 before the
+//! controller ever runs an action:
 //!
 //! 1. **Table integrity** — every `(state, event)` entry points at a real
 //!    routine, the table dimensions match the declared state/event names,
@@ -251,6 +255,17 @@ pub fn verify_with(program: &WalkerProgram, limits: &VerifyLimits) -> VerifyRepo
     Verifier::new(program, limits).run()
 }
 
+/// Runs only the structural pass: table integrity, terminators and id
+/// bounds. Every finding is an error; a program that passes is safe to
+/// predecode and dispatch, though it may still break the coroutine
+/// discipline [`verify`] checks.
+#[must_use]
+pub fn verify_structure(program: &WalkerProgram) -> VerifyReport {
+    let mut v = Verifier::new(program, &VerifyLimits::default());
+    v.structural_pass();
+    v.report()
+}
+
 /// A dataflow fact at one program point of one routine activation.
 ///
 /// `defs` is a *must* set (meet = intersection); everything else is a
@@ -323,14 +338,23 @@ impl<'p> Verifier<'p> {
     }
 
     fn run(mut self) -> VerifyReport {
-        self.check_table();
-        for i in 0..self.program.routines.len() {
-            self.sound[i] = self.check_structure(i);
-        }
+        self.structural_pass();
         self.check_stage_legality();
         self.propagate();
         self.check_dataflow();
         self.check_reachability();
+        self.report()
+    }
+
+    /// The structural pass: table integrity, terminators and id bounds.
+    fn structural_pass(&mut self) {
+        self.check_table();
+        for i in 0..self.program.routines.len() {
+            self.sound[i] = self.check_structure(i);
+        }
+    }
+
+    fn report(mut self) -> VerifyReport {
         // Deduplicate (fixpoint passes can revisit a program point).
         let mut seen = BTreeSet::new();
         self.diags.retain(|d| seen.insert(d.to_string()));
@@ -368,7 +392,7 @@ impl<'p> Verifier<'p> {
         );
     }
 
-    // ---- check 1 & 5: table integrity + id bounds -----------------------
+    // ---- check 1: table integrity ---------------------------------------
 
     fn check_table(&mut self) {
         let p = self.program;
@@ -508,7 +532,7 @@ impl<'p> Verifier<'p> {
                 format!("actions from index {dead} can never execute"),
             );
         }
-        // Operand bounds (check 5).
+        // Id bounds.
         let p = self.program;
         let (regs, states, events, params) = (
             p.regs,
@@ -527,7 +551,7 @@ impl<'p> Verifier<'p> {
                     );
                 }
             }
-            for op in operands(a) {
+            for op in a.operands() {
                 if let Operand::Param(i) = op {
                     if usize::from(i) >= params {
                         self.action_error(
@@ -939,30 +963,6 @@ fn alloc_sectors(count: &Operand) -> u32 {
     match count {
         Operand::Imm(v) => u32::try_from(*v).unwrap_or(u32::MAX),
         _ => 1,
-    }
-}
-
-/// All operands of an action (register and non-register alike).
-fn operands(a: &Action) -> Vec<Operand> {
-    match a {
-        Action::Alu { a, b, .. }
-        | Action::UpdateM { start: a, end: b }
-        | Action::InsertM { key: a, words: b }
-        | Action::Branch { a, b, .. } => vec![*a, *b],
-        Action::Mov { a, .. } | Action::Hash { a, .. } | Action::PostEvent { payload: a, .. } => {
-            vec![*a]
-        }
-        Action::DramRead { addr, len } => vec![*addr, *len],
-        Action::DramWrite { addr, sector, len } => vec![*addr, *sector, *len],
-        Action::AllocD { count, .. } => vec![*count],
-        Action::ReadD { sector, word, .. } => vec![*sector, *word],
-        Action::WriteD {
-            sector,
-            word,
-            value,
-        } => vec![*sector, *word, *value],
-        Action::FillD { sector, words } => vec![*sector, *words],
-        _ => Vec::new(),
     }
 }
 

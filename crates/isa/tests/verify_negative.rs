@@ -85,6 +85,19 @@ fn table_dimension_mismatch() {
 // ---- class 2: terminator ------------------------------------------------
 
 #[test]
+fn empty_routine() {
+    let mut p = skeleton();
+    p.routines[0].actions.clear();
+    let report = verify(&p);
+    assert!(report
+        .diagnostics
+        .iter()
+        .any(|d| d.class == DefectClass::Terminator
+            && d.severity == Severity::Error
+            && d.message.contains("empty")));
+}
+
+#[test]
 fn path_runs_past_routine_end() {
     let mut p = skeleton();
     p.routines[0].actions.pop(); // drop the Fault
@@ -161,6 +174,38 @@ fn yield_to_undeclared_state() {
     ];
     let report = verify(&p);
     assert!(report.has_class(DefectClass::Bounds));
+}
+
+#[test]
+fn hash_and_post_to_undeclared_events() {
+    let mut p = skeleton();
+    p.routines[0].actions = vec![
+        Action::AllocR,
+        Action::Hash {
+            done: EventId(5),
+            a: Operand::Key,
+        },
+        Action::PostEvent {
+            event: EventId(6),
+            delay: 1,
+            payload: Operand::Imm(0),
+        },
+        Action::Fault,
+    ];
+    let report = verify(&p);
+    for (pc, event) in [(1, "E5"), (2, "E6")] {
+        assert!(
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.class == DefectClass::Bounds
+                    && d.severity == Severity::Error
+                    && d.pc == Some(pc)
+                    && d.message.contains(event)),
+            "no bounds error for {event} at @{pc}: {:?}",
+            report.diagnostics
+        );
+    }
 }
 
 // ---- class 4: use-before-def --------------------------------------------

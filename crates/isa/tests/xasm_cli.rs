@@ -146,9 +146,9 @@ fn parse_error_exits_one() {
     assert_eq!(out.status.code(), Some(1));
 }
 
-/// Assembles (validate passes) but trips the verifier: the launch entry
-/// issues a DRAM read and then retires, never consuming the fill, and an
-/// AGEN action follows the issue without a yield.
+/// Assembles (the structural pass accepts it) but trips the verifier: the
+/// launch entry issues a DRAM read and then retires, never consuming the
+/// fill, and an AGEN action follows the issue without a yield.
 const VERIFY_BAD: &str = r"
 walker t
 states Default

@@ -226,12 +226,6 @@ impl<D: MemoryPort> AddressCache<D> {
         &mut self.downstream
     }
 
-    /// Consumes the cache, returning its downstream level.
-    #[must_use]
-    pub fn into_downstream(self) -> D {
-        self.downstream
-    }
-
     /// Hit ratio so far, or `None` before any access.
     #[must_use]
     pub fn hit_rate(&self) -> Option<f64> {

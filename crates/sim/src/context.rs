@@ -1,8 +1,8 @@
 //! Shared per-instance simulation context.
 //!
 //! Every pipeline stage of a simulated component needs the same ambient
-//! services: the current cycle, the statistics registry, the trace hooks,
-//! and the instance's RNG seed. [`SimContext`] bundles them so stages can
+//! services: the current cycle, the statistics registry and the trace
+//! hooks. [`SimContext`] bundles them so stages can
 //! be written — and unit-tested — against one small struct instead of
 //! reaching into their owning component.
 
@@ -20,20 +20,16 @@ pub struct SimContext {
     pub stats: Stats,
     /// Trace hooks (disabled by default; see [`SimContext::enable_trace`]).
     pub trace: TraceBuffer,
-    /// Seed for any derived pseudo-randomness, kept here so replays of the
-    /// same configuration reproduce the same streams.
-    pub seed: u64,
 }
 
 impl SimContext {
     /// A fresh context at cycle zero with tracing disabled.
     #[must_use]
-    pub fn new(seed: u64) -> Self {
+    pub fn new() -> Self {
         SimContext {
             now: Cycle(0),
             stats: Stats::new(),
             trace: TraceBuffer::disabled(),
-            seed,
         }
     }
 
@@ -66,7 +62,7 @@ impl SimContext {
 
 impl Default for SimContext {
     fn default() -> Self {
-        SimContext::new(0)
+        SimContext::new()
     }
 }
 
@@ -76,18 +72,17 @@ mod tests {
 
     #[test]
     fn advances_and_counts() {
-        let mut ctx = SimContext::new(7);
+        let mut ctx = SimContext::new();
         assert_eq!(ctx.now, Cycle(0));
         ctx.advance(Cycle(42));
         assert_eq!(ctx.now, Cycle(42));
         ctx.stats.incr("ctx.test");
         assert_eq!(ctx.stats.get("ctx.test"), 1);
-        assert_eq!(ctx.seed, 7);
     }
 
     #[test]
     fn trace_stamps_current_cycle() {
-        let mut ctx = SimContext::new(0);
+        let mut ctx = SimContext::new();
         ctx.enable_trace(4);
         ctx.advance(Cycle(9));
         ctx.emit(TraceKind::Other, "test", "hello".into());

@@ -233,14 +233,6 @@ impl StatsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Mean of the histogram summarised under `name` (from its derived
-    /// `.sum`/`.count` counters), or `None` when absent/empty.
-    #[must_use]
-    pub fn hist_mean(&self, name: &str) -> Option<f64> {
-        let count = self.get(&format!("{name}.count"));
-        (count > 0).then(|| self.get(&format!("{name}.sum")) as f64 / count as f64)
-    }
-
     /// Sum of all counters whose name starts with `prefix`.
     #[must_use]
     pub fn sum_prefix(&self, prefix: &str) -> u64 {

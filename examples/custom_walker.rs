@@ -8,9 +8,10 @@
 //! * slots of 32 bytes `[key, value, pad, pad]` at `base + slot * 32`;
 //! * probe sequence `h(key), h(key)+1, …` (wrapping), empty slot = key 0.
 //!
-//! The walker hashes once, then chases consecutive slots; every slot load
-//! is one DRAM access and a data-dependent branch — exactly the dynamic
-//! pattern §2 says scratchpads cannot express.
+//! The walker (`walkers/open_addressing.xw`) hashes once, then chases
+//! consecutive slots; every slot load is one DRAM access and a
+//! data-dependent branch — exactly the dynamic pattern §2 says
+//! scratchpads cannot express.
 //!
 //! ```sh
 //! cargo run --release --example custom_walker
@@ -26,58 +27,8 @@ const SLOT_BYTES: u64 = 32;
 const BASE: u64 = 0x20_0000;
 
 fn main() {
-    let program = assemble(
-        r#"
-        walker open_addressing
-        states Default, Probe
-        events HashDone
-        regs 4
-        params base, slot_mask
-
-        routine start {
-            allocR
-            allocM
-            hash HashDone, key
-            yield Default
-        }
-
-        ; r0 = current slot index; fetch slot r0.
-        routine first_probe {
-            peek r0, 0
-            and r0, r0, slot_mask
-            mul r1, r0, 32
-            add r1, r1, base
-            dram_read r1, 32
-            yield Probe
-        }
-
-        ; Match / empty / next-slot (linear probing).
-        routine check {
-            peek r2, 0              ; slot key
-            beq r2, key, @found
-            beq r2, 0, @notfound    ; empty slot terminates the probe chain
-            add r0, r0, 1           ; linear probe: next slot
-            and r0, r0, slot_mask
-            mul r1, r0, 32
-            add r1, r1, base
-            dram_read r1, 32
-            yield Probe
-        found:
-            allocD r3, 1
-            filld r3, 4
-            updatem r3, r3
-            respond
-            retire
-        notfound:
-            fault
-        }
-
-        on Default, Miss -> start
-        on Default, HashDone -> first_probe
-        on Probe, Fill -> check
-    "#,
-    )
-    .expect("custom walker assembles");
+    let program =
+        assemble(include_str!("../walkers/open_addressing.xw")).expect("custom walker assembles");
     println!(
         "new DSA cache compiled: {} states x {} events, {} microcode words\n",
         program.state_names.len(),

@@ -3,6 +3,7 @@
 
 use xcache_core::XCacheConfig;
 use xcache_dsa::{dasx, graphpulse, spgemm, widx};
+use xcache_isa::verify::verify_structure;
 use xcache_workloads::{CsrMatrix, GraphPreset, QueryClass, SparsePattern};
 
 fn widx_small() -> (widx::WidxWorkload, XCacheConfig) {
@@ -128,7 +129,11 @@ fn all_walkers_validate_and_fit_paper_geometries() {
         (spgemm::walker(), XCacheConfig::sparch()),
         (spgemm::walker(), XCacheConfig::gamma()),
     ] {
-        assert!(program.validate().is_ok(), "{} invalid", program.name);
+        assert!(
+            verify_structure(&program).check(false).is_ok(),
+            "{} invalid",
+            program.name
+        );
         assert!(
             usize::from(program.regs) <= cfg.xregs_per_walker,
             "{} needs too many registers",

@@ -5,6 +5,7 @@
 use xcache_core::{MetaAccess, MetaKey, XCache, XCacheConfig};
 use xcache_energy::EnergyModel;
 use xcache_isa::asm::{assemble, disassemble};
+use xcache_isa::verify::verify_structure;
 use xcache_mem::{DramConfig, DramModel};
 use xcache_sim::Cycle;
 
@@ -71,7 +72,7 @@ fn source_to_silicon_pipeline() {
     // Assemble → validate → disassemble → reassemble → binary encode →
     // decode: every stage of the toolflow agrees with itself.
     let p1 = assemble(WALKER_SRC).expect("assembles");
-    assert!(p1.validate().is_ok());
+    assert!(verify_structure(&p1).check(false).is_ok());
     let p2 = assemble(&disassemble(&p1)).expect("round trip");
     assert_eq!(p1.routines, p2.routines);
     for r in &p1.routines {

@@ -313,7 +313,10 @@ proptest! {
         }
         if let Ok(text) = String::from_utf8(bytes) {
             if let Ok(program) = xcache_isa::asm::assemble(&text) {
-                prop_assert!(program.validate().is_ok(), "assemble returned an invalid program");
+                prop_assert!(
+                    xcache_isa::verify::verify_structure(&program).check(false).is_ok(),
+                    "assemble returned an invalid program"
+                );
             }
         }
     }
