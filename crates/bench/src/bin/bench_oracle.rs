@@ -1,12 +1,12 @@
 //! Analytical predictions without simulation: replays the paper's
 //! scenario cells (and a handful of fuzz seeds) through the
 //! `xcache-oracle` model and prints the predicted hit/miss/eviction
-//! profile per cell — the numbers a sweep-pruning pass ranks on.
+//! profile per cell.
 //!
 //! With `XCACHE_JSON` set, the predictions are also written to
 //! `results/bench_oracle.json` in the same self-describing metadata
-//! envelope as every other bench dump, so trajectory tooling can diff
-//! oracle predictions across commits exactly like measured results.
+//! envelope as every other bench dump, so oracle predictions diff
+//! across commits exactly like measured results.
 //!
 //! ```text
 //! XCACHE_JSON=1 cargo run --release --bin bench_oracle

@@ -5,11 +5,9 @@
 //! rises, the meta-tag advantage grows — hits skip hashing and walking
 //! entirely, while the baseline walks regardless.
 
-use xcache_bench::crossval::{oracle_geometry, widx_oracle_ops};
 use xcache_bench::{maybe_dump_table_json, pct, render_table, scale, Runner, Scenario};
 use xcache_core::XCacheConfig;
 use xcache_dsa::widx;
-use xcache_oracle::CacheModel;
 use xcache_workloads::QueryClass;
 
 const HEADERS: [&str; 5] = [
@@ -30,11 +28,6 @@ fn main() {
     preset.miss_rate = 0.02;
     let w = xcache_dsa::widx::WidxWorkload::from_preset(&preset, 7);
     let keys = w.index.len();
-    // The access plan depends only on the index layout, not the cache
-    // geometry — derive it once and replay it per sweep point for the
-    // pruning estimate (predicted DRAM-walking misses: the cells where
-    // simulation has the most to say).
-    let oracle_ops = widx_oracle_ops(&w);
     let geometry_for = |resident_pct: u32| {
         let resident = (keys as u64 * u64::from(resident_pct) / 100).max(16);
         // Fixed power-of-two sets; associativity carries the capacity so
@@ -52,8 +45,6 @@ fn main() {
         .into_iter()
         .map(|resident_pct| {
             let w = &w;
-            let predicted =
-                CacheModel::replay(oracle_geometry(&geometry_for(resident_pct)), &oracle_ops);
             Scenario::new(format!("{resident_pct}% resident"), move || {
                 let g = geometry_for(resident_pct);
                 let x = widx::run_xcache(w, Some(g.clone()));
@@ -68,23 +59,10 @@ fn main() {
                     format!("{:.2}x", x.speedup_over(&b)),
                 ]
             })
-            .with_estimate(predicted.misses as f64)
         })
         .collect();
-    let total = cells.len();
-    let rows: Vec<Vec<String>> = Runner::from_env()
-        .run_pruned(cells)
-        .into_iter()
-        .flatten()
-        .collect();
+    let rows = Runner::from_env().run(cells);
     print!("{}", render_table(&HEADERS, &rows));
     maybe_dump_table_json("fig17_residency_sweep", &HEADERS, &rows);
-    if rows.len() < total {
-        println!(
-            "\n({} of {total} cells pruned by XCACHE_ESTIMATE_FRAC; \
-             ranked by oracle-predicted misses)",
-            total - rows.len()
-        );
-    }
     println!("\n(paper: the meta-tag advantage grows with residency/hit rate)");
 }

@@ -79,33 +79,6 @@ pub fn timing_totals() -> (u64, u64) {
     (wall_ms, SIM_CYCLES.load(Ordering::Relaxed))
 }
 
-/// Single-core integer throughput of this machine, measured once per
-/// process: billions of `splitmix64` steps per second over a serial
-/// dependency chain, best of 5 reps so scheduler noise biases low, not
-/// high. Recorded in every JSON meta envelope as `machine_factor`, so
-/// throughput numbers taken on different machines can be normalized
-/// before being compared (`cycles_per_sec / machine_factor`) — raw
-/// cycles/sec drifts with the host CPU, which used to make the
-/// perf-trajectory `--check` flag noisy across machines.
-#[must_use]
-pub fn machine_factor() -> f64 {
-    static FACTOR: OnceLock<f64> = OnceLock::new();
-    *FACTOR.get_or_init(|| {
-        const ITERS: u64 = 1 << 21;
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let start = Instant::now();
-            let mut x = 0x9E37_79B9_7F4A_7C15u64;
-            for _ in 0..ITERS {
-                x = xcache_core::splitmix64(x);
-            }
-            std::hint::black_box(x);
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        (ITERS as f64 / best) / 1e9
-    })
-}
-
 /// Workload scale divisor. `1` = paper-sized. Default 10.
 ///
 /// Read from `XCACHE_SCALE`; a malformed or zero value prints the
@@ -529,8 +502,8 @@ pub fn git_sha() -> String {
 
 /// Run metadata recorded in every JSON dump: enough to reproduce the run
 /// (scale divisor, job count, commit) and to identify the format, plus the
-/// timing fields (`wall_ms`, `sim_cycles`, `sim_cycles_per_sec`) that give
-/// every dump a perf trajectory. `parallel_fallbacks` counts silent
+/// timing fields (`wall_ms`, `sim_cycles`, `sim_cycles_per_sec`) of the
+/// run that wrote it. `parallel_fallbacks` counts silent
 /// `Par`-pool degradations to sequential execution — nonzero means the
 /// run's wall times came from a machine that couldn't actually go
 /// parallel, so its throughput numbers undersell the code. The timing
@@ -545,11 +518,10 @@ pub fn meta_json(name: &str) -> String {
         .checked_div(wall_ms)
         .unwrap_or(0);
     format!(
-        "{{\"schema\":\"xcache-bench/2\",\"experiment\":\"{}\",\"scale\":{},\"jobs\":{},\"machine_factor\":{:.3},\"git_sha\":\"{}\",\"wall_ms\":{wall_ms},\"sim_cycles\":{sim_cycles},\"sim_cycles_per_sec\":{per_sec},\"parallel_fallbacks\":{}}}",
+        "{{\"schema\":\"xcache-bench/3\",\"experiment\":\"{}\",\"scale\":{},\"jobs\":{},\"git_sha\":\"{}\",\"wall_ms\":{wall_ms},\"sim_cycles\":{sim_cycles},\"sim_cycles_per_sec\":{per_sec},\"parallel_fallbacks\":{}}}",
         json_escape(name),
         scale(),
         jobs_from_env(),
-        machine_factor(),
         json_escape(&git_sha()),
         xcache_sim::parallel_fallbacks()
     )
@@ -729,14 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn machine_factor_is_positive_and_cached() {
-        let a = machine_factor();
-        assert!(a > 0.001 && a < 1000.0, "implausible calibration: {a}");
-        // OnceLock-cached: the second call returns the identical value.
-        assert!((machine_factor() - a).abs() < f64::EPSILON);
-    }
-
-    #[test]
     fn formatting_helpers() {
         assert_eq!(ratio(17.0, 10.0), "1.70x");
         assert_eq!(ratio(1.0, 0.0), "n/a");
@@ -765,7 +729,6 @@ mod tests {
             "\"experiment\"",
             "\"scale\"",
             "\"jobs\"",
-            "\"machine_factor\"",
             "\"git_sha\"",
             "\"wall_ms\"",
             "\"sim_cycles\"",

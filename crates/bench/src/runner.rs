@@ -26,7 +26,6 @@ use xcache_sim::StatsSnapshot;
 pub struct Scenario<'a, T> {
     label: String,
     run: Box<dyn FnOnce() -> T + Send + 'a>,
-    estimate: Option<f64>,
 }
 
 impl<'a, T> Scenario<'a, T> {
@@ -35,24 +34,7 @@ impl<'a, T> Scenario<'a, T> {
         Scenario {
             label: label.into(),
             run: Box::new(run),
-            estimate: None,
         }
-    }
-
-    /// Attaches an analytical interest estimate (higher = more worth
-    /// simulating); [`Runner::run_pruned`] ranks cells by it. Typically an
-    /// `xcache-oracle` prediction — e.g. the predicted miss count of the
-    /// cell's access stream. Cells without an estimate always run.
-    #[must_use]
-    pub fn with_estimate(mut self, estimate: f64) -> Self {
-        self.estimate = Some(estimate);
-        self
-    }
-
-    /// The cell's estimate, if one was attached.
-    #[must_use]
-    pub fn estimate(&self) -> Option<f64> {
-        self.estimate
     }
 
     /// The cell's label.
@@ -185,93 +167,6 @@ impl Runner {
                     .expect("every cell completed")
             })
             .collect()
-    }
-}
-
-/// The sweep-pruning fraction from `XCACHE_ESTIMATE_FRAC`, if set.
-///
-/// Must be a finite value in `(0, 1]`; unset means "run everything". A
-/// malformed or out-of-range value prints the structured error and
-/// exits 2 (see [`try_estimate_frac_from_env`]).
-#[must_use]
-pub fn estimate_frac_from_env() -> Option<f64> {
-    xcache_sim::exit2(try_estimate_frac_from_env())
-}
-
-/// [`estimate_frac_from_env`] as a structured result, for callers (the
-/// scenario service) that must reject a bad knob instead of exiting.
-///
-/// # Errors
-///
-/// Returns an [`xcache_sim::EnvError`] when the value is unparsable,
-/// non-finite, or outside `(0, 1]`.
-pub fn try_estimate_frac_from_env() -> Result<Option<f64>, xcache_sim::EnvError> {
-    xcache_sim::env_parse_map("XCACHE_ESTIMATE_FRAC", |s| {
-        let f: f64 = s.parse().map_err(|e| format!("{e}"))?;
-        if !f.is_finite() || f <= 0.0 || f > 1.0 {
-            return Err(format!("fraction {f} outside (0, 1]"));
-        }
-        Ok(f)
-    })
-}
-
-impl Runner {
-    /// [`Runner::run`] with oracle-guided sweep pruning: among the cells
-    /// carrying an [`estimate`](Scenario::with_estimate), only the top
-    /// `ceil(frac × n)` by estimate are simulated (ties and order broken
-    /// by declaration position, so the selection is deterministic); cells
-    /// without an estimate always run. Results come back in declaration
-    /// order, `None` marking pruned cells.
-    ///
-    /// An executed cell runs the *identical* closure `run` would have run,
-    /// so its result is byte-identical to the full sweep's — the property
-    /// `tests/estimate_prune.rs` pins.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from any executed cell.
-    pub fn run_pruned_frac<T: Send>(
-        &self,
-        cells: Vec<Scenario<'_, T>>,
-        frac: f64,
-    ) -> Vec<Option<T>> {
-        let frac = frac.clamp(0.0, 1.0);
-        let n = cells.len();
-        // Rank the estimated cells (descending estimate, declaration
-        // order breaking ties) and keep the top fraction.
-        let mut ranked: Vec<(usize, f64)> = cells
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.estimate().map(|e| (i, e)))
-            .collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let keep_count = (frac * ranked.len() as f64).ceil() as usize;
-        let mut keep = vec![false; n];
-        for (i, _) in ranked.iter().take(keep_count) {
-            keep[*i] = true;
-        }
-        let mut selected = Vec::new();
-        let mut positions = Vec::new();
-        for (i, c) in cells.into_iter().enumerate() {
-            if c.estimate().is_none() || keep[i] {
-                selected.push(c);
-                positions.push(i);
-            }
-        }
-        let results = self.run(selected);
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        for (pos, value) in positions.into_iter().zip(results) {
-            out[pos] = Some(value);
-        }
-        out
-    }
-
-    /// [`Runner::run_pruned_frac`] with the fraction taken from
-    /// `XCACHE_ESTIMATE_FRAC` (see [`estimate_frac_from_env`]); without it
-    /// every cell runs.
-    pub fn run_pruned<T: Send>(&self, cells: Vec<Scenario<'_, T>>) -> Vec<Option<T>> {
-        let frac = estimate_frac_from_env().unwrap_or(1.0);
-        self.run_pruned_frac(cells, frac)
     }
 }
 
@@ -736,26 +631,6 @@ mod tests {
     fn labels_are_kept() {
         let s = Scenario::new("hello", || 1u32);
         assert_eq!(s.label(), "hello");
-        assert_eq!(s.estimate(), None);
-        assert_eq!(s.with_estimate(0.5).estimate(), Some(0.5));
-    }
-
-    #[test]
-    fn pruning_keeps_top_fraction_and_unestimated_cells() {
-        let grid = || {
-            vec![
-                Scenario::new("low", || 1u32).with_estimate(1.0),
-                Scenario::new("no-estimate", || 2u32),
-                Scenario::new("high", || 3u32).with_estimate(9.0),
-                Scenario::new("mid", || 4u32).with_estimate(5.0),
-            ]
-        };
-        // frac 0.34 of 3 estimated cells -> ceil(1.02) = 2 kept.
-        let pruned = Runner::with_jobs(2).run_pruned_frac(grid(), 0.34);
-        assert_eq!(pruned, vec![None, Some(2), Some(3), Some(4)]);
-        // frac 1.0 runs everything and matches a plain run.
-        let full = Runner::with_jobs(2).run_pruned_frac(grid(), 1.0);
-        assert_eq!(full, vec![Some(1), Some(2), Some(3), Some(4)]);
     }
 
     #[test]
@@ -925,16 +800,5 @@ mod tests {
             assert_eq!(o.status, CellStatus::Pending, "{}", o.label);
             assert!(store.lookup(&o.label).is_none());
         }
-    }
-
-    #[test]
-    fn pruning_breaks_estimate_ties_by_declaration_order() {
-        let grid = vec![
-            Scenario::new("a", || 1u32).with_estimate(5.0),
-            Scenario::new("b", || 2u32).with_estimate(5.0),
-            Scenario::new("c", || 3u32).with_estimate(5.0),
-        ];
-        let pruned = Runner::with_jobs(1).run_pruned_frac(grid, 0.5);
-        assert_eq!(pruned, vec![Some(1), Some(2), None]);
     }
 }

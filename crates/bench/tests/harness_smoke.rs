@@ -63,34 +63,6 @@ fn fig20_reproduces_the_reference_layout() {
     assert!(out.contains("65000"), "cells");
 }
 
-#[test]
-fn bench_baseline_rejects_a_bad_knob_before_measuring() {
-    // Run in a scratch directory and name the output file so a
-    // regression that measures anyway cannot overwrite a committed
-    // baseline.
-    let dir = std::env::temp_dir().join(format!("bench_baseline_bad_knob_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let out_path = dir.join("baseline.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_bench_baseline"))
-        .arg(&out_path)
-        .current_dir(&dir)
-        .env("XCACHE_JOBS", "0")
-        .output()
-        .expect("binary runs");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("XCACHE_JOBS"), "stderr: {stderr}");
-    // Every scenario line names its scenario and its cycle count.
-    for stream in [&stdout, &stderr] {
-        assert!(
-            !stream.contains("dram_read_roundtrip_x1000") && !stream.contains(" cycles,"),
-            "a scenario ran before the knob was rejected:\n{stream}"
-        );
-    }
-}
-
 /// Runs a smoke binary with its seed count set to zero and asserts it
 /// exits 2 with the structured error before running any seed.
 fn assert_rejects_zero_seeds(bin: &str, var: &str) {
@@ -129,18 +101,37 @@ fn crossval_smoke_rejects_zero_seeds() {
     );
 }
 
-/// Runs `tab03_geometry` (a quick runner-driven binary) with
-/// `XCACHE_VERBOSE` set to `value`.
-fn tab03_verbose(value: &str) -> std::process::Output {
+/// Runs `tab03_geometry` (a quick runner-driven binary) with `var` set
+/// to `value`.
+fn tab03_with(var: &str, value: &str) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_tab03_geometry"))
-        .env("XCACHE_VERBOSE", value)
+        .env(var, value)
         .output()
         .expect("binary runs")
 }
 
 #[test]
+fn jobs_zero_exits_2_before_any_row() {
+    let out = tab03_with("XCACHE_JOBS", "0");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("invalid XCACHE_JOBS=\"0\""),
+        "stderr: {stderr}"
+    );
+    // Every table row names its DSA.
+    for dsa in ["Widx", "DASX", "SpArch", "Gamma", "GraphPulse"] {
+        assert!(
+            !stdout.contains(dsa),
+            "a row printed before the knob was rejected:\n{stdout}"
+        );
+    }
+}
+
+#[test]
 fn verbose_zero_prints_no_progress() {
-    let out = tab03_verbose("0");
+    let out = tab03_with("XCACHE_VERBOSE", "0");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr: {stderr}");
     assert!(!stderr.contains("[runner]"), "stderr: {stderr}");
@@ -148,7 +139,7 @@ fn verbose_zero_prints_no_progress() {
 
 #[test]
 fn verbose_one_prints_progress() {
-    let out = tab03_verbose("1");
+    let out = tab03_with("XCACHE_VERBOSE", "1");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr: {stderr}");
     assert!(stderr.contains("[runner] 1/"), "stderr: {stderr}");
@@ -156,7 +147,7 @@ fn verbose_one_prints_progress() {
 
 #[test]
 fn verbose_rejects_an_unknown_value() {
-    let out = tab03_verbose("yes");
+    let out = tab03_with("XCACHE_VERBOSE", "yes");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("XCACHE_VERBOSE"), "stderr: {stderr}");

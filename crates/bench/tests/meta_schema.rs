@@ -1,7 +1,6 @@
 //! Schema regression for the bench JSON meta envelope.
 //!
-//! Every `results/*.json` dump — and therefore every `BENCH_*.json`
-//! trajectory file — carries the envelope rendered by
+//! Every `results/*.json` dump carries the envelope rendered by
 //! `xcache_bench::meta_json`. Downstream tooling diffs those files across
 //! commits by key, so the envelope is a wire format: fields must not be
 //! renamed, re-typed, or reordered silently. This test pins the exact key
@@ -82,15 +81,14 @@ fn meta_envelope_key_order_and_types_are_pinned() {
             "experiment",
             "scale",
             "jobs",
-            "machine_factor",
             "git_sha",
             "wall_ms",
             "sim_cycles",
             "sim_cycles_per_sec",
             "parallel_fallbacks",
         ],
-        "meta envelope keys drifted — bump the schema version and update \
-         trajectory tooling before changing this"
+        "meta envelope keys drifted — bump the schema version before \
+         changing this"
     );
 
     let value = |key: &str| {
@@ -101,7 +99,7 @@ fn meta_envelope_key_order_and_types_are_pinned() {
             .expect("key present")
     };
 
-    assert_eq!(value("schema"), "\"xcache-bench/2\"");
+    assert_eq!(value("schema"), "\"xcache-bench/3\"");
     assert_eq!(value("experiment"), "\"schema-probe\"");
     assert!(is_json_string(value("git_sha")), "git_sha must be a string");
     for numeric in [
@@ -118,15 +116,6 @@ fn meta_envelope_key_order_and_types_are_pinned() {
             value(numeric)
         );
     }
-    // machine_factor is a fixed-point decimal with exactly three places
-    // ({:.3}); trajectory diffs rely on the stable rendering.
-    let mf = value("machine_factor");
-    let (int_part, frac_part) = mf
-        .split_once('.')
-        .expect("machine_factor has a decimal point");
-    assert!(is_unsigned_integer(int_part), "machine_factor integer part");
-    assert_eq!(frac_part.len(), 3, "machine_factor renders {{:.3}}");
-    assert!(is_unsigned_integer(frac_part), "machine_factor fraction");
 }
 
 #[test]

@@ -37,7 +37,7 @@ use crate::json::{json_str, Value};
 
 /// A cell description: label plus a repeatable closure producing the
 /// cell's JSON payload. `Arc`'d so the same spec can feed both the
-/// checkpointed and the plain runner path (the overhead benchmark).
+/// checkpointed and the plain runner path.
 #[derive(Clone)]
 pub struct CellSpec {
     /// Unique label within the grid; the journal key.

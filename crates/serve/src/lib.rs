@@ -21,8 +21,8 @@
 //! - [`http`] — minimal HTTP/1.1 server/client plumbing.
 //! - [`service`] — job registry, admission control, worker, streaming.
 //!
-//! Binaries: `xcached` (the server), `xcachectl` (submit/status/watch
-//! client), `bench_checkpoint` (journal-overhead benchmark).
+//! Binaries: `xcached` (the server) and `xcachectl` (submit/status/watch
+//! client).
 
 pub mod grids;
 pub mod http;

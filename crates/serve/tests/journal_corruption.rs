@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 
 use proptest::prelude::*;
-use xcache_bench::{CellStatus, CheckpointPolicy, Runner};
+use xcache_bench::{CellStatus, CheckpointPolicy, Runner, Scenario};
 use xcache_serve::grids::to_runner_cells;
 use xcache_serve::journal::{manifest_value, Journal};
 use xcache_serve::json;
@@ -156,7 +156,9 @@ fn manifest_damage_is_explicit() {
 }
 
 /// The full recovery chain: complete run → truncate mid-log → reopen →
-/// finish → the on-disk result bytes match an untouched run's.
+/// finish → the on-disk result bytes match an untouched run's. An
+/// untouched journalled run in turn matches the plain in-memory
+/// `Runner::run` over the same cells, on a grid of DSA simulations.
 #[test]
 fn recovered_result_is_byte_identical() {
     let spec = demo_spec(8, true);
@@ -181,4 +183,20 @@ fn recovered_result_is_byte_identical() {
 
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&cut_dir);
+
+    // fig18: GraphPulse and Widx cells. No injected failures: the
+    // checkpointed runner adds the attempt count to a failure's reason.
+    let spec =
+        JobSpec::from_value(&json::parse(r#"{"grid":"fig18","scale":60,"seed":7}"#).unwrap())
+            .unwrap();
+    let plain = Runner::with_jobs(2).run(
+        spec.build_cells()
+            .into_iter()
+            .map(|c| Scenario::new(c.label, move || (c.run)()))
+            .collect(),
+    );
+    let dir = tmpdir("plain", 1);
+    let journal = Journal::create(&dir, &manifest_value("p", &spec.normalized())).unwrap();
+    assert_eq!(run_to_completion(&spec, &journal), plain);
+    let _ = std::fs::remove_dir_all(&dir);
 }

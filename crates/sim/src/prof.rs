@@ -3,9 +3,9 @@
 //! Setting `XCACHE_PROF=1` arms lightweight wall-clock accounting around
 //! the simulator's pipeline stages (the controller's trigger/wake/execute
 //! stages, the downstream memory tick, event delivery, …). Totals
-//! accumulate in a thread-local table and are reported by the bench
-//! harnesses in the JSON meta envelope as `prof` shares, so a perf PR can
-//! see where the wall is without external tooling.
+//! accumulate in a thread-local table ([`prof_snapshot`]), which
+//! `xbench --trace 1` turns into per-layer shares, so a perf PR can see
+//! where the wall is without external tooling.
 //!
 //! When the mode is off (the default) a [`prof_scope!`] costs one
 //! predictable branch on a cached process-global flag — cheap enough to
@@ -14,7 +14,7 @@
 //! Attribution is hierarchical by convention only: stage names are
 //! dot-separated (`xcache.execute`, `xcache.trigger`) and shares are
 //! computed by the consumer against the run's total wall time. Nested
-//! scopes double-count their parent by design (the envelope reports raw
+//! scopes double-count their parent by design (the table holds raw
 //! totals, not an exclusive-time tree), so instrument either a stage or
 //! its substages, not both.
 

@@ -1,15 +1,14 @@
-//! Paper-scale smoke runs, ignored by default (minutes each in release).
-//! Run with: `cargo test --release --test paper_scale -- --ignored`
+//! Paper-scale smoke runs: Table 3 geometries against unscaled (or
+//! quarter-scale) inputs. All three take seconds in the test profile.
 
 use xcache_core::XCacheConfig;
 use xcache_dsa::{graphpulse, spgemm, widx};
 use xcache_workloads::{GraphPreset, QueryClass};
 
 #[test]
-#[ignore = "paper-scale input: minutes in release mode"]
 fn widx_paper_geometry_full_query() {
-    // Full Table 3 geometry (1024 x 8, 256 KB) against the unscaled
-    // TPC-H-19 preset (20K keys, 90K probes).
+    // Full Table 3 geometry (1024 sets x 8 ways x 2 sectors x 32 B =
+    // 512 KB) against the unscaled TPC-H-19 preset (20K keys, 90K probes).
     let mut preset = QueryClass::Q19.preset();
     preset.probes *= 3;
     let w = widx::WidxWorkload::from_preset(&preset, 7);
@@ -26,7 +25,6 @@ fn widx_paper_geometry_full_query() {
 }
 
 #[test]
-#[ignore = "paper-scale input: minutes in release mode"]
 fn graphpulse_p2p08_full_graph() {
     // The real p2p-Gnutella08 dimensions (6.3K vertices, 21K edges) on the
     // Table 3 geometry (131072 direct-mapped sets — everything coalesces).
@@ -37,7 +35,6 @@ fn graphpulse_p2p08_full_graph() {
 }
 
 #[test]
-#[ignore = "paper-scale input: minutes in release mode"]
 fn gamma_p2p31_quarter_scale() {
     // A quarter of p2p-Gnutella31 (16.7K x 16.7K, ~37K nnz) through the
     // Table 3 SpArch/Gamma geometry, verified against the exact product.
