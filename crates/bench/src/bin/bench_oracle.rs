@@ -16,41 +16,41 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use xcache_bench::crossval::{
-    fuzz_oracle_ops, oracle_geometry, spgemm_fixture, spgemm_oracle_ops, widx_fixture,
-    widx_oracle_ops,
+    fuzz_oracle_ops, predict, spgemm_fixture, spgemm_oracle_ops, widx_fixture, widx_oracle_ops,
 };
 use xcache_bench::fuzz::DEFAULT_ACCESSES;
-use xcache_bench::{maybe_dump_custom_json, render_table};
+use xcache_bench::{render_table, Knobs};
 use xcache_core::XCacheConfig;
 use xcache_dsa::spgemm::Algorithm;
-use xcache_oracle::{CacheModel, Prediction};
+use xcache_oracle::Prediction;
 
 struct Cell {
     name: String,
     p: Prediction,
 }
 
-fn main() {
+fn main() -> Result<(), String> {
+    let knobs = Knobs::from_env();
     let started = Instant::now();
     let mut cells: Vec<Cell> = Vec::new();
 
     let (w, g) = widx_fixture();
     cells.push(Cell {
         name: "widx-q19".into(),
-        p: CacheModel::replay(oracle_geometry(&g), &widx_oracle_ops(&w)),
+        p: predict(&g, &widx_oracle_ops(&w)),
     });
     for alg in [Algorithm::Gustavson, Algorithm::OuterProduct] {
         let (w, g) = spgemm_fixture(alg);
         cells.push(Cell {
             name: format!("spgemm-{}", alg.name().to_lowercase()),
-            p: CacheModel::replay(oracle_geometry(&g), &spgemm_oracle_ops(&w, &g)),
+            p: predict(&g, &spgemm_oracle_ops(&w, &g)),
         });
     }
     for seed in 0..8 {
         cells.push(Cell {
             name: format!("fuzz-{seed}"),
-            p: CacheModel::replay(
-                oracle_geometry(&XCacheConfig::test_tiny()),
+            p: predict(
+                &XCacheConfig::test_tiny(),
                 &fuzz_oracle_ops(seed, DEFAULT_ACCESSES),
             ),
         });
@@ -105,5 +105,5 @@ fn main() {
         );
     }
     body.push(']');
-    maybe_dump_custom_json("bench_oracle", "predictions", &body);
+    knobs.dump("bench_oracle", "predictions", &body)
 }

@@ -13,8 +13,8 @@
 //! `XCACHE_PAR_THREADS`, `XCACHE_JOBS`, `XCACHE_SCALE`, `XCACHE_JSON`.
 
 use xcache_bench::{
-    graphpulse_geometry, graphpulse_workload, maybe_dump_table_json, note_sim_cycles, render_table,
-    scale, spgemm_geometry, widx_geometry, widx_workload, Runner, Scenario,
+    graphpulse_geometry, graphpulse_workload, note_sim_cycles, render_table, spgemm_geometry,
+    widx_geometry, widx_workload, Knobs, Scenario,
 };
 use xcache_core::{shards_from_env, splitmix64};
 use xcache_dsa::{graphpulse, spgemm, widx, RunReport};
@@ -54,8 +54,9 @@ fn row(name: &str, r: &RunReport) -> Vec<String> {
     ]
 }
 
-fn main() {
-    let scale = scale();
+fn main() -> Result<(), String> {
+    let knobs = Knobs::from_env();
+    let scale = knobs.scale;
     let shards = shards_from_env(4);
     println!("Shard smoke: {shards}-shard topology determinism surface (scale 1/{scale})\n");
 
@@ -83,7 +84,7 @@ fn main() {
         }),
     ];
 
-    let rows = Runner::default().run(cells);
+    let rows = knobs.runner.run(cells);
     print!("{}", render_table(&HEADERS, &rows));
-    maybe_dump_table_json("shard_smoke", &HEADERS, &rows);
+    knobs.dump_table("shard_smoke", &HEADERS, &rows)
 }

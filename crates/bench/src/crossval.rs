@@ -180,14 +180,16 @@ impl CellReport {
     }
 }
 
-/// The oracle geometry corresponding to a simulator configuration.
+/// The oracle's prediction for `ops` on the geometry of a simulator
+/// configuration (valid for the oracle whenever the simulator takes it).
 #[must_use]
-pub fn oracle_geometry(cfg: &XCacheConfig) -> OracleGeometry {
-    OracleGeometry {
+pub fn predict(cfg: &XCacheConfig, ops: &[OracleOp]) -> Prediction {
+    let geom = OracleGeometry {
         sets: cfg.sets,
         ways: cfg.ways,
         data_sectors: cfg.data_sectors as u64,
-    }
+    };
+    CacheModel::replay(geom, ops).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The oracle ops for fuzz seed `seed`: the generated program's install
@@ -328,7 +330,7 @@ fn run_fuzz_serial(seed: u64, accesses: usize) -> SerialRun {
 #[must_use]
 pub fn fuzz_serial_cell(seed: u64, accesses: usize) -> CellReport {
     let ops = fuzz_oracle_ops(seed, accesses);
-    let oracle = CacheModel::replay(oracle_geometry(&XCacheConfig::test_tiny()), &ops);
+    let oracle = predict(&XCacheConfig::test_tiny(), &ops);
     let sim = run_fuzz_serial(seed, accesses);
 
     let mut report = CellReport::new(
@@ -430,7 +432,7 @@ pub const FUZZ_PIPELINED_FRAC: f64 = 0.25;
 #[must_use]
 pub fn fuzz_pipelined_cell(seed: u64, accesses: usize) -> CellReport {
     let ops = fuzz_oracle_ops(seed, accesses);
-    let oracle = CacheModel::replay(oracle_geometry(&XCacheConfig::test_tiny()), &ops);
+    let oracle = predict(&XCacheConfig::test_tiny(), &ops);
     let sim = crate::fuzz::run_seed(seed, accesses);
 
     let mut report = CellReport::new(
@@ -476,7 +478,7 @@ pub fn widx_fixture() -> (xcache_dsa::widx::WidxWorkload, XCacheConfig) {
 #[must_use]
 pub fn widx_cell() -> CellReport {
     let (w, g) = widx_fixture();
-    let oracle = CacheModel::replay(oracle_geometry(&g), &widx_oracle_ops(&w));
+    let oracle = predict(&g, &widx_oracle_ops(&w));
     let sim = xcache_dsa::widx::run_xcache(&w, Some(g));
 
     let mut report = CellReport::new(
@@ -527,7 +529,7 @@ pub fn spgemm_fixture(
 #[must_use]
 pub fn spgemm_cell(algorithm: xcache_dsa::spgemm::Algorithm) -> CellReport {
     let (w, g) = spgemm_fixture(algorithm);
-    let oracle = CacheModel::replay(oracle_geometry(&g), &spgemm_oracle_ops(&w, &g));
+    let oracle = predict(&g, &spgemm_oracle_ops(&w, &g));
     let sim = xcache_dsa::spgemm::run_xcache(&w, Some(g));
 
     let mut report = CellReport::new(
@@ -587,7 +589,8 @@ mod tests {
             sets,
             ways: 2,
             data_sectors: 4,
-        });
+        })
+        .unwrap();
         let mut x = 0xD1CEu64;
         for _ in 0..1000 {
             x = splitmix64(x);

@@ -1,25 +1,30 @@
 //! # xcache-bench
 //!
-//! The experiment harness: one binary per table and figure of the paper
-//! (`fig04_*` … `fig20_*`, `tab01_*` … `tab04_*` under `src/bin/`), plus
-//! Criterion microbenchmarks under `benches/`.
+//! The experiment harness. [`paper::EXPERIMENTS`] registers every table,
+//! figure and ablation of the evaluation, one entry per EXPERIMENTS.md
+//! row, and the `xpaper` binary runs them by name (`xpaper all` runs
+//! the whole set). `src/bin/` holds `xpaper` and the tool binaries
+//! (fuzz, chaos, cross-validation and shard smokes, and the oracle
+//! predictor); Criterion microbenchmarks live under `benches/`.
 //!
-//! Every harness prints the same rows/series the paper reports. Absolute
-//! numbers differ (our substrate is a Rust cycle simulator, not the
-//! authors' RTL + DRAMsim2 testbed); EXPERIMENTS.md records paper-vs-
-//! measured for each one.
+//! Every experiment prints the same rows/series the paper reports.
+//! Absolute numbers differ (our substrate is a Rust cycle simulator, not
+//! the authors' RTL + DRAMsim2 testbed); EXPERIMENTS.md records
+//! paper-vs-measured for each one.
 //!
 //! ## Scale and parallelism
 //!
-//! Harnesses default to a reduced scale so the whole suite runs in
-//! minutes. Set `XCACHE_SCALE=1` for paper-sized inputs (slow) or a larger
-//! divisor for quicker smoke runs; `scale()` reads it.
+//! Experiments default to a reduced scale (divisor 10). Set
+//! `XCACHE_SCALE=1` for paper-sized inputs or a larger divisor for
+//! quicker smoke runs; [`Knobs::from_env`] reads it with the other
+//! knobs, once, before anything prints.
 //!
-//! Every binary declares its parameter grid as [`Scenario`]s and executes
-//! them through the [`Runner`], which parallelises across independent
-//! cells (`XCACHE_JOBS` worker threads, default: all cores) while keeping
-//! each simulation deterministic and the output order fixed — the printed
-//! tables and JSON dumps are byte-identical at any job count.
+//! Every experiment declares its parameter grid as [`Scenario`]s and
+//! executes them through the [`Runner`], which parallelises across
+//! independent cells (`XCACHE_JOBS` worker threads, default: all cores)
+//! while keeping each simulation deterministic and the output order fixed
+//! — the printed tables and JSON dumps are byte-identical at any job
+//! count.
 //!
 //! ## Differentials
 //!
@@ -33,16 +38,17 @@
 pub mod chaos;
 pub mod crossval;
 pub mod fuzz;
+pub mod paper;
 pub mod runner;
 
 pub use runner::{
-    jobs_from_env, merge_snapshots, try_jobs_from_env, Cell, CellOutcome, CellStatus,
-    CheckpointPolicy, CheckpointStore, MemStore, Runner, Scenario,
+    merge_snapshots, Cell, CellOutcome, CellStatus, CheckpointPolicy, CheckpointStore, MemStore,
+    Runner, Scenario,
 };
 
 use std::fmt::{Debug, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use xcache_core::XCacheConfig;
@@ -54,13 +60,25 @@ use xcache_sim::{with_skip, StatsSnapshot};
 use xcache_workloads::{CsrMatrix, Graph, GraphPreset, QueryClass, SparsePattern};
 
 static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
+static START: Mutex<Option<Instant>> = Mutex::new(None);
 
-/// The process-wide wall-clock anchor for the meta envelope's `wall_ms`.
-/// First caller wins; `scale()` and `Runner::run` both touch it, so the
-/// clock effectively starts at the top of every harness `main`.
+/// The wall-clock anchor for the meta envelope's `wall_ms`: set by
+/// [`restart_timing`], or by the first caller otherwise. `scale()` and
+/// `Runner::run` both touch it, so the clock starts no later than a
+/// harness's first grid.
 pub(crate) fn start_instant() -> Instant {
-    static START: OnceLock<Instant> = OnceLock::new();
-    *START.get_or_init(Instant::now)
+    *START
+        .lock()
+        .expect("start lock")
+        .get_or_insert_with(Instant::now)
+}
+
+/// Restarts the meta envelope's timing fields: the wall clock starts now
+/// and the simulated-cycle tally returns to zero. Each registry
+/// experiment starts here, so a dump times only its own experiment.
+pub fn restart_timing() {
+    *START.lock().expect("start lock") = Some(Instant::now());
+    SIM_CYCLES.store(0, Ordering::Relaxed);
 }
 
 /// Credits simulated cycles to the process-wide tally that the JSON meta
@@ -71,39 +89,20 @@ pub fn note_sim_cycles(cycles: u64) {
     SIM_CYCLES.fetch_add(cycles, Ordering::Relaxed);
 }
 
-/// Wall-clock milliseconds since the harness started and the simulated
-/// cycles credited so far — the timing fields of the meta envelope.
-#[must_use]
-pub fn timing_totals() -> (u64, u64) {
-    let wall_ms = start_instant().elapsed().as_millis() as u64;
-    (wall_ms, SIM_CYCLES.load(Ordering::Relaxed))
-}
-
-/// Workload scale divisor. `1` = paper-sized. Default 10.
-///
-/// Read from `XCACHE_SCALE`; a malformed or zero value prints the
-/// structured error and exits 2 (see [`try_scale`]).
+/// Workload scale divisor from `XCACHE_SCALE`. `1` = paper-sized.
+/// Default 10. A malformed or zero value prints the structured error and
+/// exits 2.
 #[must_use]
 pub fn scale() -> u32 {
-    xcache_sim::exit2(try_scale())
-}
-
-/// [`scale`] as a structured result, for callers (the scenario service)
-/// that must reject a bad knob instead of exiting.
-///
-/// # Errors
-///
-/// Returns an [`xcache_sim::EnvError`] for an unparsable or zero value.
-pub fn try_scale() -> Result<u32, xcache_sim::EnvError> {
     let _ = start_instant();
-    Ok(xcache_sim::env_parse_map("XCACHE_SCALE", |s| {
+    xcache_sim::exit2(xcache_sim::env_parse_map("XCACHE_SCALE", |s| {
         let v: u32 = s.parse().map_err(|e| format!("{e}"))?;
         if v == 0 {
             return Err("scale divisor must be >= 1".into());
         }
         Ok(v)
-    })?
-    .unwrap_or(10))
+    }))
+    .unwrap_or(10)
 }
 
 /// A `u64` environment knob with a default — the smoke binaries' base
@@ -248,6 +247,59 @@ pub fn graphpulse_workload(scale: u32, seed: u64) -> GraphPulseWorkload {
 
 /// Figure 18's `#Active/#Exe` sweep points.
 pub const FIG18_GRID: [(usize, usize); 4] = [(4, 1), (8, 2), (16, 4), (32, 8)];
+
+/// Figure 18's two sweeps over [`FIG18_GRID`]: GraphPulse PageRank on
+/// p2p-Gnutella08 and Widx on TPC-H-22.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fig18Bench {
+    /// GraphPulse on [`graphpulse_workload`].
+    GraphPulse,
+    /// Widx on the TPC-H-22 [`widx_workload`].
+    Widx,
+}
+
+impl Fig18Bench {
+    /// Both sweeps, in Figure 18's order.
+    pub const ALL: [Fig18Bench; 2] = [Fig18Bench::GraphPulse, Fig18Bench::Widx];
+
+    /// The sweep's short name: the prefix of its cell labels.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Fig18Bench::GraphPulse => "graphpulse",
+            Fig18Bench::Widx => "widx",
+        }
+    }
+
+    /// The label of the cell at one sweep point, e.g. `graphpulse 4/1`.
+    #[must_use]
+    pub fn label(self, active: usize, exe: usize) -> String {
+        format!("{} {active}/{exe}", self.name())
+    }
+
+    /// X-Cache cycles at one sweep point: the bench's workload at
+    /// `scale` on its geometry with `#Active` and `#Exe` overridden.
+    /// Credits them to [`note_sim_cycles`].
+    #[must_use]
+    pub fn cycles(self, scale: u32, seed: u64, active: usize, exe: usize) -> u64 {
+        use xcache_dsa::{graphpulse, widx};
+
+        let cycles = match self {
+            Fig18Bench::GraphPulse => {
+                let w = graphpulse_workload(scale, seed);
+                let g = graphpulse_geometry(w.graph.vertices());
+                graphpulse::run_xcache(&w, Some(XCacheConfig { active, exe, ..g })).cycles
+            }
+            Fig18Bench::Widx => {
+                let w = widx_workload(QueryClass::Q22, scale, seed);
+                let g = widx_geometry(scale);
+                widx::run_xcache(&w, Some(XCacheConfig { active, exe, ..g })).cycles
+            }
+        };
+        note_sim_cycles(cycles);
+        cycles
+    }
+}
 
 /// A Widx geometry scaled with the workload so hit rates sit in the
 /// paper's regime (hot set resident, tail missing).
@@ -413,22 +465,14 @@ impl DsaCluster {
 }
 
 /// The full DSA sweep as a scenario grid: every [`DsaCluster`] at
-/// `scale`. Cells are independent, so the runner can execute them in
-/// parallel.
+/// `scale` (Figure 14's sweep; Figures 15 and 16 run it too). Cells are
+/// independent, so the runner can execute them in parallel.
 #[must_use]
 pub fn dsa_scenarios(scale: u32, seed: u64) -> Vec<Scenario<'static, DsaRun>> {
     DsaCluster::all()
         .into_iter()
         .map(|cluster| Scenario::new(cluster.name(), move || cluster.run(scale, seed)))
         .collect()
-}
-
-/// Runs every evaluated DSA in all three configurations at `scale`
-/// (Figure 14's full sweep; Figures 15/16 reuse the reports). Cells run
-/// through the [`Runner`], one per DSA cluster.
-#[must_use]
-pub fn run_all_dsas(scale: u32, seed: u64) -> Vec<DsaRun> {
-    Runner::from_env().run(dsa_scenarios(scale, seed))
 }
 
 /// GraphPulse geometry scaled to a vertex count (direct-mapped, like
@@ -500,89 +544,122 @@ pub fn git_sha() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Run metadata recorded in every JSON dump: enough to reproduce the run
-/// (scale divisor, job count, commit) and to identify the format, plus the
-/// timing fields (`wall_ms`, `sim_cycles`, `sim_cycles_per_sec`) of the
-/// run that wrote it. `parallel_fallbacks` counts silent
-/// `Par`-pool degradations to sequential execution — nonzero means the
-/// run's wall times came from a machine that couldn't actually go
-/// parallel, so its throughput numbers undersell the code. The timing
-/// fields are machine-dependent; comparisons across runs must ignore the
-/// meta line (it sits on its own line in the envelope precisely so
-/// `grep -v '^"meta"'` drops it).
-#[must_use]
-pub fn meta_json(name: &str) -> String {
-    let (wall_ms, sim_cycles) = timing_totals();
-    let per_sec = sim_cycles
-        .saturating_mul(1000)
-        .checked_div(wall_ms)
-        .unwrap_or(0);
-    format!(
-        "{{\"schema\":\"xcache-bench/3\",\"experiment\":\"{}\",\"scale\":{},\"jobs\":{},\"git_sha\":\"{}\",\"wall_ms\":{wall_ms},\"sim_cycles\":{sim_cycles},\"sim_cycles_per_sec\":{per_sec},\"parallel_fallbacks\":{}}}",
-        json_escape(name),
-        scale(),
-        jobs_from_env(),
-        json_escape(&git_sha()),
-        xcache_sim::parallel_fallbacks()
-    )
+/// The knobs a harness reads, parsed once before it prints anything:
+/// the workload scale (`XCACHE_SCALE`), the runner (`XCACHE_JOBS`; its
+/// `XCACHE_VERBOSE` flag is checked here too) and whether dumps are
+/// written (`XCACHE_JSON`).
+#[derive(Debug)]
+pub struct Knobs {
+    /// Workload scale divisor; `1` = paper-sized.
+    pub scale: u32,
+    /// The runner every grid goes through.
+    pub runner: Runner,
+    /// Whether [`dump`](Self::dump) writes `results/<name>.json`.
+    pub json: bool,
 }
 
-/// Writes `{"meta": ..., "<key>": <body>}` to `results/<name>.json` when
-/// `XCACHE_JSON` is set. Every dump goes through here so all of them
-/// carry the same self-describing metadata envelope.
-fn write_results_json(name: &str, key: &str, body: &str) {
-    if std::env::var("XCACHE_JSON").is_err() {
-        return;
+impl Knobs {
+    /// Reads every knob. A malformed value prints the structured error
+    /// and exits 2.
+    #[must_use]
+    pub fn from_env() -> Knobs {
+        let knobs = Knobs {
+            scale: scale(),
+            runner: Runner::from_env(),
+            json: std::env::var_os("XCACHE_JSON").is_some(),
+        };
+        // `Runner::run` reads the flag itself; a bad value exits here,
+        // before the first line of output instead of after it.
+        let _ = xcache_sim::exit2(xcache_sim::env_flag("XCACHE_VERBOSE"));
+        knobs
     }
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let out = format!(
-        "{{\n\"meta\": {},\n\"{key}\": {body}\n}}\n",
-        meta_json(name)
-    );
-    let path = dir.join(format!("{name}.json"));
-    if let Err(e) = std::fs::write(&path, out) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        eprintln!("(wrote {})", path.display());
-    }
-}
 
-/// Writes a caller-rendered JSON `body` under `"<key>"` to
-/// `results/<name>.json` when `XCACHE_JSON` is set, wrapped in the same
-/// metadata envelope as every other dump. For binaries (the oracle
-/// predictor, the cross-validation harness) whose body shape is neither a
-/// table nor a [`DsaRun`] set.
-pub fn maybe_dump_custom_json(name: &str, key: &str, body: &str) {
-    write_results_json(name, key, body);
-}
+    /// Run metadata recorded in every JSON dump: enough to reproduce the
+    /// run (scale divisor, job count, commit) and to identify the format,
+    /// plus the timing fields (`wall_ms`, `sim_cycles`,
+    /// `sim_cycles_per_sec`) since [`restart_timing`].
+    /// `parallel_fallbacks` counts silent `Par`-pool degradations to
+    /// sequential execution — nonzero means the run's wall times came
+    /// from a machine that couldn't actually go parallel, so its
+    /// throughput numbers undersell the code. The timing fields are
+    /// machine-dependent; comparisons across runs must ignore the meta
+    /// line (it sits on its own line in the envelope precisely so
+    /// `grep -v '^"meta"'` drops it).
+    #[must_use]
+    pub fn meta_json(&self, name: &str) -> String {
+        let wall_ms = start_instant().elapsed().as_millis() as u64;
+        let sim_cycles = SIM_CYCLES.load(Ordering::Relaxed);
+        let per_sec = sim_cycles
+            .saturating_mul(1000)
+            .checked_div(wall_ms)
+            .unwrap_or(0);
+        format!(
+            "{{\"schema\":\"xcache-bench/3\",\"experiment\":\"{}\",\"scale\":{},\"jobs\":{},\"git_sha\":\"{}\",\"wall_ms\":{wall_ms},\"sim_cycles\":{sim_cycles},\"sim_cycles_per_sec\":{per_sec},\"parallel_fallbacks\":{}}}",
+            json_escape(name),
+            self.scale,
+            self.runner.jobs(),
+            json_escape(&git_sha()),
+            xcache_sim::parallel_fallbacks()
+        )
+    }
 
-/// Serialises a rendered table (headers + rows) to `results/<name>.json`
-/// when `XCACHE_JSON` is set — the machine-readable twin of what the
-/// binary printed, wrapped in the metadata envelope.
-pub fn maybe_dump_table_json(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let mut body = String::from("{\"headers\": [");
-    for (i, h) in headers.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
+    /// Writes `{"meta": ..., "<key>": <body>}` to `results/<name>.json`
+    /// when `XCACHE_JSON` is set. Every dump goes through here, so all of
+    /// them carry the same self-describing metadata envelope.
+    ///
+    /// # Errors
+    ///
+    /// Names the file when `results/` cannot be created or the file
+    /// cannot be written: a requested dump that is missing fails the run.
+    pub fn dump(&self, name: &str, key: &str, body: &str) -> Result<(), String> {
+        if !self.json {
+            return Ok(());
         }
-        let _ = write!(body, "\"{}\"", json_escape(h));
+        let path = std::path::Path::new("results").join(format!("{name}.json"));
+        let out = format!(
+            "{{\n\"meta\": {},\n\"{key}\": {body}\n}}\n",
+            self.meta_json(name)
+        );
+        std::fs::create_dir_all("results")
+            .and_then(|()| std::fs::write(&path, out))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        eprintln!("(wrote {})", path.display());
+        Ok(())
     }
-    body.push_str("], \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        body.push_str("  [");
-        for (j, cell) in row.iter().enumerate() {
-            if j > 0 {
+
+    /// [`dump`](Self::dump)s a rendered table (headers + rows) under
+    /// `"table"` — the machine-readable twin of what was printed.
+    ///
+    /// # Errors
+    ///
+    /// As for [`dump`](Self::dump).
+    pub fn dump_table(
+        &self,
+        name: &str,
+        headers: &[&str],
+        rows: &[Vec<String>],
+    ) -> Result<(), String> {
+        let mut body = String::from("{\"headers\": [");
+        for (i, h) in headers.iter().enumerate() {
+            if i > 0 {
                 body.push(',');
             }
-            let _ = write!(body, "\"{}\"", json_escape(cell));
+            let _ = write!(body, "\"{}\"", json_escape(h));
         }
-        let _ = write!(body, "]{}", if i + 1 < rows.len() { ",\n" } else { "\n" });
+        body.push_str("], \"rows\": [\n");
+        for (i, row) in rows.iter().enumerate() {
+            body.push_str("  [");
+            for (j, cell) in row.iter().enumerate() {
+                if j > 0 {
+                    body.push(',');
+                }
+                let _ = write!(body, "\"{}\"", json_escape(cell));
+            }
+            let _ = write!(body, "]{}", if i + 1 < rows.len() { ",\n" } else { "\n" });
+        }
+        body.push_str("]}");
+        self.dump(name, "table", &body)
     }
-    body.push_str("]}");
-    write_results_json(name, "table", &body);
 }
 
 /// Renders `snap`'s counters as one JSON object in name order — the
@@ -611,49 +688,6 @@ pub fn run_report_json(r: &RunReport) -> String {
         r.checksum,
         counters_json(&r.stats)
     )
-}
-
-/// Serialises a set of [`DsaRun`]s to `results/<name>.json` when
-/// `XCACHE_JSON` is set — a machine-readable companion to the printed
-/// tables (flat JSON, hand-rendered; the workspace has no serde_json).
-/// The envelope always records run metadata (scale, jobs, git SHA) plus
-/// an `aggregate` section with the X-Cache counters merged across runs.
-pub fn maybe_dump_json(name: &str, runs: &[DsaRun]) {
-    if std::env::var("XCACHE_JSON").is_err() {
-        return;
-    }
-    let mut body = String::from("[\n");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(
-            body,
-            "  {{\"name\":\"{}\",\"xcache\":{},\"addr\":{},\"baseline\":{}}}{}",
-            json_escape(&r.name),
-            run_report_json(&r.xcache),
-            run_report_json(&r.addr),
-            run_report_json(&r.baseline),
-            if i + 1 < runs.len() { "," } else { "" }
-        );
-    }
-    let aggregate = merge_snapshots(runs.iter().map(|r| &r.xcache.stats));
-    let _ = write!(
-        body,
-        "],\n\"aggregate\": {{\"xcache_counters\": {}}}",
-        counters_json(&aggregate)
-    );
-    // `body` already carries the closing bracket of `runs` plus the
-    // aggregate key, so it slots into the envelope as `"runs": [...],
-    // "aggregate": {...}`.
-    write_results_json(name, "runs", &body);
-}
-
-/// Formats a ratio as `1.23x`.
-#[must_use]
-pub fn ratio(num: f64, den: f64) -> String {
-    if den == 0.0 {
-        "n/a".into()
-    } else {
-        format!("{:.2}x", num / den)
-    }
 }
 
 /// Formats a fraction as `12.3%`.
@@ -702,8 +736,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(ratio(17.0, 10.0), "1.70x");
-        assert_eq!(ratio(1.0, 0.0), "n/a");
         assert_eq!(pct(0.123), "12.3%");
     }
 
@@ -723,7 +755,7 @@ mod tests {
 
     #[test]
     fn meta_json_is_self_describing() {
-        let m = meta_json("figNN");
+        let m = Knobs::from_env().meta_json("figNN");
         for key in [
             "\"schema\"",
             "\"experiment\"",

@@ -44,53 +44,29 @@ impl<'a, T> Scenario<'a, T> {
     }
 }
 
-/// Worker-thread count from `XCACHE_JOBS`.
-///
-/// Defaults to the machine's available parallelism; `XCACHE_JOBS=1`
-/// forces sequential in-thread execution. A malformed or zero value
-/// prints the structured error and exits 2 (see [`try_jobs_from_env`]).
-#[must_use]
-pub fn jobs_from_env() -> usize {
-    xcache_sim::exit2(try_jobs_from_env())
-}
-
-/// [`jobs_from_env`] as a structured result, for callers (the scenario
-/// service) that must reject a bad knob instead of exiting.
-///
-/// # Errors
-///
-/// Returns an [`xcache_sim::EnvError`] for an unparsable or zero value.
-pub fn try_jobs_from_env() -> Result<usize, xcache_sim::EnvError> {
-    Ok(xcache_sim::env_parse_map("XCACHE_JOBS", |s| {
-        let v: usize = s.parse().map_err(|e| format!("{e}"))?;
-        if v == 0 {
-            return Err("worker count must be >= 1".into());
-        }
-        Ok(v)
-    })?
-    .unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    }))
-}
-
 /// Executes a grid of [`Scenario`]s across a pool of worker threads.
+#[derive(Debug)]
 pub struct Runner {
     jobs: usize,
 }
 
-impl Default for Runner {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 impl Runner {
-    /// A runner sized by `XCACHE_JOBS` (see [`jobs_from_env`]).
+    /// A runner sized by `XCACHE_JOBS`, which defaults to the machine's
+    /// available parallelism; `XCACHE_JOBS=1` forces sequential in-thread
+    /// execution. A malformed or zero value prints the structured error
+    /// and exits 2.
     #[must_use]
     pub fn from_env() -> Self {
-        Self::with_jobs(jobs_from_env())
+        let jobs = xcache_sim::exit2(xcache_sim::env_parse_map("XCACHE_JOBS", |s| {
+            let v: usize = s.parse().map_err(|e| format!("{e}"))?;
+            if v == 0 {
+                return Err("worker count must be >= 1".into());
+            }
+            Ok(v)
+        }));
+        Self::with_jobs(jobs.unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        }))
     }
 
     /// A runner with an explicit worker count (clamped to at least 1).

@@ -1,16 +1,32 @@
-//! Smoke tests for the harness binaries that run instantly (the static
-//! tables and the synthesis model): they must execute and print the
-//! paper's headline values. The measurement harnesses are exercised at
-//! scale by `tests/integration_dsas.rs` through their library entry
-//! points; run the binaries themselves via `results/` capture.
+//! Smoke tests for the harness binaries: `xpaper`'s static entries (the
+//! tables and the synthesis models) run instantly and must print the
+//! paper's headline values; `xpaper`'s argument and knob handling; the
+//! registry against the committed `results/`; and the smoke binaries'
+//! seed-count guard. The simulated entries' numbers are pinned by the
+//! path-pinned tests through their library entry points, and their
+//! stdout by CI's "Results are current" step.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-fn run(bin: &str) -> String {
-    let out = Command::new(bin).output().expect("binary runs");
+use xcache_bench::paper::EXPERIMENTS;
+
+const XPAPER: &str = env!("CARGO_BIN_EXE_xpaper");
+
+/// Runs `xpaper` on `args` with `env` set.
+fn xpaper(args: &[&str], env: &[(&str, &str)]) -> Output {
+    Command::new(XPAPER)
+        .args(args)
+        .envs(env.iter().copied())
+        .output()
+        .expect("xpaper runs")
+}
+
+/// The stdout of `xpaper <name>`, which must succeed.
+fn run(name: &str) -> String {
+    let out = xpaper(&[name], &[]);
     assert!(
         out.status.success(),
-        "{bin} failed: {}",
+        "xpaper {name} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8_lossy(&out.stdout).into_owned()
@@ -18,7 +34,7 @@ fn run(bin: &str) -> String {
 
 #[test]
 fn tab01_prints_the_taxonomy() {
-    let out = run(env!("CARGO_BIN_EXE_tab01_taxonomy"));
+    let out = run("tab01_taxonomy");
     assert!(out.contains("Programmable"));
     assert!(out.contains("Scratch+DMA"));
     assert!(out.contains("Meta-to-Addr"));
@@ -26,7 +42,7 @@ fn tab01_prints_the_taxonomy() {
 
 #[test]
 fn tab02_prints_all_five_dsas() {
-    let out = run(env!("CARGO_BIN_EXE_tab02_features"));
+    let out = run("tab02_features");
     for dsa in ["Widx", "DASX", "GraphPulse", "SpArch", "Gamma"] {
         assert!(out.contains(dsa), "missing {dsa}");
     }
@@ -34,14 +50,14 @@ fn tab02_prints_all_five_dsas() {
 
 #[test]
 fn tab03_prints_table3_geometries() {
-    let out = run(env!("CARGO_BIN_EXE_tab03_geometry"));
+    let out = run("tab03_geometry");
     assert!(out.contains("131072"), "GraphPulse sets");
     assert!(out.contains("1024"), "Widx sets");
 }
 
 #[test]
 fn tab04_prints_table4_constants() {
-    let out = run(env!("CARGO_BIN_EXE_tab04_energy_params"));
+    let out = run("tab04_energy_params");
     assert!(out.contains("44.8"));
     assert!(out.contains("2.7"));
     assert!(out.contains("12.6"));
@@ -49,7 +65,7 @@ fn tab04_prints_table4_constants() {
 
 #[test]
 fn fig19_reproduces_the_reference_breakdown() {
-    let out = run(env!("CARGO_BIN_EXE_fig19_fpga_synthesis"));
+    let out = run("fig19_fpga_synthesis");
     assert!(out.contains("X-Reg"));
     assert!(out.contains("Action Exec."));
     assert!(out.contains("3457"), "total registers");
@@ -58,7 +74,7 @@ fn fig19_reproduces_the_reference_breakdown() {
 
 #[test]
 fn fig20_reproduces_the_reference_layout() {
-    let out = run(env!("CARGO_BIN_EXE_fig20_asic_area"));
+    let out = run("fig20_asic_area");
     assert!(out.contains("0.110"), "controller mm^2");
     assert!(out.contains("65000"), "cells");
 }
@@ -101,18 +117,9 @@ fn crossval_smoke_rejects_zero_seeds() {
     );
 }
 
-/// Runs `tab03_geometry` (a quick runner-driven binary) with `var` set
-/// to `value`.
-fn tab03_with(var: &str, value: &str) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_tab03_geometry"))
-        .env(var, value)
-        .output()
-        .expect("binary runs")
-}
-
 #[test]
 fn jobs_zero_exits_2_before_any_row() {
-    let out = tab03_with("XCACHE_JOBS", "0");
+    let out = xpaper(&["tab03_geometry"], &[("XCACHE_JOBS", "0")]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
@@ -129,9 +136,18 @@ fn jobs_zero_exits_2_before_any_row() {
     }
 }
 
+/// Runs `abl03_insertm` (a runner-driven entry, kept quick by a large
+/// scale divisor) with `var` set to `value`.
+fn abl03_with(var: &str, value: &str) -> Output {
+    xpaper(
+        &["abl03_insertm"],
+        &[("XCACHE_SCALE", "1000"), (var, value)],
+    )
+}
+
 #[test]
 fn verbose_zero_prints_no_progress() {
-    let out = tab03_with("XCACHE_VERBOSE", "0");
+    let out = abl03_with("XCACHE_VERBOSE", "0");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr: {stderr}");
     assert!(!stderr.contains("[runner]"), "stderr: {stderr}");
@@ -139,7 +155,7 @@ fn verbose_zero_prints_no_progress() {
 
 #[test]
 fn verbose_one_prints_progress() {
-    let out = tab03_with("XCACHE_VERBOSE", "1");
+    let out = abl03_with("XCACHE_VERBOSE", "1");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr: {stderr}");
     assert!(stderr.contains("[runner] 1/"), "stderr: {stderr}");
@@ -147,8 +163,71 @@ fn verbose_one_prints_progress() {
 
 #[test]
 fn verbose_rejects_an_unknown_value() {
-    let out = tab03_with("XCACHE_VERBOSE", "yes");
+    let out = abl03_with("XCACHE_VERBOSE", "yes");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("XCACHE_VERBOSE"), "stderr: {stderr}");
+}
+
+/// Asserts `out` is a usage failure: exit 2, nothing on stdout, and every
+/// registry name listed on stderr.
+fn assert_usage(out: &Output) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(out.stdout.is_empty());
+    for e in &EXPERIMENTS {
+        assert!(
+            stderr.lines().any(|l| l.trim() == e.name),
+            "{} not listed:\n{stderr}",
+            e.name
+        );
+    }
+}
+
+#[test]
+fn no_argument_exits_2_and_lists_the_names() {
+    assert_usage(&xpaper(&[], &[]));
+}
+
+#[test]
+fn unknown_name_exits_2_and_lists_the_names() {
+    // An unknown name fails the whole run before a known one runs.
+    let out = xpaper(&["tab01_taxonomy", "fig99_bogus"], &[]);
+    assert_usage(&out);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("fig99_bogus"));
+}
+
+#[test]
+fn registry_names_are_unique_and_recorded() {
+    let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+    for (i, e) in EXPERIMENTS.iter().enumerate() {
+        assert!(
+            EXPERIMENTS[..i].iter().all(|o| o.name != e.name),
+            "duplicate name {}",
+            e.name
+        );
+        let txt = format!("{results}/{}.txt", e.name);
+        assert!(std::path::Path::new(&txt).is_file(), "missing {txt}");
+    }
+}
+
+#[test]
+fn unwritable_dump_fails_the_run_and_names_the_file() {
+    // A cwd where `results` is a regular file: the dump cannot land.
+    let dir = std::env::temp_dir().join(format!("xpaper-dump-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("results"), "not a directory").unwrap();
+    let out = Command::new(XPAPER)
+        .arg("tab01_taxonomy")
+        .env("XCACHE_JSON", "1")
+        .current_dir(&dir)
+        .output()
+        .expect("xpaper runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "stderr: {stderr}");
+    assert!(
+        stderr.contains("results/tab01_taxonomy.json"),
+        "stderr: {stderr}"
+    );
 }

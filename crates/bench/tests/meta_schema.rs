@@ -1,13 +1,17 @@
 //! Schema regression for the bench JSON meta envelope.
 //!
 //! Every `results/*.json` dump carries the envelope rendered by
-//! `xcache_bench::meta_json`. Downstream tooling diffs those files across
+//! `xcache_bench::Knobs::meta_json`. Downstream tooling diffs those files across
 //! commits by key, so the envelope is a wire format: fields must not be
 //! renamed, re-typed, or reordered silently. This test pins the exact key
 //! sequence and each field's JSON shape; changing the envelope must come
 //! here and bump `schema`.
 
-use xcache_bench::meta_json;
+use xcache_bench::Knobs;
+
+fn meta_json(name: &str) -> String {
+    Knobs::from_env().meta_json(name)
+}
 
 /// Splits a flat (non-nested) JSON object into `(key, raw value)` pairs
 /// in document order. The envelope is flat by construction, so a

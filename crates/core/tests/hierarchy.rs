@@ -148,7 +148,8 @@ fn mxa_walker_misses_filter_through_address_cache() {
             prefetch_next: false,
         },
         dram,
-    );
+    )
+    .unwrap();
     let cfg = XCacheConfig::test_tiny().with_params(vec![0x1000]);
     let mut xc = XCache::new(cfg, array_walker(), l2).unwrap();
     let mut now = Cycle(0);

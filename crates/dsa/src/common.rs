@@ -112,7 +112,8 @@ pub(crate) fn shard_cells(
                     ..BankGroupConfig::default()
                 },
                 DramModel::with_memory(DramConfig::default(), mem.clone()),
-            );
+            )
+            .map_err(|e| format!("invalid shard {s}: {e}"))?;
             let xc = XCache::new(configure(shard_geometry(base, shards)), program(), bank)
                 .map_err(|e| format!("invalid shard {s}: {e}"))?;
             Ok(ShardCell::new(s, xc, DEFAULT_LINK_LATENCY))

@@ -551,7 +551,8 @@ pub fn run_address_cache(
     let g_cfg = geometry.unwrap_or_else(XCacheConfig::graphpulse);
     let event_base = 0x100_0000u64;
     let dram = DramModel::new(DramConfig::default());
-    let mut cache = AddressCache::new(matched_address_cache_config(&g_cfg), dram);
+    let mut cache = AddressCache::new(matched_address_cache_config(&g_cfg), dram)
+        .expect("matched address-cache config is valid");
 
     let g = &workload.graph;
     let n = g.vertices() as usize;

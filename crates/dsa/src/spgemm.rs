@@ -867,7 +867,8 @@ pub fn run_address_cache(workload: &SpgemmWorkload, geometry: Option<XCacheConfi
     let layout = layout_b(&workload.b);
     let items = workload.element_stream();
     let (shared, mut stream) = streamed_a(&layout, &items);
-    let cache = AddressCache::new(matched_address_cache_config(&g), shared.handle());
+    let cache = AddressCache::new(matched_address_cache_config(&g), shared.handle())
+        .expect("matched address-cache config is valid");
     let total = items.len();
     let mut engine = crate::common::ProbeEngine::new(cache, Vec::new(), g.active);
     let mut now = Cycle(0);

@@ -475,7 +475,7 @@ pub(crate) fn run_probe_engine_with(
 ) -> RunReport {
     let (mem, bucket_base, mask) = memory_image(workload);
     let dram = DramModel::with_memory(DramConfig::default(), mem);
-    let cache = AddressCache::new(cache_cfg, dram);
+    let cache = AddressCache::new(cache_cfg, dram).expect("address-cache config is valid");
     let tasks = make_probes(workload, bucket_base, mask, per_node_delay);
     let total = tasks.len() as u64;
     let mut engine = crate::common::ProbeEngine::new(cache, tasks, parallelism);

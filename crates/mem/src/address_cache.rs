@@ -152,22 +152,10 @@ pub struct AddressCache<D> {
 impl<D: MemoryPort> AddressCache<D> {
     /// Builds a cache over `downstream`.
     ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`CacheConfig::validate`]. Fallible callers
-    /// should prefer [`try_new`](Self::try_new).
-    #[must_use]
-    pub fn new(cfg: CacheConfig, downstream: D) -> Self {
-        Self::try_new(cfg, downstream).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds a cache over `downstream`, reporting an invalid
-    /// configuration as a structured [`ConfigError`] instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns the first [`CacheConfig::validate`] failure.
-    pub fn try_new(cfg: CacheConfig, downstream: D) -> Result<Self, ConfigError> {
+    pub fn new(cfg: CacheConfig, downstream: D) -> Result<Self, ConfigError> {
         cfg.validate().map_err(|reason| ConfigError {
             component: "CacheConfig",
             reason,
@@ -547,7 +535,7 @@ mod tests {
             ports: 1,
             prefetch_next: false,
         };
-        AddressCache::new(cfg, DramModel::new(DramConfig::test_tiny()))
+        AddressCache::new(cfg, DramModel::new(DramConfig::test_tiny())).expect("valid config")
     }
 
     fn run_read(
@@ -676,7 +664,7 @@ mod tests {
                 ports: 1,
                 prefetch_next: false,
             };
-            AddressCache::new(cfg, DramModel::new(DramConfig::test_tiny()))
+            AddressCache::new(cfg, DramModel::new(DramConfig::test_tiny())).expect("valid config")
         };
         // Access pattern: A B A C A — LRU keeps A, FIFO evicts A at C.
         let pattern = [0u64, 32, 0, 64, 0];
@@ -709,7 +697,8 @@ mod tests {
                 ports: 1,
                 prefetch_next: false,
             };
-            let mut c = AddressCache::new(cfg, DramModel::new(DramConfig::test_tiny()));
+            let mut c = AddressCache::new(cfg, DramModel::new(DramConfig::test_tiny()))
+                .expect("valid config");
             for i in 0..32u64 {
                 let _ = run_read(&mut c, i, (i * 37 % 8) * 32, 8);
             }
@@ -738,6 +727,17 @@ mod tests {
     }
 
     #[test]
+    fn new_rejects_an_invalid_config() {
+        let cfg = CacheConfig {
+            sets: 3,
+            ..CacheConfig::default()
+        };
+        let err = AddressCache::new(cfg, DramModel::new(DramConfig::test_tiny()))
+            .expect_err("3 sets is not a power of two");
+        assert_eq!(err.component, "CacheConfig");
+    }
+
+    #[test]
     fn hit_rate_reports_ratio() {
         let mut c = small_cache();
         assert!(c.hit_rate().is_none());
@@ -763,7 +763,7 @@ mod prefetch_tests {
             ports: 1,
             prefetch_next: prefetch,
         };
-        AddressCache::new(cfg, DramModel::new(DramConfig::test_tiny()))
+        AddressCache::new(cfg, DramModel::new(DramConfig::test_tiny())).expect("valid config")
     }
 
     fn read(c: &mut AddressCache<DramModel>, now: &mut Cycle, id: u64, addr: u64) -> u64 {

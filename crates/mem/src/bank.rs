@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use xcache_sim::{counter, Cycle, FaultKind, FaultPlan, Stats};
 
-use crate::{DramModel, MemReq, MemResp, MemoryPort};
+use crate::{ConfigError, DramModel, MemReq, MemResp, MemoryPort};
 
 /// Bank-ownership parameters for one shard's [`BankGroup`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,22 +48,25 @@ impl Default for BankGroupConfig {
 }
 
 impl BankGroupConfig {
-    /// First validation failure, if any.
-    #[must_use]
-    pub fn validate(&self) -> Option<String> {
+    /// Checks the configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first validation failure.
+    pub fn validate(&self) -> Result<(), String> {
         if self.shards == 0 {
-            return Some("shards must be nonzero".into());
+            return Err("shards must be nonzero".into());
         }
         if self.shard_id >= self.shards {
-            return Some(format!(
+            return Err(format!(
                 "shard_id {} out of range for {} shards",
                 self.shard_id, self.shards
             ));
         }
         if self.staging_depth == 0 {
-            return Some("staging_depth must be nonzero".into());
+            return Err("staging_depth must be nonzero".into());
         }
-        None
+        Ok(())
     }
 }
 
@@ -81,21 +84,21 @@ pub struct BankGroup {
 impl BankGroup {
     /// Wraps `dram` with the bank-ownership overlay described by `cfg`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `cfg` fails validation.
-    #[must_use]
-    pub fn new(cfg: BankGroupConfig, dram: DramModel) -> Self {
-        if let Some(reason) = cfg.validate() {
-            panic!("invalid BankGroupConfig: {reason}");
-        }
-        BankGroup {
+    /// Returns the first [`BankGroupConfig::validate`] failure.
+    pub fn new(cfg: BankGroupConfig, dram: DramModel) -> Result<Self, ConfigError> {
+        cfg.validate().map_err(|reason| ConfigError {
+            component: "BankGroupConfig",
+            reason,
+        })?;
+        Ok(BankGroup {
             cfg,
             dram,
             staged: VecDeque::new(),
             stats: Stats::new(),
             fault: FaultPlan::current(),
-        }
+        })
     }
 
     /// The shard that owns the bank holding `addr`.
@@ -223,6 +226,7 @@ mod tests {
             },
             DramModel::with_memory(DramConfig::default(), mem),
         )
+        .expect("valid config")
     }
 
     #[test]
@@ -338,13 +342,15 @@ mod tests {
 
     #[test]
     fn rejects_bad_config() {
-        assert!(BankGroupConfig {
+        let bad = BankGroupConfig {
             shards: 2,
             shard_id: 2,
             ..BankGroupConfig::default()
-        }
-        .validate()
-        .is_some());
-        assert!(BankGroupConfig::default().validate().is_none());
+        };
+        assert!(bad.validate().is_err());
+        assert!(BankGroupConfig::default().validate().is_ok());
+        let err = BankGroup::new(bad, DramModel::new(DramConfig::default()))
+            .expect_err("shard_id out of range");
+        assert_eq!(err.component, "BankGroupConfig");
     }
 }

@@ -45,9 +45,9 @@ pub use shared::{PortHandle, SharedPort};
 
 /// A rejected component configuration: which config type failed and why.
 ///
-/// Returned by the `try_new` constructors ([`DramModel::try_new`],
-/// [`AddressCache::try_new`]); the panicking `new` constructors remain as
-/// thin wrappers for infallible call sites.
+/// Returned by the constructors of [`AddressCache`], [`BankGroup`] and
+/// [`DramModel::try_new`] (whose panicking `DramModel::new` wrapper
+/// remains for infallible call sites).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
     /// The configuration type that failed validation.

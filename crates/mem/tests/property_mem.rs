@@ -22,7 +22,7 @@ fn tiny_cache(policy: ReplacementPolicy) -> AddressCache<DramModel> {
         ports: 1,
         prefetch_next: false,
     };
-    AddressCache::new(cfg, DramModel::new(DramConfig::test_tiny()))
+    AddressCache::new(cfg, DramModel::new(DramConfig::test_tiny())).expect("valid config")
 }
 
 /// Runs one request to completion and returns the response data.
@@ -251,6 +251,7 @@ proptest! {
                     BankGroupConfig { shards, shard_id, ..BankGroupConfig::default() },
                     DramModel::new(DramConfig::test_tiny()),
                 )
+                .expect("valid config")
             })
             .collect();
         for &addr in &addrs {
@@ -280,7 +281,8 @@ proptest! {
         let mut g = BankGroup::new(
             BankGroupConfig { shards, shard_id, staging_depth: 4, ..BankGroupConfig::default() },
             DramModel::new(DramConfig::test_tiny()),
-        );
+        )
+        .expect("valid config");
         let mut now = Cycle(0);
         let mut accepted = 0u64;
         let mut rejected = 0u64;

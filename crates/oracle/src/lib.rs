@@ -58,19 +58,22 @@ pub struct OracleGeometry {
 }
 
 impl OracleGeometry {
-    /// First validation failure, if any.
-    #[must_use]
-    pub fn validate(&self) -> Option<String> {
+    /// Checks the geometry.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first validation failure.
+    pub fn validate(&self) -> Result<(), String> {
         if self.sets == 0 || !self.sets.is_power_of_two() {
-            return Some("sets must be a nonzero power of two".into());
+            return Err("sets must be a nonzero power of two".into());
         }
         if self.ways == 0 {
-            return Some("ways must be nonzero".into());
+            return Err("ways must be nonzero".into());
         }
         if self.data_sectors == 0 {
-            return Some("data_sectors must be nonzero".into());
+            return Err("data_sectors must be nonzero".into());
         }
-        None
+        Ok(())
     }
 }
 
@@ -239,15 +242,13 @@ pub struct CacheModel {
 impl CacheModel {
     /// Creates an empty model for `geom`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `geom` fails validation.
-    #[must_use]
-    pub fn new(geom: OracleGeometry) -> Self {
-        if let Some(reason) = geom.validate() {
-            panic!("invalid OracleGeometry: {reason}");
-        }
-        CacheModel {
+    /// Returns the first [`OracleGeometry::validate`] failure.
+    pub fn new(geom: OracleGeometry) -> Result<Self, String> {
+        geom.validate()
+            .map_err(|reason| format!("invalid OracleGeometry: {reason}"))?;
+        Ok(CacheModel {
             sets: geom.sets,
             ways: geom.ways,
             data_capacity: geom.data_sectors,
@@ -258,17 +259,20 @@ impl CacheModel {
                 per_set: vec![SetCounts::default(); geom.sets],
                 ..Prediction::default()
             },
-        }
+        })
     }
 
     /// Replays `ops` against a fresh model and returns the prediction.
-    #[must_use]
-    pub fn replay(geom: OracleGeometry, ops: &[OracleOp]) -> Prediction {
-        let mut m = CacheModel::new(geom);
+    ///
+    /// # Errors
+    ///
+    /// As for [`new`](Self::new).
+    pub fn replay(geom: OracleGeometry, ops: &[OracleOp]) -> Result<Prediction, String> {
+        let mut m = CacheModel::new(geom)?;
         for op in ops {
             m.apply(op);
         }
-        m.into_prediction()
+        Ok(m.into_prediction())
     }
 
     /// The set `key` maps to — the same Fibonacci hash as
@@ -510,7 +514,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit() {
-        let p = CacheModel::replay(geom(4, 2, 16), &[load(42), load(42)]);
+        let p = CacheModel::replay(geom(4, 2, 16), &[load(42), load(42)]).unwrap();
         assert_eq!((p.loads, p.hits, p.misses), (2, 1, 1));
         assert_eq!(p.meta_allocs, 1);
         assert_eq!(p.meta_evictions, 0);
@@ -521,7 +525,7 @@ mod tests {
     #[test]
     fn lru_eviction_prefers_least_recent_first_way_on_ties() {
         // One set, two ways: fill with A, B; touch A; insert C -> evicts B.
-        let mut m = CacheModel::new(geom(1, 2, 16));
+        let mut m = CacheModel::new(geom(1, 2, 16)).unwrap();
         m.apply(&load(1));
         m.apply(&load(2));
         m.apply(&load(1)); // touch A
@@ -544,7 +548,7 @@ mod tests {
                 plan: MissPlan::fault(),
             },
         ];
-        let p = CacheModel::replay(geom(4, 1, 8), &ops);
+        let p = CacheModel::replay(geom(4, 1, 8), &ops).unwrap();
         assert_eq!(p.misses, 2, "a faulted walk installs nothing");
         assert_eq!(p.walker_faults, 2);
         assert_eq!(p.meta_allocs, 2, "the entry is allocated, then dropped");
@@ -571,7 +575,7 @@ mod tests {
             },
             load(7), // the side-inserted key hits
         ];
-        let p = CacheModel::replay(geom(16, 2, 32), &ops);
+        let p = CacheModel::replay(geom(16, 2, 32), &ops).unwrap();
         assert_eq!(p.insertm, 1);
         assert_eq!(p.insertm_skips, 0);
         assert_eq!(p.hits, 1);
@@ -583,7 +587,7 @@ mod tests {
         // on B's miss... but B lands in the same set, so: A resident,
         // B allocates over the invalid way? Both ways fill; then load C
         // must evict the demoted S, not A or B.
-        let mut m = CacheModel::new(geom(1, 3, 32));
+        let mut m = CacheModel::new(geom(1, 3, 32)).unwrap();
         m.apply(&load(1));
         m.apply(&OracleOp::Load {
             key: 2,
@@ -604,7 +608,7 @@ mod tests {
     fn capacity_eviction_frees_smallest_idle_entry() {
         // Data pool of 4 sectors; three 1-sector entries + one 2-sector
         // install forces an eviction of the smallest idle entry.
-        let mut m = CacheModel::new(geom(16, 2, 4));
+        let mut m = CacheModel::new(geom(16, 2, 4)).unwrap();
         m.apply(&load(1));
         m.apply(&load(2));
         m.apply(&load(3));
@@ -620,7 +624,7 @@ mod tests {
 
     #[test]
     fn store_and_take_semantics() {
-        let mut m = CacheModel::new(geom(4, 2, 8));
+        let mut m = CacheModel::new(geom(4, 2, 8)).unwrap();
         m.apply(&OracleOp::Store { key: 3 }); // miss: installs nothing
         m.apply(&load(3));
         m.apply(&OracleOp::Store { key: 3 }); // hit: touches only
@@ -635,14 +639,14 @@ mod tests {
 
     #[test]
     fn take_miss_counts() {
-        let p = CacheModel::replay(geom(4, 1, 4), &[OracleOp::Take { key: 11 }]);
+        let p = CacheModel::replay(geom(4, 1, 4), &[OracleOp::Take { key: 11 }]).unwrap();
         assert_eq!(p.take_misses, 1);
     }
 
     #[test]
     fn per_set_counts_sum_to_aggregates() {
         let ops: Vec<OracleOp> = (0..64u64).map(|k| load(k % 13)).collect();
-        let p = CacheModel::replay(geom(8, 2, 64), &ops);
+        let p = CacheModel::replay(geom(8, 2, 64), &ops).unwrap();
         let hits: u64 = p.per_set.iter().map(|s| s.hits).sum();
         let allocs: u64 = p.per_set.iter().map(|s| s.allocs).sum();
         let evicts: u64 = p.per_set.iter().map(|s| s.evictions).sum();
@@ -654,7 +658,7 @@ mod tests {
 
     #[test]
     fn set_index_is_fibonacci_hash() {
-        let m = CacheModel::new(geom(64, 1, 64));
+        let m = CacheModel::new(geom(64, 1, 64)).unwrap();
         for k in [0u64, 1, 42, u64::MAX, 0xDEAD_BEEF] {
             let expect = ((k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & 63;
             assert_eq!(m.set_index(k), expect);
@@ -662,8 +666,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid OracleGeometry")]
     fn rejects_non_pow2_sets() {
-        let _ = CacheModel::new(geom(3, 1, 4));
+        let err = CacheModel::new(geom(3, 1, 4)).expect_err("3 sets");
+        assert!(err.starts_with("invalid OracleGeometry"), "{err}");
     }
 }

@@ -7,8 +7,9 @@
 //! the incomplete subset" instead of "diff two worlds".
 //!
 //! Grids:
-//! - `fig18` — the parameter sweep from `fig18_param_sweep`: GraphPulse
-//!   and Widx across `#Active/#Exe` ∈ {4/1, 8/2, 16/4, 32/8}.
+//! - `fig18` — the parameter sweep of the `fig18_param_sweep` experiment:
+//!   GraphPulse and Widx across `#Active/#Exe` ∈ {4/1, 8/2, 16/4, 32/8},
+//!   each cell run by the experiment's own `xcache_bench::Fig18Bench`.
 //! - `fig14` — one cell per DSA cluster (Widx Q19/Q20/Q22, DASX,
 //!   GraphPulse, SpArch, Gamma), each evaluated in all three storage
 //!   configurations: `xcache_bench::DsaCluster`, as `dsa_scenarios` runs
@@ -24,13 +25,8 @@
 
 use std::sync::Arc;
 
-use xcache_bench::{
-    graphpulse_geometry, graphpulse_workload, widx_geometry, widx_workload, Cell, DsaCluster,
-    FIG18_GRID,
-};
-use xcache_core::{splitmix64, XCacheConfig};
-use xcache_dsa::{graphpulse, widx};
-use xcache_workloads::QueryClass;
+use xcache_bench::{Cell, DsaCluster, Fig18Bench, FIG18_GRID};
+use xcache_core::splitmix64;
 
 use crate::journal::checksum;
 use crate::json::{json_str, Value};
@@ -236,41 +232,19 @@ pub fn to_runner_cells(specs: &[CellSpec]) -> Vec<Cell<'static>> {
 
 fn fig18_cells(scale: u32, seed: u64) -> Vec<CellSpec> {
     let mut out = Vec::new();
-    for (active, exe) in FIG18_GRID {
-        out.push(CellSpec {
-            label: format!("graphpulse {active}/{exe}"),
-            run: Arc::new(move || {
-                let w = graphpulse_workload(scale, seed);
-                let g = XCacheConfig {
-                    active,
-                    exe,
-                    ..graphpulse_geometry(w.graph.vertices())
-                };
-                let cycles = graphpulse::run_xcache(&w, Some(g)).cycles;
-                xcache_bench::note_sim_cycles(cycles);
-                Ok(format!(
-                    "{{\"bench\":\"graphpulse\",\"active\":{active},\"exe\":{exe},\"cycles\":{cycles}}}"
-                ))
-            }),
-        });
-    }
-    for (active, exe) in FIG18_GRID {
-        out.push(CellSpec {
-            label: format!("widx {active}/{exe}"),
-            run: Arc::new(move || {
-                let w = widx_workload(QueryClass::Q22, scale, seed);
-                let g = XCacheConfig {
-                    active,
-                    exe,
-                    ..widx_geometry(scale)
-                };
-                let cycles = widx::run_xcache(&w, Some(g)).cycles;
-                xcache_bench::note_sim_cycles(cycles);
-                Ok(format!(
-                    "{{\"bench\":\"widx\",\"active\":{active},\"exe\":{exe},\"cycles\":{cycles}}}"
-                ))
-            }),
-        });
+    for bench in Fig18Bench::ALL {
+        for (active, exe) in FIG18_GRID {
+            out.push(CellSpec {
+                label: bench.label(active, exe),
+                run: Arc::new(move || {
+                    let cycles = bench.cycles(scale, seed, active, exe);
+                    Ok(format!(
+                        "{{\"bench\":\"{}\",\"active\":{active},\"exe\":{exe},\"cycles\":{cycles}}}",
+                        bench.name()
+                    ))
+                }),
+            });
+        }
     }
     out
 }

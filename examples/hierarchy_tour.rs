@@ -119,7 +119,8 @@ fn main() {
             prefetch_next: false,
         },
         dram(),
-    );
+    )
+    .expect("l2 address cache");
     let mut mxa = XCache::new(geometry(), walker(), l2cache).expect("mxa");
     let t_mxa = drive("mxa", &mut mxa);
 
