@@ -76,7 +76,7 @@ pub(crate) fn start_instant() -> Instant {
 /// Restarts the meta envelope's timing fields: the wall clock starts now
 /// and the simulated-cycle tally returns to zero. Each registry
 /// experiment starts here, so a dump times only its own experiment.
-pub fn restart_timing() {
+pub(crate) fn restart_timing() {
     *START.lock().expect("start lock") = Some(Instant::now());
     SIM_CYCLES.store(0, Ordering::Relaxed);
 }
@@ -555,7 +555,7 @@ pub struct Knobs {
     /// The runner every grid goes through.
     pub runner: Runner,
     /// Whether [`dump`](Self::dump) writes `results/<name>.json`.
-    pub json: bool,
+    pub(crate) json: bool,
 }
 
 impl Knobs {
@@ -577,7 +577,7 @@ impl Knobs {
     /// Run metadata recorded in every JSON dump: enough to reproduce the
     /// run (scale divisor, job count, commit) and to identify the format,
     /// plus the timing fields (`wall_ms`, `sim_cycles`,
-    /// `sim_cycles_per_sec`) since [`restart_timing`].
+    /// `sim_cycles_per_sec`) since the experiment (or harness) started.
     /// `parallel_fallbacks` counts silent `Par`-pool degradations to
     /// sequential execution — nonzero means the run's wall times came
     /// from a machine that couldn't actually go parallel, so its
