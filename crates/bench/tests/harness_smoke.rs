@@ -213,21 +213,33 @@ fn registry_names_are_unique_and_recorded() {
 
 #[test]
 fn unwritable_dump_fails_the_run_and_names_the_file() {
-    // A cwd where `results` is a regular file: the dump cannot land.
-    let dir = std::env::temp_dir().join(format!("xpaper-dump-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("results"), "not a directory").unwrap();
-    let out = Command::new(XPAPER)
-        .arg("tab01_taxonomy")
-        .env("XCACHE_JSON", "1")
-        .current_dir(&dir)
-        .output()
-        .expect("xpaper runs");
-    let _ = std::fs::remove_dir_all(&dir);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "stderr: {stderr}");
-    assert!(
-        stderr.contains("results/tab01_taxonomy.json"),
-        "stderr: {stderr}"
-    );
+    // Two cwds where the dump cannot land: `results` is a regular file
+    // (the directory cannot be created), or the dump's own path is a
+    // directory (the write fails).
+    let blockers: [(&str, fn(&std::path::Path)); 2] = [
+        ("file", |dir| {
+            std::fs::write(dir.join("results"), "").unwrap()
+        }),
+        ("dir", |dir| {
+            std::fs::create_dir_all(dir.join("results/tab01_taxonomy.json")).unwrap();
+        }),
+    ];
+    for (what, block) in blockers {
+        let dir = std::env::temp_dir().join(format!("xpaper-dump-{what}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        block(&dir);
+        let out = Command::new(XPAPER)
+            .arg("tab01_taxonomy")
+            .env("XCACHE_JSON", "1")
+            .current_dir(&dir)
+            .output()
+            .expect("xpaper runs");
+        let _ = std::fs::remove_dir_all(&dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{what}: stderr: {stderr}");
+        assert!(
+            stderr.contains("results/tab01_taxonomy.json"),
+            "{what}: stderr: {stderr}"
+        );
+    }
 }
