@@ -1,8 +1,8 @@
-//! The parallel scenario runner every experiment binary routes through.
+//! The parallel scenario runner every simulated experiment routes through.
 //!
 //! A figure or table is a *grid* of independent cells: each cell runs one
 //! (deterministic, single-threaded) simulation and produces a row, a
-//! report, or a cycle count. Binaries declare the grid as a list of
+//! report, or a cycle count. Experiments declare the grid as a list of
 //! [`Scenario`]s; the [`Runner`] executes the cells — in parallel across
 //! `XCACHE_JOBS` worker threads — and returns the results *in declaration
 //! order*, so the rendered tables and JSON dumps are byte-identical
