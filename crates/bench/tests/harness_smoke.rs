@@ -216,18 +216,14 @@ fn unwritable_dump_fails_the_run_and_names_the_file() {
     // Two cwds where the dump cannot land: `results` is a regular file
     // (the directory cannot be created), or the dump's own path is a
     // directory (the write fails).
-    let blockers: [(&str, fn(&std::path::Path)); 2] = [
-        ("file", |dir| {
-            std::fs::write(dir.join("results"), "").unwrap()
-        }),
-        ("dir", |dir| {
-            std::fs::create_dir_all(dir.join("results/tab01_taxonomy.json")).unwrap();
-        }),
-    ];
-    for (what, block) in blockers {
+    for what in ["file", "dir"] {
         let dir = std::env::temp_dir().join(format!("xpaper-dump-{what}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        block(&dir);
+        if what == "file" {
+            std::fs::write(dir.join("results"), "").unwrap();
+        } else {
+            std::fs::create_dir_all(dir.join("results/tab01_taxonomy.json")).unwrap();
+        }
         let out = Command::new(XPAPER)
             .arg("tab01_taxonomy")
             .env("XCACHE_JSON", "1")
