@@ -33,14 +33,15 @@
 //!   or element twice, or one they never issued, so their cells enforce
 //!   exactly-once completion as well.
 //!
-//! Both layers render each run to a string, and the `chaos_smoke` binary
-//! demands those renderings be byte-identical with fast-forwarding on and
-//! off ([`crate::skip_differential`]) and at one and two runner jobs
-//! ([`crate::jobs_differential`]) — with faults armed, which is exactly
-//! when per-tick randomness would betray itself. It drives both layers
-//! over `XCACHE_CHAOS_SEEDS` seeds in CI and dumps violating runs (with
-//! their harvested [`StallReport`](xcache_sim::StallReport)s) under
-//! `results/chaos/`.
+//! Both layers render each run to a string, and the `chaos_smoke` check
+//! (`xcheck chaos_smoke`) demands those renderings be byte-identical with
+//! fast-forwarding on and off ([`crate::skip_differential`]) and at one
+//! and two runner jobs ([`crate::jobs_differential`]) — with faults
+//! armed, which is exactly when per-tick randomness would betray itself.
+//! It drives both layers over `XCACHE_SEEDS` seeds in CI and dumps
+//! violating runs (with their harvested
+//! [`StallReport`](xcache_sim::StallReport)s) to
+//! `results/chaos/violations.txt`.
 
 use std::fmt::Debug;
 use std::sync::Arc;

@@ -32,10 +32,10 @@
 //!   onto *faulting* walkers (the oracle re-misses each repeat) and
 //!   replacement decisions reordered around resource stalls.
 //!
-//! The `crossval_smoke` binary runs fuzz seeds (`XCACHE_CROSSVAL_SEEDS`,
-//! default 50) through both classes plus the paper's Widx and SpGEMM
-//! scenario cells, and writes a per-cell disagreement report under
-//! `results/crossval/` on failure.
+//! The `crossval_smoke` check (`xcheck crossval_smoke`) runs fuzz seeds
+//! (`XCACHE_SEEDS`, default 50) through both classes plus the paper's
+//! Widx and SpGEMM scenario cells, and writes a per-cell disagreement
+//! report to `results/crossval/disagreements.txt` on failure.
 
 use std::fmt::Write as _;
 
@@ -541,15 +541,15 @@ pub fn spgemm_cell(algorithm: xcache_dsa::spgemm::Algorithm) -> CellReport {
     report
 }
 
-/// The full suite: `seeds` fuzz seeds through both classes, plus the
-/// paper's Widx and SpGEMM cells. Cells are independent and run through
-/// the [`Runner`].
+/// The full suite: every fuzz seed in `seeds` through both classes,
+/// plus the paper's Widx and SpGEMM cells. Cells are independent and run
+/// through `runner`.
 #[must_use]
-pub fn run_suite(seeds: u64, accesses: usize) -> Vec<CellReport> {
+pub fn run_suite(runner: &Runner, seeds: &[u64], accesses: usize) -> Vec<CellReport> {
     use xcache_dsa::spgemm::Algorithm;
 
     let mut cells: Vec<Scenario<'static, CellReport>> = Vec::new();
-    for seed in 0..seeds {
+    for &seed in seeds {
         cells.push(Scenario::new(
             format!("crossval fuzz-serial {seed}"),
             move || fuzz_serial_cell(seed, accesses),
@@ -566,7 +566,7 @@ pub fn run_suite(seeds: u64, accesses: usize) -> Vec<CellReport> {
     cells.push(Scenario::new("crossval spgemm-sparch", || {
         spgemm_cell(Algorithm::OuterProduct)
     }));
-    Runner::from_env().run(cells)
+    runner.run(cells)
 }
 
 #[cfg(test)]

@@ -9,11 +9,11 @@
 //!
 //! * [`run_seed`] drives every seed pipelined and flattens the run to a
 //!   canonical JSON string ([`FuzzReport::stats_json`]): seed, end cycle,
-//!   response checksum and the full counter map. The `fuzz_smoke` binary
-//!   demands that string be byte-identical with fast-forwarding on and off
-//!   ([`crate::skip_differential`]) and at one and two runner jobs
-//!   ([`crate::jobs_differential`]), over `XCACHE_FUZZ_SEEDS` seeds
-//!   (default 200) in CI.
+//!   response checksum and the full counter map. The `fuzz_smoke` check
+//!   (`xcheck fuzz_smoke`) demands that string be byte-identical with
+//!   fast-forwarding on and off ([`crate::skip_differential`]) and at one
+//!   and two runner jobs ([`crate::jobs_differential`]), over
+//!   `XCACHE_SEEDS` seeds (default 200) in CI.
 //! * [`crate::chaos::run_fuzz_chaos`] runs the same fixture and drive
 //!   under a fault plan, then checks quiescence, exactly-once answering
 //!   and walker conservation.

@@ -3,9 +3,10 @@
 //! The experiment harness. [`paper::EXPERIMENTS`] registers every table,
 //! figure and ablation of the evaluation, one entry per EXPERIMENTS.md
 //! row, and the `xpaper` binary runs them by name (`xpaper all` runs
-//! the whole set). `src/bin/` holds `xpaper` and the tool binaries
-//! (fuzz, chaos, cross-validation and shard smokes, and the oracle
-//! predictor); Criterion microbenchmarks live under `benches/`.
+//! the whole set). [`checks::CHECKS`] registers the CI checks (fuzz,
+//! chaos, cross-validation and shard smokes, and the oracle predictor),
+//! which the `xcheck` binary runs the same way. Criterion
+//! microbenchmarks live under `benches/`.
 //!
 //! Every experiment prints the same rows/series the paper reports.
 //! Absolute numbers differ (our substrate is a Rust cycle simulator, not
@@ -16,8 +17,8 @@
 //!
 //! Experiments default to a reduced scale (divisor 10). Set
 //! `XCACHE_SCALE=1` for paper-sized inputs or a larger divisor for
-//! quicker smoke runs; [`Knobs::from_env`] reads it with the other
-//! knobs, once, before anything prints.
+//! quicker smoke runs; [`Knobs::from_env`] reads it with every other
+//! knob, once, before anything prints.
 //!
 //! Every experiment declares its parameter grid as [`Scenario`]s and
 //! executes them through the [`Runner`], which parallelises across
@@ -36,9 +37,11 @@
 //! the differential tests all go through these two.
 
 pub mod chaos;
+pub mod checks;
 pub mod crossval;
 pub mod fuzz;
 pub mod paper;
+pub mod registry;
 pub mod runner;
 
 pub use runner::{
@@ -47,6 +50,7 @@ pub use runner::{
 };
 
 use std::fmt::{Debug, Write as _};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -56,16 +60,18 @@ use xcache_dsa::graphpulse::GraphPulseWorkload;
 use xcache_dsa::spgemm;
 use xcache_dsa::widx::WidxWorkload;
 use xcache_dsa::RunReport;
-use xcache_sim::{with_skip, StatsSnapshot};
+use xcache_sim::{
+    env_count, env_flag, env_parse, env_parse_map, exit2, sim_knobs, with_skip, EnvError,
+    StatsSnapshot,
+};
 use xcache_workloads::{CsrMatrix, Graph, GraphPreset, QueryClass, SparsePattern};
 
 static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
 static START: Mutex<Option<Instant>> = Mutex::new(None);
 
 /// The wall-clock anchor for the meta envelope's `wall_ms`: set by
-/// [`restart_timing`], or by the first caller otherwise. `scale()` and
-/// `Runner::run` both touch it, so the clock starts no later than a
-/// harness's first grid.
+/// [`restart_timing`], or by the first caller otherwise. `Runner::run`
+/// touches it, so the clock starts no later than a harness's first grid.
 pub(crate) fn start_instant() -> Instant {
     *START
         .lock()
@@ -87,45 +93,6 @@ pub(crate) fn restart_timing() {
 pub fn note_sim_cycles(cycles: u64) {
     let _ = start_instant();
     SIM_CYCLES.fetch_add(cycles, Ordering::Relaxed);
-}
-
-/// Workload scale divisor from `XCACHE_SCALE`. `1` = paper-sized.
-/// Default 10. A malformed or zero value prints the structured error and
-/// exits 2.
-#[must_use]
-pub fn scale() -> u32 {
-    let _ = start_instant();
-    xcache_sim::exit2(xcache_sim::env_parse_map("XCACHE_SCALE", |s| {
-        let v: u32 = s.parse().map_err(|e| format!("{e}"))?;
-        if v == 0 {
-            return Err("scale divisor must be >= 1".into());
-        }
-        Ok(v)
-    }))
-    .unwrap_or(10)
-}
-
-/// A `u64` environment knob with a default — the smoke binaries' base
-/// and fault seeds and friends. Malformed values print the structured
-/// error and exit 2 instead of silently falling back.
-#[must_use]
-pub fn env_u64_or(var: &str, default: u64) -> u64 {
-    xcache_sim::exit2(xcache_sim::env_parse::<u64>(var)).unwrap_or(default)
-}
-
-/// A smoke binary's seed count from `var`, or `default` when unset. A
-/// malformed or zero value prints the structured error and exits 2: a
-/// run over no seeds would check nothing and pass.
-#[must_use]
-pub fn seed_count(var: &str, default: u64) -> u64 {
-    xcache_sim::exit2(xcache_sim::env_parse_map(var, |s| {
-        let v: u64 = s.parse().map_err(|e| format!("{e}"))?;
-        if v == 0 {
-            return Err("seed count must be >= 1".into());
-        }
-        Ok(v)
-    }))
-    .unwrap_or(default)
 }
 
 /// Runs `run` with idle-cycle fast-forwarding on, then off, and demands
@@ -544,34 +511,71 @@ pub fn git_sha() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// The knobs a harness reads, parsed once before it prints anything:
-/// the workload scale (`XCACHE_SCALE`), the runner (`XCACHE_JOBS`; its
-/// `XCACHE_VERBOSE` flag is checked here too) and whether dumps are
-/// written (`XCACHE_JSON`).
+/// Every knob `xpaper` and `xcheck` read, parsed once before either
+/// prints anything.
 #[derive(Debug)]
 pub struct Knobs {
-    /// Workload scale divisor; `1` = paper-sized.
+    /// Workload scale divisor (`XCACHE_SCALE`, default 10); `1` =
+    /// paper-sized.
     pub scale: u32,
-    /// The runner every grid goes through.
+    /// The runner every grid goes through: `XCACHE_JOBS` workers
+    /// (default: one per core), reporting each cell when
+    /// `XCACHE_VERBOSE` is on.
     pub runner: Runner,
-    /// Whether [`dump`](Self::dump) writes `results/<name>.json`.
+    /// Whether [`dump`](Self::dump) writes `results/<name>.json`
+    /// (`XCACHE_JSON`).
     pub(crate) json: bool,
+    /// How many seeds a seeded check runs (`XCACHE_SEEDS`); `None` keeps
+    /// each check's default.
+    pub seed_count: Option<u64>,
+    /// The first seed of a seeded check (`XCACHE_BASE_SEED`, default 0).
+    pub base_seed: u64,
+    /// The chaos check's fault seed (`XCACHE_FAULT_SEED`, default
+    /// `0xFA01`), from the simulator's own knob parse.
+    pub fault_seed: u64,
+    /// The shard count of the sharded check (`XCACHE_SHARDS`, `1..=64`,
+    /// default 4).
+    pub shards: usize,
 }
 
 impl Knobs {
-    /// Reads every knob. A malformed value prints the structured error
-    /// and exits 2.
+    /// Reads every knob, the simulator's included
+    /// ([`xcache_sim::sim_knobs`]). A malformed value prints the
+    /// structured error and exits 2.
     #[must_use]
     pub fn from_env() -> Knobs {
-        let knobs = Knobs {
-            scale: scale(),
-            runner: Runner::from_env(),
-            json: std::env::var_os("XCACHE_JSON").is_some(),
-        };
-        // `Runner::run` reads the flag itself; a bad value exits here,
-        // before the first line of output instead of after it.
-        let _ = xcache_sim::exit2(xcache_sim::env_flag("XCACHE_VERBOSE"));
-        knobs
+        exit2(Knobs::parse())
+    }
+
+    fn parse() -> Result<Knobs, EnvError> {
+        let sim = sim_knobs()?;
+        let jobs = env_count("XCACHE_JOBS", "worker count")?;
+        let verbose = env_flag("XCACHE_VERBOSE")?.unwrap_or(false);
+        Ok(Knobs {
+            scale: env_count("XCACHE_SCALE", "scale divisor")?.unwrap_or(10),
+            runner: Runner::new(jobs, verbose),
+            json: env_flag("XCACHE_JSON")?.unwrap_or(false),
+            seed_count: env_count("XCACHE_SEEDS", "seed count")?,
+            base_seed: env_parse("XCACHE_BASE_SEED")?.unwrap_or(0),
+            fault_seed: sim.fault_seed,
+            shards: env_parse_map("XCACHE_SHARDS", |s| {
+                let n: usize = s.parse().map_err(|e| format!("{e}"))?;
+                if !(1..=64).contains(&n) {
+                    return Err(format!("shard count {n} outside 1..=64"));
+                }
+                Ok(n)
+            })?
+            .unwrap_or(4),
+        })
+    }
+
+    /// A seeded check's seeds: `XCACHE_SEEDS` of them (`default` when
+    /// unset), counting up from `XCACHE_BASE_SEED` and wrapping past
+    /// `u64::MAX`, so every requested seed runs.
+    #[must_use]
+    pub fn seeds(&self, default: u64) -> Vec<u64> {
+        let count = self.seed_count.unwrap_or(default);
+        (0..count).map(|i| self.base_seed.wrapping_add(i)).collect()
     }
 
     /// Run metadata recorded in every JSON dump: enough to reproduce the
@@ -604,27 +608,22 @@ impl Knobs {
     }
 
     /// Writes `{"meta": ..., "<key>": <body>}` to `results/<name>.json`
-    /// when `XCACHE_JSON` is set. Every dump goes through here, so all of
+    /// when `XCACHE_JSON` is on. Every dump goes through here, so all of
     /// them carry the same self-describing metadata envelope.
     ///
     /// # Errors
     ///
-    /// Names the file when `results/` cannot be created or the file
-    /// cannot be written: a requested dump that is missing fails the run.
+    /// As for [`write_file`]: a requested dump that is missing fails the
+    /// run.
     pub fn dump(&self, name: &str, key: &str, body: &str) -> Result<(), String> {
         if !self.json {
             return Ok(());
         }
-        let path = std::path::Path::new("results").join(format!("{name}.json"));
         let out = format!(
             "{{\n\"meta\": {},\n\"{key}\": {body}\n}}\n",
             self.meta_json(name)
         );
-        std::fs::create_dir_all("results")
-            .and_then(|()| std::fs::write(&path, out))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!("(wrote {})", path.display());
-        Ok(())
+        write_file(&Path::new("results").join(format!("{name}.json")), &out)
     }
 
     /// [`dump`](Self::dump)s a rendered table (headers + rows) under
@@ -660,6 +659,22 @@ impl Knobs {
         body.push_str("]}");
         self.dump(name, "table", &body)
     }
+}
+
+/// Writes `contents` to `path`, creating its directory first, and notes
+/// the file on stderr: the one writer of dumps and check artifacts.
+///
+/// # Errors
+///
+/// `cannot write <path>: <reason>` when the directory cannot be created
+/// or the file cannot be written.
+pub fn write_file(path: &Path, contents: &str) -> Result<(), String> {
+    path.parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, contents))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    eprintln!("(wrote {})", path.display());
+    Ok(())
 }
 
 /// Renders `snap`'s counters as one JSON object in name order — the
@@ -722,7 +737,7 @@ mod tests {
     fn scale_defaults_to_ten() {
         // (Env not set in the test environment.)
         if std::env::var("XCACHE_SCALE").is_err() {
-            assert_eq!(scale(), 10);
+            assert_eq!(Knobs::from_env().scale, 10);
         }
     }
 

@@ -1,5 +1,5 @@
 //! The paper's evaluation as one registry: Tables 1–4, Figures 4, 7 and
-//! 14–20, and four ablations, one [`Experiment`] per EXPERIMENTS.md row.
+//! 14–20, and four ablations, one [`Entry`] per EXPERIMENTS.md row.
 //!
 //! `xpaper <name>...` runs entries by name and `xpaper all` runs every
 //! entry in registry order. An entry prints its table(s) to stdout and,
@@ -14,38 +14,11 @@ use xcache_core::XCacheConfig;
 use xcache_dsa::widx::WidxWorkload;
 use xcache_workloads::QueryClass;
 
-use crate::{render_table, restart_timing, widx_geometry, widx_workload, Knobs, Scenario};
-
-/// One table, figure or ablation of the evaluation.
-pub struct Experiment {
-    /// The name `xpaper` runs it by, and the stem of its `results/` files.
-    pub name: &'static str,
-    run: fn(&Knobs, &str) -> Result<(), String>,
-}
-
-impl Experiment {
-    /// Prints the experiment's table(s) and writes its dumps. The meta
-    /// envelope's timing fields restart here.
-    ///
-    /// # Errors
-    ///
-    /// A requested dump that could not be written, naming its path.
-    pub fn run(&self, knobs: &Knobs) -> Result<(), String> {
-        restart_timing();
-        (self.run)(knobs, self.name)
-    }
-}
-
-/// Registers each function under its own name, which it is passed as the
-/// stem of its dumps.
-macro_rules! registry {
-    ($($module:ident::$name:ident),* $(,)?) => {
-        [$(Experiment { name: stringify!($name), run: $module::$name }),*]
-    };
-}
+use crate::registry::{entries, Entry, Registry};
+use crate::{render_table, widx_geometry, widx_workload, Knobs, Scenario};
 
 /// Every experiment, in EXPERIMENTS.md order.
-pub static EXPERIMENTS: [Experiment; 17] = registry![
+pub static EXPERIMENTS: [Entry; 17] = entries![
     tables::tab01_taxonomy,
     tables::tab02_features,
     tables::tab03_geometry,
@@ -65,35 +38,12 @@ pub static EXPERIMENTS: [Experiment; 17] = registry![
     ablations::abl04_prefetch,
 ];
 
-/// The experiments `args` name, in argument order; `all` stands for
-/// every entry in registry order.
-///
-/// # Errors
-///
-/// The usage text, listing every name, when `args` is empty or names an
-/// unknown experiment.
-pub fn select(args: &[String]) -> Result<Vec<&'static Experiment>, String> {
-    let mut picked = Vec::new();
-    for arg in args {
-        match EXPERIMENTS.iter().find(|e| e.name == arg) {
-            Some(e) => picked.push(e),
-            None if arg == "all" => picked.extend(&EXPERIMENTS),
-            None => return Err(usage(&format!("unknown experiment `{arg}`\n"))),
-        }
-    }
-    if picked.is_empty() {
-        return Err(usage(""));
-    }
-    Ok(picked)
-}
-
-fn usage(problem: &str) -> String {
-    let names: String = EXPERIMENTS
-        .iter()
-        .map(|e| format!("  {}\n", e.name))
-        .collect();
-    format!("{problem}usage: xpaper <name>... | xpaper all\nexperiments:\n{names}")
-}
+/// The registry `xpaper` runs.
+pub static XPAPER: Registry = Registry {
+    bin: "xpaper",
+    noun: "experiments",
+    entries: &EXPERIMENTS,
+};
 
 /// Prints `rows` under `headers` and dumps them to `results/<name>.json`.
 fn emit(k: &Knobs, name: &str, headers: &[&str], rows: &[Vec<String>]) -> Result<(), String> {

@@ -48,31 +48,32 @@ impl<'a, T> Scenario<'a, T> {
 #[derive(Debug)]
 pub struct Runner {
     jobs: usize,
+    verbose: bool,
 }
 
 impl Runner {
-    /// A runner sized by `XCACHE_JOBS`, which defaults to the machine's
-    /// available parallelism; `XCACHE_JOBS=1` forces sequential in-thread
-    /// execution. A malformed or zero value prints the structured error
-    /// and exits 2.
+    /// A runner with `jobs` workers, or one per available core when
+    /// `None` (the `XCACHE_JOBS` default); `verbose` reports each cell on
+    /// stderr (`XCACHE_VERBOSE`).
     #[must_use]
-    pub fn from_env() -> Self {
-        let jobs = xcache_sim::exit2(xcache_sim::env_parse_map("XCACHE_JOBS", |s| {
-            let v: usize = s.parse().map_err(|e| format!("{e}"))?;
-            if v == 0 {
-                return Err("worker count must be >= 1".into());
-            }
-            Ok(v)
-        }));
-        Self::with_jobs(jobs.unwrap_or_else(|| {
+    pub fn new(jobs: Option<usize>, verbose: bool) -> Self {
+        let jobs = jobs.unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        }))
+        });
+        Runner {
+            verbose,
+            ..Runner::with_jobs(jobs)
+        }
     }
 
-    /// A runner with an explicit worker count (clamped to at least 1).
+    /// A quiet runner with an explicit worker count (clamped to at
+    /// least 1).
     #[must_use]
     pub fn with_jobs(jobs: usize) -> Self {
-        Runner { jobs: jobs.max(1) }
+        Runner {
+            jobs: jobs.max(1),
+            verbose: false,
+        }
     }
 
     /// The worker count this runner was built with.
@@ -86,8 +87,8 @@ impl Runner {
     /// With one job the cells run inline on the calling thread; otherwise
     /// scoped workers pull cells from a shared index and store results by
     /// cell position, so the output order never depends on scheduling.
-    /// `XCACHE_VERBOSE=1` prints a `[runner] i/n <label>` line per cell on
-    /// stderr; a value other than `0`, `1`, `true` or `false` exits 2.
+    /// A verbose runner prints a `[runner] i/n <label>` line per cell on
+    /// stderr.
     ///
     /// # Panics
     ///
@@ -97,7 +98,7 @@ impl Runner {
         // grid execution.
         let _ = crate::start_instant();
         let n = cells.len();
-        let verbose = xcache_sim::exit2(xcache_sim::env_flag("XCACHE_VERBOSE")).unwrap_or(false);
+        let verbose = self.verbose;
         let jobs = self.jobs.min(n.max(1));
         if jobs <= 1 {
             return cells

@@ -1,5 +1,5 @@
 //! Differential tests over generated walker programs: the debug-build
-//! slice of what the `fuzz_smoke` binary runs at 200 seeds in CI.
+//! slice of what `xcheck fuzz_smoke` runs at 200 seeds in CI.
 //!
 //! `with_skip` is thread-local, so the skip differential runs directly on
 //! the test thread; the jobs differential goes through the `Runner` at

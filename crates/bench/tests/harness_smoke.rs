@@ -1,16 +1,28 @@
 //! Smoke tests for the harness binaries: `xpaper`'s static entries (the
 //! tables and the synthesis models) run instantly and must print the
-//! paper's headline values; `xpaper`'s argument and knob handling; the
-//! registry against the committed `results/`; and the smoke binaries'
-//! seed-count guard. The simulated entries' numbers are pinned by the
-//! path-pinned tests through their library entry points, and their
-//! stdout by CI's "Results are current" step.
+//! paper's headline values; `xpaper`'s and `xcheck`'s argument and knob
+//! handling; and the registry against the committed `results/`. The
+//! simulated entries' numbers are pinned by the path-pinned tests
+//! through their library entry points, and their stdout by CI's
+//! "Results are current" step.
 
 use std::process::{Command, Output};
 
+use xcache_bench::checks::CHECKS;
 use xcache_bench::paper::EXPERIMENTS;
+use xcache_bench::registry::Entry;
 
 const XPAPER: &str = env!("CARGO_BIN_EXE_xpaper");
+const XCHECK: &str = env!("CARGO_BIN_EXE_xcheck");
+
+/// Runs `xcheck` on `args` with `env` set.
+fn xcheck(args: &[&str], env: &[(&str, &str)]) -> Output {
+    Command::new(XCHECK)
+        .args(args)
+        .envs(env.iter().copied())
+        .output()
+        .expect("xcheck runs")
+}
 
 /// Runs `xpaper` on `args` with `env` set.
 fn xpaper(args: &[&str], env: &[(&str, &str)]) -> Output {
@@ -79,42 +91,70 @@ fn fig20_reproduces_the_reference_layout() {
     assert!(out.contains("65000"), "cells");
 }
 
-/// Runs a smoke binary with its seed count set to zero and asserts it
-/// exits 2 with the structured error before running any seed.
-fn assert_rejects_zero_seeds(bin: &str, var: &str) {
-    let out = Command::new(bin)
-        .env(var, "0")
-        .output()
-        .expect("binary runs");
+/// Asserts `out` is a knob rejection: exit 2 with the structured error
+/// for `var=value` on stderr, and nothing on stdout.
+fn assert_rejects(out: &Output, var: &str, value: &str) {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{var}={value}: stderr: {stderr}"
+    );
     assert!(
-        stderr.contains(&format!("invalid {var}=\"0\"")),
+        stderr.contains(&format!("invalid {var}=\"{value}\"")),
         "stderr: {stderr}"
     );
     assert!(
         stdout.is_empty(),
-        "a seed ran before the count was rejected:\n{stdout}"
+        "{var}={value}: output before the knob was rejected:\n{stdout}"
     );
 }
 
 #[test]
-fn fuzz_smoke_rejects_zero_seeds() {
-    assert_rejects_zero_seeds(env!("CARGO_BIN_EXE_fuzz_smoke"), "XCACHE_FUZZ_SEEDS");
+fn checks_reject_zero_seeds() {
+    // A sweep over no seeds would check nothing and pass.
+    for check in ["fuzz_smoke", "chaos_smoke", "crossval_smoke"] {
+        assert_rejects(
+            &xcheck(&[check], &[("XCACHE_SEEDS", "0")]),
+            "XCACHE_SEEDS",
+            "0",
+        );
+    }
 }
 
 #[test]
-fn chaos_smoke_rejects_zero_seeds() {
-    assert_rejects_zero_seeds(env!("CARGO_BIN_EXE_chaos_smoke"), "XCACHE_CHAOS_SEEDS");
+fn shards_out_of_range_exit_2_before_any_output() {
+    for shards in ["0", "65"] {
+        let out = xcheck(&["shard_smoke"], &[("XCACHE_SHARDS", shards)]);
+        assert_rejects(&out, "XCACHE_SHARDS", shards);
+    }
 }
 
 #[test]
-fn crossval_smoke_rejects_zero_seeds() {
-    assert_rejects_zero_seeds(
-        env!("CARGO_BIN_EXE_crossval_smoke"),
-        "XCACHE_CROSSVAL_SEEDS",
+fn json_is_a_flag() {
+    let dir = std::env::temp_dir().join(format!("xpaper-json-flag-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |value| {
+        Command::new(XPAPER)
+            .arg("tab01_taxonomy")
+            .env("XCACHE_JSON", value)
+            .current_dir(&dir)
+            .output()
+            .expect("xpaper runs")
+    };
+    let off = run("0");
+    let wrote = dir.join("results").exists();
+    let bad = run("yes");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        off.status.success(),
+        "{}",
+        String::from_utf8_lossy(&off.stderr)
     );
+    assert!(!wrote, "XCACHE_JSON=0 wrote results/");
+    assert_rejects(&bad, "XCACHE_JSON", "yes");
 }
 
 #[test]
@@ -170,12 +210,12 @@ fn verbose_rejects_an_unknown_value() {
 }
 
 /// Asserts `out` is a usage failure: exit 2, nothing on stdout, and every
-/// registry name listed on stderr.
-fn assert_usage(out: &Output) {
+/// name of `registry` listed on stderr.
+fn assert_usage(out: &Output, registry: &[Entry]) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(out.stdout.is_empty());
-    for e in &EXPERIMENTS {
+    for e in registry {
         assert!(
             stderr.lines().any(|l| l.trim() == e.name),
             "{} not listed:\n{stderr}",
@@ -186,15 +226,23 @@ fn assert_usage(out: &Output) {
 
 #[test]
 fn no_argument_exits_2_and_lists_the_names() {
-    assert_usage(&xpaper(&[], &[]));
+    assert_usage(&xpaper(&[], &[]), &EXPERIMENTS);
 }
 
 #[test]
 fn unknown_name_exits_2_and_lists_the_names() {
     // An unknown name fails the whole run before a known one runs.
     let out = xpaper(&["tab01_taxonomy", "fig99_bogus"], &[]);
-    assert_usage(&out);
+    assert_usage(&out, &EXPERIMENTS);
     assert!(String::from_utf8_lossy(&out.stderr).contains("fig99_bogus"));
+}
+
+#[test]
+fn xcheck_without_a_known_name_exits_2_and_lists_every_check() {
+    assert_usage(&xcheck(&[], &[]), &CHECKS);
+    let out = xcheck(&["bench_oracle", "bogus_smoke"], &[]);
+    assert_usage(&out, &CHECKS);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bogus_smoke"));
 }
 
 #[test]

@@ -107,8 +107,7 @@ pub use dataram::DataRam;
 pub use metatag::{EntryRef, LaunchProbe, MetaEntry, MetaTagArray, SetCounters};
 pub use msg::{MetaAccess, MetaKey, MetaResp};
 pub use shard::{
-    horizon_target, owner_of, shard_geometry, shards_from_env, ShardCell, DEFAULT_HORIZON,
-    DEFAULT_LINK_LATENCY,
+    horizon_target, owner_of, shard_geometry, ShardCell, DEFAULT_HORIZON, DEFAULT_LINK_LATENCY,
 };
 pub use stream::{StreamConfig, StreamReader};
 pub use taxonomy::{IdiomRow, TAXONOMY};

@@ -45,21 +45,6 @@ pub fn owner_of(key: MetaKey, shards: usize) -> usize {
     }
 }
 
-/// Shard count from `XCACHE_SHARDS` (must be `1..=64`), or `default`
-/// when unset. A malformed or out-of-range value prints the structured
-/// error and exits 2.
-#[must_use]
-pub fn shards_from_env(default: usize) -> usize {
-    xcache_sim::exit2(xcache_sim::env_parse_map("XCACHE_SHARDS", |s| {
-        let n: usize = s.parse().map_err(|e| format!("{e}"))?;
-        if !(1..=64).contains(&n) {
-            return Err(format!("shard count {n} outside 1..=64"));
-        }
-        Ok(n)
-    }))
-    .unwrap_or(default)
-}
-
 /// A per-shard controller geometry: the base config with the meta-tag
 /// sets and data sectors divided across `shards` (floored at one
 /// power-of-two set), so a sharded topology has roughly the same total
@@ -378,12 +363,6 @@ mod tests {
             let par = with_par_mode(ParMode::Par, || with_par_threads(threads, || run(3)));
             assert_eq!(par, reference, "par({threads} threads) diverged from seq");
         }
-    }
-
-    #[test]
-    fn shards_from_env_defaults() {
-        // The test environment does not set XCACHE_SHARDS.
-        assert_eq!(shards_from_env(4), 4);
     }
 
     #[test]

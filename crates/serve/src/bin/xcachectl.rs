@@ -16,8 +16,8 @@
 
 use std::time::Duration;
 
-use xcache_serve::http;
 use xcache_serve::json::{self, Value};
+use xcache_serve::{addr_from_env, http};
 
 fn usage() -> ! {
     eprintln!(
@@ -26,14 +26,10 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn addr() -> String {
-    std::env::var("XCACHE_ADDR").unwrap_or_else(|_| "127.0.0.1:7878".into())
-}
-
 /// Runs a request and prints the body; exits 1 on transport failure or
 /// a non-2xx status.
 fn call(method: &str, path: &str, body: Option<&str>) -> String {
-    match http::request(&addr(), method, path, &[], body) {
+    match http::request(&addr_from_env(), method, path, &[], body) {
         Ok((status, body)) => {
             if (200..300).contains(&status) {
                 println!("{body}");
@@ -51,7 +47,7 @@ fn call(method: &str, path: &str, body: Option<&str>) -> String {
 }
 
 fn job_status(id: &str) -> Result<(String, String), String> {
-    let (status, body) = http::request(&addr(), "GET", &format!("/jobs/{id}"), &[], None)?;
+    let (status, body) = http::request(&addr_from_env(), "GET", &format!("/jobs/{id}"), &[], None)?;
     if status != 200 {
         return Err(format!("HTTP {status}: {body}"));
     }
@@ -125,9 +121,13 @@ fn watch(id: &str, mode: &str) {
         eprintln!("error: watch mode must be updates or values");
         std::process::exit(2);
     }
-    match http::request_stream(&addr(), &format!("/jobs/{id}/events?mode={mode}"), |line| {
-        println!("{line}");
-    }) {
+    match http::request_stream(
+        &addr_from_env(),
+        &format!("/jobs/{id}/events?mode={mode}"),
+        |line| {
+            println!("{line}");
+        },
+    ) {
         Ok(200) => {}
         Ok(status) => {
             eprintln!("error: HTTP {status}");

@@ -1,7 +1,9 @@
 //! `xcached` — the durable scenario service daemon.
 //!
-//! Binds `XCACHE_ADDR` (default `127.0.0.1:7878`), recovers any
-//! incomplete jobs from `XCACHE_STATE_DIR`, and serves the job API:
+//! Reads every knob first ([`Config::from_env`]; a malformed one exits
+//! 2 before it listens), binds `XCACHE_ADDR` (default `127.0.0.1:7878`),
+//! recovers any incomplete jobs from `XCACHE_STATE_DIR`, and serves the
+//! job API:
 //!
 //! ```text
 //! POST /jobs                 submit a job spec (JSON body)
@@ -47,8 +49,7 @@ fn install_signal_handlers() {
 }
 
 fn main() {
-    let cfg = xcache_sim::exit2(Config::from_env());
-    let addr = std::env::var("XCACHE_ADDR").unwrap_or_else(|_| "127.0.0.1:7878".into());
+    let (cfg, addr) = xcache_sim::exit2(Config::from_env());
     install_signal_handlers();
 
     let server = match Server::spawn(cfg.clone(), &addr) {

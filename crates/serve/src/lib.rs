@@ -32,4 +32,4 @@ pub mod service;
 
 pub use grids::{CellSpec, JobSpec};
 pub use journal::{Journal, JournalError, ReplayStats};
-pub use service::{Config, Server};
+pub use service::{addr_from_env, Config, Server};

@@ -19,7 +19,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use xcache_bench::{CellOutcome, CellStatus, CheckpointPolicy, CheckpointStore, Runner};
-use xcache_sim::{env_parse, env_parse_map, EnvError};
+use xcache_sim::{env_count, env_parse, EnvError};
 
 use crate::grids::{to_runner_cells, JobSpec};
 use crate::http::{respond, start_ndjson, Request};
@@ -45,65 +45,46 @@ pub struct Config {
     /// Per-cell retry/backoff/deadline policy (`XCACHE_CELL_RETRIES`,
     /// `XCACHE_CELL_BACKOFF_MS`, `XCACHE_CELL_TIMEOUT_MS`).
     pub policy: CheckpointPolicy,
-    /// Worker threads per running job (`XCACHE_SERVE_JOBS`); `None`
-    /// falls back to `XCACHE_JOBS` / available parallelism.
+    /// Worker threads per running job (`XCACHE_JOBS`); `None` uses one
+    /// per available core.
     pub cell_jobs: Option<usize>,
 }
 
 impl Config {
-    /// Reads the configuration, validating every knob.
+    /// Reads the configuration and the listen address
+    /// ([`addr_from_env`]), validating every knob, the simulator's
+    /// included ([`xcache_sim::sim_knobs`]), so a malformed value refuses
+    /// startup instead of failing a job.
     ///
     /// # Errors
     ///
     /// The first malformed variable, as a structured [`EnvError`]
-    /// (`xcached` exits 2 on it; tests keep the `Result`).
-    pub fn from_env() -> Result<Config, EnvError> {
-        let state_dir = std::env::var("XCACHE_STATE_DIR")
-            .ok()
-            .filter(|s| !s.trim().is_empty())
-            .map_or_else(|| PathBuf::from("xcache-state"), PathBuf::from);
-        let queue_depth = env_parse_map("XCACHE_QUEUE_DEPTH", |s| {
-            s.parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| "queue depth must be an integer >= 1".to_owned())
-        })?
-        .unwrap_or(8);
-        let rate_burst = env_parse_map("XCACHE_RATE_BURST", |s| {
-            s.parse::<u32>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| "rate burst must be an integer >= 1".to_owned())
-        })?
-        .unwrap_or(16);
-        let rate_per_sec = env_parse::<u32>("XCACHE_RATE_RPS")?.unwrap_or(0);
-        let retries = env_parse::<u32>("XCACHE_CELL_RETRIES")?.unwrap_or(2);
-        let backoff_ms = env_parse::<u64>("XCACHE_CELL_BACKOFF_MS")?.unwrap_or(50);
-        let timeout_ms = env_parse_map("XCACHE_CELL_TIMEOUT_MS", |s| {
-            s.parse::<u64>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| "cell timeout must be an integer >= 1 (ms)".to_owned())
-        })?;
-        let cell_jobs = env_parse_map("XCACHE_SERVE_JOBS", |s| {
-            s.parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| "worker count must be an integer >= 1".to_owned())
-        })?;
-        Ok(Config {
-            state_dir,
-            queue_depth,
-            rate_burst,
-            rate_per_sec,
+    /// (`xcached` exits 2 on it).
+    pub fn from_env() -> Result<(Config, String), EnvError> {
+        xcache_sim::sim_knobs()?;
+        let cfg = Config {
+            state_dir: env_parse::<PathBuf>("XCACHE_STATE_DIR")?
+                .unwrap_or_else(|| PathBuf::from("xcache-state")),
+            queue_depth: env_count("XCACHE_QUEUE_DEPTH", "queue depth")?.unwrap_or(8),
+            rate_burst: env_count("XCACHE_RATE_BURST", "rate burst")?.unwrap_or(16),
+            rate_per_sec: env_parse("XCACHE_RATE_RPS")?.unwrap_or(0),
             policy: CheckpointPolicy {
-                retries,
-                backoff_ms,
-                timeout_ms,
+                retries: env_parse("XCACHE_CELL_RETRIES")?.unwrap_or(2),
+                backoff_ms: env_parse("XCACHE_CELL_BACKOFF_MS")?.unwrap_or(50),
+                timeout_ms: env_count("XCACHE_CELL_TIMEOUT_MS", "cell timeout (ms)")?,
             },
-            cell_jobs,
-        })
+            cell_jobs: env_count("XCACHE_JOBS", "worker count")?,
+        };
+        Ok((cfg, addr_from_env()))
     }
+}
+
+/// The address `xcached` listens on and `xcachectl` connects to
+/// (`XCACHE_ADDR`, default `127.0.0.1:7878`), read apart from [`Config`]
+/// so the client needs none of the server's knobs.
+#[must_use]
+pub fn addr_from_env() -> String {
+    std::env::var("XCACHE_ADDR").unwrap_or_else(|_| "127.0.0.1:7878".into())
 }
 
 /// Job lifecycle phase.
@@ -531,10 +512,7 @@ impl State {
             inner.phase = Phase::Running;
         }
         let cells = to_runner_cells(&job.spec.build_cells());
-        let runner = self
-            .cfg
-            .cell_jobs
-            .map_or_else(Runner::from_env, Runner::with_jobs);
+        let runner = Runner::new(self.cfg.cell_jobs, false);
         // The run flushes before it returns: every cell is durable and
         // announced before the result, `job_done` or `Interrupted`.
         let outcomes = job.journal.with_committer(|commits| {

@@ -26,7 +26,7 @@
 //! default. Unknown kinds are a parse error, not silently ignored.
 
 use std::cell::RefCell;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One injectable fault class. Each maps to a specific component
 /// boundary; the salt a component passes to [`FaultPlan::decide`] is the
@@ -225,36 +225,18 @@ impl FaultPlan {
     /// `XCACHE_FAULT_SPEC` / `XCACHE_FAULT_SEED`. `None` means fault
     /// injection is off (the default).
     ///
-    /// A malformed spec or seed prints the structured error and exits 2
-    /// (once, at first use) — a configuration error, not an injected
-    /// fault. Services validate ahead of time via [`FaultPlan::try_from_env`].
+    /// The knobs are parsed by [`sim_knobs`](crate::env::sim_knobs),
+    /// which every binary calls at startup; a malformed spec or seed
+    /// there exits 2 — a configuration error, not an injected fault.
     #[must_use]
     pub fn current() -> Option<Arc<FaultPlan>> {
         if let Some(over) = PLAN_OVERRIDE.with(|c| c.borrow().clone()) {
             return over;
         }
-        env_plan()
+        crate::env::exit2(crate::env::sim_knobs())
+            .fault_plan
+            .clone()
     }
-
-    /// Parses `XCACHE_FAULT_SPEC` / `XCACHE_FAULT_SEED` without caching
-    /// or exiting: `Ok(None)` when injection is unarmed, a structured
-    /// [`EnvError`](crate::env::EnvError) when either knob is malformed.
-    /// The scenario service uses this to refuse a bad configuration at
-    /// startup instead of dying mid-job.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first malformed knob as an [`crate::env::EnvError`].
-    pub fn try_from_env() -> Result<Option<FaultPlan>, crate::env::EnvError> {
-        let seed = crate::env::env_parse::<u64>("XCACHE_FAULT_SEED")?.unwrap_or(0xFA01);
-        crate::env::env_parse_map("XCACHE_FAULT_SPEC", |spec| FaultPlan::parse(spec, seed))
-    }
-}
-
-fn env_plan() -> Option<Arc<FaultPlan>> {
-    static PLAN: OnceLock<Option<Arc<FaultPlan>>> = OnceLock::new();
-    PLAN.get_or_init(|| crate::env::exit2(FaultPlan::try_from_env()).map(Arc::new))
-        .clone()
 }
 
 thread_local! {

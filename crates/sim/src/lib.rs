@@ -40,7 +40,9 @@ mod wheel;
 
 pub use clock::Cycle;
 pub use context::SimContext;
-pub use env::{env_flag, env_parse, env_parse_map, exit2, EnvError};
+pub use env::{
+    env_count, env_flag, env_parse, env_parse_map, exit2, sim_knobs, EnvError, SimKnobs,
+};
 pub use fault::{with_fault_plan, FaultHit, FaultKind, FaultPlan};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use parallel::{

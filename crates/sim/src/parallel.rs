@@ -48,18 +48,6 @@ pub enum ParMode {
     Par,
 }
 
-fn env_par_mode() -> ParMode {
-    static MODE: OnceLock<ParMode> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        crate::env::exit2(crate::env::env_parse_map("XCACHE_PAR", |s| match s {
-            "seq" => Ok(ParMode::Seq),
-            "par" => Ok(ParMode::Par),
-            other => Err(format!("unknown mode `{other}` (expected `seq` or `par`)")),
-        }))
-        .unwrap_or(ParMode::Par)
-    })
-}
-
 thread_local! {
     static PAR_OVERRIDE: Cell<Option<ParMode>> = const { Cell::new(None) };
     static THREADS_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
@@ -70,7 +58,9 @@ thread_local! {
 /// else, including unset, selects the worker pool).
 #[must_use]
 pub fn par_mode() -> ParMode {
-    PAR_OVERRIDE.with(Cell::get).unwrap_or_else(env_par_mode)
+    PAR_OVERRIDE
+        .with(Cell::get)
+        .unwrap_or_else(|| crate::env::exit2(crate::env::sim_knobs()).par)
 }
 
 /// Runs `f` with the engine forced for the current thread, restoring the
@@ -86,16 +76,11 @@ pub fn with_par_mode<T>(mode: ParMode, f: impl FnOnce() -> T) -> T {
 fn env_par_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
-        crate::env::exit2(crate::env::env_parse_map("XCACHE_PAR_THREADS", |s| {
-            let n: usize = s.parse().map_err(|e| format!("{e}"))?;
-            if n == 0 {
-                return Err("thread count must be >= 1".into());
-            }
-            Ok(n)
-        }))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        })
+        crate::env::exit2(crate::env::sim_knobs())
+            .par_threads
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            })
     })
 }
 

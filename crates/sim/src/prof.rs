@@ -27,7 +27,7 @@ use std::time::Instant;
 #[inline]
 pub fn prof_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| crate::env::exit2(crate::env::env_flag("XCACHE_PROF")).unwrap_or(false))
+    *ENABLED.get_or_init(|| crate::env::exit2(crate::env::sim_knobs()).prof)
 }
 
 #[derive(Default)]

@@ -22,8 +22,7 @@ use crate::Cycle;
 
 fn env_no_skip() -> bool {
     static NO_SKIP: OnceLock<bool> = OnceLock::new();
-    *NO_SKIP
-        .get_or_init(|| crate::env::exit2(crate::env::env_flag("XCACHE_NO_SKIP")).unwrap_or(false))
+    *NO_SKIP.get_or_init(|| crate::env::exit2(crate::env::sim_knobs()).no_skip)
 }
 
 thread_local! {

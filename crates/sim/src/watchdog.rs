@@ -15,10 +15,8 @@
 
 use std::cell::Cell;
 use std::fmt;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use crate::env::{env_parse_map, exit2, EnvError};
 use crate::Cycle;
 
 /// Default per-walker liveness budget. Far above any legitimate walk
@@ -26,27 +24,8 @@ use crate::Cycle;
 /// healthy run never trips it; chaos harnesses lower it per-thread.
 pub const DEFAULT_WATCHDOG_CYCLES: u64 = 1_000_000;
 
-/// The `XCACHE_WATCHDOG_CYCLES` budget as a structured result: `None`
-/// when unset (use [`DEFAULT_WATCHDOG_CYCLES`]), an [`EnvError`] when
-/// malformed or zero. The scenario service validates through this
-/// without exiting; CLIs go through [`watchdog_budget`] which exits 2.
-///
-/// # Errors
-///
-/// Returns [`EnvError`] for an unparsable or zero value.
-pub fn try_env_budget() -> Result<Option<u64>, EnvError> {
-    env_parse_map("XCACHE_WATCHDOG_CYCLES", |s| {
-        let v: u64 = s.parse().map_err(|e| format!("{e}"))?;
-        if v == 0 {
-            return Err("budget must be >= 1 cycle".into());
-        }
-        Ok(v)
-    })
-}
-
 fn env_budget() -> u64 {
-    static BUDGET: OnceLock<u64> = OnceLock::new();
-    *BUDGET.get_or_init(|| exit2(try_env_budget()).unwrap_or(DEFAULT_WATCHDOG_CYCLES))
+    crate::env::exit2(crate::env::sim_knobs()).watchdog_cycles
 }
 
 thread_local! {
@@ -168,14 +147,6 @@ mod tests {
         let far = HostDeadline::after_ms(Some(60_000));
         assert!(!far.expired());
         assert!(far.remaining().unwrap() > Duration::from_secs(30));
-    }
-
-    #[test]
-    fn try_env_budget_unset_is_none() {
-        // The test environment never sets the variable.
-        if std::env::var("XCACHE_WATCHDOG_CYCLES").is_err() {
-            assert_eq!(try_env_budget(), Ok(None));
-        }
     }
 
     #[test]
