@@ -111,16 +111,29 @@ fn assert_rejects(out: &Output, var: &str, value: &str) {
     );
 }
 
+/// Asserts `xcheck <check>` rejects `XCACHE_SEEDS=0`: a sweep over no
+/// seeds would check nothing and pass.
+fn assert_rejects_zero_seeds(check: &str) {
+    assert_rejects(
+        &xcheck(&[check], &[("XCACHE_SEEDS", "0")]),
+        "XCACHE_SEEDS",
+        "0",
+    );
+}
+
 #[test]
-fn checks_reject_zero_seeds() {
-    // A sweep over no seeds would check nothing and pass.
-    for check in ["fuzz_smoke", "chaos_smoke", "crossval_smoke"] {
-        assert_rejects(
-            &xcheck(&[check], &[("XCACHE_SEEDS", "0")]),
-            "XCACHE_SEEDS",
-            "0",
-        );
-    }
+fn fuzz_smoke_rejects_zero_seeds() {
+    assert_rejects_zero_seeds("fuzz_smoke");
+}
+
+#[test]
+fn chaos_smoke_rejects_zero_seeds() {
+    assert_rejects_zero_seeds("chaos_smoke");
+}
+
+#[test]
+fn crossval_smoke_rejects_zero_seeds() {
+    assert_rejects_zero_seeds("crossval_smoke");
 }
 
 #[test]
