@@ -189,8 +189,8 @@ impl<D: MemoryPort> XCache<D> {
                 Outcome::YieldLane => {
                     match self.yield_policy {
                         YieldPolicy::ReleaseLane => {
-                            // A freed lane can unblock a stalled launch.
-                            self.launch_stalled = false;
+                            // A freed lane can unblock a refused launch.
+                            self.wait.wake_lane();
                             self.lanes[lane_idx] = None;
                             self.arena.in_lane[lane.slot] = false;
                         }
@@ -529,8 +529,8 @@ fn h_alloc_m<D: MemoryPort>(
     };
     match xc.tags.alloc(key, state, &mut xc.ctx.stats) {
         Some((r, evicted)) => {
-            // Tag contents changed: a stalled trigger window must rescan.
-            xc.launch_stalled = false;
+            // The set's tags changed: re-check refused accesses in it.
+            xc.wait.wake_set(r.set);
             if let Some(v) = evicted {
                 if v.sector_count > 0 {
                     xc.data.free(v.sector_start, v.sector_count);
@@ -565,8 +565,8 @@ fn h_dealloc_m<D: MemoryPort>(
         .take()
         .ok_or_else(|| SimError::new(slot, now, "DeallocM without meta entry"))?;
     let e = xc.tags.invalidate(r, &mut xc.ctx.stats);
-    // A freed way can unblock a stalled launch.
-    xc.launch_stalled = false;
+    // A freed way can unblock a refused launch in its set.
+    xc.wait.wake_set(r.set);
     if e.sector_count > 0 {
         xc.data.free(e.sector_start, e.sector_count);
     }
@@ -584,9 +584,8 @@ fn h_pin_m<D: MemoryPort>(
         .entry
         .ok_or_else(|| SimError::new(slot, now, "PinM without meta entry"))?;
     xc.tags.update_entry(r, |e| e.pinned = true);
-    // A newly pinned-full set launches to fast-fault; pinning also
-    // suppresses misfires — either can flip a stalled hazard check.
-    xc.launch_stalled = false;
+    // The set's tags changed: re-check refused accesses in it.
+    xc.wait.wake_set(r.set);
     Ok(Outcome::Advance)
 }
 
@@ -624,8 +623,9 @@ fn h_insert_m<D: MemoryPort>(
         xc.ctx.stats.incr_id(counter!("xcache.insertm_skip"));
         return Ok(Outcome::Advance);
     };
-    // Tag contents changed: a stalled trigger window must rescan.
-    xc.launch_stalled = false;
+    // A newly resident key can turn a refused load in its set into a
+    // hit.
+    xc.wait.wake_set(r.set);
     if let Some(v) = evicted {
         if v.sector_count > 0 {
             xc.data.free(v.sector_start, v.sector_count);

@@ -164,7 +164,7 @@ impl<D: MemoryPort> XCache<D> {
                 .incr_id(counter!("xcache.watchdog.shed_access"));
             self.respond(now, a.id(), a.key(), false, Vec::new());
         }
-        self.launch_stalled = false;
+        self.wait.wake_all();
         self.global_progress = now;
     }
 
@@ -176,7 +176,7 @@ impl<D: MemoryPort> XCache<D> {
         if !self.arena.is_live(slot) {
             return;
         }
-        self.launch_stalled = false;
+        self.wait.wake_all();
         let gen = self.arena.gen[slot];
         let c = &mut self.arena.cold[slot];
         let key = c.key;
@@ -259,8 +259,8 @@ impl<D: MemoryPort> XCache<D> {
             self.health_strikes = 0;
             self.ctx.stats.incr_id(counter!("xcache.degraded_enter"));
             // The hazard picture changed: pending loads/stores that were
-            // launch-stalled can now be answered through the bypass.
-            self.launch_stalled = false;
+            // refused can now be answered through the bypass.
+            self.wait.wake_all();
         }
     }
 

@@ -257,10 +257,10 @@ pub struct XCache<D> {
     /// Cycle of the last `tick`, for fast-forward-aware per-cycle charges
     /// (static occupancy, launch-stall backfill).
     pub(crate) last_tick: Option<Cycle>,
-    /// The trigger stage ended the last tick with pending accesses it
-    /// could not serve. While this holds — and nothing else perturbs the
-    /// hazard state — every skipped cycle would have launch-stalled too.
-    pub(crate) launch_stalled: bool,
+    /// What the refused head of the trigger window waits on. While the
+    /// whole window is refused, every skipped cycle would have
+    /// launch-stalled too.
+    pub(crate) wait: trigger::WindowWait,
     /// Fault-injection plan captured at construction; `None` (the default)
     /// keeps every fault hook a single branch.
     pub(crate) fault: Option<Arc<FaultPlan>>,
@@ -419,7 +419,7 @@ impl<D: MemoryPort> XCache<D> {
             ds_dirty: true,
             ctx: SimContext::new(),
             last_tick: None,
-            launch_stalled: false,
+            wait: trigger::WindowWait::default(),
             fault: FaultPlan::current(),
             wd_budget: watchdog_budget(),
             wd_earliest: Cycle::NEVER,
@@ -596,10 +596,9 @@ impl<D: MemoryPort> XCache<D> {
                 self.occ_charge * elapsed,
             );
         }
-        if self.launch_stalled && elapsed > 1 {
-            // Every cycle jumped over would have launch-stalled again
-            // (the skip is only legal when nothing could change the
-            // trigger stage's hazard checks).
+        if elapsed > 1 && self.window_blocked() {
+            // Every cycle jumped over would have launch-stalled again (no
+            // wake re-opened the window, so no verdict in it changed).
             self.ctx
                 .stats
                 .add_id(counter!("xcache.launch_stall"), elapsed - 1);
@@ -649,13 +648,13 @@ impl<D: MemoryPort> XCache<D> {
         // Per-cycle activity that cannot be jumped over: an active lane
         // executes (and counts) one action every cycle; an undispatched
         // walker event is examined every cycle; spilled responses retry
-        // every cycle; a trigger window that is not known-stalled may
+        // every cycle; a trigger window that is not known refused may
         // serve another access next cycle.
         if self.lanes.iter().flatten().any(|l| !l.waiting)
             || self.arena.ready_events() > 0
             || !self.resp_spill.is_empty()
             || !self.replay_q.is_empty()
-            || (!self.pending.is_empty() && !self.launch_stalled)
+            || (!self.pending.is_empty() && !self.window_blocked())
         {
             return Some(now.next());
         }

@@ -15,6 +15,80 @@ use crate::{MetaAccess, MetaKey};
 
 use super::{XCache, MSG_WORDS, SCHED_WINDOW};
 
+/// Why [`can_serve`](XCache::can_serve) refused an access: which changes
+/// can turn the refusal into a serve. Neither field set means only a
+/// walker ending can.
+struct Hazard {
+    /// A freed executor lane alone would let it serve.
+    lane: bool,
+    /// The meta-tag set whose state the verdict read.
+    set: Option<u32>,
+}
+
+/// What the refused head of the trigger window waits on.
+///
+/// The trigger stage serves the first servable access of its window, so
+/// the `known` entries ahead of the last serve (or the whole window, after
+/// a scan that served nothing) were each refused by `can_serve`. A refused
+/// access stays refused until an input of its verdict changes in its
+/// favour, and serving an access only takes inputs away. So the next scan
+/// resumes after them, and a window they fill launch-stalls without a
+/// scan. Each site that frees an X-register file, a lane or a launching
+/// claim, changes a set's tags or enters degraded mode calls one wake:
+///
+/// * [`wake_all`](Self::wake_all) where X-register files, launching claims
+///   or degraded mode change (walker retire, fault, abort and backoff,
+///   degraded-mode entry, watchdog recovery) and on a served take's hit;
+/// * [`wake_lane`](Self::wake_lane) where a yield frees a lane;
+/// * [`wake_set`](Self::wake_set) where `allocM`, `insertM`, `deallocM`,
+///   `pinM` or idle eviction change a set's tags.
+///
+/// Debug builds re-check every entry the record holds refused.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WindowWait {
+    /// Leading window entries known refused.
+    known: usize,
+    /// One of them waits only for a free executor lane.
+    lane: bool,
+    /// Meta-tag sets their verdicts read (the first `n_sets`; each refused
+    /// entry adds at most one, so the window bounds them).
+    sets: [u32; SCHED_WINDOW],
+    n_sets: usize,
+}
+
+impl WindowWait {
+    fn note(&mut self, hazard: Hazard) {
+        self.lane |= hazard.lane;
+        if let Some(set) = hazard.set {
+            if !self.sets[..self.n_sets].contains(&set) {
+                self.sets[self.n_sets] = set;
+                self.n_sets += 1;
+            }
+        }
+    }
+
+    /// Re-opens the whole window: the next scan starts at its head.
+    pub(crate) fn wake_all(&mut self) {
+        self.known = 0;
+        self.lane = false;
+        self.n_sets = 0;
+    }
+
+    /// An executor lane was freed.
+    pub(crate) fn wake_lane(&mut self) {
+        if self.lane {
+            self.wake_all();
+        }
+    }
+
+    /// The tags of meta-tag set `set` changed.
+    pub(crate) fn wake_set(&mut self, set: u32) {
+        if self.sets[..self.n_sets].contains(&set) {
+            self.wake_all();
+        }
+    }
+}
+
 impl<D: MemoryPort> XCache<D> {
     /// Collects DRAM responses into the owning walkers' event queues.
     pub(super) fn collect_fills(&mut self, now: Cycle) {
@@ -70,27 +144,27 @@ impl<D: MemoryPort> XCache<D> {
     /// X-register file) must not block younger hits. The trigger stage
     /// therefore scans a bounded window of the pending accesses and serves
     /// the first one that can make progress, never reordering two accesses
-    /// to the same key.
+    /// to the same key. The scan starts after the entries the wait record
+    /// holds refused ([`WindowWait`]).
     pub(super) fn process_access(&mut self, now: Cycle, wake_budget: &mut usize) {
         // Watchdog-aborted accesses whose backoff has elapsed re-enter
         // the replay queue first (their dues are folded into
         // `next_event`, so skip and step runs drain them on the same
         // cycles, in the same order).
-        let mut refilled = false;
         if !self.delayed_replay.is_empty() {
             let mut i = 0;
             while i < self.delayed_replay.len() {
                 if self.delayed_replay[i].0 <= now {
                     let (_, a) = self.delayed_replay.swap_remove(i);
                     self.replay_q.push_back(a);
-                    refilled = true;
                 } else {
                     i += 1;
                 }
             }
         }
         // Refill the trigger-stage window from the replay queue (waiters
-        // released by a retiring walker) then the datapath queue.
+        // released by a retiring walker) then the datapath queue. Refills
+        // append, so the refused prefix stays in place.
         while self.pending.len() < self.cfg.access_queue_depth {
             if let Some(a) = self.replay_q.pop_front() {
                 self.pending.push_back(a);
@@ -99,84 +173,116 @@ impl<D: MemoryPort> XCache<D> {
             } else {
                 break;
             }
-            refilled = true;
         }
 
-        // Dirty gate: `launch_stalled` means the last window scan failed
-        // and nothing since has perturbed the hazard state. Every site
-        // that frees a resource or mutates the tags clears the flag:
-        // retire/fault/abort/backoff (X-regs, lanes, launching claims),
-        // lane release on yield, AllocM/InsertM/DeallocM/PinM and idle
-        // eviction (tag contents), degraded-mode entry and watchdog
-        // recovery. Pure register/data/DRAM actions cannot change the
-        // hazard checks, so a busy executor no longer forces a rescan
-        // every cycle. If the window contents are also unchanged,
-        // rescanning would fail identically — charge the stall and skip
-        // the scan.
-        if self.launch_stalled && !refilled {
-            self.ctx.stats.incr_id(counter!("xcache.launch_stall"));
-            return;
-        }
-
-        let Some(&head) = self.pending.front() else {
-            self.launch_stalled = false;
-            return;
-        };
-        // Head fast path: the window's first candidate is always
-        // `pending[0]`, and on the vast majority of scans it serves —
-        // skip the dedup-window build entirely for that case. `can_serve`
-        // is deterministic and side-effect-free (its only write,
-        // `probe_cache`, is key-validated by the consumer), so the slow
-        // path below can also skip re-checking candidate 0.
-        self.probe_cache = None;
-        if self.can_serve(now, &head, wake_budget) {
-            self.launch_stalled = false;
-            let access = self.pending.pop_front().expect("head exists");
-            self.serve_access(now, access, wake_budget);
-            return;
-        }
         let window = self.pending.len().min(SCHED_WINDOW);
+        let known = self.wait.known;
+        debug_assert!(known <= window, "refused prefix outgrew the window");
+        #[cfg(debug_assertions)]
+        self.assert_still_refused(now, known);
+        if known == window {
+            // Empty, or every candidate is known refused: a scan would
+            // fail identically, so charge the stall without one.
+            if window > 0 {
+                self.ctx.stats.incr_id(counter!("xcache.launch_stall"));
+            }
+            return;
+        }
+        // Only the first access of each key in the window is a candidate
+        // (per-key order). Rebuild the refused prefix's keys, then resume
+        // the scan after it.
         let mut seen_keys = [MetaKey::new(0); SCHED_WINDOW];
-        seen_keys[0] = head.key();
-        let mut seen = 1usize;
-        let mut serve: Option<usize> = None;
-        for i in 1..window {
+        let mut seen = 0usize;
+        self.probe_cache = None;
+        for i in 0..window {
             let access = self.pending[i];
             let key = access.key();
             if seen_keys[..seen].contains(&key) {
-                continue; // per-key order preserved
+                continue;
             }
             seen_keys[seen] = key;
             seen += 1;
-            if self.can_serve(now, &access, wake_budget) {
-                serve = Some(i);
-                break;
+            if i < known {
+                continue;
+            }
+            match self.can_serve(now, &access) {
+                Ok(()) => {
+                    // Serving takes resources away, so the entries ahead
+                    // stay refused unless the serve itself wakes them.
+                    self.wait.known = i;
+                    let access = self.pending.remove(i).expect("index in window");
+                    self.serve_access(now, access, wake_budget);
+                    return;
+                }
+                Err(hazard) => self.wait.note(hazard),
             }
         }
-        let Some(i) = serve else {
-            self.launch_stalled = true;
-            self.ctx.stats.incr_id(counter!("xcache.launch_stall"));
-            return;
-        };
-        self.launch_stalled = false;
-        let access = self.pending.remove(i).expect("index in window");
-        self.serve_access(now, access, wake_budget);
+        self.wait.known = window;
+        self.ctx.stats.incr_id(counter!("xcache.launch_stall"));
+    }
+
+    /// Every access in the non-empty trigger window is known refused: the
+    /// stage launch-stalls each cycle until a wake re-opens it.
+    pub(super) fn window_blocked(&self) -> bool {
+        !self.pending.is_empty() && self.wait.known == self.pending.len().min(SCHED_WINDOW)
+    }
+
+    /// Debug builds re-check each first-of-its-key entry the wait record
+    /// holds refused: a servable one means some hazard input changed
+    /// without its wake. Restores `probe_cache`, so the check changes
+    /// nothing.
+    #[cfg(debug_assertions)]
+    fn assert_still_refused(&mut self, now: Cycle, known: usize) {
+        let saved = self.probe_cache;
+        let mut seen_keys = [MetaKey::new(0); SCHED_WINDOW];
+        let mut seen = 0usize;
+        for i in 0..known {
+            let access = self.pending[i];
+            if seen_keys[..seen].contains(&access.key()) {
+                continue;
+            }
+            seen_keys[seen] = access.key();
+            seen += 1;
+            debug_assert!(
+                self.can_serve(now, &access).is_err(),
+                "window entry {i} ({access:?}) is servable at cycle {} but recorded refused",
+                now.raw()
+            );
+        }
+        self.probe_cache = saved;
     }
 
     /// Whether `access` can make progress this cycle (trigger-stage hazard
     /// check — "routines are not triggered until all the hazard conditions
-    /// are eliminated", §4.1 ③).
-    fn can_serve(&mut self, now: Cycle, access: &MetaAccess, wake_budget: &usize) -> bool {
+    /// are eliminated", §4.1 ③), and if not, what it waits on.
+    ///
+    /// The verdict reads only launching claims, free X-register files,
+    /// free lanes, the key's meta-tag set, degraded mode and the misfire
+    /// decision (pure in the access id). The launch's wake is always
+    /// available here: the stage serves at most one access per cycle,
+    /// before `wake_one`.
+    fn can_serve(&mut self, now: Cycle, access: &MetaAccess) -> Result<(), Hazard> {
         let key = access.key();
-        if let Some(_slot) = self.launching.get(&key) {
+        if self.launching.contains_key(&key) {
             // Loads attach as waiters (always possible); stores/takes must
             // wait for the walker to finish.
-            return matches!(access, MetaAccess::Load { .. });
+            return match access {
+                MetaAccess::Load { .. } => Ok(()),
+                _ => Err(Hazard {
+                    lane: false,
+                    set: None,
+                }),
+            };
         }
         // Degraded meta path: loads and stores are answered immediately
         // through the bypass (no walker, no tag dependence).
         if self.degraded(now) && !matches!(access, MetaAccess::Take { .. }) {
-            return true;
+            return Ok(());
+        }
+        // A store always launches a walker: without an X-register file and
+        // a lane its set cannot change the verdict, so skip the way scan.
+        if matches!(access, MetaAccess::Store { .. }) {
+            self.launch_hazard(true, None)?;
         }
         // One fused way scan answers residency, allocatability and
         // pinned-full-ness together (it used to be up to three scans of
@@ -190,19 +296,33 @@ impl<D: MemoryPort> XCache<D> {
             None => false,
         };
         match access {
-            MetaAccess::Load { .. } if hit => true,
-            MetaAccess::Take { .. } => true, // hit or definitive not-found
-            // Walker launch needs the cycle's wake, a lane, an X-reg file,
-            // and — unless the walker will attach to an existing entry —
-            // an allocatable way in the key's set ("routines are not
-            // triggered until all the hazard conditions are eliminated").
-            // Permanently pinned-full sets still launch so the walker can
-            // fast-fault and inform the datapath.
+            MetaAccess::Load { .. } if hit => Ok(()),
+            MetaAccess::Take { .. } => Ok(()), // hit or definitive not-found
+            // Unless the walker will attach to an existing entry, it needs
+            // an allocatable way in the key's set. Permanently
+            // pinned-full sets still launch so the walker can fast-fault
+            // and inform the datapath.
             _ => {
                 let alloc_ok = hit || probe.can_alloc || probe.unevictable;
-                *wake_budget > 0 && self.xregs.has_free() && self.free_lane().is_some() && alloc_ok
+                self.launch_hazard(alloc_ok, Some(self.tags.set_index(key) as u32))
             }
         }
+    }
+
+    /// Whether a walker can launch: it needs an X-register file, a lane
+    /// and `alloc_ok` (an allocatable way, as `set`'s tags read). A lane
+    /// alone unblocks it only when the other two hold.
+    fn launch_hazard(&self, alloc_ok: bool, set: Option<u32>) -> Result<(), Hazard> {
+        if !self.xregs.has_free() {
+            return Err(Hazard { lane: false, set });
+        }
+        if alloc_ok && self.free_lane().is_some() {
+            return Ok(());
+        }
+        Err(Hazard {
+            lane: alloc_ok,
+            set,
+        })
     }
 
     /// Whether the fault plan fires a meta-tag lookup misfire for this
@@ -318,6 +438,8 @@ impl<D: MemoryPort> XCache<D> {
             MetaAccess::Take { id, .. } => {
                 if let Some(r) = probe {
                     let e = self.tags.invalidate(r, &mut self.ctx.stats);
+                    // A freed way can let a refused launch allocate.
+                    self.wait.wake_all();
                     self.ctx.stats.incr_id(counter!("xcache.take_hit"));
                     let mut data = self.take_buf();
                     self.data.gather_into(
@@ -402,7 +524,7 @@ impl<D: MemoryPort> XCache<D> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{MetaAccess, MetaKey, XCache, XCacheConfig};
+    use crate::{MetaAccess, MetaKey, WalkerDiscipline, XCache, XCacheConfig};
     use xcache_isa::asm::assemble;
     use xcache_mem::{DramConfig, DramModel};
     use xcache_sim::Cycle;
@@ -524,6 +646,351 @@ mod tests {
             "one walk serves both"
         );
         assert_eq!(xc.stats().get("xcache.waiter"), 1);
+    }
+
+    /// Wake-rule scenarios: one executor lane, `active` X-register files.
+    /// A load miss fetches `base + key * 32`; its fill side-inserts key
+    /// `key + 10` (`insertm`) before installing its own entry. A store
+    /// installs its payload pinned.
+    fn wake_cache(active: usize, discipline: WalkerDiscipline) -> XCache<DramModel> {
+        wake_cache_with(WAKE_WALKER, active, discipline)
+    }
+
+    const WAKE_WALKER: &str = r#"
+            walker wake
+            states Default, Wait
+            regs 2
+            params base
+            routine start {
+                allocR
+                allocM
+                mul r0, key, 32
+                add r0, r0, base
+                dram_read r0, 32
+                yield Wait
+            }
+            routine fill {
+                add r0, key, 10
+                insertm r0, 4
+                allocD r1, 1
+                filld r1, 4
+                updatem r1, r1
+                respond
+                retire
+            }
+            routine upsert {
+                allocR
+                allocM
+                allocD r0, 1
+                writed r0, 0, msg0
+                updatem r0, r0
+                pinm
+                retire
+            }
+            on Default, Miss -> start
+            on Wait, Fill -> fill
+            on Default, Update -> upsert
+        "#;
+
+    /// `WAKE_WALKER` without the side-insert, whose load miss frees its way
+    /// (`deallocM`) right after allocating it and allocates again when the
+    /// fill arrives.
+    const DROP_WALKER: &str = r#"
+            walker drop
+            states Default, Wait
+            regs 2
+            params base
+            routine start {
+                allocR
+                allocM
+                deallocM
+                mul r0, key, 32
+                add r0, r0, base
+                dram_read r0, 32
+                yield Wait
+            }
+            routine fill {
+                allocM
+                allocD r1, 1
+                filld r1, 4
+                updatem r1, r1
+                respond
+                retire
+            }
+            routine upsert {
+                allocR
+                allocM
+                allocD r0, 1
+                writed r0, 0, msg0
+                updatem r0, r0
+                pinm
+                retire
+            }
+            on Default, Miss -> start
+            on Wait, Fill -> fill
+            on Default, Update -> upsert
+        "#;
+
+    fn wake_cache_with(
+        source: &str,
+        active: usize,
+        discipline: WalkerDiscipline,
+    ) -> XCache<DramModel> {
+        let program = assemble(source).expect("valid");
+        let mut dram = DramModel::new(DramConfig::test_tiny());
+        for k in 0..32u64 {
+            dram.memory_mut().write_u64(0x1000 + k * 32, 9000 + k);
+        }
+        let cfg = XCacheConfig {
+            exe: 1,
+            active,
+            discipline,
+            ..XCacheConfig::test_tiny()
+        }
+        .with_params(vec![0x1000]);
+        XCache::new(cfg, program, dram).expect("builds")
+    }
+
+    fn load(id: u64, key: u64) -> MetaAccess {
+        MetaAccess::Load {
+            id,
+            key: MetaKey::new(key),
+        }
+    }
+
+    /// One driven scenario: `(id, cycle, found)` per response, the
+    /// `xcache.launch_stall` count, and the cycles after whose tick the
+    /// whole trigger window was known refused.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Outcome {
+        resps: Vec<(u64, u64, bool)>,
+        launch_stall: u64,
+        refused: Vec<u64>,
+    }
+
+    /// Offers each `(cycle, access)` once its cycle arrives, ticking every
+    /// cycle (calling `hook` after each tick) until the instance drains.
+    fn run_script(
+        xc: &mut XCache<DramModel>,
+        script: &[(u64, MetaAccess)],
+        mut hook: impl FnMut(&mut XCache<DramModel>, Cycle),
+    ) -> Outcome {
+        let mut next = 0;
+        let mut resps = Vec::new();
+        let mut refused = Vec::new();
+        let mut now = Cycle(0);
+        while next < script.len() || xc.busy() {
+            while next < script.len() && script[next].0 <= now.raw() && xc.can_accept() {
+                xc.try_access(now, script[next].1)
+                    .expect("can_accept checked");
+                next += 1;
+            }
+            xc.tick(now);
+            hook(xc, now);
+            if xc.window_blocked() {
+                refused.push(now.raw());
+            }
+            while let Some(r) = xc.take_response(now) {
+                resps.push((r.id, now.raw(), r.found));
+            }
+            now = now.next();
+            assert!(now.raw() < 10_000, "scenario never drained");
+        }
+        Outcome {
+            resps,
+            launch_stall: xc.stats().get("xcache.launch_stall"),
+            refused,
+        }
+    }
+
+    /// Walker A (load 2, set 2) launches at cycle 1 and runs its start
+    /// routine on the only lane until it yields at cycle 6; load 4 (set
+    /// 5) is refused from cycle 2 for want of a lane.
+    fn lane_script() -> Vec<(u64, MetaAccess)> {
+        vec![(0, load(1, 2)), (0, load(2, 4))]
+    }
+
+    // The responses and stall counts below are the ones the controller
+    // produced before the wait record replaced its one dirty flag.
+
+    #[test]
+    fn yield_freeing_a_lane_wakes_a_lane_refused_load() {
+        let mut xc = wake_cache(2, WalkerDiscipline::Coroutine);
+        let out = run_script(&mut xc, &lane_script(), |_, _| {});
+        assert_eq!(
+            out,
+            Outcome {
+                resps: vec![(1, 25, true), (2, 32, true)],
+                launch_stall: 5,
+                // A's yield at cycle 6 re-opens the window; load 4
+                // launches at cycle 7.
+                refused: vec![2, 3, 4, 5],
+            }
+        );
+    }
+
+    #[test]
+    fn blocking_thread_yield_holds_its_lane_and_the_window_shut() {
+        let mut xc = wake_cache(2, WalkerDiscipline::BlockingThread);
+        let out = run_script(&mut xc, &lane_script(), |_, _| {});
+        assert_eq!(
+            out,
+            Outcome {
+                resps: vec![(1, 25, true), (2, 45, true)],
+                launch_stall: 22,
+                // The yield keeps the lane: only A's retire at cycle 23
+                // frees it.
+                refused: (2..=22).collect(),
+            }
+        );
+    }
+
+    #[test]
+    fn insert_in_the_refused_set_wakes_it() {
+        // One X-register file: A (load 2) holds it, so load 12 (set 1)
+        // is refused until A's fill side-inserts key 12 at cycle 18 and
+        // turns it into a hit.
+        let mut xc = wake_cache(1, WalkerDiscipline::Coroutine);
+        let out = run_script(&mut xc, &[(0, load(1, 2)), (0, load(2, 12))], |_, _| {});
+        assert_eq!(
+            out,
+            Outcome {
+                resps: vec![(2, 22, true), (1, 25, true)],
+                launch_stall: 17,
+                refused: (2..=17).collect(),
+            }
+        );
+    }
+
+    #[test]
+    fn insert_in_another_set_leaves_the_window_shut() {
+        // As above, but A (load 3) side-inserts key 13 (set 3), which
+        // cannot help load 12 (set 1): only A's retire re-opens.
+        let mut xc = wake_cache(1, WalkerDiscipline::Coroutine);
+        let mut inserted_at = None;
+        let out = run_script(&mut xc, &[(0, load(1, 3)), (0, load(2, 12))], |xc, now| {
+            if inserted_at.is_none() && xc.stats().get("xcache.insertm") > 0 {
+                inserted_at = Some(now.raw());
+            }
+        });
+        assert_eq!(inserted_at, Some(18));
+        assert_eq!(
+            out,
+            Outcome {
+                resps: vec![(1, 25, true), (2, 48, true)],
+                launch_stall: 22,
+                refused: (2..=22).collect(),
+            }
+        );
+    }
+
+    #[test]
+    fn walker_retire_wakes_an_xreg_refused_load() {
+        // A (load 2) holds the only X-register file; neither its allocM
+        // (set 2), its yield nor its side-insert (set 1) can help load 4
+        // (set 5). Its retire at cycle 23 does.
+        let mut xc = wake_cache(1, WalkerDiscipline::Coroutine);
+        let out = run_script(&mut xc, &lane_script(), |_, _| {});
+        assert_eq!(
+            out,
+            Outcome {
+                resps: vec![(1, 25, true), (2, 45, true)],
+                launch_stall: 22,
+                refused: (2..=22).collect(),
+            }
+        );
+    }
+
+    #[test]
+    fn served_take_wakes_a_load_refused_its_set() {
+        // Store 1 pins key 1 in set 1; load 12 (set 1) is in flight from
+        // cycle 11, so at cycle 19 set 1 has no allocatable way and load
+        // 17 (set 1) is refused. The take of key 1 behind it serves in the
+        // same cycle and frees a way: load 17 launches at cycle 20.
+        let mut xc = wake_cache(3, WalkerDiscipline::Coroutine);
+        let script = [
+            (
+                0,
+                MetaAccess::Store {
+                    id: 1,
+                    key: MetaKey::new(1),
+                    payload: [77, 0],
+                },
+            ),
+            (10, load(2, 12)),
+            (18, load(3, 17)),
+            (
+                18,
+                MetaAccess::Take {
+                    id: 4,
+                    key: MetaKey::new(1),
+                },
+            ),
+        ];
+        let out = run_script(&mut xc, &script, |_, _| {});
+        assert_eq!(
+            out,
+            Outcome {
+                resps: vec![(1, 10, true), (4, 22, true), (2, 35, true), (3, 44, true)],
+                launch_stall: 0,
+                refused: vec![],
+            }
+        );
+    }
+
+    #[test]
+    fn dealloc_in_the_refused_set_wakes_it() {
+        // Store 1 pins key 1 in set 1. Load 12 (set 1) launches at cycle
+        // 11 and holds the other way from its allocM (cycle 12) to its
+        // deallocM (cycle 13), so load 17 (set 1) is refused for want of
+        // a way at cycle 13. The deallocM re-opens it; from then on it
+        // waits only for the lane, which 12's yield frees at cycle 17.
+        let mut xc = wake_cache_with(DROP_WALKER, 3, WalkerDiscipline::Coroutine);
+        let script = [
+            (
+                0,
+                MetaAccess::Store {
+                    id: 1,
+                    key: MetaKey::new(1),
+                    payload: [77, 0],
+                },
+            ),
+            (10, load(2, 12)),
+            (10, load(3, 17)),
+        ];
+        let out = run_script(&mut xc, &script, |_, _| {});
+        assert_eq!(
+            out,
+            Outcome {
+                resps: vec![(1, 10, true), (2, 35, true), (3, 42, true)],
+                launch_stall: 6,
+                refused: vec![14, 15, 16],
+            }
+        );
+    }
+
+    #[test]
+    fn degraded_mode_entry_wakes_the_window() {
+        // A (load 2) holds the only X-register file; load 4 is refused
+        // from cycle 2. Enough meta-path strikes after cycle 3's tick put
+        // the path in degraded mode, and load 4 is answered "not found"
+        // through the bypass at cycle 4.
+        let mut xc = wake_cache(1, WalkerDiscipline::Coroutine);
+        let out = run_script(&mut xc, &lane_script(), |xc, now| {
+            if now.raw() == 3 {
+                for _ in 0..super::super::DEGRADE_STRIKES {
+                    xc.note_meta_strike(now);
+                }
+            }
+        });
+        assert_eq!(
+            out,
+            Outcome {
+                resps: vec![(2, 7, false), (1, 25, true)],
+                launch_stall: 2,
+                refused: vec![2],
+            }
+        );
     }
 
     #[test]

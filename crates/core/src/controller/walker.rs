@@ -93,9 +93,9 @@ impl<D: MemoryPort> XCache<D> {
     pub(super) fn retire_walker(&mut self, now: Cycle, slot: usize) {
         debug_assert!(self.arena.is_live(slot), "retire on empty slot");
         self.global_progress = now;
-        // Frees X-regs/lanes and removes the launching claim: a stalled
+        // Frees X-regs/lanes and removes the launching claim: a refused
         // trigger window may now make progress.
-        self.launch_stalled = false;
+        self.wait.wake_all();
         let c = &mut self.arena.cold[slot];
         let key = c.key;
         let entry = c.entry;
@@ -144,9 +144,9 @@ impl<D: MemoryPort> XCache<D> {
             return;
         }
         self.global_progress = now;
-        // Frees X-regs/lanes/tag claims: a stalled trigger window may now
+        // Frees X-regs/lanes/tag claims: a refused trigger window may now
         // make progress, so it must be re-examined before fast-forwarding.
-        self.launch_stalled = false;
+        self.wait.wake_all();
         let c = &mut self.arena.cold[slot];
         let key = c.key;
         let entry = c.entry.take();
@@ -195,7 +195,7 @@ impl<D: MemoryPort> XCache<D> {
         }
         self.global_progress = now;
         // Frees X-regs/lanes/tag claims like a fault does.
-        self.launch_stalled = false;
+        self.wait.wake_all();
         let c = &mut self.arena.cold[slot];
         let key = c.key;
         let entry = c.entry.take();
@@ -240,8 +240,9 @@ impl<D: MemoryPort> XCache<D> {
         Outcome::FreeLane
     }
 
-    /// Evicts one idle, unpinned meta entry (LRU-ish: first found in scan
-    /// order), freeing its sectors. Returns whether anything was evicted.
+    /// Evicts the idle, unpinned meta entry holding the fewest sectors
+    /// (the first in scan order on a tie), freeing its sectors. Returns
+    /// whether anything was evicted.
     pub(super) fn evict_one_idle(&mut self) -> bool {
         let victim = self
             .tags
@@ -254,8 +255,8 @@ impl<D: MemoryPort> XCache<D> {
         };
         let r = self.tags.peek(key).expect("victim present");
         let e = self.tags.invalidate(r, &mut self.ctx.stats);
-        // A freed way can unblock a stalled launch.
-        self.launch_stalled = false;
+        // The set's tags changed: re-check refused accesses in it.
+        self.wait.wake_set(r.set);
         self.data.free(e.sector_start, e.sector_count);
         self.ctx.stats.incr_id(counter!("xcache.capacity_evict"));
         true
