@@ -241,19 +241,13 @@ impl<D: MemoryPort> XCache<D> {
     }
 
     /// Evicts the idle, unpinned meta entry holding the fewest sectors
-    /// (the first in scan order on a tie), freeing its sectors. Returns
-    /// whether anything was evicted.
+    /// (the first in scan order on a tie, see
+    /// [`idle_victim`](crate::MetaTagArray::idle_victim)), freeing its
+    /// sectors. Returns whether anything was evicted.
     pub(super) fn evict_one_idle(&mut self) -> bool {
-        let victim = self
-            .tags
-            .iter()
-            .filter(|e| !e.active && !e.pinned && e.sector_count > 0)
-            .min_by_key(|e| e.sector_count)
-            .map(|e| e.key);
-        let Some(key) = victim else {
+        let Some(r) = self.tags.idle_victim() else {
             return false;
         };
-        let r = self.tags.peek(key).expect("victim present");
         let e = self.tags.invalidate(r, &mut self.ctx.stats);
         // The set's tags changed: re-check refused accesses in it.
         self.wait.wake_set(r.set);

@@ -214,15 +214,8 @@ impl<L: MetaPort> MetaL1<L> {
             if let Some(s) = self.data.alloc(sectors, &mut self.stats) {
                 break Some(s);
             }
-            let victim = self
-                .tags
-                .iter()
-                .filter(|e| !e.active && !e.pinned && e.sector_count > 0)
-                .min_by_key(|e| e.sector_count)
-                .map(|e| e.key);
-            match victim {
-                Some(vk) => {
-                    let r = self.tags.peek(vk).expect("victim present");
+            match self.tags.idle_victim() {
+                Some(r) => {
                     let e = self.tags.invalidate(r, &mut self.stats);
                     self.data.free(e.sector_start, e.sector_count);
                     self.stats.incr_id(counter!("metal1.capacity_evict"));

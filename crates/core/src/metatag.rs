@@ -450,6 +450,31 @@ impl MetaTagArray {
     pub fn iter(&self) -> impl Iterator<Item = &MetaEntry> {
         self.slots.iter().filter(|s| s.valid).map(|s| &s.entry)
     }
+
+    /// The capacity-eviction victim: the idle, unpinned entry holding the
+    /// fewest data-RAM sectors, the first in scan order on a tie. The scan
+    /// stops at the first one-sector candidate, since none holds fewer.
+    #[must_use]
+    pub fn idle_victim(&self) -> Option<EntryRef> {
+        let mut best: Option<(usize, u32)> = None;
+        for (idx, &flags) in self.probe_flags.iter().enumerate() {
+            if flags != PF_VALID {
+                continue; // invalid, active or pinned
+            }
+            let sectors = self.slots[idx].entry.sector_count;
+            if sectors == 0 || best.is_some_and(|(_, fewest)| fewest <= sectors) {
+                continue;
+            }
+            best = Some((idx, sectors));
+            if sectors == 1 {
+                break;
+            }
+        }
+        best.map(|(idx, _)| EntryRef {
+            set: (idx / self.ways) as u32,
+            way: (idx % self.ways) as u32,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -646,5 +671,44 @@ mod tests {
         assert_eq!(evicted.unwrap().key, MetaKey(1));
         let copies = a.iter().filter(|e| e.key == MetaKey(1)).count();
         assert_eq!(copies, 1);
+    }
+
+    /// The way `idle_victim` picks in a one-set array (scan order is way
+    /// order) whose ways hold `(sectors, kind)` entries, in order: kind
+    /// `'i'` idle, `'a'` active, `'p'` pinned.
+    fn victim_way(entries: &[(u32, char)]) -> Option<u32> {
+        let mut a = MetaTagArray::new(1, 8);
+        let mut s = stats();
+        for (i, &(sectors, kind)) in entries.iter().enumerate() {
+            let (r, _) = a
+                .alloc(MetaKey(i as u64 + 1), StateId::DEFAULT, &mut s)
+                .unwrap();
+            assert_eq!(r.way as usize, i, "alloc fills invalid ways in order");
+            a.update_entry(r, |e| {
+                e.sector_count = sectors;
+                e.active = kind == 'a';
+                e.pinned = kind == 'p';
+            });
+        }
+        a.idle_victim().map(|r| r.way)
+    }
+
+    #[test]
+    fn idle_victim_is_the_first_idle_entry_with_the_fewest_sectors() {
+        // A later entry holding fewer sectors beats an earlier one, and
+        // the first of two tied fewest-sector entries wins.
+        assert_eq!(
+            victim_way(&[(3, 'i'), (2, 'i'), (4, 'i'), (2, 'i')]),
+            Some(1)
+        );
+        // Two one-sector entries tie: the first one wins.
+        assert_eq!(
+            victim_way(&[(3, 'i'), (1, 'i'), (2, 'i'), (1, 'i')]),
+            Some(1)
+        );
+        // Active, pinned and sectorless entries are never candidates.
+        let skipped = [(1, 'a'), (1, 'p'), (0, 'i'), (2, 'i'), (1, 'i'), (1, 'i')];
+        assert_eq!(victim_way(&skipped), Some(4));
+        assert_eq!(victim_way(&[(1, 'a'), (0, 'i'), (1, 'p')]), None);
     }
 }

@@ -49,19 +49,49 @@ fn run_req(cache: &mut AddressCache<DramModel>, now: &mut Cycle, req: MemReq) ->
 /// One observable of a DRAM run: `(completion cycle, request id, data)`.
 type Observed = (u64, u64, u64);
 
-/// Drives a random request schedule through a fresh `DramModel` and
-/// records every observable: each response's arrival cycle, id, and
-/// payload, the final cycle, and the full counter snapshot. The same
-/// driver serves both executions — `with_skip` decides whether the wake
-/// computation fast-forwards or degenerates to single-stepping.
+/// `test_tiny` with refresh every 50 cycles and one-deep bank and
+/// response queues, so refresh and both kinds of back-pressure fire. Its
+/// two banks get a channel each: on one bus, completions are a transfer
+/// apart and a one-deep response queue that is drained every cycle never
+/// fills.
+fn refresh_backpressure_config() -> DramConfig {
+    DramConfig {
+        channels: 2,
+        t_refi: 50,
+        t_rfc: 10,
+        bank_queue_depth: 1,
+        resp_queue_depth: 1,
+        ..DramConfig::test_tiny()
+    }
+}
+
+/// The configurations the skip-vs-step comparison drives.
+fn dram_trace_config(sel: u8) -> DramConfig {
+    match sel {
+        0 => DramConfig::test_tiny(),
+        1 => DramConfig::default(),
+        _ => refresh_backpressure_config(),
+    }
+}
+
+/// Drives a request schedule through a fresh `DramModel` built from
+/// `cfg` and records every observable: each response's arrival cycle,
+/// id, and payload, the final cycle, and the full counter snapshot. The
+/// same driver serves both executions — `with_skip` decides whether the
+/// wake computation fast-forwards or degenerates to single-stepping.
+/// Slots are `row_bytes / 32` bytes apart, so the 512 slots span 16 rows
+/// in any geometry.
 fn run_dram_trace(
+    cfg: &DramConfig,
     ops: &[(u64, u64, bool)], // (issue gap, slot, is_write)
     skip: bool,
 ) -> (u64, Vec<Observed>, xcache_sim::StatsSnapshot) {
+    let stride = cfg.row_bytes / 32;
     with_skip(skip, || {
-        let mut dram = DramModel::new(DramConfig::test_tiny());
+        let mut dram = DramModel::new(cfg.clone());
         for (i, &(_, slot, _)) in ops.iter().enumerate() {
-            dram.memory_mut().write_u64(slot * 8, i as u64 * 31 + 7);
+            dram.memory_mut()
+                .write_u64(slot * stride, i as u64 * 31 + 7);
         }
         let mut due = Vec::with_capacity(ops.len());
         let mut t = 0u64;
@@ -80,11 +110,11 @@ fn run_dram_trace(
                     let payload = (next_i as u64).wrapping_mul(0x9e37).to_le_bytes();
                     MemReq::write(
                         next_i as u64,
-                        slot * 8,
+                        slot * stride,
                         bytes::Bytes::copy_from_slice(&payload),
                     )
                 } else {
-                    MemReq::read(next_i as u64, slot * 8, 8)
+                    MemReq::read(next_i as u64, slot * stride, 8)
                 };
                 dram.try_request(now, req).expect("can_accept checked");
                 next_i += 1;
@@ -116,6 +146,39 @@ fn run_dram_trace(
     })
 }
 
+/// One fixed schedule through the skip-vs-step comparison that is known
+/// to refresh, hold a retire behind the full response queue and stall
+/// the input head behind a full bank queue: two reads start together on
+/// separate banks (and buses) and complete on one cycle, two more queue
+/// behind bank 0, and the tail runs past two refreshes.
+#[test]
+fn dram_skip_agrees_with_single_step_through_refresh_and_backpressure() {
+    let cfg = refresh_backpressure_config();
+    // (issue gap, slot, is_write); slots 0..32 map to bank 0, 32..64 to bank 1.
+    let ops = [
+        (0, 0, false),
+        (0, 32, false),
+        (0, 1, true),
+        (0, 2, false),
+        (45, 33, false),
+        (0, 40, false),
+        (10, 64, true),
+        (50, 3, false),
+        (0, 35, false),
+    ];
+    let fast = run_dram_trace(&cfg, &ops, true);
+    let slow = run_dram_trace(&cfg, &ops, false);
+    assert_eq!(fast, slow, "skipping and single-stepping diverged");
+    let stats = &fast.2;
+    for key in ["dram.refresh", "dram.resp_stall", "dram.bank_queue_stall"] {
+        assert!(
+            stats.get(key) > 0,
+            "{key} never fired: {:?}",
+            stats.counters
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -128,10 +191,12 @@ proptest! {
         ops in prop::collection::vec(
             (0u64..200, 0u64..512, any::<bool>()), // (issue gap, slot, is_write)
             1..40
-        )
+        ),
+        cfg_sel in 0u8..3
     ) {
-        let (fast_end, fast_obs, fast_stats) = run_dram_trace(&ops, true);
-        let (slow_end, slow_obs, slow_stats) = run_dram_trace(&ops, false);
+        let cfg = dram_trace_config(cfg_sel);
+        let (fast_end, fast_obs, fast_stats) = run_dram_trace(&cfg, &ops, true);
+        let (slow_end, slow_obs, slow_stats) = run_dram_trace(&cfg, &ops, false);
         prop_assert_eq!(fast_end, slow_end, "end cycle diverged");
         prop_assert_eq!(fast_obs, slow_obs, "response stream diverged");
         prop_assert_eq!(fast_stats, slow_stats, "counters diverged");
