@@ -33,8 +33,8 @@ fn assert_pinned(cell: ChaosCell, head: &str, expected: u64) {
 fn widx_fig04() {
     assert_pinned(
         ChaosCell::WidxFig04,
-        "{\"cell\":\"widx-fig04\",\"cycles\":11350,\"checksum\":111429,\"violations\":[]",
-        14925704610142067853,
+        "{\"cell\":\"widx-fig04\",\"cycles\":11329,\"checksum\":111429,\"violations\":[]",
+        16769785244977269367,
     );
 }
 
@@ -61,7 +61,7 @@ fn widx_sharded() {
     assert_pinned(
         ChaosCell::WidxSharded,
         "{\"cell\":\"widx-sharded\",\"cycles\":3739,\"checksum\":111429,\"violations\":[]",
-        5346965187162124079,
+        2005467393912525222,
     );
 }
 

@@ -152,11 +152,7 @@ impl<D: MemoryPort> XCache<D> {
             .pending
             .drain(..)
             .chain(self.replay_q.drain(..))
-            .chain(
-                std::mem::take(&mut self.delayed_replay)
-                    .into_iter()
-                    .map(|(_, a)| a),
-            )
+            .chain(self.delayed_replay.drain())
             .collect();
         for a in shed {
             self.ctx
@@ -200,9 +196,9 @@ impl<D: MemoryPort> XCache<D> {
         // checks already drop them; pruning keeps the map from growing.
         self.inflight.retain(|_, &mut (s, g)| s != slot || g != gen);
         let due = now + backoff.max(1);
-        self.delayed_replay.push((due, origin));
+        self.delayed_replay.schedule(due, origin);
         for wa in waiters.drain(..) {
-            self.delayed_replay.push((due, wa));
+            self.delayed_replay.schedule(due, wa);
         }
         self.arena.cold[slot].waiters = waiters;
         for l in &mut self.lanes {
@@ -440,5 +436,19 @@ mod tests {
                 + xc.stats().get("xcache.walker_fault")
                 + xc.stats().get("xcache.walker_replay")
         );
+    }
+
+    /// A parked key's waiters replay in the order they arrived, however
+    /// many backoff rounds the watchdog spends before the kill answers
+    /// them.
+    #[test]
+    fn replayed_waiters_keep_their_order() {
+        let (xc, resps) = drive(&[99, 99, 99], 300);
+        assert_eq!(
+            xc.stats().get("xcache.fault.retry"),
+            u64::from(super::WALKER_RETRY_MAX)
+        );
+        assert_eq!(resps.iter().map(|r| r.id).collect::<Vec<_>>(), [1, 2, 3]);
+        assert!(resps.iter().all(|r| !r.found));
     }
 }

@@ -24,6 +24,7 @@
 //! plus the shared structural state on [`XCache`] itself.
 
 mod arena;
+mod due;
 mod executor;
 mod liveness;
 mod sched;
@@ -38,7 +39,7 @@ use xcache_isa::{EventId, Operand, RoutineId, WalkerProgram};
 use xcache_mem::MemoryPort;
 use xcache_sim::{
     counter, watchdog_budget, Cycle, FaultPlan, FxHashMap, MsgQueue, SimContext, StallReport,
-    Stats, TimingWheel, TraceBuffer,
+    Stats, TraceBuffer,
 };
 
 use crate::{
@@ -47,10 +48,11 @@ use crate::{
 };
 
 use arena::WalkerArena;
+use due::DueQueue;
 use sched::{discipline_stage, YieldPolicy};
 
-/// A delayed internal event: (slot, generation, event, payload). The due
-/// cycle is the timing-wheel key.
+/// A delayed internal event (a hash digest or a posted event): (slot,
+/// generation, event, payload), queued in [`XCache::delayed`] by due cycle.
 pub(crate) type DelayedEvent = (usize, u32, EventId, [u64; MSG_WORDS]);
 
 /// Error constructing an [`XCache`].
@@ -229,10 +231,8 @@ pub struct XCache<D> {
     /// duplicate walkers; queues waiters).
     pub(crate) launching: FxHashMap<MetaKey, usize>,
     pub(crate) lanes: Vec<Option<Lane>>,
-    /// Delayed internal events, scheduled on a timing wheel by due cycle.
-    pub(crate) delayed: TimingWheel<DelayedEvent>,
-    /// Reusable pop buffer for draining due delayed events.
-    pub(crate) delayed_buf: Vec<(Cycle, DelayedEvent)>,
+    /// Delayed internal events, by due cycle.
+    pub(crate) delayed: DueQueue<DelayedEvent>,
     pub(crate) inflight: FxHashMap<u64, (usize, u32)>,
     pub(crate) issue_times: FxHashMap<u64, Cycle>,
     pub(crate) next_req_id: u64,
@@ -286,9 +286,9 @@ pub struct XCache<D> {
     pub(crate) stall_reports: Vec<StallReport>,
     /// Watchdog retries already spent per key (cleared on retire).
     pub(crate) retry_counts: FxHashMap<MetaKey, u32>,
-    /// Accesses aborted by the watchdog, replaying at `due` (exponential
-    /// backoff): (due, access).
-    pub(crate) delayed_replay: Vec<(Cycle, MetaAccess)>,
+    /// Accesses aborted by the watchdog, replaying at their due cycle
+    /// (exponential backoff).
+    pub(crate) delayed_replay: DueQueue<MetaAccess>,
     /// The trigger stage's last hazard-check tag lookup: `(key, where the
     /// way scan landed)`. The serve that immediately follows a successful
     /// hazard check reuses it via [`MetaTagArray::probe_at`] instead of
@@ -408,8 +408,7 @@ impl<D: MemoryPort> XCache<D> {
             arena: WalkerArena::new(cfg.active),
             launching: FxHashMap::default(),
             lanes: vec![None; cfg.exe],
-            delayed: TimingWheel::new(Cycle::ZERO),
-            delayed_buf: Vec::new(),
+            delayed: DueQueue::new(),
             inflight: FxHashMap::default(),
             issue_times: FxHashMap::default(),
             next_req_id: 1,
@@ -428,7 +427,7 @@ impl<D: MemoryPort> XCache<D> {
             global_progress: Cycle::ZERO,
             stall_reports: Vec::new(),
             retry_counts: FxHashMap::default(),
-            delayed_replay: Vec::new(),
+            delayed_replay: DueQueue::new(),
             probe_cache: None,
             data_pool: Vec::new(),
             degraded_until: Cycle::ZERO,
@@ -660,10 +659,10 @@ impl<D: MemoryPort> XCache<D> {
         }
         let mut next = Cycle::NEVER;
         let mut wake = |t: Cycle| next = next.min(t);
-        if let Some(due) = self.delayed.next_due() {
-            wake(due.max(now.next()));
-        }
-        for &(due, _) in &self.delayed_replay {
+        for due in [self.delayed.next_due(), self.delayed_replay.next_due()]
+            .into_iter()
+            .flatten()
+        {
             wake(due.max(now.next()));
         }
         // Watchdog deadlines are observable work (a stall report plus the

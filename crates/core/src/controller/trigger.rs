@@ -118,23 +118,17 @@ impl<D: MemoryPort> XCache<D> {
         }
     }
 
-    /// Delivers due delayed events (hash results, posted events) from the
-    /// timing wheel, in deterministic (due, schedule-order) order.
+    /// Delivers every delayed event (hash digest, posted event) due by
+    /// `now`, in (due, schedule) order; one whose walker has ended since
+    /// is dropped.
     pub(super) fn deliver_delayed(&mut self, now: Cycle) {
-        if self.delayed.next_due().is_none_or(|d| d > now) {
-            return;
-        }
-        let mut buf = std::mem::take(&mut self.delayed_buf);
-        self.delayed.pop_due_into(now, &mut buf);
-        for &(_, (slot, gen, ev, payload)) in &buf {
+        while let Some((slot, gen, ev, payload)) = self.delayed.pop_due(now) {
             if self.arena.is_live(slot) && self.arena.gen[slot] == gen {
                 self.arena.push_event(slot, ev, payload);
                 self.arena.last_progress[slot] = now;
                 self.global_progress = now;
             }
         }
-        buf.clear();
-        self.delayed_buf = buf;
     }
 
     /// Processes at most one datapath access per cycle.
@@ -148,19 +142,11 @@ impl<D: MemoryPort> XCache<D> {
     /// holds refused ([`WindowWait`]).
     pub(super) fn process_access(&mut self, now: Cycle, wake_budget: &mut usize) {
         // Watchdog-aborted accesses whose backoff has elapsed re-enter
-        // the replay queue first (their dues are folded into
-        // `next_event`, so skip and step runs drain them on the same
-        // cycles, in the same order).
-        if !self.delayed_replay.is_empty() {
-            let mut i = 0;
-            while i < self.delayed_replay.len() {
-                if self.delayed_replay[i].0 <= now {
-                    let (_, a) = self.delayed_replay.swap_remove(i);
-                    self.replay_q.push_back(a);
-                } else {
-                    i += 1;
-                }
-            }
+        // the replay queue first, in the order they were parked (their
+        // dues feed `next_event`, so skip and step runs drain them on the
+        // same cycles).
+        while let Some(a) = self.delayed_replay.pop_due(now) {
+            self.replay_q.push_back(a);
         }
         // Refill the trigger-stage window from the replay queue (waiters
         // released by a retiring walker) then the datapath queue. Refills
@@ -607,6 +593,61 @@ mod tests {
             1,
             "no second walker"
         );
+    }
+
+    /// Twelve distinct-key misses, one offered per cycle, each hash once
+    /// and answer when the digest arrives. Every digest takes the same
+    /// `hash_latency`, so the answers come one per cycle: a digest
+    /// scheduled in the cycle another one is delivered must not hide the
+    /// ones already queued before it.
+    #[test]
+    fn hash_digests_arrive_on_consecutive_cycles() {
+        let program = assemble(
+            r#"
+            walker hasher
+            states Default, Wait
+            events HashDone
+            regs 1
+            routine start {
+                allocR
+                hash HashDone, key
+                yield Wait
+            }
+            routine done {
+                fault
+            }
+            on Default, Miss -> start
+            on Wait, HashDone -> done
+        "#,
+        )
+        .expect("valid");
+        let cfg = XCacheConfig {
+            active: 16,
+            exe: 8,
+            hash_latency: 10,
+            ..XCacheConfig::test_tiny()
+        };
+        let dram = DramModel::new(DramConfig::test_tiny());
+        let mut xc = XCache::new(cfg, program, dram).expect("builds");
+        let mut answered = Vec::new();
+        let mut now = Cycle(0);
+        while answered.len() < 12 {
+            if now.raw() < 12 {
+                let a = MetaAccess::Load {
+                    id: now.raw(),
+                    key: MetaKey::new(now.raw()),
+                };
+                xc.try_access(now, a).expect("one access per cycle fits");
+            }
+            xc.tick(now);
+            while let Some(r) = xc.take_response(now) {
+                assert!(!r.found);
+                answered.push(now.raw());
+            }
+            now = now.next();
+            assert!(now.raw() < 1_000, "a digest was never delivered");
+        }
+        assert_eq!(answered, (16..28).collect::<Vec<_>>());
     }
 
     #[test]

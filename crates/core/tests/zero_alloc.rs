@@ -2,8 +2,8 @@
 //!
 //! After warm-up, serving meta-tag hits and ticking an idle controller
 //! must not touch the allocator at all: response-data buffers come from
-//! the recycle pool, stat counters are interned, and the scheduler's
-//! queues and wheel slots keep their capacity. This test pins that down
+//! the recycle pool, stat counters are interned, and the controller's
+//! queues, delayed-work heaps included, keep their capacity. This test pins that down
 //! with a counting global allocator — a regression here silently taxes
 //! every simulated cycle, which is exactly what the event-scheduled core
 //! exists to avoid.
@@ -134,8 +134,8 @@ fn steady_state_hit_serving_does_not_allocate() {
 
     // Warm-up: make every key resident (walker launches, DRAM fills, data
     // RAM allocation) and then serve one full round of hits so every
-    // lazily-grown structure — recycle pool, queues, wheel slots, interned
-    // counters, stat histograms — reaches its steady-state capacity.
+    // lazily-grown structure — recycle pool, queues and delayed-work heaps,
+    // interned counters, stat histograms — reaches its steady-state capacity.
     let mut now = sweep_loads(&mut xc, Cycle(0), 0);
     now = sweep_loads(&mut xc, now, KEYS);
     assert!(

@@ -31,7 +31,7 @@
 //! `BankGroup`, handles responses at horizon boundaries and, for SpGEMM,
 //! routes A's elements over the crossbar instead of through the stream
 //! engine. On the small test cells `run_xcache` vs
-//! `run_xcache_sharded(.., 1)` gives 28,839 vs 28,863 cycles for Widx
+//! `run_xcache_sharded(.., 1)` gives 28,833 vs 28,867 cycles for Widx
 //! (Q19/10, 2,000 probes), 6,957 vs 5,270 cycles and 252 vs 164 DRAM
 //! accesses for Gamma (96×96, 700 nnz), and 1,407 vs 1,905 cycles for
 //! GraphPulse (`Tiny`). The two SpGEMM drives also differ in one

@@ -129,65 +129,65 @@ fn widx_xcache() {
     assert_pinned(
         &widx::run_xcache(&w, Some(g)),
         &Pin {
-            cycles: 28839,
+            cycles: 28833,
             checksum: 601035,
             counters: &[
-                ("dram.bank_queue_stall", 1002),
-                ("dram.bus_busy_cycles", 22224),
-                ("dram.bytes", 68496),
-                ("dram.reads", 2778),
+                ("dram.bank_queue_stall", 987),
+                ("dram.bus_busy_cycles", 22248),
+                ("dram.bytes", 68568),
+                ("dram.reads", 2781),
                 ("dram.refresh", 3),
-                ("dram.requests", 2778),
-                ("dram.row_conflict", 2186),
-                ("dram.row_hit", 560),
+                ("dram.requests", 2781),
+                ("dram.row_conflict", 2192),
+                ("dram.row_hit", 557),
                 ("dram.row_miss", 32),
-                ("xcache.action.agen", 4250),
-                ("xcache.action.control", 8435),
-                ("xcache.action.dataram", 1498),
-                ("xcache.action.metatag", 2778),
-                ("xcache.action.queue", 8334),
-                ("xcache.data_alloc_sectors", 1757),
+                ("xcache.action.agen", 4255),
+                ("xcache.action.control", 8444),
+                ("xcache.action.dataram", 1500),
+                ("xcache.action.metatag", 2781),
+                ("xcache.action.queue", 8343),
+                ("xcache.data_alloc_sectors", 1756),
                 ("xcache.data_read_sector", 1864),
-                ("xcache.data_write_sector", 1757),
-                ("xcache.dram_req", 2778),
-                ("xcache.dram_req_bytes", 68496),
-                ("xcache.fill_resp", 2778),
-                ("xcache.hash_issue", 850),
-                ("xcache.hit", 1115),
-                ("xcache.insertm", 1008),
-                ("xcache.launch_stall", 25959),
+                ("xcache.data_write_sector", 1756),
+                ("xcache.dram_req", 2781),
+                ("xcache.dram_req_bytes", 68568),
+                ("xcache.fill_resp", 2781),
+                ("xcache.hash_issue", 851),
+                ("xcache.hit", 1114),
+                ("xcache.insertm", 1006),
+                ("xcache.launch_stall", 25982),
                 ("xcache.load_to_use.count", 2000),
                 ("xcache.load_to_use.max", 1575),
                 ("xcache.load_to_use.min", 3),
                 ("xcache.load_to_use.p50", 3),
                 ("xcache.load_to_use.p95", 1023),
-                ("xcache.load_to_use.sum", 472184),
-                ("xcache.meta_alloc", 1858),
-                ("xcache.meta_evict", 1252),
-                ("xcache.miss", 850),
-                ("xcache.occupancy_reg_byte_cycles", 14531264),
+                ("xcache.load_to_use.sum", 471983),
+                ("xcache.meta_alloc", 1857),
+                ("xcache.meta_evict", 1251),
+                ("xcache.miss", 851),
+                ("xcache.occupancy_reg_byte_cycles", 14522528),
                 ("xcache.tag_read", 1965),
                 ("xcache.tag_write", 2708),
-                ("xcache.ucode_read", 25295),
+                ("xcache.ucode_read", 25323),
                 ("xcache.waiter", 35),
-                ("xcache.wakeup", 4478),
-                ("xcache.walk_latency.count", 749),
+                ("xcache.wakeup", 4483),
+                ("xcache.walk_latency.count", 750),
                 ("xcache.walk_latency.max", 1573),
-                ("xcache.walk_latency.min", 168),
+                ("xcache.walk_latency.min", 158),
                 ("xcache.walk_latency.p50", 511),
                 ("xcache.walk_latency.p95", 1023),
-                ("xcache.walk_latency.sum", 403932),
+                ("xcache.walk_latency.sum", 403151),
                 ("xcache.walker_fault", 101),
-                ("xcache.walker_launch", 850),
-                ("xcache.walker_lifetime.count", 850),
+                ("xcache.walker_launch", 851),
+                ("xcache.walker_lifetime.count", 851),
                 ("xcache.walker_lifetime.max", 1573),
-                ("xcache.walker_lifetime.min", 121),
+                ("xcache.walker_lifetime.min", 127),
                 ("xcache.walker_lifetime.p50", 511),
                 ("xcache.walker_lifetime.p95", 1023),
-                ("xcache.walker_lifetime.sum", 454102),
-                ("xcache.walker_retire", 749),
-                ("xcache.xreg_read", 12711),
-                ("xcache.xreg_write", 8106),
+                ("xcache.walker_lifetime.sum", 453829),
+                ("xcache.walker_retire", 750),
+                ("xcache.xreg_read", 12725),
+                ("xcache.xreg_write", 8115),
             ],
         },
     );
@@ -199,69 +199,69 @@ fn widx_xcache_sharded() {
     assert_pinned(
         &widx::run_xcache_sharded(&w, Some(g), 2),
         &Pin {
-            cycles: 15185,
+            cycles: 15258,
             checksum: 601035,
             counters: &[
-                ("bank.local", 1398),
-                ("bank.remote", 1407),
-                ("dram.bank_queue_stall", 460),
-                ("dram.bus_busy_cycles", 22440),
-                ("dram.bytes", 69288),
-                ("dram.reads", 2805),
+                ("bank.local", 1401),
+                ("bank.remote", 1409),
+                ("dram.bank_queue_stall", 625),
+                ("dram.bus_busy_cycles", 22480),
+                ("dram.bytes", 69424),
+                ("dram.reads", 2810),
                 ("dram.refresh", 2),
-                ("dram.requests", 2805),
-                ("dram.row_conflict", 2236),
-                ("dram.row_hit", 537),
+                ("dram.requests", 2810),
+                ("dram.row_conflict", 2243),
+                ("dram.row_hit", 535),
                 ("dram.row_miss", 32),
                 ("shard.link_fault_delays", 0),
                 ("shard.link_msgs", 4000),
-                ("xcache.action.agen", 4265),
-                ("xcache.action.control", 8516),
-                ("xcache.action.dataram", 1504),
-                ("xcache.action.metatag", 2805),
-                ("xcache.action.queue", 8415),
-                ("xcache.data_alloc_sectors", 1757),
-                ("xcache.data_read_sector", 1815),
-                ("xcache.data_write_sector", 1757),
-                ("xcache.dram_req", 2805),
-                ("xcache.dram_req_bytes", 69288),
-                ("xcache.fill_resp", 2805),
-                ("xcache.hash_issue", 853),
-                ("xcache.hit", 1063),
-                ("xcache.insertm", 1005),
-                ("xcache.launch_stall", 25575),
+                ("xcache.action.agen", 4270),
+                ("xcache.action.control", 8531),
+                ("xcache.action.dataram", 1506),
+                ("xcache.action.metatag", 2810),
+                ("xcache.action.queue", 8430),
+                ("xcache.data_alloc_sectors", 1759),
+                ("xcache.data_read_sector", 1814),
+                ("xcache.data_write_sector", 1759),
+                ("xcache.dram_req", 2810),
+                ("xcache.dram_req_bytes", 69424),
+                ("xcache.fill_resp", 2810),
+                ("xcache.hash_issue", 854),
+                ("xcache.hit", 1061),
+                ("xcache.insertm", 1006),
+                ("xcache.launch_stall", 25669),
                 ("xcache.load_to_use.count", 2000),
-                ("xcache.load_to_use.max", 1340),
+                ("xcache.load_to_use.max", 1299),
                 ("xcache.load_to_use.min", 3),
                 ("xcache.load_to_use.p50", 3),
                 ("xcache.load_to_use.p95", 1023),
-                ("xcache.load_to_use.sum", 487991),
-                ("xcache.meta_alloc", 1858),
-                ("xcache.meta_evict", 1257),
-                ("xcache.miss", 853),
-                ("xcache.occupancy_reg_byte_cycles", 14400384),
-                ("xcache.tag_read", 1916),
-                ("xcache.tag_write", 2711),
-                ("xcache.ucode_read", 25505),
-                ("xcache.waiter", 84),
-                ("xcache.wakeup", 4511),
-                ("xcache.walk_latency.count", 752),
-                ("xcache.walk_latency.max", 1338),
+                ("xcache.load_to_use.sum", 490845),
+                ("xcache.meta_alloc", 1860),
+                ("xcache.meta_evict", 1259),
+                ("xcache.miss", 854),
+                ("xcache.occupancy_reg_byte_cycles", 14462912),
+                ("xcache.tag_read", 1915),
+                ("xcache.tag_write", 2714),
+                ("xcache.ucode_read", 25547),
+                ("xcache.waiter", 85),
+                ("xcache.wakeup", 4518),
+                ("xcache.walk_latency.count", 753),
+                ("xcache.walk_latency.max", 1297),
                 ("xcache.walk_latency.min", 169),
                 ("xcache.walk_latency.p50", 511),
                 ("xcache.walk_latency.p95", 1023),
-                ("xcache.walk_latency.sum", 400255),
+                ("xcache.walk_latency.sum", 402832),
                 ("xcache.walker_fault", 101),
-                ("xcache.walker_launch", 853),
-                ("xcache.walker_lifetime.count", 853),
-                ("xcache.walker_lifetime.max", 1338),
+                ("xcache.walker_launch", 854),
+                ("xcache.walker_lifetime.count", 854),
+                ("xcache.walker_lifetime.max", 1297),
                 ("xcache.walker_lifetime.min", 129),
                 ("xcache.walker_lifetime.p50", 511),
                 ("xcache.walker_lifetime.p95", 1023),
-                ("xcache.walker_lifetime.sum", 450012),
-                ("xcache.walker_retire", 752),
-                ("xcache.xreg_read", 12825),
-                ("xcache.xreg_write", 8169),
+                ("xcache.walker_lifetime.sum", 451966),
+                ("xcache.walker_retire", 753),
+                ("xcache.xreg_read", 12847),
+                ("xcache.xreg_write", 8182),
             ],
         },
     );

@@ -287,7 +287,7 @@ impl<D: MemoryPort> AddressCache<D> {
         // The response queue is sized for the MSHR count, so a refusal is
         // exceptional — but it is backpressure, not a crash: spill the
         // response and re-offer it (in order) on subsequent ticks.
-        if let Err(e) = self.resp.try_push(now, resp) {
+        if let Err(e) = self.resp.push(now, resp) {
             self.stats.incr_id(counter!("cache.fault.resp_overflow"));
             self.resp_spill.push_back(e.0);
         }
@@ -396,7 +396,7 @@ impl<D: MemoryPort> MemoryPort for AddressCache<D> {
     fn tick(&mut self, now: Cycle) {
         // 0a. Re-offer spilled responses ahead of fresh ones (FIFO).
         while let Some(resp) = self.resp_spill.pop_front() {
-            if let Err(e) = self.resp.try_push(now, resp) {
+            if let Err(e) = self.resp.push(now, resp) {
                 self.resp_spill.push_front(e.0);
                 break;
             }
@@ -423,7 +423,7 @@ impl<D: MemoryPort> MemoryPort for AddressCache<D> {
             let set = self.cfg.set_of(block);
             self.stats.incr_id(counter!("cache.tag_reads"));
             if let Some(way) = self.find_way(set, block) {
-                let Some(req) = self.input.try_pop(now) else {
+                let Some(req) = self.input.pop(now) else {
                     self.stats.incr_id(counter!("cache.fault.underflow"));
                     break;
                 };
@@ -434,7 +434,7 @@ impl<D: MemoryPort> MemoryPort for AddressCache<D> {
             // Miss path.
             if self.mshrs.contains_key(&block) {
                 // Secondary miss: coalesce.
-                let Some(req) = self.input.try_pop(now) else {
+                let Some(req) = self.input.pop(now) else {
                     self.stats.incr_id(counter!("cache.fault.underflow"));
                     break;
                 };
@@ -453,7 +453,7 @@ impl<D: MemoryPort> MemoryPort for AddressCache<D> {
             let fill = MemReq::read(fill_id, block, self.cfg.block_bytes as u32);
             match self.downstream.try_request(now, fill) {
                 Ok(()) => {
-                    let Some(req) = self.input.try_pop(now) else {
+                    let Some(req) = self.input.pop(now) else {
                         self.stats.incr_id(counter!("cache.fault.underflow"));
                         break;
                     };

@@ -409,7 +409,7 @@ impl DramModel {
         // Full-queue case handled above; if the push is ever refused
         // anyway, hold the transaction in service (backpressure)
         // instead of crashing.
-        if self.resp.try_push(now, resp).is_err() {
+        if self.resp.push(now, resp).is_err() {
             self.stats.incr_id(counter!("dram.fault.resp_overflow"));
             self.banks[b].in_service = Some((req, done));
             return;
@@ -572,7 +572,7 @@ impl MemoryPort for DramModel {
                 self.stats.incr_id(counter!("dram.bank_queue_stall"));
                 break; // preserve FIFO order from the input queue
             }
-            let Some(req) = self.input.try_pop(now) else {
+            let Some(req) = self.input.pop(now) else {
                 // Defensive: the head was peekable above; never panic.
                 self.stats.incr_id(counter!("dram.fault.underflow"));
                 break;

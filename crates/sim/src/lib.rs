@@ -6,11 +6,11 @@
 //! The paper drives cycle-accurate RTL simulation through Verilator/TSIM;
 //! this crate provides the equivalent foundation in pure Rust: a cycle
 //! clock, latency-insensitive message queues (the paper's "parameterized
-//! message bundles"), idle-cycle fast-forwarding, a timing wheel, a
-//! statistics registry, and trace hooks. Every model in the workspace
-//! (DRAM, address cache, the X-Cache controller, the DSA datapaths) is
-//! built on these primitives, and all of them are fully deterministic: the
-//! same inputs always produce the same cycle counts.
+//! message bundles"), idle-cycle fast-forwarding, a statistics registry,
+//! and trace hooks. Every model in the workspace (DRAM, address cache, the
+//! X-Cache controller, the DSA datapaths) is built on these primitives,
+//! and all of them are fully deterministic: the same inputs always produce
+//! the same cycle counts.
 //!
 //! ## Quick example
 //!
@@ -36,7 +36,6 @@ mod skip;
 mod stats;
 mod trace;
 mod watchdog;
-mod wheel;
 
 pub use clock::Cycle;
 pub use context::SimContext;
@@ -57,4 +56,3 @@ pub use trace::{TraceBuffer, TraceEvent, TraceKind};
 pub use watchdog::{
     watchdog_budget, with_watchdog_budget, HostDeadline, StallReport, DEFAULT_WATCHDOG_CYCLES,
 };
-pub use wheel::TimingWheel;

@@ -118,25 +118,7 @@ impl<T> MsgQueue<T> {
     ///
     /// Returns [`PushError`] carrying `msg` back if the queue is full.
     pub fn push(&mut self, now: Cycle, msg: T) -> Result<(), PushError<T>> {
-        self.try_push(now, msg)
-    }
-
-    /// Non-panicking enqueue — the canonical producer entry point. A full
-    /// queue is back-pressure, never a crash: the message comes back in
-    /// the error and the producer holds it (deferred wake) until space
-    /// frees up.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PushError`] carrying `msg` back if the queue is full.
-    pub fn try_push(&mut self, now: Cycle, msg: T) -> Result<(), PushError<T>> {
-        if self.is_full() {
-            self.stalls += 1;
-            return Err(PushError(msg));
-        }
-        self.pushed += 1;
-        self.entries.push_back((now + self.latency, msg));
-        Ok(())
+        self.push_after(now, 0, msg)
     }
 
     /// Enqueues `msg` with `extra` cycles of latency on top of the queue's
@@ -165,14 +147,6 @@ impl<T> MsgQueue<T> {
     /// younger messages even if (through reconfiguration) they would be
     /// ready sooner — matching a physical channel.
     pub fn pop(&mut self, now: Cycle) -> Option<T> {
-        self.try_pop(now)
-    }
-
-    /// Non-panicking dequeue — identical to [`pop`](Self::pop), named to
-    /// pair with [`try_push`](Self::try_push) at call sites that must be
-    /// audit-clean of panicking queue operations (an empty or not-ready
-    /// queue is an expected condition, never an `expect`).
-    pub fn try_pop(&mut self, now: Cycle) -> Option<T> {
         match self.entries.front() {
             Some((ready, _)) if *ready <= now => {
                 self.popped += 1;
@@ -335,14 +309,14 @@ mod tests {
     }
 
     #[test]
-    fn try_push_try_pop_mirror_push_pop() {
+    fn full_push_returns_message_and_empty_pop_is_none() {
         let mut q = MsgQueue::new("t", 1, 1);
-        q.try_push(Cycle(0), 'a').unwrap();
-        let err = q.try_push(Cycle(0), 'b').unwrap_err();
+        q.push(Cycle(0), 'a').unwrap();
+        let err = q.push(Cycle(0), 'b').unwrap_err();
         assert_eq!(err.0, 'b');
         assert_eq!(q.total_stalls(), 1);
-        assert_eq!(q.try_pop(Cycle(0)), None); // not ready yet
-        assert_eq!(q.try_pop(Cycle(1)), Some('a'));
-        assert_eq!(q.try_pop(Cycle(1)), None); // empty: None, not a panic
+        assert_eq!(q.pop(Cycle(0)), None); // not ready yet
+        assert_eq!(q.pop(Cycle(1)), Some('a'));
+        assert_eq!(q.pop(Cycle(1)), None); // empty: None, not a panic
     }
 }
