@@ -153,11 +153,12 @@ fn composed_config(w: &widx::WidxWorkload, g: &XCacheConfig) -> (XCacheConfig, D
     (cfg, DramModel::with_memory(DramConfig::default(), mem))
 }
 
-/// Issues every Widx probe to `p` as fast as it accepts them and returns
-/// the cycle after the last response.
+/// Issues every Widx probe to `p` as fast as it accepts them, checks the
+/// found rids against the functional oracle and returns the cycle after
+/// the last response.
 fn drive<P: MetaPort>(p: &mut P, w: &widx::WidxWorkload) -> u64 {
     let mut now = Cycle(0);
-    let (mut next, mut done) = (0usize, 0usize);
+    let (mut next, mut done, mut checksum) = (0usize, 0usize, 0u64);
     let total = w.probes.len();
     while done < total {
         while next < total && p.can_accept() {
@@ -169,7 +170,11 @@ fn drive<P: MetaPort>(p: &mut P, w: &widx::WidxWorkload) -> u64 {
             next += 1;
         }
         p.tick(now);
-        while p.take_response(now).is_some() {
+        while let Some(resp) = p.take_response(now) {
+            if resp.found {
+                // Node layout: [key, rid, next, pad].
+                checksum = checksum.wrapping_add(resp.data[1]);
+            }
             done += 1;
         }
         now = if done >= total {
@@ -183,6 +188,11 @@ fn drive<P: MetaPort>(p: &mut P, w: &widx::WidxWorkload) -> u64 {
         };
         assert!(now.raw() < 100_000_000, "hierarchy deadlock");
     }
+    assert_eq!(
+        checksum,
+        w.oracle_checksum(),
+        "hierarchy run diverged from the functional oracle"
+    );
     now.raw()
 }
 

@@ -57,7 +57,11 @@ pub(super) fn fig04_load_to_use(k: &Knobs, name: &str) -> Result<(), String> {
     // SpGEMM row fetch (the paper's other Figure 4 family): meta-tag =
     // row id vs row_ptr + per-block address walks.
     cells.push(Scenario::new("Gamma rows", move || {
-        let w = spgemm::SpgemmWorkload::paper_like(spgemm::Algorithm::Gustavson, scale * 4, 7);
+        let w = spgemm::SpgemmWorkload::paper_like(
+            spgemm::Algorithm::Gustavson,
+            scale.saturating_mul(4),
+            7,
+        );
         let g = spgemm_geometry(scale);
         let x = spgemm::run_xcache(&w, Some(g.clone()));
         let a = spgemm::run_address_cache(&w, Some(g));

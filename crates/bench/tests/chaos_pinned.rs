@@ -1,76 +1,87 @@
-//! Pins the rendering of every DSA chaos cell at a small scale.
+//! Pins the rendering of every DSA chaos cell at a small scale, and of
+//! the generated-program runs: the pipelined fuzz run, the same run under
+//! the chaos fault plan, and crossval's serial cell.
 //!
-//! The chaos differentials only show that a cell renders the same bytes
-//! with skipping on and off, at one and two jobs and across parallel
-//! modes; nothing else fixes what it renders. Each test asserts the
-//! cell's exact cycles, checksum and violations and a digest of its full
-//! rendering (every counter included), so a change to a drive loop or to
-//! the chaos harness that moves any number fails here. On a mismatch the
-//! assertion prints the actual rendering.
+//! The skip, jobs and parallel-mode differentials only show that a cell
+//! or run renders the same bytes in every mode; nothing else fixes what
+//! it renders. Each test stores its full rendering (cycles, checksum,
+//! violations or stall reports, and every counter), one rendering per
+//! line or cell, under `tests/snapshots/chaos_pinned/`, so a change to a
+//! drive loop or to the chaos harness that moves any number fails here.
 
-use xcache_bench::chaos::{run_dsa_chaos_cell, ChaosCell};
+#[path = "../../../tests/support/snapshot.rs"]
+mod snapshot;
 
-/// FNV-1a over the rendering's bytes.
-fn digest(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+use xcache_bench::chaos::{self, run_dsa_chaos_cell, ChaosCell};
+use xcache_bench::{crossval, fuzz};
+
+/// The generated-program seeds pinned. Seeds 0 and 5 generate a store
+/// handler; seed 1's chaos run needs no watchdog recovery, while seeds 0,
+/// 5 and 8 carry one, four and five stall reports.
+const SEEDS: [u64; 4] = [0, 1, 5, 8];
+
+/// Checks `renderings`, each ending a line, against snapshot `name`.
+fn check(name: &str, renderings: impl IntoIterator<Item = String>) {
+    let mut out = String::new();
+    for r in renderings {
+        out.push_str(&r);
+        if !r.ends_with('\n') {
+            out.push('\n');
+        }
+    }
+    snapshot::check(name, &out);
 }
 
-/// Runs `cell` at scale 64, seed 1, fault seed 2 and checks its rendering
-/// starts with `head` and hashes to `expected`.
-fn assert_pinned(cell: ChaosCell, head: &str, expected: u64) {
-    let r = run_dsa_chaos_cell(cell, 64, 1, 2);
-    assert!(
-        r.starts_with(head) && digest(&r) == expected,
-        "{} moved (digest {}); actual:\n{r}",
-        cell.name(),
-        digest(&r)
-    );
+/// Checks `cell` run at scale 64, seed 1, fault seed 2.
+fn check_cell(name: &str, cell: ChaosCell) {
+    check(name, [run_dsa_chaos_cell(cell, 64, 1, 2)]);
 }
 
 #[test]
 fn widx_fig04() {
-    assert_pinned(
-        ChaosCell::WidxFig04,
-        "{\"cell\":\"widx-fig04\",\"cycles\":11329,\"checksum\":111429,\"violations\":[]",
-        16769785244977269367,
-    );
+    check_cell("widx_fig04", ChaosCell::WidxFig04);
 }
 
 #[test]
 fn widx_blocking_thread() {
-    assert_pinned(
-        ChaosCell::WidxBlockingThread,
-        "{\"cell\":\"widx-blocking-thread\",\"cycles\":23246,\"checksum\":111429,\"violations\":[]",
-        15787061187084360832,
-    );
+    check_cell("widx_blocking_thread", ChaosCell::WidxBlockingThread);
 }
 
 #[test]
 fn graphpulse() {
-    assert_pinned(
-        ChaosCell::GraphPulse,
-        "{\"cell\":\"graphpulse\",\"cycles\":1284,\"checksum\":2728304821,\"violations\":[]",
-        10572019700587106068,
-    );
+    check_cell("graphpulse", ChaosCell::GraphPulse);
 }
 
 #[test]
 fn widx_sharded() {
-    assert_pinned(
-        ChaosCell::WidxSharded,
-        "{\"cell\":\"widx-sharded\",\"cycles\":3739,\"checksum\":111429,\"violations\":[]",
-        2005467393912525222,
-    );
+    check_cell("widx_sharded", ChaosCell::WidxSharded);
 }
 
 #[test]
 fn spgemm_sharded() {
-    assert_pinned(ChaosCell::SpgemmSharded, "{\"cell\":\"spgemm-sharded\",\"cycles\":9701,\"checksum\":9750756933855992425,\"violations\":[]", 13635798348769757213);
+    check_cell("spgemm_sharded", ChaosCell::SpgemmSharded);
 }
 
 #[test]
 fn graphpulse_sharded() {
-    assert_pinned(ChaosCell::GraphPulseSharded, "{\"cell\":\"graphpulse-sharded\",\"cycles\":1348,\"checksum\":2728304821,\"violations\":[]", 16942493928578871131);
+    check_cell("graphpulse_sharded", ChaosCell::GraphPulseSharded);
+}
+
+#[test]
+fn fuzz_run_seed() {
+    let runs = SEEDS.map(|seed| fuzz::run_seed(seed, fuzz::DEFAULT_ACCESSES).stats_json());
+    check("fuzz_run_seed", runs);
+}
+
+#[test]
+fn fuzz_chaos() {
+    let runs =
+        SEEDS.map(|seed| chaos::run_fuzz_chaos(seed, 0xFA01, fuzz::DEFAULT_ACCESSES).stats_json());
+    check("fuzz_chaos", runs);
+}
+
+#[test]
+fn crossval_fuzz_serial() {
+    let cells = SEEDS.map(|seed| crossval::fuzz_serial_cell(seed, fuzz::DEFAULT_ACCESSES).render());
+    check("crossval_fuzz_serial", cells);
 }

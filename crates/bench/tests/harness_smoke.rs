@@ -1,7 +1,8 @@
 //! Smoke tests for the harness binaries: `xpaper`'s static entries (the
 //! tables and the synthesis models) run instantly and must print the
-//! paper's headline values; `xpaper`'s and `xcheck`'s argument and knob
-//! handling; and the registry against the committed `results/`. The
+//! paper's headline values; every entry runs at the extreme scale
+//! divisors; `xpaper`'s and `xcheck`'s argument and knob handling; and
+//! the registry against the committed `results/`. The
 //! simulated entries' numbers are pinned by the path-pinned tests
 //! through their library entry points, and their stdout by CI's
 //! "Results are current" step.
@@ -89,6 +90,29 @@ fn fig20_reproduces_the_reference_layout() {
     let out = run("fig20_asic_area");
     assert!(out.contains("0.110"), "controller mm^2");
     assert!(out.contains("65000"), "cells");
+}
+
+/// Every `xpaper` entry and `xcheck shard_smoke` at a scale divisor past
+/// every input size, and at the largest one: each input floors at a
+/// minimum size instead of emptying, and no scale product overflows.
+#[test]
+fn every_entry_runs_at_extreme_scales() {
+    let mut failed = Vec::new();
+    for scale in ["100000", "4294967295"] {
+        let env = [("XCACHE_SCALE", scale)];
+        let mut check = |what: &str, out: Output| {
+            if !out.status.success() {
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                failed.push(format!("XCACHE_SCALE={scale} {what}:\n{stderr}"));
+            }
+        };
+        for e in &EXPERIMENTS {
+            check(&format!("xpaper {}", e.name), xpaper(&[e.name], &env));
+        }
+        check("xcheck shard_smoke", xcheck(&["shard_smoke"], &env));
+    }
+    let n = failed.len();
+    assert!(n == 0, "{n} runs failed:\n{}", failed.join("\n"));
 }
 
 /// Asserts `out` is a knob rejection: exit 2 with the structured error

@@ -18,7 +18,7 @@
 //! The [`MetaPort`] trait is the meta-access analogue of
 //! [`MemoryPort`](xcache_mem::MemoryPort): it is what lets levels stack.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use xcache_mem::MemoryPort;
 use xcache_sim::{counter, Cycle, MsgQueue, Stats};
@@ -124,6 +124,9 @@ pub struct MetaL1<L> {
     data: DataRam,
     access_q: MsgQueue<MetaAccess>,
     resp_q: MsgQueue<MetaResp>,
+    /// Responses waiting for a slot in `resp_q`, oldest first: a fill
+    /// answers all its waiters at once, and none is ever dropped.
+    held: VecDeque<MetaResp>,
     /// key → upstream accesses waiting on a downstream fill.
     outstanding: HashMap<MetaKey, Vec<MetaAccess>>,
     /// Ids of accesses we forwarded verbatim (stores/takes): their
@@ -173,6 +176,7 @@ impl<L: MetaPort> MetaL1<L> {
             data: DataRam::new(cfg.data_sectors, cfg.words_per_sector),
             access_q: MsgQueue::new("metal1.access", cfg.queue_depth, 1),
             resp_q: MsgQueue::new("metal1.resp", cfg.queue_depth * 4, cfg.hit_latency.max(1)),
+            held: VecDeque::new(),
             outstanding: HashMap::new(),
             passthrough: HashMap::new(),
             downstream,
@@ -205,6 +209,16 @@ impl<L: MetaPort> MetaL1<L> {
         let h = self.stats.get("metal1.hit");
         let m = self.stats.get("metal1.miss");
         (h + m > 0).then(|| h as f64 / (h + m) as f64)
+    }
+
+    /// Queues `resp` behind any held responses, or holds it while
+    /// `resp_q` is full.
+    fn respond(&mut self, now: Cycle, resp: MetaResp) {
+        if !self.held.is_empty() {
+            self.held.push_back(resp);
+        } else if let Err(full) = self.resp_q.push(now, resp) {
+            self.held.push_back(full.0);
+        }
     }
 
     fn fill_local(&mut self, key: MetaKey, words: &[u64]) {
@@ -270,10 +284,18 @@ impl<L: MetaPort> MetaPort for MetaL1<L> {
     fn tick(&mut self, now: Cycle) {
         self.downstream.tick(now);
 
+        // Held responses take the slots the upstream freed, oldest first.
+        while let Some(resp) = self.held.pop_front() {
+            if let Err(full) = self.resp_q.push(now, resp) {
+                self.held.push_front(full.0);
+                break;
+            }
+        }
+
         // Downstream responses: fills or passthroughs.
         while let Some(resp) = self.downstream.take_response(now) {
             if self.passthrough.remove(&resp.id).is_some() {
-                let _ = self.resp_q.push(now, resp);
+                self.respond(now, resp);
                 continue;
             }
             // A fill we issued: satisfy all waiters and cache locally.
@@ -282,7 +304,7 @@ impl<L: MetaPort> MetaPort for MetaL1<L> {
                     self.fill_local(resp.key, &resp.data);
                 }
                 for w in waiters {
-                    let _ = self.resp_q.push(
+                    self.respond(
                         now,
                         MetaResp {
                             id: w.id(),
@@ -308,14 +330,20 @@ impl<L: MetaPort> MetaPort for MetaL1<L> {
                     self.stats.incr_id(counter!("metal1.coalesced"));
                     return;
                 }
-                if let Some(r) = self.tags.probe(key, &mut self.stats) {
+                // A hit needs a response slot; without one the tag port stalls.
+                let hit = self.tags.peek(key);
+                if hit.is_some() && (!self.held.is_empty() || self.resp_q.is_full()) {
+                    self.stats.incr_id(counter!("metal1.resp_stall"));
+                    return;
+                }
+                if let Some(r) = self.tags.probe_at(hit, &mut self.stats) {
                     let e = *self.tags.entry(r);
                     self.access_q.pop(now);
                     self.stats.incr_id(counter!("metal1.hit"));
                     let data = self
                         .data
                         .gather(e.sector_start, e.sector_count, &mut self.stats);
-                    let _ = self.resp_q.push(
+                    self.respond(
                         now,
                         MetaResp {
                             id,
@@ -370,6 +398,7 @@ impl<L: MetaPort> MetaPort for MetaL1<L> {
     fn busy(&self) -> bool {
         !self.access_q.is_empty()
             || !self.resp_q.is_empty()
+            || !self.held.is_empty()
             || !self.outstanding.is_empty()
             || !self.passthrough.is_empty()
             || self.downstream.busy()
@@ -386,6 +415,10 @@ impl<L: MetaPort> MetaPort for MetaL1<L> {
         }
         if let Some(ready) = self.resp_q.next_ready() {
             wake(ready.max(now.next()));
+        }
+        // A held response moves into a slot the upstream frees.
+        if !self.held.is_empty() {
+            wake(now.next());
         }
         if let Some(t) = self.downstream.next_event(now) {
             wake(t.max(now.next()));

@@ -131,6 +131,95 @@ fn mx_coalesces_concurrent_loads() {
     assert_eq!(mx.downstream().stats().get("xcache.walker_launch"), 1);
 }
 
+/// Offers loads of `key` with ids `ids` to `mx` from `now` on, as fast as
+/// it accepts them, taking no response for the first `hold` cycles; then
+/// checks no load is answered twice and returns the answered ids, sorted.
+fn load_all<P: MetaPort>(
+    mx: &mut P,
+    now: &mut Cycle,
+    key: u64,
+    ids: std::ops::Range<u64>,
+    hold: u64,
+) -> Vec<u64> {
+    let (start, mut next, mut answered) = (*now, ids.start, Vec::new());
+    while answered.len() < ids.clone().count() {
+        if next < ids.end && mx.can_accept() {
+            let load = MetaAccess::Load {
+                id: next,
+                key: MetaKey::new(key),
+            };
+            mx.try_access(*now, load).unwrap();
+            next += 1;
+        }
+        mx.tick(*now);
+        while now.since(start) >= hold {
+            let Some(r) = mx.take_response(*now) else {
+                break;
+            };
+            assert_eq!(r.data[0], 1000 + key);
+            answered.push(r.id);
+        }
+        *now = now.next();
+        assert!(
+            now.raw() < 100_000,
+            "hierarchy deadlock: answered {answered:?}"
+        );
+    }
+    for _ in 0..100 {
+        mx.tick(*now);
+        assert!(
+            mx.take_response(*now).is_none(),
+            "a load was answered twice"
+        );
+        *now = now.next();
+    }
+    assert!(!mx.busy());
+    answered.sort_unstable();
+    answered
+}
+
+/// One fill answers more coalesced waiters than the response queue
+/// holds (4 × `queue_depth`); the rest wait for slots, none is dropped.
+#[test]
+fn mx_fill_answers_every_coalesced_waiter() {
+    let mut mx = build_mx(
+        MetaL1Config {
+            queue_depth: 1,
+            ..MetaL1Config::default()
+        },
+        XCacheConfig::test_tiny().with_params(vec![0x1000]),
+        array_walker(),
+        dram_with_array(8, 0x1000),
+    )
+    .unwrap();
+    let mut now = Cycle(0);
+    let answered = load_all(&mut mx, &mut now, 5, 0..8, 0);
+    assert_eq!(answered, (0..8).collect::<Vec<_>>());
+    assert_eq!(mx.stats().get("metal1.coalesced"), 7);
+}
+
+/// Hits on a resident key while the upstream takes no response: once the
+/// response queue is full, the tag port stalls instead of dropping hits.
+#[test]
+fn mx_hits_stall_while_the_response_queue_is_full() {
+    let mut mx = build_mx(
+        MetaL1Config {
+            queue_depth: 1,
+            ..MetaL1Config::default()
+        },
+        XCacheConfig::test_tiny().with_params(vec![0x1000]),
+        array_walker(),
+        dram_with_array(8, 0x1000),
+    )
+    .unwrap();
+    let mut now = Cycle(0);
+    assert_eq!(load_all(&mut mx, &mut now, 5, 0..1, 0), [0]);
+    let answered = load_all(&mut mx, &mut now, 5, 1..9, 50);
+    assert_eq!(answered, (1..9).collect::<Vec<_>>());
+    assert_eq!(mx.stats().get("metal1.hit"), 8);
+    assert!(mx.stats().get("metal1.resp_stall") > 0);
+}
+
 #[test]
 fn mxa_walker_misses_filter_through_address_cache() {
     // Two keys in the same DRAM row: the second walker fetch hits in the

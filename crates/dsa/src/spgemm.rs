@@ -82,11 +82,12 @@ pub struct SpgemmWorkload {
 
 impl SpgemmWorkload {
     /// The paper's input: `A × A` on a p2p-Gnutella31-sized matrix
-    /// (N = 67K, NNZ = 147K), scaled by `1/scale` for quick runs.
+    /// (N = 67K, NNZ = 147K), scaled by `1/scale` for quick runs and
+    /// floored at 64 rows and 256 non-zeros, so no scale leaves it empty.
     #[must_use]
     pub fn paper_like(algorithm: Algorithm, scale: u32, seed: u64) -> Self {
-        let n = 67_000 / scale.max(1);
-        let nnz = (147_000 / scale.max(1)) as usize;
+        let n = (67_000 / scale.max(1)).max(64);
+        let nnz = (147_000 / scale.max(1) as usize).max(256);
         let a = CsrMatrix::generate(n, n, nnz, SparsePattern::RMat, seed);
         SpgemmWorkload {
             b: a.clone(),
@@ -971,6 +972,15 @@ mod tests {
             hits > misses,
             "outer product should mostly reuse ({hits} hits vs {misses} misses)"
         );
+    }
+
+    #[test]
+    fn paper_like_is_never_empty() {
+        for scale in [70_000, 200_000, u32::MAX] {
+            let w = SpgemmWorkload::paper_like(Algorithm::Gustavson, scale, 7);
+            assert_eq!(w.a.rows, 64, "scale {scale}");
+            assert!(w.a.nnz() > 0, "scale {scale}");
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Golden-snapshot tests of the binary encoding.
 //!
 //! Each shipped walker assembles to a microcode image that must stay
-//! byte-identical to the committed fixture — any encoding drift (field
-//! widths, opcode numbering, image layout) fails here before it can
-//! silently invalidate the energy/area model's RAM sizing. Regenerate the
-//! fixtures after an *intentional* format change with:
+//! byte-identical to its snapshot under `tests/snapshots/golden_walkers/`
+//! — any encoding drift (field widths, opcode numbering, image layout)
+//! fails here before it can silently invalidate the energy/area model's
+//! RAM sizing. Re-record the snapshots after an *intentional* format
+//! change with:
 //!
 //! ```sh
 //! XCACHE_BLESS=1 cargo test -p xcache-isa --test golden_walkers
@@ -12,6 +13,9 @@
 //!
 //! The roundtrip property closes the other direction: whatever the
 //! generator can emit, `decode(encode(x)) == x`.
+
+#[path = "../../../tests/support/snapshot.rs"]
+mod snapshot;
 
 use std::path::{Path, PathBuf};
 
@@ -22,10 +26,6 @@ use xcache_isa::{decode, encode, gen, WalkerProgram};
 
 fn walkers_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../walkers")
-}
-
-fn fixtures_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }
 
 /// The same image layout `xasm build` writes: routine count, per-routine
@@ -61,10 +61,6 @@ fn to_hex(bytes: &[u8]) -> String {
     s
 }
 
-fn bless_mode() -> bool {
-    std::env::var("XCACHE_BLESS").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 #[test]
 fn shipped_walker_images_match_fixtures() {
     let mut sources: Vec<_> = std::fs::read_dir(walkers_dir())
@@ -83,60 +79,23 @@ fn shipped_walker_images_match_fixtures() {
             .to_string();
         let src = std::fs::read_to_string(&src_path).expect("readable");
         let program = assemble(&src).unwrap_or_else(|e| panic!("{stem}: {e}"));
-        let hex = to_hex(&image(&program));
-        let fixture = fixtures_dir().join(format!("{stem}.hex"));
-        if bless_mode() {
-            std::fs::create_dir_all(fixtures_dir()).expect("fixtures dir");
-            std::fs::write(&fixture, &hex).expect("bless fixture");
-            continue;
-        }
-        let want = std::fs::read_to_string(&fixture).unwrap_or_else(|e| {
-            panic!(
-                "{}: {e}\nfixture missing — run with XCACHE_BLESS=1 to create it",
-                fixture.display()
-            )
-        });
-        assert_eq!(
-            hex, want,
-            "`{stem}` encodes differently than its committed fixture; if the \
-             encoding change is intentional, re-bless with XCACHE_BLESS=1"
-        );
+        snapshot::check(&stem, &to_hex(&image(&program)));
     }
 }
 
+/// Every snapshot names a shipped walker. With the test above, which
+/// reads one snapshot per walker, the two sets correspond one-to-one.
 #[test]
 fn fixture_set_has_no_strays() {
-    if bless_mode() {
-        return;
+    for e in std::fs::read_dir(snapshot::dir()).expect("snapshot dir committed") {
+        let path = e.expect("dir entry").path();
+        let stem = path.file_stem().expect("stem").to_str().expect("utf8");
+        assert!(
+            walkers_dir().join(format!("{stem}.xw")).is_file(),
+            "{}: no shipped walker `{stem}.xw` matches this snapshot",
+            path.display()
+        );
     }
-    let mut fixtures: Vec<String> = std::fs::read_dir(fixtures_dir())
-        .expect("fixtures dir committed")
-        .map(|e| {
-            e.expect("dir entry")
-                .file_name()
-                .to_str()
-                .expect("utf8")
-                .to_string()
-        })
-        .filter(|n| n.ends_with(".hex"))
-        .collect();
-    fixtures.sort();
-    let mut walkers: Vec<String> = std::fs::read_dir(walkers_dir())
-        .expect("walkers/ exists")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "xw"))
-        .map(|p| {
-            format!(
-                "{}.hex",
-                p.file_stem().expect("stem").to_str().expect("utf8")
-            )
-        })
-        .collect();
-    walkers.sort();
-    assert_eq!(
-        fixtures, walkers,
-        "fixtures and shipped walkers must correspond one-to-one"
-    );
 }
 
 proptest! {

@@ -363,4 +363,19 @@ mod tests {
         assert!(labels.contains(&"DASX".to_owned()));
         assert!(labels.contains(&"GraphPulse p2p-08".to_owned()));
     }
+
+    /// Past scale 67,000 the SpGEMM matrix would have no rows; its floor
+    /// keeps the SpArch and Gamma cells running at any allowed scale.
+    #[test]
+    fn fig14_spgemm_cells_run_at_a_huge_scale() {
+        let s = spec(r#"{"grid":"fig14","scale":70000}"#).unwrap();
+        let cells = s.build_cells();
+        for label in ["SpArch p2p-31", "Gamma p2p-31"] {
+            let cell = cells.iter().find(|c| c.label == label).expect(label);
+            let out = (cell.run)().unwrap_or_else(|e| panic!("{label}: {e}"));
+            let doc = json::parse(&out).unwrap();
+            let cycles = doc.get("sim_cycles").and_then(Value::as_u64);
+            assert!(cycles.is_some_and(|c| c > 0), "{label}: {out}");
+        }
+    }
 }
