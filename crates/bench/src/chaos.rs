@@ -159,7 +159,7 @@ pub fn run_fuzz_chaos(seed: u64, fault_seed: u64, accesses: usize) -> ChaosRepor
     with_fault_plan(Some(plan), || {
         with_watchdog_budget(CHAOS_WATCHDOG_BUDGET, || {
             let (mut xc, stream) = fixture(seed, accesses);
-            let run = drive(&mut xc, &stream, usize::MAX);
+            let run = drive(&mut xc, &stream, usize::MAX, |_| {});
             let mut answers = run.answers;
             let mut violations: Vec<String> = run
                 .hang

@@ -20,13 +20,13 @@
 //!   few fuzz seeds, without simulating (`results/bench_oracle.json`).
 //!
 //! The seeded checks start at `XCACHE_BASE_SEED` (default 0), so a
-//! failing window can be rerun locally. A check that finds a fault
-//! prints each one as `FAIL …` on stderr, writes them to its artifact
-//! and fails, so `xcheck` exits 1.
+//! failing window can be rerun locally. A check that passes returns its
+//! summary as a [`Report`], which the registry prints. A check that
+//! finds a fault prints each one as `FAIL …` on stderr, writes them to
+//! its artifact and fails, so `xcheck` exits 1 without a summary.
 
 use std::fmt::{Debug, Display, Write as _};
 use std::path::Path;
-use std::time::Instant;
 
 use xcache_core::{splitmix64, XCacheConfig};
 use xcache_dsa::spgemm::{self, Algorithm};
@@ -39,7 +39,7 @@ use crate::crossval::{
     widx_oracle_ops, Tolerance,
 };
 use crate::fuzz::{run_seed, DEFAULT_ACCESSES};
-use crate::registry::{entries, Entry, Registry};
+use crate::registry::{entries, Entry, Registry, Report};
 use crate::{
     graphpulse_geometry, graphpulse_workload, jobs_differential, note_sim_cycles, render_table,
     skip_differential, spgemm_geometry, widx_geometry, widx_workload, write_file, Knobs, Scenario,
@@ -121,13 +121,13 @@ where
     (agreed, jobs.is_ok())
 }
 
-fn fuzz_smoke(k: &Knobs, _name: &str) -> Result<(), String> {
+fn fuzz_smoke(k: &Knobs) -> Result<Report, String> {
     let seeds = k.seeds(200);
     let (count, base) = (seeds.len(), k.base_seed);
-    println!(
+    let mut out = vec![format!(
         "fuzz smoke: {count} seeded walker programs (seeds {base}..{}), {DEFAULT_ACCESSES} accesses each",
         base.wrapping_add(count as u64)
-    );
+    )];
     let mut failures = Failures::default();
     let (agreed, jobs_ok) = differentials(
         "fuzz seed",
@@ -143,23 +143,27 @@ fn fuzz_smoke(k: &Knobs, _name: &str) -> Result<(), String> {
             None => identical += 1,
         }
     }
-    println!("skip-vs-step differential: {identical}/{count} seeds byte-identical");
+    out.push(format!(
+        "skip-vs-step differential: {identical}/{count} seeds byte-identical"
+    ));
     if jobs_ok {
-        println!("jobs=1 vs jobs=2 differential: {count}/{count} seeds byte-identical");
+        out.push(format!(
+            "jobs=1 vs jobs=2 differential: {count}/{count} seeds byte-identical"
+        ));
     }
     failures.finish(None)?;
-    println!("fuzz smoke: all differentials agree");
-    Ok(())
+    out.push("fuzz smoke: all differentials agree".into());
+    Ok(Report::lines(&out))
 }
 
-fn chaos_smoke(k: &Knobs, _name: &str) -> Result<(), String> {
+fn chaos_smoke(k: &Knobs) -> Result<Report, String> {
     let seeds = k.seeds(25);
     let (count, base, fault_seed) = (seeds.len(), k.base_seed, k.fault_seed);
-    println!(
+    let mut out = vec![format!(
         "chaos smoke: {count} seeded walker programs (seeds {base}..{}), fault seed \
          {fault_seed:#x}, {DEFAULT_ACCESSES} accesses each",
         base.wrapping_add(count as u64)
-    );
+    )];
     let mut failures = Failures::default();
 
     // Per seed: the liveness and conservation invariants, checked on
@@ -184,12 +188,14 @@ fn chaos_smoke(k: &Knobs, _name: &str) -> Result<(), String> {
             failures.record(fault);
         }
     }
-    println!(
+    out.push(format!(
         "chaos invariants: {clean}/{count} seeds clean, skip-vs-step byte-identical, \
          {stalls} stall report(s) recovered by the watchdog"
-    );
+    ));
     if jobs_ok {
-        println!("chaos jobs=1 vs jobs=2 differential: {count}/{count} seeds agree");
+        out.push(format!(
+            "chaos jobs=1 vs jobs=2 differential: {count}/{count} seeds agree"
+        ));
     }
 
     let (agreed, jobs_ok) = differentials(
@@ -203,23 +209,26 @@ fn chaos_smoke(k: &Knobs, _name: &str) -> Result<(), String> {
         if cell_has_violation(rendered) {
             failures.record(format!("dsa cell {}: {rendered}", cell.name()));
         } else {
-            println!("dsa chaos cell {}: clean, skip-vs-step agree", cell.name());
+            out.push(format!(
+                "dsa chaos cell {}: clean, skip-vs-step agree",
+                cell.name()
+            ));
         }
     }
     if jobs_ok {
-        println!("dsa chaos cells: jobs=1 vs jobs=2 agree");
+        out.push("dsa chaos cells: jobs=1 vs jobs=2 agree".into());
     }
     failures.finish(Some("results/chaos/violations.txt"))?;
-    println!("chaos smoke: all invariants and differentials hold under injected faults");
-    Ok(())
+    out.push("chaos smoke: all invariants and differentials hold under injected faults".into());
+    Ok(Report::lines(&out))
 }
 
-fn crossval_smoke(k: &Knobs, _name: &str) -> Result<(), String> {
+fn crossval_smoke(k: &Knobs) -> Result<Report, String> {
     let seeds = k.seeds(50);
-    println!(
+    let mut out = vec![format!(
         "cross-validating {} fuzz seeds (serial + pipelined) + scenario cells\n",
         seeds.len()
-    );
+    )];
     let reports = crossval::run_suite(&k.runner, &seeds, DEFAULT_ACCESSES);
     let exact = reports
         .iter()
@@ -229,13 +238,13 @@ fn crossval_smoke(k: &Knobs, _name: &str) -> Result<(), String> {
     for r in reports.iter().filter(|r| !r.ok()) {
         failures.record(r.render());
     }
-    println!(
+    out.push(format!(
         "{} cells ({exact} exact, {} bounded): {} agree, {} disagree",
         reports.len(),
         reports.len() - exact,
         reports.len() - failures.count,
         failures.count
-    );
+    ));
     failures.finish(Some("results/crossval/disagreements.txt"))?;
 
     // A digest of the bounded scenario cells, so the log shows how much
@@ -248,17 +257,17 @@ fn crossval_smoke(k: &Knobs, _name: &str) -> Result<(), String> {
                 .map(|c| c.sim.abs_diff(c.oracle))
                 .max()
                 .unwrap_or(0);
-            println!(
+            out.push(format!(
                 "  {:<16} worst |Δ| {} of budget {} over {} loads",
                 r.name,
                 worst,
                 r.budget(),
                 r.loads
-            );
+            ));
         }
     }
-    println!("\ncross-validation OK");
-    Ok(())
+    out.push("\ncross-validation OK".into());
+    Ok(Report::lines(&out))
 }
 
 const SHARD_HEADERS: [&str; 6] = [
@@ -299,9 +308,11 @@ fn shard_row(name: &str, r: &RunReport) -> Vec<String> {
 /// checksum and a digest of every counter, per DSA family. Parallel
 /// simulated time must be byte-identical to the sequential reference,
 /// so any divergence across CI's matrix fails the build.
-fn shard_smoke(k: &Knobs, name: &str) -> Result<(), String> {
+fn shard_smoke(k: &Knobs) -> Result<Report, String> {
     let (scale, shards) = (k.scale, k.shards);
-    println!("Shard smoke: {shards}-shard topology determinism surface (scale 1/{scale})\n");
+    let report = Report::titled(format!(
+        "Shard smoke: {shards}-shard topology determinism surface (scale 1/{scale})"
+    ));
 
     let cells: Vec<Scenario<'_, Vec<String>>> = vec![
         Scenario::new("Widx Q19", move || {
@@ -328,16 +339,17 @@ fn shard_smoke(k: &Knobs, name: &str) -> Result<(), String> {
     ];
 
     let rows = k.runner.run(cells);
-    print!("{}", render_table(&SHARD_HEADERS, &rows));
-    k.dump_table(name, &SHARD_HEADERS, &rows)
+    Ok(report.table("", &SHARD_HEADERS, rows))
 }
 
 /// Analytical predictions without simulation: the paper's scenario
 /// cells and a handful of fuzz seeds replayed through the
 /// `xcache-oracle` model, so oracle predictions diff across commits
 /// exactly like measured results.
-fn bench_oracle(k: &Knobs, name: &str) -> Result<(), String> {
-    let started = Instant::now();
+fn bench_oracle(_: &Knobs) -> Result<Report, String> {
+    const HEADERS: [&str; 9] = [
+        "cell", "loads", "hits", "misses", "hit%", "allocs", "evicts", "faults", "insertm",
+    ];
     let mut cells = Vec::new();
     let (w, g) = widx_fixture();
     cells.push(("widx-q19".to_owned(), predict(&g, &widx_oracle_ops(&w))));
@@ -354,9 +366,6 @@ fn bench_oracle(k: &Knobs, name: &str) -> Result<(), String> {
         ));
     }
 
-    let headers = [
-        "cell", "loads", "hits", "misses", "hit%", "allocs", "evicts", "faults", "insertm",
-    ];
     let rows: Vec<Vec<String>> = cells
         .iter()
         .map(|(cell, p)| {
@@ -373,14 +382,6 @@ fn bench_oracle(k: &Knobs, name: &str) -> Result<(), String> {
             ]
         })
         .collect();
-    println!("analytical oracle predictions (no simulation)\n");
-    print!("{}", render_table(&headers, &rows));
-    println!(
-        "\n{} cells predicted in {:.1} ms",
-        cells.len(),
-        started.elapsed().as_secs_f64() * 1000.0
-    );
-
     let mut body = String::from("[\n");
     for (i, (cell, p)) in cells.iter().enumerate() {
         let _ = write!(
@@ -402,7 +403,12 @@ fn bench_oracle(k: &Knobs, name: &str) -> Result<(), String> {
         );
     }
     body.push(']');
-    k.dump(name, "predictions", &body)
+    // The table is printed, not dumped: the predictions are its dump.
+    let mut report = Report::titled("analytical oracle predictions (no simulation)")
+        .text(&render_table(&HEADERS, &rows))
+        .text(&format!("\n{} cells predicted\n", cells.len()));
+    report.json.push(("predictions", body));
+    Ok(report)
 }
 
 #[cfg(test)]

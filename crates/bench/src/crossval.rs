@@ -312,7 +312,7 @@ fn run_fuzz_serial(seed: u64, accesses: usize) -> SerialRun {
     // retires — not just hits/misses), so size it generously: the tap is
     // only a valid hit/miss tally while nothing has been dropped.
     xc.enable_trace(accesses * 64 + 1024);
-    let run = drive(&mut xc, &stream, 1);
+    let run = drive(&mut xc, &stream, 1, |_| {});
     let trace = xc.trace();
     SerialRun {
         stats: xc.stats().snapshot(),

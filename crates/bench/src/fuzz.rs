@@ -4,8 +4,9 @@
 //! [`gen::generate`] produces verifier-clean walker programs from a
 //! `u64` seed. `fixture` builds a seed's controller over a
 //! splitmix64-filled memory window together with a synthetic access
-//! stream, and `drive` runs the stream through it.
-//! Three harnesses share the pair:
+//! stream, and `drive` runs the stream through it (or through any
+//! `MetaPort`: `abl02_hierarchy` drives its composed hierarchies with
+//! it). Three harnesses share the pair:
 //!
 //! * [`run_seed`] drives every seed pipelined and flattens the run to a
 //!   canonical JSON string ([`FuzzReport::stats_json`]): seed, end cycle,
@@ -31,7 +32,8 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use xcache_core::{splitmix64, MetaAccess, MetaKey, XCache, XCacheConfig};
+use xcache_core::hierarchy::MetaPort;
+use xcache_core::{splitmix64, MetaAccess, MetaKey, MetaResp, XCache, XCacheConfig};
 use xcache_isa::{gen, EventId, StateId, WalkerProgram};
 use xcache_mem::{DramConfig, DramModel, MainMemory};
 use xcache_sim::{Cycle, StatsSnapshot};
@@ -156,11 +158,17 @@ pub(crate) struct Drive {
     pub(crate) hang: Option<String>,
 }
 
-/// Drives `stream` through `xc` with at most `depth` accesses in flight
-/// until every access is answered or the cycle bound passes. Each access
-/// issues as soon as the controller accepts it, so a depth of one retires
+/// Drives `stream` through `port` with at most `depth` accesses in
+/// flight until every access is answered or the cycle bound passes,
+/// handing each response to `on_response` as it is taken. Each access
+/// issues as soon as the port accepts it, so a depth of one retires
 /// every access before the next issues.
-pub(crate) fn drive(xc: &mut XCache<DramModel>, stream: &[MetaAccess], depth: usize) -> Drive {
+pub(crate) fn drive<P: MetaPort>(
+    port: &mut P,
+    stream: &[MetaAccess],
+    depth: usize,
+    mut on_response: impl FnMut(&MetaResp),
+) -> Drive {
     let total = stream.len();
     let max_cycles = 2_000 * total as u64 + 1_000_000;
     let mut answers = BTreeMap::new();
@@ -168,24 +176,25 @@ pub(crate) fn drive(xc: &mut XCache<DramModel>, stream: &[MetaAccess], depth: us
     let mut now = Cycle(0);
     let (mut next, mut done, mut checksum) = (0usize, 0usize, 0u64);
     while done < total {
-        while next < total && next.saturating_sub(done) < depth && xc.can_accept() {
-            xc.try_access(now, stream[next])
+        while next < total && next.saturating_sub(done) < depth && port.can_accept() {
+            port.try_access(now, stream[next])
                 .expect("can_accept checked");
             next += 1;
         }
-        xc.tick(now);
-        while let Some(resp) = xc.take_response(now) {
+        port.tick(now);
+        while let Some(resp) = port.take_response(now) {
             *answers.entry(resp.id).or_insert(0) += 1;
             checksum = checksum
                 .wrapping_add(splitmix64(resp.id ^ u64::from(resp.found)))
                 .wrapping_add(resp.data.iter().fold(0u64, |a, &w| a.wrapping_add(w)));
+            on_response(&resp);
             done += 1;
         }
         if done >= total {
             break;
         }
-        let mut wake = xc.next_event(now);
-        if next < total && next.saturating_sub(done) < depth && xc.can_accept() {
+        let mut wake = port.next_event(now);
+        if next < total && next.saturating_sub(done) < depth && port.can_accept() {
             wake = Some(now.next());
         }
         now = xcache_sim::fast_forward(now, wake);
@@ -216,7 +225,7 @@ pub(crate) fn merged_stats(xc: &XCache<DramModel>) -> StatsSnapshot {
 #[must_use]
 pub fn run_seed(seed: u64, accesses: usize) -> FuzzReport {
     let (mut xc, stream) = fixture(seed, accesses);
-    let run = drive(&mut xc, &stream, usize::MAX);
+    let run = drive(&mut xc, &stream, usize::MAX, |_| {});
     FuzzReport {
         seed,
         cycles: run.end.next().raw(),

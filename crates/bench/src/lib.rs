@@ -8,10 +8,20 @@
 //! which the `xcheck` binary runs the same way. Criterion
 //! microbenchmarks live under `benches/`.
 //!
-//! Every experiment prints the same rows/series the paper reports.
+//! Every experiment reports the same rows/series the paper reports.
 //! Absolute numbers differ (our substrate is a Rust cycle simulator, not
 //! the authors' RTL + DRAMsim2 testbed); EXPERIMENTS.md records
 //! paper-vs-measured for each one.
+//!
+//! ## Reports
+//!
+//! An entry returns a [`registry::Report`]: its text, its tables with
+//! their dump stems, and raw JSON sections (Figure 14's [`DsaRun`]s, the
+//! oracle's predictions). It prints and writes nothing itself;
+//! [`registry::Entry::run`] is the one place that prints a report,
+//! writes its `results/<name>*.json` dumps and stamps their meta
+//! envelope ([`Knobs::meta_json`]). Figures 14, 15 and 16 read one sweep
+//! ([`Knobs::dsa_sweep`]), which the first of them to run fills.
 //!
 //! ## Scale and parallelism
 //!
@@ -52,8 +62,8 @@ pub use runner::{
 use std::fmt::{Debug, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::OnceLock;
+use std::time::Duration;
 
 use xcache_core::XCacheConfig;
 use xcache_dsa::graphpulse::GraphPulseWorkload;
@@ -67,32 +77,17 @@ use xcache_sim::{
 use xcache_workloads::{CsrMatrix, Graph, GraphPreset, QueryClass, SparsePattern};
 
 static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
-static START: Mutex<Option<Instant>> = Mutex::new(None);
 
-/// The wall-clock anchor for the meta envelope's `wall_ms`: set by
-/// [`restart_timing`], or by the first caller otherwise. `Runner::run`
-/// touches it, so the clock starts no later than a harness's first grid.
-pub(crate) fn start_instant() -> Instant {
-    *START
-        .lock()
-        .expect("start lock")
-        .get_or_insert_with(Instant::now)
-}
-
-/// Restarts the meta envelope's timing fields: the wall clock starts now
-/// and the simulated-cycle tally returns to zero. Each registry
-/// experiment starts here, so a dump times only its own experiment.
-pub(crate) fn restart_timing() {
-    *START.lock().expect("start lock") = Some(Instant::now());
-    SIM_CYCLES.store(0, Ordering::Relaxed);
-}
-
-/// Credits simulated cycles to the process-wide tally that the JSON meta
-/// envelope reports as `sim_cycles` / `sim_cycles_per_sec`. Scenario cells
-/// call this once per finished run.
+/// Credits simulated cycles to the process-wide tally. The meta envelope
+/// reports as `sim_cycles` / `sim_cycles_per_sec` what the tally gained
+/// while its entry ran. Scenario cells call this once per finished run.
 pub fn note_sim_cycles(cycles: u64) {
-    let _ = start_instant();
     SIM_CYCLES.fetch_add(cycles, Ordering::Relaxed);
+}
+
+/// The simulated cycles credited so far in this process.
+pub(crate) fn sim_cycles() -> u64 {
+    SIM_CYCLES.load(Ordering::Relaxed)
 }
 
 /// Runs `run` with idle-cycle fast-forwarding on, then off, and demands
@@ -432,8 +427,9 @@ impl DsaCluster {
 }
 
 /// The full DSA sweep as a scenario grid: every [`DsaCluster`] at
-/// `scale` (Figure 14's sweep; Figures 15 and 16 run it too). Cells are
-/// independent, so the runner can execute them in parallel.
+/// `scale` (the sweep Figures 14, 15 and 16 share through
+/// [`Knobs::dsa_sweep`]). Cells are independent, so the runner can
+/// execute them in parallel.
 #[must_use]
 pub fn dsa_scenarios(scale: u32, seed: u64) -> Vec<Scenario<'static, DsaRun>> {
     DsaCluster::all()
@@ -522,7 +518,7 @@ pub struct Knobs {
     /// (default: one per core), reporting each cell when
     /// `XCACHE_VERBOSE` is on.
     pub runner: Runner,
-    /// Whether [`dump`](Self::dump) writes `results/<name>.json`
+    /// Whether an entry's run writes its `results/<name>*.json` dumps
     /// (`XCACHE_JSON`).
     pub(crate) json: bool,
     /// How many seeds a seeded check runs (`XCACHE_SEEDS`); `None` keeps
@@ -536,6 +532,8 @@ pub struct Knobs {
     /// The shard count of the sharded check (`XCACHE_SHARDS`, `1..=64`,
     /// default 4).
     pub shards: usize,
+    /// The DSA sweep, once an entry has asked for it.
+    sweep: OnceLock<Vec<DsaRun>>,
 }
 
 impl Knobs {
@@ -566,6 +564,7 @@ impl Knobs {
                 Ok(n)
             })?
             .unwrap_or(4),
+            sweep: OnceLock::new(),
         })
     }
 
@@ -578,10 +577,19 @@ impl Knobs {
         (0..count).map(|i| self.base_seed.wrapping_add(i)).collect()
     }
 
-    /// Run metadata recorded in every JSON dump: enough to reproduce the
-    /// run (scale divisor, job count, commit) and to identify the format,
-    /// plus the timing fields (`wall_ms`, `sim_cycles`,
-    /// `sim_cycles_per_sec`) since the experiment (or harness) started.
+    /// Figure 14's sweep, [`dsa_scenarios`] at this scale and seed 7,
+    /// which Figures 15 and 16 read too: run through the runner on first
+    /// use, then shared, so it runs at most once per process.
+    pub fn dsa_sweep(&self) -> &[DsaRun] {
+        self.sweep
+            .get_or_init(|| self.runner.run(dsa_scenarios(self.scale, 7)))
+    }
+
+    /// Run metadata recorded in every JSON dump of entry `name`: enough
+    /// to reproduce the run (scale divisor, job count, commit) and to
+    /// identify the format, plus the timing fields: `wall_ms` from
+    /// `wall`, and `sim_cycles` and `sim_cycles_per_sec` from the
+    /// `sim_cycles` the entry simulated in that time.
     /// `parallel_fallbacks` counts silent `Par`-pool degradations to
     /// sequential execution — nonzero means the run's wall times came
     /// from a machine that couldn't actually go parallel, so its
@@ -590,9 +598,8 @@ impl Knobs {
     /// line (it sits on its own line in the envelope precisely so
     /// `grep -v '^"meta"'` drops it).
     #[must_use]
-    pub fn meta_json(&self, name: &str) -> String {
-        let wall_ms = start_instant().elapsed().as_millis() as u64;
-        let sim_cycles = SIM_CYCLES.load(Ordering::Relaxed);
+    pub fn meta_json(&self, name: &str, wall: Duration, sim_cycles: u64) -> String {
+        let wall_ms = wall.as_millis() as u64;
         let per_sec = sim_cycles
             .saturating_mul(1000)
             .checked_div(wall_ms)
@@ -605,59 +612,6 @@ impl Knobs {
             json_escape(&git_sha()),
             xcache_sim::parallel_fallbacks()
         )
-    }
-
-    /// Writes `{"meta": ..., "<key>": <body>}` to `results/<name>.json`
-    /// when `XCACHE_JSON` is on. Every dump goes through here, so all of
-    /// them carry the same self-describing metadata envelope.
-    ///
-    /// # Errors
-    ///
-    /// As for [`write_file`]: a requested dump that is missing fails the
-    /// run.
-    pub fn dump(&self, name: &str, key: &str, body: &str) -> Result<(), String> {
-        if !self.json {
-            return Ok(());
-        }
-        let out = format!(
-            "{{\n\"meta\": {},\n\"{key}\": {body}\n}}\n",
-            self.meta_json(name)
-        );
-        write_file(&Path::new("results").join(format!("{name}.json")), &out)
-    }
-
-    /// [`dump`](Self::dump)s a rendered table (headers + rows) under
-    /// `"table"` — the machine-readable twin of what was printed.
-    ///
-    /// # Errors
-    ///
-    /// As for [`dump`](Self::dump).
-    pub fn dump_table(
-        &self,
-        name: &str,
-        headers: &[&str],
-        rows: &[Vec<String>],
-    ) -> Result<(), String> {
-        let mut body = String::from("{\"headers\": [");
-        for (i, h) in headers.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            let _ = write!(body, "\"{}\"", json_escape(h));
-        }
-        body.push_str("], \"rows\": [\n");
-        for (i, row) in rows.iter().enumerate() {
-            body.push_str("  [");
-            for (j, cell) in row.iter().enumerate() {
-                if j > 0 {
-                    body.push(',');
-                }
-                let _ = write!(body, "\"{}\"", json_escape(cell));
-            }
-            let _ = write!(body, "]{}", if i + 1 < rows.len() { ",\n" } else { "\n" });
-        }
-        body.push_str("]}");
-        self.dump(name, "table", &body)
     }
 }
 
@@ -770,7 +724,7 @@ mod tests {
 
     #[test]
     fn meta_json_is_self_describing() {
-        let m = Knobs::from_env().meta_json("figNN");
+        let m = Knobs::from_env().meta_json("figNN", Duration::ZERO, 0);
         for key in [
             "\"schema\"",
             "\"experiment\"",

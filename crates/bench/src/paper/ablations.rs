@@ -7,22 +7,25 @@ use xcache_core::{MetaAccess, MetaKey, XCache, XCacheConfig};
 use xcache_dsa::common::apply_image;
 use xcache_dsa::{widx, RunReport};
 use xcache_mem::{AddressCache, DramConfig, DramModel, MainMemory, ReplacementPolicy};
-use xcache_sim::Cycle;
 use xcache_workloads::hashidx::NODE_BYTES;
 use xcache_workloads::QueryClass;
 
-use super::{emit, query_cells};
-use crate::{pct, widx_geometry, widx_workload, Knobs, Scenario};
+use super::query_cells;
+use crate::fuzz::drive;
+use crate::registry::Report;
+use crate::{note_sim_cycles, pct, widx_geometry, widx_workload, Knobs, Scenario};
 
 /// Ablation 1: replacement policy of the comparison address cache (LRU /
 /// FIFO / random) on the Widx probe stream.
 ///
 /// Not in the paper (it fixes LRU); this quantifies how much the §8
 /// comparison depends on that choice.
-pub(super) fn abl01_replacement(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn abl01_replacement(k: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 4] = ["policy", "addr-cache cyc", "addr DRAM", "X-Cache speedup"];
     let scale = k.scale;
-    println!("Ablation 1: address-cache replacement policy, Widx TPC-H-19 (scale 1/{scale})\n");
+    let report = Report::titled(format!(
+        "Ablation 1: address-cache replacement policy, Widx TPC-H-19 (scale 1/{scale})"
+    ));
     let w = widx_workload(QueryClass::Q19, scale, 7);
     let g = widx_geometry(scale);
 
@@ -47,6 +50,7 @@ pub(super) fn abl01_replacement(k: &Knobs, name: &str) -> Result<(), String> {
         }));
     }
     let mut results = k.runner.run(cells);
+    note_sim_cycles(results.iter().map(|r| r.cycles).sum());
     let x = results.remove(0);
     let rows: Vec<Vec<String>> = policies
         .iter()
@@ -60,19 +64,17 @@ pub(super) fn abl01_replacement(k: &Knobs, name: &str) -> Result<(), String> {
             ]
         })
         .collect();
-    emit(k, name, &HEADERS, &rows)?;
-    println!(
-        "\nX-Cache reference: {} cycles, {} DRAM accesses",
+    Ok(report.table("", &HEADERS, rows).text(&format!(
+        "\nX-Cache reference: {} cycles, {} DRAM accesses\n",
         x.cycles,
         x.dram_accesses()
-    );
-    Ok(())
+    )))
 }
 
 /// Ablation 2: the §6 hierarchy compositions on the Widx workload —
 /// plain X-Cache over DRAM, MXA (X-Cache over an address cache), and MX
 /// (a walker-less MetaL1 over the X-Cache).
-pub(super) fn abl02_hierarchy(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn abl02_hierarchy(k: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 3] = ["hierarchy", "cycles", "vs plain"];
     const LABELS: [&str; 3] = [
         "X-Cache over DRAM",
@@ -80,17 +82,19 @@ pub(super) fn abl02_hierarchy(k: &Knobs, name: &str) -> Result<(), String> {
         "MX: MetaL1 + X-Cache",
     ];
     let scale = k.scale;
-    println!("Ablation 2: hierarchy compositions (Widx TPC-H-19, scale 1/{scale})\n");
+    let report = Report::titled(format!(
+        "Ablation 2: hierarchy compositions (Widx TPC-H-19, scale 1/{scale})"
+    ));
     let w = widx_workload(QueryClass::Q19, scale, 7);
     let g = widx_geometry(scale);
 
     // Each composition is one independent cell; every cell builds its own
     // memory image from the same (deterministic) workload.
-    let cells = vec![
+    let cells: Vec<Scenario<'_, Result<u64, String>>> = vec![
         // Plain X-Cache over DRAM (the Figure 14 configuration).
         Scenario::new(LABELS[0], {
             let (w, g) = (&w, g.clone());
-            move || widx::run_xcache(w, Some(g)).cycles
+            move || Ok(widx::run_xcache(w, Some(g)).cycles)
         }),
         // MXA: the walker's DRAM traffic filters through an address cache.
         Scenario::new(LABELS[1], {
@@ -100,7 +104,7 @@ pub(super) fn abl02_hierarchy(k: &Knobs, name: &str) -> Result<(), String> {
                 let l2 = AddressCache::new(widx::matched_address_cache_config(&g), dram)
                     .expect("matched address-cache config is valid");
                 let mut mxa = XCache::new(cfg, widx::walker(), l2).expect("mxa builds");
-                drive(&mut mxa, w)
+                run_probes(&mut mxa, w)
             }
         }),
         // MX: a small walker-less L1 in front of the X-Cache.
@@ -120,11 +124,16 @@ pub(super) fn abl02_hierarchy(k: &Knobs, name: &str) -> Result<(), String> {
                     },
                     l2,
                 );
-                drive(&mut mx, w)
+                run_probes(&mut mx, w)
             }
         }),
     ];
-    let cycles = k.runner.run(cells);
+    let cycles = k
+        .runner
+        .run(cells)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    note_sim_cycles(cycles.iter().sum());
     let rows: Vec<Vec<String>> = LABELS
         .iter()
         .zip(&cycles)
@@ -136,9 +145,9 @@ pub(super) fn abl02_hierarchy(k: &Knobs, name: &str) -> Result<(), String> {
             ]
         })
         .collect();
-    emit(k, name, &HEADERS, &rows)?;
-    println!("\n(MXA filters walker refetches; MX adds a 1-cycle hit level for hot keys)");
-    Ok(())
+    Ok(report
+        .table("", &HEADERS, rows)
+        .text("\n(MXA filters walker refetches; MX adds a 1-cycle hit level for hot keys)\n"))
 }
 
 /// The walker-ready X-Cache config plus a DRAM holding the workload's
@@ -153,47 +162,31 @@ fn composed_config(w: &widx::WidxWorkload, g: &XCacheConfig) -> (XCacheConfig, D
     (cfg, DramModel::with_memory(DramConfig::default(), mem))
 }
 
-/// Issues every Widx probe to `p` as fast as it accepts them, checks the
-/// found rids against the functional oracle and returns the cycle after
-/// the last response.
-fn drive<P: MetaPort>(p: &mut P, w: &widx::WidxWorkload) -> u64 {
-    let mut now = Cycle(0);
-    let (mut next, mut done, mut checksum) = (0usize, 0usize, 0u64);
-    let total = w.probes.len();
-    while done < total {
-        while next < total && p.can_accept() {
-            let a = MetaAccess::Load {
-                id: next as u64,
-                key: MetaKey::new(w.probes[next]),
-            };
-            p.try_access(now, a).expect("can_accept checked");
-            next += 1;
+/// Issues every Widx probe to `p` through the fuzz [`drive`], checks
+/// the found rids against the functional oracle and returns the cycle
+/// after the last response.
+fn run_probes<P: MetaPort>(p: &mut P, w: &widx::WidxWorkload) -> Result<u64, String> {
+    let stream: Vec<MetaAccess> = (0..)
+        .zip(&w.probes)
+        .map(|(id, &key)| MetaAccess::Load {
+            id,
+            key: MetaKey::new(key),
+        })
+        .collect();
+    let mut checksum = 0u64;
+    let run = drive(p, &stream, usize::MAX, |resp| {
+        if resp.found {
+            // Node layout: [key, rid, next, pad].
+            checksum = checksum.wrapping_add(resp.data[1]);
         }
-        p.tick(now);
-        while let Some(resp) = p.take_response(now) {
-            if resp.found {
-                // Node layout: [key, rid, next, pad].
-                checksum = checksum.wrapping_add(resp.data[1]);
-            }
-            done += 1;
-        }
-        now = if done >= total {
-            now.next() // same end-cycle as the single-stepped loop
-        } else {
-            let mut wake = p.next_event(now);
-            if next < total && p.can_accept() {
-                wake = Some(now.next()); // more probes to issue next cycle
-            }
-            xcache_sim::fast_forward(now, wake)
-        };
-        assert!(now.raw() < 100_000_000, "hierarchy deadlock");
+    });
+    if let Some(hang) = run.hang {
+        return Err(format!("hierarchy deadlock: {hang}"));
     }
-    assert_eq!(
-        checksum,
-        w.oracle_checksum(),
-        "hierarchy run diverged from the functional oracle"
-    );
-    now.raw()
+    if checksum != w.oracle_checksum() {
+        return Err("hierarchy run diverged from the functional oracle".into());
+    }
+    Ok(run.end.next().raw())
 }
 
 /// Ablation 3: chain-node side-caching (`insertm`) in the Widx walker.
@@ -203,7 +196,7 @@ fn drive<P: MetaPort>(p: &mut P, w: &widx::WidxWorkload) -> u64 {
 /// touches under that node's own key, at LRU priority. This quantifies
 /// the design choice by running the same workload with a walker that
 /// only caches the matched node.
-pub(super) fn abl03_insertm(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn abl03_insertm(k: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 6] = [
         "query",
         "with insertm",
@@ -213,10 +206,13 @@ pub(super) fn abl03_insertm(k: &Knobs, name: &str) -> Result<(), String> {
         "insertm gain",
     ];
     let scale = k.scale;
-    println!("Ablation 3: insertm chain-node side-caching (scale 1/{scale})\n");
+    let report = Report::titled(format!(
+        "Ablation 3: insertm chain-node side-caching (scale 1/{scale})"
+    ));
     let cells = query_cells(scale, |w, g| {
         let with = widx::run_xcache(w, Some(g.clone()));
         let without = widx::run_xcache_with_walker(w, Some(g), widx::walker_no_sideinsert());
+        note_sim_cycles(with.cycles + without.cycles);
         let hr = |r: &RunReport| {
             r.stats.get("xcache.hit") as f64
                 / (r.stats.get("xcache.hit") + r.stats.get("xcache.miss")).max(1) as f64
@@ -230,7 +226,7 @@ pub(super) fn abl03_insertm(k: &Knobs, name: &str) -> Result<(), String> {
         ]
     });
     let rows = k.runner.run(cells);
-    emit(k, name, &HEADERS, &rows)
+    Ok(report.table("", &HEADERS, rows))
 }
 
 /// Ablation 4: does a next-line prefetcher rescue the address-based
@@ -241,7 +237,7 @@ pub(super) fn abl03_insertm(k: &Knobs, name: &str) -> Result<(), String> {
 /// Widx comparison. Pointer-chasing walks have no sequential locality, so
 /// the prefetcher should not close the meta-tag gap — which is the point
 /// of measuring it.
-pub(super) fn abl04_prefetch(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn abl04_prefetch(k: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 5] = [
         "query",
         "addr cyc",
@@ -250,7 +246,9 @@ pub(super) fn abl04_prefetch(k: &Knobs, name: &str) -> Result<(), String> {
         "X-Cache vs addr+pf",
     ];
     let scale = k.scale;
-    println!("Ablation 4: next-line prefetch on the address cache (scale 1/{scale})\n");
+    let report = Report::titled(format!(
+        "Ablation 4: next-line prefetch on the address cache (scale 1/{scale})"
+    ));
     let cells = query_cells(scale, |w, g| {
         let x = widx::run_xcache(w, Some(g.clone()));
         let base_cfg = widx::matched_address_cache_config(&g);
@@ -258,6 +256,7 @@ pub(super) fn abl04_prefetch(k: &Knobs, name: &str) -> Result<(), String> {
         let mut pf_cfg = base_cfg;
         pf_cfg.prefetch_next = true;
         let pf = widx::run_address_cache_with_policy(w, &g, pf_cfg);
+        note_sim_cycles(x.cycles + plain.cycles + pf.cycles);
         vec![
             plain.cycles.to_string(),
             pf.cycles.to_string(),
@@ -266,7 +265,7 @@ pub(super) fn abl04_prefetch(k: &Knobs, name: &str) -> Result<(), String> {
         ]
     });
     let rows = k.runner.run(cells);
-    emit(k, name, &HEADERS, &rows)?;
-    println!("\n(pointer chases have no next-line locality; the gap should persist)");
-    Ok(())
+    Ok(report
+        .table("", &HEADERS, rows)
+        .text("\n(pointer chases have no next-line locality; the gap should persist)\n"))
 }

@@ -1,17 +1,15 @@
 //! The simulated figures: 4, 7 and 14–18.
 
-use std::fmt::Write as _;
-
 use xcache_core::{WalkerDiscipline, XCacheConfig};
 use xcache_dsa::{spgemm, widx, RunReport};
 use xcache_energy::EnergyModel;
 use xcache_workloads::QueryClass;
 
-use super::{emit, query_cells};
+use super::query_cells;
+use crate::registry::Report;
 use crate::{
-    counters_json, dsa_scenarios, geomean, json_escape, merge_snapshots, note_sim_cycles, pct,
-    run_report_json, spgemm_geometry, widx_workload, DsaRun, Fig18Bench, Knobs, Scenario,
-    FIG18_GRID,
+    geomean, note_sim_cycles, pct, spgemm_geometry, widx_workload, DsaRun, Fig18Bench, Knobs,
+    Scenario, FIG18_GRID,
 };
 
 /// Figure 4: load-to-use latency, address tags vs meta-tags.
@@ -19,7 +17,7 @@ use crate::{
 /// Paper shape target: meta-tags give markedly lower load-to-use latency
 /// — the address-tagged design walks (hash + bucket + chain) even when
 /// the element is cache-resident.
-pub(super) fn fig04_load_to_use(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn fig04_load_to_use(k: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 8] = [
         "Workload",
         "meta mean",
@@ -49,7 +47,9 @@ pub(super) fn fig04_load_to_use(k: &Knobs, name: &str) -> Result<(), String> {
     }
 
     let scale = k.scale;
-    println!("Figure 4: load-to-use latency, address tags vs meta-tags (scale 1/{scale})\n");
+    let report = Report::titled(format!(
+        "Figure 4: load-to-use latency, address tags vs meta-tags (scale 1/{scale})"
+    ));
     let mut cells = query_cells(scale, |w, g| {
         let x = widx::run_xcache(w, Some(g.clone()));
         row(&x, &widx::run_address_cache(w, Some(g)))
@@ -68,9 +68,9 @@ pub(super) fn fig04_load_to_use(k: &Knobs, name: &str) -> Result<(), String> {
         [vec!["Gamma rows".to_owned()], row(&x, &a)].concat()
     }));
     let rows = k.runner.run(cells);
-    emit(k, name, &HEADERS, &rows)?;
-    println!("\n(latencies in cycles; the meta-tag min is the pipelined 3-cycle hit path)");
-    Ok(())
+    Ok(report
+        .table("", &HEADERS, rows)
+        .text("\n(latencies in cycles; the meta-tag min is the pipelined 3-cycle hit path)\n"))
 }
 
 /// Fixed power-of-two sets with associativity carrying the capacity, so
@@ -96,7 +96,7 @@ fn residency_geometry(keys: usize, resident_pct: u32) -> XCacheConfig {
 /// target: threads show orders-of-magnitude higher occupancy, growing
 /// with the off-chip fraction (long-latency transactions pin whole
 /// hardware contexts).
-pub(super) fn fig07_occupancy(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn fig07_occupancy(k: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 6] = [
         "off-chip",
         "coroutine occ (x1e4)",
@@ -106,7 +106,9 @@ pub(super) fn fig07_occupancy(k: &Knobs, name: &str) -> Result<(), String> {
         "thread cyc",
     ];
     let scale = k.scale;
-    println!("Figure 7: walker occupancy, coroutine vs thread (scale 1/{scale})\n");
+    let report = Report::titled(format!(
+        "Figure 7: walker occupancy, coroutine vs thread (scale 1/{scale})"
+    ));
     let w = widx_workload(QueryClass::Q22, scale, 7);
     let keys = w.index.len();
     let cells: Vec<Scenario<'_, Vec<String>>> = [20u32, 40, 60, 80, 95]
@@ -136,9 +138,9 @@ pub(super) fn fig07_occupancy(k: &Knobs, name: &str) -> Result<(), String> {
         })
         .collect();
     let rows = k.runner.run(cells);
-    emit(k, name, &HEADERS, &rows)?;
-    println!("\n(paper: threads ~1000x higher occupancy, growing with off-chip fraction)");
-    Ok(())
+    Ok(report
+        .table("", &HEADERS, rows)
+        .text("\n(paper: threads ~1000x higher occupancy, growing with off-chip fraction)\n"))
 }
 
 /// Figure 14: X-Cache speedup over the hardwired DSA baselines and over
@@ -147,7 +149,7 @@ pub(super) fn fig07_occupancy(k: &Knobs, name: &str) -> Result<(), String> {
 /// Paper shape targets: X-Cache competitive with every baseline DSA (up
 /// to 1.54x on Widx); 1.7x average over address caches; 2-8x fewer
 /// memory accesses (≈6.5x fewer DRAM accesses from nested walks).
-pub(super) fn fig14_speedup(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn fig14_speedup(k: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 9] = [
         "DSA / input",
         "X-Cache cyc",
@@ -159,10 +161,11 @@ pub(super) fn fig14_speedup(k: &Knobs, name: &str) -> Result<(), String> {
         "A$ DRAM",
         "DRAM ratio",
     ];
-    let scale = k.scale;
-    println!("Figure 14: runtime and memory accesses (scale 1/{scale})\n");
-    let runs = k.runner.run(dsa_scenarios(scale, 7));
-    dump_runs(k, name, &runs)?;
+    let report = Report::titled(format!(
+        "Figure 14: runtime and memory accesses (scale 1/{})",
+        k.scale
+    ));
+    let runs = k.dsa_sweep();
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|r| {
@@ -179,85 +182,51 @@ pub(super) fn fig14_speedup(k: &Knobs, name: &str) -> Result<(), String> {
             ]
         })
         .collect();
-    emit(k, &format!("{name}_table"), &HEADERS, &rows)?;
     let gmean_addr = geomean(runs.iter().map(DsaRun::speedup_vs_addr));
     let gmean_base = geomean(runs.iter().map(DsaRun::speedup_vs_baseline));
-    println!();
-    println!("Geomean speedup vs address cache : {gmean_addr:.2}x (paper: 1.7x)");
-    println!(
-        "Geomean speedup vs baseline DSA  : {gmean_base:.2}x (paper: ~1x, up to 1.54x on Widx)"
-    );
-    Ok(())
-}
-
-/// Dumps a set of [`DsaRun`]s under `"runs"`, every report with its full
-/// counter map, plus an `aggregate` section with the X-Cache counters
-/// merged across runs.
-fn dump_runs(k: &Knobs, name: &str, runs: &[DsaRun]) -> Result<(), String> {
-    if !k.json {
-        return Ok(());
-    }
-    let mut body = String::from("[\n");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(
-            body,
-            "  {{\"name\":\"{}\",\"xcache\":{},\"addr\":{},\"baseline\":{}}}{}",
-            json_escape(&r.name),
-            run_report_json(&r.xcache),
-            run_report_json(&r.addr),
-            run_report_json(&r.baseline),
-            if i + 1 < runs.len() { "," } else { "" }
-        );
-    }
-    let aggregate = merge_snapshots(runs.iter().map(|r| &r.xcache.stats));
-    let _ = write!(
-        body,
-        "],\n\"aggregate\": {{\"xcache_counters\": {}}}",
-        counters_json(&aggregate)
-    );
-    // `body` already carries the closing bracket of `runs` plus the
-    // aggregate key, so it slots into the envelope as `"runs": [...],
-    // "aggregate": {...}`.
-    k.dump(name, "runs", &body)
-}
-
-/// Runs the Figure 14 sweep (Figures 15 and 16 each run their own) and
-/// renders a row per cluster: its name, then `row`'s energy columns.
-fn energy_rows(k: &Knobs, row: fn(&EnergyModel, &DsaRun) -> Vec<String>) -> Vec<Vec<String>> {
-    let model = EnergyModel::new();
-    let runs = k.runner.run(dsa_scenarios(k.scale, 7));
-    runs.iter()
-        .map(|r| [vec![r.name.clone()], row(&model, r)].concat())
-        .collect()
+    let mut report = report.table("_table", &HEADERS, rows).text(&format!(
+        "\nGeomean speedup vs address cache : {gmean_addr:.2}x (paper: 1.7x)\n\
+         Geomean speedup vs baseline DSA  : {gmean_base:.2}x (paper: ~1x, up to 1.54x on Widx)\n"
+    ));
+    report.runs = Some(runs.to_vec());
+    Ok(report)
 }
 
 /// Figure 15: total power, X-Cache vs address-based cache, per DSA.
 ///
 /// Paper shape target: address-based caches consume 26-79% more power
 /// than X-Cache (walking eliminated, fewer on-chip accesses).
-pub(super) fn fig15_power_total(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn fig15_power_total(k: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 4] = [
         "DSA / input",
         "X-Cache [mW]",
         "AddrCache [mW]",
         "addr overhead",
     ];
-    let scale = k.scale;
-    println!("Figure 15: total power breakdown (scale 1/{scale}, lower is better)\n");
-    let rows = energy_rows(k, |model, r| {
-        let x = model.xcache_energy(&r.xcache.stats, &r.geometry);
-        let a = model.address_cache_energy(&r.addr.stats, 64);
-        let x_mw = x.avg_power_mw(r.xcache.cycles);
-        let a_mw = a.avg_power_mw(r.addr.cycles);
-        vec![
-            format!("{:.3}", x_mw),
-            format!("{:.3}", a_mw),
-            pct((a_mw - x_mw) / x_mw),
-        ]
-    });
-    emit(k, name, &HEADERS, &rows)?;
-    println!("\n(paper: address caches consume 26-79% more power than X-Cache)");
-    Ok(())
+    let report = Report::titled(format!(
+        "Figure 15: total power breakdown (scale 1/{}, lower is better)",
+        k.scale
+    ));
+    let model = EnergyModel::new();
+    let rows = k
+        .dsa_sweep()
+        .iter()
+        .map(|r| {
+            let x = model.xcache_energy(&r.xcache.stats, &r.geometry);
+            let a = model.address_cache_energy(&r.addr.stats, 64);
+            let x_mw = x.avg_power_mw(r.xcache.cycles);
+            let a_mw = a.avg_power_mw(r.addr.cycles);
+            vec![
+                r.name.clone(),
+                format!("{:.3}", x_mw),
+                format!("{:.3}", a_mw),
+                pct((a_mw - x_mw) / x_mw),
+            ]
+        })
+        .collect();
+    Ok(report
+        .table("", &HEADERS, rows)
+        .text("\n(paper: address caches consume 26-79% more power than X-Cache)\n"))
 }
 
 /// Figure 16: breakdown of RAM and controller power within X-Cache.
@@ -266,7 +235,7 @@ pub(super) fn fig15_power_total(k: &Knobs, name: &str) -> Result<(), String> {
 /// 1.5-6.6% of the data RAM energy; the controller (walking + routines +
 /// registers) is ~24% of the total; the routine RAM — the price of
 /// programmability — is under 4.2%.
-pub(super) fn fig16_power_breakdown(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn fig16_power_breakdown(k: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 8] = [
         "DSA / input",
         "Data RAM",
@@ -277,23 +246,31 @@ pub(super) fn fig16_power_breakdown(k: &Knobs, name: &str) -> Result<(), String>
         "Controller",
         "tags/data",
     ];
-    let scale = k.scale;
-    println!("Figure 16: X-Cache RAM + controller power breakdown (scale 1/{scale})\n");
-    let rows = energy_rows(k, |model, r| {
-        let b = model.xcache_energy(&r.xcache.stats, &r.geometry);
-        vec![
-            pct(b.fraction(b.data_ram_pj)),
-            pct(b.fraction(b.meta_tag_pj)),
-            pct(b.fraction(b.routine_ram_pj)),
-            pct(b.fraction(b.xreg_pj)),
-            pct(b.fraction(b.action_logic_pj + b.agen_pj)),
-            pct(b.fraction(b.controller_pj())),
-            pct(b.meta_tag_pj / b.data_ram_pj.max(1e-12)),
-        ]
-    });
-    emit(k, name, &HEADERS, &rows)?;
-    println!("\n(paper: data 66-89%; tags 1.5-6.6% of data; controller ~24%; routine RAM <4.2%)");
-    Ok(())
+    let report = Report::titled(format!(
+        "Figure 16: X-Cache RAM + controller power breakdown (scale 1/{})",
+        k.scale
+    ));
+    let model = EnergyModel::new();
+    let rows = k
+        .dsa_sweep()
+        .iter()
+        .map(|r| {
+            let b = model.xcache_energy(&r.xcache.stats, &r.geometry);
+            vec![
+                r.name.clone(),
+                pct(b.fraction(b.data_ram_pj)),
+                pct(b.fraction(b.meta_tag_pj)),
+                pct(b.fraction(b.routine_ram_pj)),
+                pct(b.fraction(b.xreg_pj)),
+                pct(b.fraction(b.action_logic_pj + b.agen_pj)),
+                pct(b.fraction(b.controller_pj())),
+                pct(b.meta_tag_pj / b.data_ram_pj.max(1e-12)),
+            ]
+        })
+        .collect();
+    Ok(report.table("", &HEADERS, rows).text(
+        "\n(paper: data 66-89%; tags 1.5-6.6% of data; controller ~24%; routine RAM <4.2%)\n",
+    ))
 }
 
 /// Figure 17: X-Cache runtime vs the Widx baseline across on-chip data
@@ -302,7 +279,7 @@ pub(super) fn fig16_power_breakdown(k: &Knobs, name: &str) -> Result<(), String>
 /// Paper shape target: as the resident fraction (and hence hit rate)
 /// rises, the meta-tag advantage grows — hits skip hashing and walking
 /// entirely, while the baseline walks regardless.
-pub(super) fn fig17_residency_sweep(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn fig17_residency_sweep(k: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 5] = [
         "% on-chip",
         "hit rate",
@@ -311,7 +288,9 @@ pub(super) fn fig17_residency_sweep(k: &Knobs, name: &str) -> Result<(), String>
         "speedup",
     ];
     let scale = k.scale;
-    println!("Figure 17: runtime vs % data on-chip, Widx TPC-H-22 (scale 1/{scale})\n");
+    let report = Report::titled(format!(
+        "Figure 17: runtime vs % data on-chip, Widx TPC-H-22 (scale 1/{scale})"
+    ));
     // High join selectivity (2% absent probes): the sweep isolates the
     // residency effect, as in the paper's figure.
     let mut preset = QueryClass::Q22.preset().scaled_down(scale as usize);
@@ -341,9 +320,9 @@ pub(super) fn fig17_residency_sweep(k: &Knobs, name: &str) -> Result<(), String>
         })
         .collect();
     let rows = k.runner.run(cells);
-    emit(k, name, &HEADERS, &rows)?;
-    println!("\n(paper: the meta-tag advantage grows with residency/hit rate)");
-    Ok(())
+    Ok(report
+        .table("", &HEADERS, rows)
+        .text("\n(paper: the meta-tag advantage grows with residency/hit rate)\n"))
 }
 
 /// Figure 18: sweeping #Active and #Exe for GraphPulse (p2p-Gnutella08)
@@ -352,10 +331,12 @@ pub(super) fn fig17_residency_sweep(k: &Knobs, name: &str) -> Result<(), String>
 /// Paper shape target: GraphPulse gains up to ~2x from more controller
 /// parallelism (event handling is routine-throughput-bound); Widx gains
 /// at most ~10% (DRAM-bound, and hits already bypass the walkers).
-pub(super) fn fig18_param_sweep(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn fig18_param_sweep(k: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 3] = ["#Active/#Exe", "cycles", "speedup vs 4/1"];
     let scale = k.scale;
-    println!("Figure 18: sweeping #Active / #Exe (scale 1/{scale})\n");
+    let mut report = Report::titled(format!(
+        "Figure 18: sweeping #Active / #Exe (scale 1/{scale})"
+    ));
     for bench in Fig18Bench::ALL {
         let cells: Vec<Scenario<'_, u64>> = FIG18_GRID
             .into_iter()
@@ -378,12 +359,12 @@ pub(super) fn fig18_param_sweep(k: &Knobs, name: &str) -> Result<(), String> {
                 ]
             })
             .collect();
-        match bench {
-            Fig18Bench::GraphPulse => println!("GraphPulse p2p-Gnutella08:"),
-            Fig18Bench::Widx => println!("\nWidx TPC-H-22:"),
-        }
-        emit(k, &format!("{name}_{}", bench.name()), &HEADERS, &rows)?;
+        report = report
+            .text(match bench {
+                Fig18Bench::GraphPulse => "GraphPulse p2p-Gnutella08:\n",
+                Fig18Bench::Widx => "\nWidx TPC-H-22:\n",
+            })
+            .table(&format!("_{}", bench.name()), &HEADERS, rows);
     }
-    println!("\n(paper: GraphPulse up to ~2x; Widx <=10%)");
-    Ok(())
+    Ok(report.text("\n(paper: GraphPulse up to ~2x; Widx <=10%)\n"))
 }

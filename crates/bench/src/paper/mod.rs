@@ -2,9 +2,13 @@
 //! 14–20, and four ablations, one [`Entry`] per EXPERIMENTS.md row.
 //!
 //! `xpaper <name>...` runs entries by name and `xpaper all` runs every
-//! entry in registry order. An entry prints its table(s) to stdout and,
-//! with `XCACHE_JSON` set, writes `results/<name>*.json`; its stdout at
-//! the default scale is committed as `results/<name>.txt`.
+//! entry in registry order. An entry returns its title, table(s) and
+//! notes as a [`Report`](crate::registry::Report), which
+//! [`Entry::run`] prints and, with `XCACHE_JSON` set, dumps to
+//! `results/<name>*.json`; the printed report at the default scale is
+//! committed as `results/<name>.txt`. Figures 14, 15 and 16 are three
+//! views of one sweep, [`Knobs::dsa_sweep`](crate::Knobs::dsa_sweep):
+//! the first of them to run fills it and the others read it.
 
 mod ablations;
 mod figures;
@@ -15,7 +19,7 @@ use xcache_dsa::widx::WidxWorkload;
 use xcache_workloads::QueryClass;
 
 use crate::registry::{entries, Entry, Registry};
-use crate::{render_table, widx_geometry, widx_workload, Knobs, Scenario};
+use crate::{widx_geometry, widx_workload, Scenario};
 
 /// Every experiment, in EXPERIMENTS.md order.
 pub static EXPERIMENTS: [Entry; 17] = entries![
@@ -44,12 +48,6 @@ pub static XPAPER: Registry = Registry {
     noun: "experiments",
     entries: &EXPERIMENTS,
 };
-
-/// Prints `rows` under `headers` and dumps them to `results/<name>.json`.
-fn emit(k: &Knobs, name: &str, headers: &[&str], rows: &[Vec<String>]) -> Result<(), String> {
-    print!("{}", render_table(headers, rows));
-    k.dump_table(name, headers, rows)
-}
 
 /// One runner cell per TPC-H query class: `row` gets the class's Widx
 /// workload and geometry at `scale` and renders the columns after the

@@ -1,16 +1,18 @@
 //! The static entries: Tables 1–4 and the synthesis models of Figures
 //! 19 and 20. None simulates, so each builds its rows directly.
 
+use std::fmt::Write as _;
+
 use xcache_core::{XCacheConfig, TAXONOMY};
 use xcache_dsa::{Coupling, FEATURES};
 use xcache_energy::area::{asic_area, fpga_utilization, reference_config};
 use xcache_energy::EnergyParams;
 
-use super::emit;
+use crate::registry::{Report, Table};
 use crate::{pct, Knobs};
 
 /// Table 1: X-Cache vs. state-of-the-art storage idioms.
-pub(super) fn tab01_taxonomy(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn tab01_taxonomy(_: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 6] = [
         "Property",
         "Caches",
@@ -19,7 +21,7 @@ pub(super) fn tab01_taxonomy(k: &Knobs, name: &str) -> Result<(), String> {
         "FIFOs",
         "X-Cache",
     ];
-    println!("Table 1: X-Cache vs. state-of-the-art storage idioms\n");
+    let report = Report::titled("Table 1: X-Cache vs. state-of-the-art storage idioms");
     let rows: Vec<Vec<String>> = TAXONOMY
         .iter()
         .map(|r| {
@@ -35,13 +37,13 @@ pub(super) fn tab01_taxonomy(k: &Knobs, name: &str) -> Result<(), String> {
             .to_vec()
         })
         .collect();
-    emit(k, name, &HEADERS, &rows)
+    Ok(report.table("", &HEADERS, rows))
 }
 
 /// Table 2: X-Cache features benefiting DSAs.
-pub(super) fn tab02_features(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn tab02_features(_: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 6] = ["DSA", "Tag", "Preload", "Coupling", "Data", "DS"];
-    println!("Table 2: X-Cache features benefiting DSAs\n");
+    let report = Report::titled("Table 2: X-Cache features benefiting DSAs");
     let rows: Vec<Vec<String>> = FEATURES
         .iter()
         .map(|f| {
@@ -60,13 +62,13 @@ pub(super) fn tab02_features(k: &Knobs, name: &str) -> Result<(), String> {
             .to_vec()
         })
         .collect();
-    emit(k, name, &HEADERS, &rows)
+    Ok(report.table("", &HEADERS, rows))
 }
 
 /// Table 3: X-Cache design parameters per DSA.
-pub(super) fn tab03_geometry(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn tab03_geometry(_: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 6] = ["DSA", "#Active", "#Exe", "#Way", "#Set", "#Word"];
-    println!("Table 3: X-Cache design parameters per DSA\n");
+    let report = Report::titled("Table 3: X-Cache design parameters per DSA");
     let rows: Vec<Vec<String>> = [
         ("Widx", XCacheConfig::widx()),
         ("DASX(Hash)", XCacheConfig::dasx()),
@@ -86,13 +88,13 @@ pub(super) fn tab03_geometry(k: &Knobs, name: &str) -> Result<(), String> {
         ]
     })
     .collect();
-    emit(k, name, &HEADERS, &rows)
+    Ok(report.table("", &HEADERS, rows))
 }
 
 /// Table 4: energy parameters (timing: 1 GHz).
-pub(super) fn tab04_energy_params(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn tab04_energy_params(_: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 2] = ["Component", "Energy [pJ]"];
-    println!("Table 4: Power usage per bit [pJ] (timing: 1 GHz)\n");
+    let report = Report::titled("Table 4: Power usage per bit [pJ] (timing: 1 GHz)");
     let p = EnergyParams::paper_table4();
     let rows: Vec<Vec<String>> = [
         ("Register", format!("{:.1e}", p.register_pj_per_bit)),
@@ -106,14 +108,14 @@ pub(super) fn tab04_energy_params(k: &Knobs, name: &str) -> Result<(), String> {
     .into_iter()
     .map(|(name, value)| vec![name.to_owned(), value])
     .collect();
-    emit(k, name, &HEADERS, &rows)
+    Ok(report.table("", &HEADERS, rows))
 }
 
 /// Figure 19: FPGA synthesis (register and logic utilisation breakdown),
 /// at the paper's synthesis point #Exe=4, #Active=8 on a Cyclone IV.
-pub(super) fn fig19_fpga_synthesis(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn fig19_fpga_synthesis(_: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 5] = ["Component", "Regs", "Reg %", "Logic", "Logic %"];
-    println!("Figure 19: FPGA synthesis breakdown (#Exe=4, #Active=8)\n");
+    let report = Report::titled("Figure 19: FPGA synthesis breakdown (#Exe=4, #Active=8)");
     let r = fpga_utilization(&reference_config());
     let rows: Vec<Vec<String>> = r
         .components
@@ -128,28 +130,26 @@ pub(super) fn fig19_fpga_synthesis(k: &Knobs, name: &str) -> Result<(), String> 
             ]
         })
         .collect();
-    emit(k, name, &HEADERS, &rows)?;
-    println!();
-    println!("Total registers        : {:.0}", r.total_regs);
-    println!("Total logic elements   : {:.0}", r.total_logic);
-    println!(
-        "Cyclone IV EP4CGX150 utilisation: {}",
+    Ok(report.table("", &HEADERS, rows).text(&format!(
+        "\nTotal registers        : {:.0}\nTotal logic elements   : {:.0}\n\
+         Cyclone IV EP4CGX150 utilisation: {}\n",
+        r.total_regs,
+        r.total_logic,
         pct(r.device_logic_fraction)
-    );
-    Ok(())
+    )))
 }
 
 /// Figure 20: ASIC layout (45 nm, OpenROAD flow in the paper; calibrated
 /// analytical model here) at #Exe=4, #Active=8.
-pub(super) fn fig20_asic_area(k: &Knobs, name: &str) -> Result<(), String> {
+pub(super) fn fig20_asic_area(_: &Knobs) -> Result<Report, String> {
     const HEADERS: [&str; 4] = ["DSA", "data KiB", "RAM mm^2", "controller mm^2"];
-    println!("Figure 20: ASIC layout, 45 nm (#Exe=4, #Active=8)\n");
     let a = asic_area(&reference_config());
-    println!("Controller area (no RAMs): {:.3} mm^2", a.controller_mm2);
-    println!("Controller cells         : {:.0}", a.controller_cells);
-    println!("RAM area (data + tags)   : {:.3} mm^2", a.ram_mm2);
-    println!();
-    println!("Per-DSA geometry RAM areas:");
+    let mut text = format!(
+        "Figure 20: ASIC layout, 45 nm (#Exe=4, #Active=8)\n\n\
+         Controller area (no RAMs): {:.3} mm^2\nController cells         : {:.0}\n\
+         RAM area (data + tags)   : {:.3} mm^2\n\nPer-DSA geometry RAM areas:\n",
+        a.controller_mm2, a.controller_cells, a.ram_mm2
+    );
     let rows: Vec<Vec<String>> = [
         ("Widx", XCacheConfig::widx()),
         ("DASX", XCacheConfig::dasx()),
@@ -169,10 +169,22 @@ pub(super) fn fig20_asic_area(k: &Knobs, name: &str) -> Result<(), String> {
     })
     .collect();
     for row in &rows {
-        println!(
+        let _ = writeln!(
+            text,
             "  {:<11} data {:>7} KiB -> RAM {} mm^2, controller {} mm^2",
             row[0], row[1], row[2], row[3]
         );
     }
-    k.dump_table(name, &HEADERS, &rows)
+    // The table is dumped, not printed: the text above is its print.
+    let stem = String::new();
+    let tables = vec![Table {
+        stem,
+        headers: &HEADERS,
+        rows,
+    }];
+    Ok(Report {
+        text,
+        tables,
+        ..Report::default()
+    })
 }

@@ -1,6 +1,7 @@
-//! The entry type, selection and `main` shared by the two registry
-//! binaries: `xpaper` runs [`paper::EXPERIMENTS`](crate::paper::EXPERIMENTS)
-//! and `xcheck` runs [`checks::CHECKS`](crate::checks::CHECKS).
+//! The entry type, its report and renderer, selection and `main` shared
+//! by the two registry binaries: `xpaper` runs
+//! [`paper::EXPERIMENTS`](crate::paper::EXPERIMENTS) and `xcheck` runs
+//! [`checks::CHECKS`](crate::checks::CHECKS).
 //!
 //! ```text
 //! <bin> <name>...    # the named entries, in argument order
@@ -12,10 +13,22 @@
 //! a malformed value exits 2 before any output) and runs the entries, a
 //! blank line between two; an entry that fails prints `error: <name>:
 //! <reason>` and exits 1.
+//!
+//! An entry computes a [`Report`] and writes nothing to stdout or
+//! `results/` itself (a check's `FAIL` lines on stderr and its failure
+//! artifact aside). [`Entry::run`] is the one renderer: it prints the
+//! report and, when `XCACHE_JSON` is on, writes its `results/<name>*.json`
+//! dumps under one meta envelope, which times the entry alone.
 
+use std::fmt::{Display, Write as _};
+use std::path::Path;
 use std::process::ExitCode;
+use std::time::Instant;
 
-use crate::{restart_timing, Knobs};
+use crate::{
+    counters_json, json_escape, merge_snapshots, render_table, run_report_json, sim_cycles,
+    write_file, DsaRun, Knobs,
+};
 
 /// One named entry: a table, figure or ablation of the evaluation, or a
 /// check.
@@ -23,25 +36,156 @@ pub struct Entry {
     /// The name the binary runs it by, and the stem of its `results/`
     /// files.
     pub name: &'static str,
-    pub(crate) run: fn(&Knobs, &str) -> Result<(), String>,
+    pub(crate) run: fn(&Knobs) -> Result<Report, String>,
+}
+
+/// What an entry found: the text it prints, and the data it dumps to
+/// `results/<name><stem>.json`, `<name>` being the entry's.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// Everything the entry prints, its tables rendered in place.
+    pub text: String,
+    /// Figure 14's clusters, dumped under `"runs"` (each report with its
+    /// full counter map) beside an `"aggregate"` of the X-Cache counters.
+    pub runs: Option<Vec<DsaRun>>,
+    /// The tables, each dumped under `"table"`.
+    pub tables: Vec<Table>,
+    /// Raw JSON values, each dumped to `results/<name>.json` under its
+    /// key.
+    pub json: Vec<(&'static str, String)>,
+}
+
+/// A table of a [`Report`]: `rows` under `headers`.
+#[derive(Debug)]
+pub struct Table {
+    /// The dump's suffix to the entry name (`""` for most).
+    pub stem: String,
+    /// The column headers.
+    pub headers: &'static [&'static str],
+    /// The rows, one cell per header.
+    pub rows: Vec<Vec<String>>,
+}
+
+impl Report {
+    /// A report whose text opens with the line `title` and a blank line.
+    pub(crate) fn titled(title: impl Display) -> Report {
+        Report::default().text(&format!("{title}\n\n"))
+    }
+
+    /// A report whose text is `lines`, each ended by a newline.
+    pub(crate) fn lines(lines: &[String]) -> Report {
+        Report::default().text(&(lines.join("\n") + "\n"))
+    }
+
+    /// Appends `text`.
+    pub(crate) fn text(mut self, text: &str) -> Report {
+        self.text.push_str(text);
+        self
+    }
+
+    /// Appends `rows` under `headers`, printed as an aligned table and
+    /// dumped with suffix `stem`.
+    pub(crate) fn table(
+        mut self,
+        stem: &str,
+        headers: &'static [&'static str],
+        rows: Vec<Vec<String>>,
+    ) -> Report {
+        self.text.push_str(&render_table(headers, &rows));
+        let stem = stem.to_owned();
+        self.tables.push(Table {
+            stem,
+            headers,
+            rows,
+        });
+        self
+    }
 }
 
 impl Entry {
-    /// Prints the entry's output and writes its dumps. The meta
-    /// envelope's timing fields restart here.
+    /// Runs the entry, then prints its report and writes its dumps under
+    /// the one meta envelope of this run: the wall time and the simulated
+    /// cycles ([`note_sim_cycles`](crate::note_sim_cycles)) the entry
+    /// spent itself.
     ///
     /// # Errors
     ///
     /// Why the entry failed: a check that found a fault, or a requested
     /// dump that could not be written, naming its path.
     pub fn run(&self, knobs: &Knobs) -> Result<(), String> {
-        restart_timing();
-        (self.run)(knobs, self.name)
+        let (started, cycles) = (Instant::now(), sim_cycles());
+        let report = (self.run)(knobs)?;
+        let (wall, cycles) = (started.elapsed(), sim_cycles() - cycles);
+        print!("{}", report.text);
+        if !knobs.json {
+            return Ok(());
+        }
+        let meta = knobs.meta_json(self.name, wall, cycles);
+        let dump = |stem: &str, key: &str, body: &str| {
+            let path = Path::new("results").join(format!("{}{stem}.json", self.name));
+            write_file(
+                &path,
+                &format!("{{\n\"meta\": {meta},\n\"{key}\": {body}\n}}\n"),
+            )
+        };
+        if let Some(runs) = &report.runs {
+            dump("", "runs", &runs_json(runs))?;
+        }
+        for t in &report.tables {
+            dump(&t.stem, "table", &table_json(t))?;
+        }
+        for (key, body) in &report.json {
+            dump("", key, body)?;
+        }
+        Ok(())
     }
 }
 
-/// Registers each function under its own name, which it is passed as the
-/// stem of its dumps.
+/// `cells` as JSON strings, comma-separated.
+fn json_strings<S: AsRef<str>>(cells: &[S]) -> String {
+    let quoted: Vec<String> = cells
+        .iter()
+        .map(|c| format!("\"{}\"", json_escape(c.as_ref())))
+        .collect();
+    quoted.join(",")
+}
+
+/// A table as `{"headers": [...], "rows": [...]}`, one row per line: the
+/// machine-readable twin of what was printed.
+fn table_json(t: &Table) -> String {
+    let mut body = format!(
+        "{{\"headers\": [{}], \"rows\": [\n",
+        json_strings(t.headers)
+    );
+    for (i, row) in t.rows.iter().enumerate() {
+        let sep = if i + 1 < t.rows.len() { "," } else { "" };
+        let _ = writeln!(body, "  [{}]{sep}", json_strings(row));
+    }
+    body + "]}"
+}
+
+/// The runs' dump: their array, then the `aggregate` key, so the body
+/// slots into the envelope as `"runs": [...], "aggregate": {...}`.
+fn runs_json(runs: &[DsaRun]) -> String {
+    let mut body = String::from("[\n");
+    for (i, r) in runs.iter().enumerate() {
+        let sep = if i + 1 < runs.len() { "," } else { "" };
+        let (x, a, b) = (
+            run_report_json(&r.xcache),
+            run_report_json(&r.addr),
+            run_report_json(&r.baseline),
+        );
+        let name = json_escape(&r.name);
+        let _ = writeln!(
+            body,
+            "  {{\"name\":\"{name}\",\"xcache\":{x},\"addr\":{a},\"baseline\":{b}}}{sep}"
+        );
+    }
+    let aggregate = counters_json(&merge_snapshots(runs.iter().map(|r| &r.xcache.stats)));
+    body + &format!("],\n\"aggregate\": {{\"xcache_counters\": {aggregate}}}")
+}
+
+/// Registers each function under its own name.
 macro_rules! entries {
     ($($module:ident::$name:ident),* $(,)?) => {
         [$($crate::registry::Entry { name: stringify!($name), run: $module::$name }),*]

@@ -94,9 +94,6 @@ impl Runner {
     ///
     /// Propagates a panic from any cell.
     pub fn run<T: Send>(&self, cells: Vec<Scenario<'_, T>>) -> Vec<T> {
-        // Anchor the meta envelope's wall clock no later than the first
-        // grid execution.
-        let _ = crate::start_instant();
         let n = cells.len();
         let verbose = self.verbose;
         let jobs = self.jobs.min(n.max(1));
@@ -359,7 +356,6 @@ impl Runner {
         use std::sync::Arc;
         use std::time::Duration;
 
-        let _ = crate::start_instant();
         let n = cells.len();
         let jobs = self.jobs.min(n.max(1));
         let labels: Vec<String> = cells.iter().map(|c| c.label().to_owned()).collect();

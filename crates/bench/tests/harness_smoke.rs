@@ -1,12 +1,15 @@
 //! Smoke tests for the harness binaries: `xpaper`'s static entries (the
 //! tables and the synthesis models) run instantly and must print the
 //! paper's headline values; every entry runs at the extreme scale
-//! divisors; `xpaper`'s and `xcheck`'s argument and knob handling; and
-//! the registry against the committed `results/`. The
-//! simulated entries' numbers are pinned by the path-pinned tests
-//! through their library entry points, and their stdout by CI's
-//! "Results are current" step.
+//! divisors, and its dumps' envelopes credit the cycles it simulated;
+//! Figures 14–16 share one sweep; `xpaper`'s and `xcheck`'s argument
+//! and knob handling; and the registry against the committed
+//! `results/`. The simulated entries' numbers are pinned by the
+//! path-pinned tests through their library entry points, and their
+//! stdout by CI's "Results are current" step.
 
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use xcache_bench::checks::CHECKS;
@@ -92,27 +95,144 @@ fn fig20_reproduces_the_reference_layout() {
     assert!(out.contains("65000"), "cells");
 }
 
+/// An empty scratch directory for a test's runs, unique to the test
+/// process.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("xpaper-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// One JSON dump: the `sim_cycles` its meta envelope reports, and every
+/// line but the envelope's.
+#[derive(Debug)]
+struct Dump {
+    sim_cycles: u64,
+    body: String,
+}
+
+/// Runs `bin` on `args` in `dir` with `XCACHE_JSON=1` and `scale`,
+/// after clearing `dir/results`, and returns the run and every dump it
+/// wrote, by file name.
+fn run_dumping(
+    dir: &Path,
+    bin: &str,
+    args: &[&str],
+    scale: &str,
+) -> (Output, BTreeMap<String, Dump>) {
+    let results = dir.join("results");
+    let _ = std::fs::remove_dir_all(&results);
+    let out = Command::new(bin)
+        .args(args)
+        .envs([("XCACHE_SCALE", scale), ("XCACHE_JSON", "1")])
+        .current_dir(dir)
+        .output()
+        .expect("binary runs");
+    let mut dumps = BTreeMap::new();
+    for file in std::fs::read_dir(&results).into_iter().flatten().flatten() {
+        let text = std::fs::read_to_string(file.path()).unwrap();
+        let (meta, body): (Vec<&str>, Vec<&str>) =
+            text.lines().partition(|l| l.starts_with("\"meta\""));
+        let sim_cycles = meta
+            .first()
+            .and_then(|m| m.split("\"sim_cycles\":").nth(1))
+            .and_then(|v| v.split(',').next())
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no sim_cycles in {}", file.path().display()));
+        let name = file.file_name().to_string_lossy().into_owned();
+        let body = body.join("\n");
+        dumps.insert(name, Dump { sim_cycles, body });
+    }
+    (out, dumps)
+}
+
+/// The entries that simulate nothing: the tables and the synthesis
+/// models.
+const STATIC: [&str; 6] = [
+    "tab01_taxonomy",
+    "tab02_features",
+    "tab03_geometry",
+    "tab04_energy_params",
+    "fig19_fpga_synthesis",
+    "fig20_asic_area",
+];
+
 /// Every `xpaper` entry and `xcheck shard_smoke` at a scale divisor past
 /// every input size, and at the largest one: each input floors at a
 /// minimum size instead of emptying, and no scale product overflows.
+/// Every dump's envelope credits the cycles its entry simulated: some
+/// for an entry that simulates, none for a static one.
 #[test]
 fn every_entry_runs_at_extreme_scales() {
+    let dir = scratch_dir("extreme-scales");
+    let runs: Vec<(&str, &str)> = EXPERIMENTS
+        .iter()
+        .map(|e| (XPAPER, e.name))
+        .chain([(XCHECK, "shard_smoke")])
+        .collect();
     let mut failed = Vec::new();
     for scale in ["100000", "4294967295"] {
-        let env = [("XCACHE_SCALE", scale)];
-        let mut check = |what: &str, out: Output| {
+        for &(bin, name) in &runs {
+            let what = format!("XCACHE_SCALE={scale} {name}");
+            let (out, dumps) = run_dumping(&dir, bin, &[name], scale);
             if !out.status.success() {
                 let stderr = String::from_utf8_lossy(&out.stderr);
-                failed.push(format!("XCACHE_SCALE={scale} {what}:\n{stderr}"));
+                failed.push(format!("{what}:\n{stderr}"));
+            } else if dumps.is_empty() {
+                failed.push(format!("{what}: wrote no dump"));
             }
-        };
-        for e in &EXPERIMENTS {
-            check(&format!("xpaper {}", e.name), xpaper(&[e.name], &env));
+            for (file, dump) in &dumps {
+                if (dump.sim_cycles == 0) != STATIC.contains(&name) {
+                    failed.push(format!(
+                        "{what}: {file} reports sim_cycles {}",
+                        dump.sim_cycles
+                    ));
+                }
+            }
         }
-        check("xcheck shard_smoke", xcheck(&["shard_smoke"], &env));
     }
+    let _ = std::fs::remove_dir_all(&dir);
     let n = failed.len();
     assert!(n == 0, "{n} runs failed:\n{}", failed.join("\n"));
+}
+
+/// Figures 14, 15 and 16 run in one process share one DSA sweep:
+/// Figure 14 runs it, so Figures 15 and 16 credit no simulated cycles,
+/// and each dumps exactly what it dumps when run alone (where it runs
+/// the sweep itself).
+#[test]
+fn figures_14_to_16_share_one_sweep() {
+    const FIGS: [&str; 3] = [
+        "fig14_speedup",
+        "fig15_power_total",
+        "fig16_power_breakdown",
+    ];
+    let dir = scratch_dir("shared-sweep");
+    let run = |names: &[&str]| {
+        let (out, dumps) = run_dumping(&dir, XPAPER, names, "1000");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "xpaper {names:?}: {stderr}");
+        dumps
+    };
+    let together = run(&FIGS);
+    let alone: BTreeMap<String, Dump> = FIGS.iter().flat_map(|f| run(&[f])).collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        together.keys().collect::<Vec<_>>(),
+        alone.keys().collect::<Vec<_>>()
+    );
+    for (file, dump) in &together {
+        assert_eq!(dump.body, alone[file].body, "{file}");
+        assert!(alone[file].sim_cycles > 0, "{file} alone: {alone:?}");
+        let from_sweep = !file.starts_with("fig14_");
+        assert_eq!(
+            dump.sim_cycles == 0,
+            from_sweep,
+            "{file} after fig14: sim_cycles {}",
+            dump.sim_cycles
+        );
+    }
 }
 
 /// Asserts `out` is a knob rejection: exit 2 with the structured error

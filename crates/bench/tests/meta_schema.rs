@@ -7,10 +7,12 @@
 //! sequence and each field's JSON shape; changing the envelope must come
 //! here and bump `schema`.
 
+use std::time::Duration;
+
 use xcache_bench::Knobs;
 
 fn meta_json(name: &str) -> String {
-    Knobs::from_env().meta_json(name)
+    Knobs::from_env().meta_json(name, Duration::ZERO, 0)
 }
 
 /// Splits a flat (non-nested) JSON object into `(key, raw value)` pairs
