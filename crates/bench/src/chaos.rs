@@ -43,19 +43,19 @@
 //! [`StallReport`](xcache_sim::StallReport)s) to
 //! `results/chaos/violations.txt`.
 
-use std::fmt::Debug;
 use std::sync::Arc;
 
 use xcache_core::{splitmix64, WalkerDiscipline};
 use xcache_dsa::{graphpulse, widx, RunReport};
 use xcache_mem::MemoryPort;
+use xcache_sim::json::Value;
 use xcache_sim::{with_fault_plan, with_watchdog_budget, FaultPlan, StatsSnapshot};
 use xcache_workloads::QueryClass;
 
 use crate::fuzz::{drive, fixture, merged_stats};
 use crate::{
-    counters_json, graphpulse_geometry, graphpulse_workload, note_sim_cycles, widx_geometry,
-    widx_workload,
+    counters_value, graphpulse_geometry, graphpulse_workload, json_object, note_sim_cycles,
+    string_array, widx_geometry, widx_workload,
 };
 
 /// The aggressive spec for fuzz-program chaos: every fault kind armed at
@@ -116,24 +116,17 @@ impl ChaosReport {
     /// the determinism contract).
     #[must_use]
     pub fn stats_json(&self) -> String {
-        format!(
-            "{{\"seed\":{},\"fault_seed\":{},\"cycles\":{},\"checksum\":{},\"stalls\":{},\
-             \"violations\":{},\"counters\":{}}}",
-            self.seed,
-            self.fault_seed,
-            self.cycles,
-            self.checksum,
-            debug_list(&self.stall_reports),
-            debug_list(&self.violations),
-            counters_json(&self.stats)
-        )
+        json_object([
+            ("seed", Value::from_u64(self.seed)),
+            ("fault_seed", Value::from_u64(self.fault_seed)),
+            ("cycles", Value::from_u64(self.cycles)),
+            ("checksum", Value::from_u64(self.checksum)),
+            ("stalls", string_array(&self.stall_reports)),
+            ("violations", string_array(&self.violations)),
+            ("counters", counters_value(&self.stats)),
+        ])
+        .render()
     }
-}
-
-/// `items` as a JSON list of their `Debug` renderings.
-fn debug_list<T: Debug>(items: &[T]) -> String {
-    let items: Vec<String> = items.iter().map(|v| format!("{v:?}")).collect();
-    format!("[{}]", items.join(","))
 }
 
 /// The per-run fault plan: one spec, seeded from the chaos seed mixed
@@ -361,8 +354,8 @@ fn chaos_cell(
     let out = with_fault_plan(Some(plan), || {
         with_watchdog_budget(CHAOS_WATCHDOG_BUDGET, drive)
     });
-    let name = cell.name();
-    match out {
+    let name = ("cell", Value::Str(cell.name().into()));
+    let rendered = match out {
         Ok(r) => {
             note_sim_cycles(r.cycles);
             let violation =
@@ -374,25 +367,61 @@ fn chaos_cell(
                             r.checksum
                         )
                     });
-            format!(
-                "{{\"cell\":\"{name}\",\"cycles\":{},\"checksum\":{},\"violations\":{},\
-                 \"counters\":{}}}",
-                r.cycles,
-                r.checksum,
-                debug_list(violation.as_slice()),
-                counters_json(&r.stats)
-            )
+            json_object([
+                name,
+                ("cycles", Value::from_u64(r.cycles)),
+                ("checksum", Value::from_u64(r.checksum)),
+                ("violations", string_array(violation.as_slice())),
+                ("counters", counters_value(&r.stats)),
+            ])
         }
-        Err(e) => format!(
-            "{{\"cell\":\"{name}\",\"violations\":{}}}",
-            debug_list(&[e])
-        ),
-    }
+        Err(e) => json_object([name, ("violations", string_array(&[e]))]),
+    };
+    rendered.render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::FuzzReport;
+    use xcache_sim::json;
+
+    /// Text that `Debug` and JSON spell differently, or that only JSON
+    /// can carry: a quote, a backslash, a newline and a control byte.
+    const AWKWARD: &str = "say \"hi\" \\ twice\nthen\u{1}stop";
+
+    #[test]
+    fn renderings_are_json_whatever_their_strings_hold() {
+        let strings = |doc: &Value, key: &str| -> Vec<String> {
+            let items = doc.get(key).and_then(Value::as_arr).expect("an array");
+            items
+                .iter()
+                .map(|v| v.as_str().unwrap().to_owned())
+                .collect()
+        };
+        let chaos = ChaosReport {
+            seed: 1,
+            fault_seed: 2,
+            cycles: 3,
+            checksum: 4,
+            stall_reports: vec![AWKWARD.to_owned(), "plain".to_owned()],
+            violations: vec![AWKWARD.to_owned()],
+            stats: StatsSnapshot::default(),
+        };
+        let doc = json::parse(&chaos.stats_json()).expect("the chaos rendering parses");
+        assert_eq!(strings(&doc, "stalls"), chaos.stall_reports);
+        assert_eq!(strings(&doc, "violations"), chaos.violations);
+
+        let fuzz = FuzzReport {
+            seed: 1,
+            cycles: 2,
+            checksum: 3,
+            stats: StatsSnapshot::default(),
+            hang: Some(AWKWARD.to_owned()),
+        };
+        let doc = json::parse(&fuzz.stats_json()).expect("the fuzz rendering parses");
+        assert_eq!(doc.get("hang").and_then(Value::as_str), Some(AWKWARD));
+    }
 
     #[test]
     fn fuzz_chaos_runs_are_deterministic_and_clean() {
@@ -492,17 +521,10 @@ mod tests {
         // must fire somewhere — the spec actually arms them.
         let fired: Vec<(u64, u64)> = (0..4)
             .map(|fs| {
-                let r = run_dsa_chaos_cell(ChaosCell::WidxSharded, 64, 1, fs);
-                let grab = |key: &str| {
-                    r.split(&format!("\"{key}\":"))
-                        .nth(1)
-                        .and_then(|s| {
-                            s.split(|c: char| !c.is_ascii_digit())
-                                .next()
-                                .and_then(|d| d.parse().ok())
-                        })
-                        .unwrap_or(0)
-                };
+                let r = json::parse(&run_dsa_chaos_cell(ChaosCell::WidxSharded, 64, 1, fs))
+                    .expect("a chaos cell renders JSON");
+                let counters = r.get("counters").expect("a terminated run has counters");
+                let grab = |key: &str| counters.get(key).and_then(Value::as_u64).unwrap_or(0);
                 (
                     grab("bank.fault.conflict_storm"),
                     grab("shard.link_fault_delays"),

@@ -31,6 +31,7 @@ use std::path::Path;
 use xcache_core::{splitmix64, XCacheConfig};
 use xcache_dsa::spgemm::{self, Algorithm};
 use xcache_dsa::{graphpulse, widx, RunReport};
+use xcache_sim::json::Value;
 use xcache_workloads::QueryClass;
 
 use crate::chaos::{cell_has_violation, run_dsa_chaos_cell, run_fuzz_chaos, ChaosCell};
@@ -41,8 +42,9 @@ use crate::crossval::{
 use crate::fuzz::{run_seed, DEFAULT_ACCESSES};
 use crate::registry::{entries, Entry, Registry, Report};
 use crate::{
-    graphpulse_geometry, graphpulse_workload, jobs_differential, note_sim_cycles, render_table,
-    skip_differential, spgemm_geometry, widx_geometry, widx_workload, write_file, Knobs, Scenario,
+    graphpulse_geometry, graphpulse_workload, jobs_differential, json_object, note_sim_cycles,
+    render_table, skip_differential, spgemm_geometry, widx_geometry, widx_workload, write_file,
+    Knobs, Scenario,
 };
 
 /// Every check, in CI order.
@@ -382,32 +384,32 @@ fn bench_oracle(_: &Knobs) -> Result<Report, String> {
             ]
         })
         .collect();
-    let mut body = String::from("[\n");
-    for (i, (cell, p)) in cells.iter().enumerate() {
-        let _ = write!(
-            body,
-            "  {{\"cell\":\"{cell}\",\"loads\":{},\"hits\":{},\"misses\":{},\"hit_rate\":{:.6},\"store_hits\":{},\"store_misses\":{},\"meta_allocs\":{},\"meta_evictions\":{},\"capacity_evictions\":{},\"walker_faults\":{},\"insertm\":{},\"insertm_skips\":{}}}{}",
-            p.loads,
-            p.hits,
-            p.misses,
-            p.hit_rate(),
-            p.store_hits,
-            p.store_misses,
-            p.meta_allocs,
-            p.meta_evictions,
-            p.capacity_evictions,
-            p.walker_faults,
-            p.insertm,
-            p.insertm_skips,
-            if i + 1 < cells.len() { ",\n" } else { "\n" }
-        );
-    }
-    body.push(']');
+    let predictions = cells
+        .iter()
+        .map(|(cell, p)| {
+            let hit_rate = p.hit_rate();
+            json_object([
+                ("cell", Value::Str(cell.clone())),
+                ("loads", Value::from_u64(p.loads)),
+                ("hits", Value::from_u64(p.hits)),
+                ("misses", Value::from_u64(p.misses)),
+                ("hit_rate", Value::Num(hit_rate, format!("{hit_rate:.6}"))),
+                ("store_hits", Value::from_u64(p.store_hits)),
+                ("store_misses", Value::from_u64(p.store_misses)),
+                ("meta_allocs", Value::from_u64(p.meta_allocs)),
+                ("meta_evictions", Value::from_u64(p.meta_evictions)),
+                ("capacity_evictions", Value::from_u64(p.capacity_evictions)),
+                ("walker_faults", Value::from_u64(p.walker_faults)),
+                ("insertm", Value::from_u64(p.insertm)),
+                ("insertm_skips", Value::from_u64(p.insertm_skips)),
+            ])
+        })
+        .collect();
     // The table is printed, not dumped: the predictions are its dump.
     let mut report = Report::titled("analytical oracle predictions (no simulation)")
         .text(&render_table(&HEADERS, &rows))
         .text(&format!("\n{} cells predicted\n", cells.len()));
-    report.json.push(("predictions", body));
+    report.json.push(("predictions", predictions));
     Ok(report)
 }
 

@@ -36,9 +36,10 @@ use xcache_core::hierarchy::MetaPort;
 use xcache_core::{splitmix64, MetaAccess, MetaKey, MetaResp, XCache, XCacheConfig};
 use xcache_isa::{gen, EventId, StateId, WalkerProgram};
 use xcache_mem::{DramConfig, DramModel, MainMemory};
+use xcache_sim::json::Value;
 use xcache_sim::{Cycle, StatsSnapshot};
 
-use crate::counters_json;
+use crate::counters_value;
 
 /// Base of the 64 KiB window bound to the generated program's `base`
 /// parameter — every address a generated program can compute lands in
@@ -73,15 +74,16 @@ impl FuzzReport {
     /// only in a run that hit its cycle bound.
     #[must_use]
     pub fn stats_json(&self) -> String {
-        let mut out = format!(
-            "{{\"seed\":{},\"cycles\":{},\"checksum\":{}",
-            self.seed, self.cycles, self.checksum
-        );
+        let mut fields = vec![
+            ("seed".to_owned(), Value::from_u64(self.seed)),
+            ("cycles".to_owned(), Value::from_u64(self.cycles)),
+            ("checksum".to_owned(), Value::from_u64(self.checksum)),
+        ];
         if let Some(hang) = &self.hang {
-            out.push_str(&format!(",\"hang\":{hang:?}"));
+            fields.push(("hang".to_owned(), Value::Str(hang.clone())));
         }
-        out.push_str(&format!(",\"counters\":{}}}", counters_json(&self.stats)));
-        out
+        fields.push(("counters".to_owned(), counters_value(&self.stats)));
+        Value::Obj(fields).render()
     }
 }
 

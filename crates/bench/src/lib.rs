@@ -39,8 +39,9 @@
 //!
 //! ## Differentials
 //!
-//! Every run renders to a canonical string (a counter map is always
-//! [`counters_json`]), and two differentials compare renderings byte for
+//! Every run renders to a canonical string through the one JSON codec,
+//! [`xcache_sim::json`] (a counter map is always [`counters_value`]),
+//! and two differentials compare renderings byte for
 //! byte: [`skip_differential`] runs one cell with idle-cycle
 //! fast-forwarding on and off, and [`jobs_differential`] runs a batch at
 //! one and at two runner jobs. The fuzz, chaos and shard harnesses and
@@ -70,6 +71,7 @@ use xcache_dsa::graphpulse::GraphPulseWorkload;
 use xcache_dsa::spgemm;
 use xcache_dsa::widx::WidxWorkload;
 use xcache_dsa::RunReport;
+use xcache_sim::json::Value;
 use xcache_sim::{
     env_count, env_flag, env_parse, env_parse_map, exit2, sim_knobs, with_skip, EnvError,
     StatsSnapshot,
@@ -477,22 +479,6 @@ pub fn geomean(vals: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The checked-out commit (short SHA), or `"unknown"` outside a git
 /// checkout.
 #[must_use]
@@ -604,14 +590,21 @@ impl Knobs {
             .saturating_mul(1000)
             .checked_div(wall_ms)
             .unwrap_or(0);
-        format!(
-            "{{\"schema\":\"xcache-bench/3\",\"experiment\":\"{}\",\"scale\":{},\"jobs\":{},\"git_sha\":\"{}\",\"wall_ms\":{wall_ms},\"sim_cycles\":{sim_cycles},\"sim_cycles_per_sec\":{per_sec},\"parallel_fallbacks\":{}}}",
-            json_escape(name),
-            self.scale,
-            self.runner.jobs(),
-            json_escape(&git_sha()),
-            xcache_sim::parallel_fallbacks()
-        )
+        json_object([
+            ("schema", Value::Str("xcache-bench/3".into())),
+            ("experiment", Value::Str(name.into())),
+            ("scale", Value::from_u64(self.scale.into())),
+            ("jobs", Value::from_u64(self.runner.jobs() as u64)),
+            ("git_sha", Value::Str(git_sha())),
+            ("wall_ms", Value::from_u64(wall_ms)),
+            ("sim_cycles", Value::from_u64(sim_cycles)),
+            ("sim_cycles_per_sec", Value::from_u64(per_sec)),
+            (
+                "parallel_fallbacks",
+                Value::from_u64(xcache_sim::parallel_fallbacks()),
+            ),
+        ])
+        .render()
     }
 }
 
@@ -631,32 +624,48 @@ pub fn write_file(path: &Path, contents: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders `snap`'s counters as one JSON object in name order — the
-/// counter map of every report rendering and JSON dump.
-#[must_use]
-pub fn counters_json(snap: &StatsSnapshot) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{v}", json_escape(k));
-    }
-    out.push('}');
-    out
+/// A JSON object of `fields`, in order.
+pub(crate) fn json_object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Obj(fields.map(|(k, v)| (k.to_owned(), v)).into())
 }
 
-/// Renders a [`RunReport`] as one JSON object: label, end cycle,
-/// checksum and every counter.
+/// `items` as a JSON array of strings.
+pub(crate) fn string_array<S: AsRef<str>>(items: &[S]) -> Value {
+    Value::Arr(
+        items
+            .iter()
+            .map(|s| Value::Str(s.as_ref().into()))
+            .collect(),
+    )
+}
+
+/// `snap`'s counters as one JSON object in name order — the counter map
+/// of every report rendering and JSON dump.
+#[must_use]
+pub fn counters_value(snap: &StatsSnapshot) -> Value {
+    let fields = snap
+        .counters
+        .iter()
+        .map(|(k, &v)| (k.clone(), Value::from_u64(v)));
+    Value::Obj(fields.collect())
+}
+
+/// A [`RunReport`] as one JSON object: label, end cycle, checksum and
+/// every counter.
+#[must_use]
+pub fn run_report_value(r: &RunReport) -> Value {
+    json_object([
+        ("label", Value::Str(r.label.clone())),
+        ("cycles", Value::from_u64(r.cycles)),
+        ("checksum", Value::from_u64(r.checksum)),
+        ("counters", counters_value(&r.stats)),
+    ])
+}
+
+/// [`run_report_value`], rendered: the canonical string of a DSA run.
 #[must_use]
 pub fn run_report_json(r: &RunReport) -> String {
-    format!(
-        "{{\"label\":\"{}\",\"cycles\":{},\"checksum\":{},\"counters\":{}}}",
-        json_escape(&r.label),
-        r.cycles,
-        r.checksum,
-        counters_json(&r.stats)
-    )
+    run_report_value(r).render()
 }
 
 /// Formats a fraction as `12.3%`.
@@ -713,13 +722,6 @@ mod tests {
         assert!((geomean([2.0, 8.0].into_iter()) - 4.0).abs() < 1e-12);
         assert!((geomean([1.7].into_iter()) - 1.7).abs() < 1e-12);
         assert_eq!(geomean(std::iter::empty()), 0.0);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(json_escape("x\ny"), "x\\u000ay");
-        assert_eq!(json_escape("plain"), "plain");
     }
 
     #[test]

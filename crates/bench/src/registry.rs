@@ -20,14 +20,16 @@
 //! report and, when `XCACHE_JSON` is on, writes its `results/<name>*.json`
 //! dumps under one meta envelope, which times the entry alone.
 
-use std::fmt::{Display, Write as _};
+use std::fmt::Display;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use xcache_sim::json::{json_str, Value};
+
 use crate::{
-    counters_json, json_escape, merge_snapshots, render_table, run_report_json, sim_cycles,
-    write_file, DsaRun, Knobs,
+    counters_value, json_object, merge_snapshots, render_table, run_report_value, sim_cycles,
+    string_array, write_file, DsaRun, Knobs,
 };
 
 /// One named entry: a table, figure or ablation of the evaluation, or a
@@ -50,9 +52,9 @@ pub struct Report {
     pub runs: Option<Vec<DsaRun>>,
     /// The tables, each dumped under `"table"`.
     pub tables: Vec<Table>,
-    /// Raw JSON values, each dumped to `results/<name>.json` under its
-    /// key.
-    pub json: Vec<(&'static str, String)>,
+    /// JSON arrays, each dumped to `results/<name>.json` under its key,
+    /// one element per line.
+    pub json: Vec<(&'static str, Vec<Value>)>,
 }
 
 /// A table of a [`Report`]: `rows` under `headers`.
@@ -123,9 +125,10 @@ impl Entry {
         let meta = knobs.meta_json(self.name, wall, cycles);
         let dump = |stem: &str, key: &str, body: &str| {
             let path = Path::new("results").join(format!("{}{stem}.json", self.name));
+            let key = json_str(key);
             write_file(
                 &path,
-                &format!("{{\n\"meta\": {meta},\n\"{key}\": {body}\n}}\n"),
+                &format!("{{\n\"meta\": {meta},\n{key}: {body}\n}}\n"),
             )
         };
         if let Some(runs) = &report.runs {
@@ -134,55 +137,52 @@ impl Entry {
         for t in &report.tables {
             dump(&t.stem, "table", &table_json(t))?;
         }
-        for (key, body) in &report.json {
-            dump("", key, body)?;
+        for (key, items) in &report.json {
+            dump("", key, &one_per_line(items))?;
         }
         Ok(())
     }
 }
 
-/// `cells` as JSON strings, comma-separated.
-fn json_strings<S: AsRef<str>>(cells: &[S]) -> String {
-    let quoted: Vec<String> = cells
-        .iter()
-        .map(|c| format!("\"{}\"", json_escape(c.as_ref())))
-        .collect();
-    quoted.join(",")
+/// `items` as a JSON array with one element per line, indented: the
+/// dumps' layout, which keeps a diff of two dumps row by row.
+fn one_per_line(items: &[Value]) -> String {
+    let rows: Vec<String> = items.iter().map(|v| format!("  {}", v.render())).collect();
+    let end = if rows.is_empty() { "" } else { "\n" };
+    format!("[\n{}{end}]", rows.join(",\n"))
 }
 
 /// A table as `{"headers": [...], "rows": [...]}`, one row per line: the
 /// machine-readable twin of what was printed.
 fn table_json(t: &Table) -> String {
-    let mut body = format!(
-        "{{\"headers\": [{}], \"rows\": [\n",
-        json_strings(t.headers)
-    );
-    for (i, row) in t.rows.iter().enumerate() {
-        let sep = if i + 1 < t.rows.len() { "," } else { "" };
-        let _ = writeln!(body, "  [{}]{sep}", json_strings(row));
-    }
-    body + "]}"
+    let rows: Vec<Value> = t.rows.iter().map(|row| string_array(row)).collect();
+    format!(
+        "{{\"headers\": {}, \"rows\": {}}}",
+        string_array(t.headers).render(),
+        one_per_line(&rows)
+    )
 }
 
 /// The runs' dump: their array, then the `aggregate` key, so the body
 /// slots into the envelope as `"runs": [...], "aggregate": {...}`.
 fn runs_json(runs: &[DsaRun]) -> String {
-    let mut body = String::from("[\n");
-    for (i, r) in runs.iter().enumerate() {
-        let sep = if i + 1 < runs.len() { "," } else { "" };
-        let (x, a, b) = (
-            run_report_json(&r.xcache),
-            run_report_json(&r.addr),
-            run_report_json(&r.baseline),
-        );
-        let name = json_escape(&r.name);
-        let _ = writeln!(
-            body,
-            "  {{\"name\":\"{name}\",\"xcache\":{x},\"addr\":{a},\"baseline\":{b}}}{sep}"
-        );
-    }
-    let aggregate = counters_json(&merge_snapshots(runs.iter().map(|r| &r.xcache.stats)));
-    body + &format!("],\n\"aggregate\": {{\"xcache_counters\": {aggregate}}}")
+    let rows: Vec<Value> = runs
+        .iter()
+        .map(|r| {
+            json_object([
+                ("name", Value::Str(r.name.clone())),
+                ("xcache", run_report_value(&r.xcache)),
+                ("addr", run_report_value(&r.addr)),
+                ("baseline", run_report_value(&r.baseline)),
+            ])
+        })
+        .collect();
+    let aggregate = counters_value(&merge_snapshots(runs.iter().map(|r| &r.xcache.stats)));
+    format!(
+        "{},\n\"aggregate\": {{\"xcache_counters\": {}}}",
+        one_per_line(&rows),
+        aggregate.render()
+    )
 }
 
 /// Registers each function under its own name.

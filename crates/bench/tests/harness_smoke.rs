@@ -15,6 +15,7 @@ use std::process::{Command, Output};
 use xcache_bench::checks::CHECKS;
 use xcache_bench::paper::EXPERIMENTS;
 use xcache_bench::registry::Entry;
+use xcache_sim::json::{self, Value};
 
 const XPAPER: &str = env!("CARGO_BIN_EXE_xpaper");
 const XCHECK: &str = env!("CARGO_BIN_EXE_xcheck");
@@ -114,7 +115,7 @@ struct Dump {
 
 /// Runs `bin` on `args` in `dir` with `XCACHE_JSON=1` and `scale`,
 /// after clearing `dir/results`, and returns the run and every dump it
-/// wrote, by file name.
+/// wrote, by file name. Every dump must parse as JSON.
 fn run_dumping(
     dir: &Path,
     bin: &str,
@@ -131,18 +132,27 @@ fn run_dumping(
         .expect("binary runs");
     let mut dumps = BTreeMap::new();
     for file in std::fs::read_dir(&results).into_iter().flatten().flatten() {
-        let text = std::fs::read_to_string(file.path()).unwrap();
-        let (meta, body): (Vec<&str>, Vec<&str>) =
-            text.lines().partition(|l| l.starts_with("\"meta\""));
-        let sim_cycles = meta
-            .first()
-            .and_then(|m| m.split("\"sim_cycles\":").nth(1))
-            .and_then(|v| v.split(',').next())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("no sim_cycles in {}", file.path().display()));
+        let path = file.path();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let doc =
+            json::parse(&text).unwrap_or_else(|e| panic!("{} is not JSON: {e}", path.display()));
+        let sim_cycles = doc
+            .get("meta")
+            .and_then(|m| m.get("sim_cycles"))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("no meta.sim_cycles in {}", path.display()));
+        let body: Vec<&str> = text
+            .lines()
+            .filter(|l| !l.starts_with("\"meta\""))
+            .collect();
         let name = file.file_name().to_string_lossy().into_owned();
-        let body = body.join("\n");
-        dumps.insert(name, Dump { sim_cycles, body });
+        dumps.insert(
+            name,
+            Dump {
+                sim_cycles,
+                body: body.join("\n"),
+            },
+        );
     }
     (out, dumps)
 }
@@ -161,8 +171,8 @@ const STATIC: [&str; 6] = [
 /// Every `xpaper` entry and `xcheck shard_smoke` at a scale divisor past
 /// every input size, and at the largest one: each input floors at a
 /// minimum size instead of emptying, and no scale product overflows.
-/// Every dump's envelope credits the cycles its entry simulated: some
-/// for an entry that simulates, none for a static one.
+/// Every dump is JSON, and its envelope credits the cycles its entry
+/// simulated: some for an entry that simulates, none for a static one.
 #[test]
 fn every_entry_runs_at_extreme_scales() {
     let dir = scratch_dir("extreme-scales");

@@ -3,81 +3,28 @@
 //! Every `results/*.json` dump carries the envelope rendered by
 //! `xcache_bench::Knobs::meta_json`. Downstream tooling diffs those files across
 //! commits by key, so the envelope is a wire format: fields must not be
-//! renamed, re-typed, or reordered silently. This test pins the exact key
-//! sequence and each field's JSON shape; changing the envelope must come
-//! here and bump `schema`.
+//! renamed, re-typed, or reordered silently. This test parses it with the
+//! workspace's JSON codec and pins the exact key sequence and each
+//! field's JSON type; changing the envelope must come here and bump
+//! `schema`.
 
 use std::time::Duration;
 
 use xcache_bench::Knobs;
+use xcache_sim::json::{self, Value};
 
-fn meta_json(name: &str) -> String {
-    Knobs::from_env().meta_json(name, Duration::ZERO, 0)
-}
-
-/// Splits a flat (non-nested) JSON object into `(key, raw value)` pairs
-/// in document order. The envelope is flat by construction, so a
-/// comma/colon scanner outside string literals is a complete parser.
-fn fields(flat: &str) -> Vec<(String, String)> {
-    let inner = flat
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .expect("envelope is a JSON object");
-    let mut out = Vec::new();
-    let mut depth_in_string = false;
-    let mut escaped = false;
-    let mut current = String::new();
-    let mut parts: Vec<String> = Vec::new();
-    for c in inner.chars() {
-        if depth_in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                depth_in_string = false;
-            }
-            current.push(c);
-            continue;
-        }
-        match c {
-            '"' => {
-                depth_in_string = true;
-                current.push(c);
-            }
-            ',' => {
-                parts.push(std::mem::take(&mut current));
-            }
-            '{' | '[' => panic!("envelope must stay flat, found nesting in {flat}"),
-            _ => current.push(c),
-        }
+/// The envelope of entry `name`, parsed; its fields in document order.
+fn meta(name: &str) -> Vec<(String, Value)> {
+    let rendered = Knobs::from_env().meta_json(name, Duration::ZERO, 0);
+    match json::parse(&rendered) {
+        Ok(Value::Obj(fields)) => fields,
+        other => panic!("the envelope must be a JSON object, got {other:?} from {rendered}"),
     }
-    parts.push(current);
-    for part in parts {
-        let (k, v) = part.split_once(':').expect("key:value");
-        let key = k
-            .trim()
-            .strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .expect("quoted key")
-            .to_string();
-        out.push((key, v.trim().to_string()));
-    }
-    out
-}
-
-fn is_json_string(v: &str) -> bool {
-    v.len() >= 2 && v.starts_with('"') && v.ends_with('"')
-}
-
-fn is_unsigned_integer(v: &str) -> bool {
-    !v.is_empty() && v.chars().all(|c| c.is_ascii_digit())
 }
 
 #[test]
 fn meta_envelope_key_order_and_types_are_pinned() {
-    let meta = meta_json("schema-probe");
-    let fields = fields(&meta);
+    let fields = meta("schema-probe");
 
     let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(
@@ -101,13 +48,16 @@ fn meta_envelope_key_order_and_types_are_pinned() {
         fields
             .iter()
             .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v)
             .expect("key present")
     };
 
-    assert_eq!(value("schema"), "\"xcache-bench/3\"");
-    assert_eq!(value("experiment"), "\"schema-probe\"");
-    assert!(is_json_string(value("git_sha")), "git_sha must be a string");
+    assert_eq!(value("schema").as_str(), Some("xcache-bench/3"));
+    assert_eq!(value("experiment").as_str(), Some("schema-probe"));
+    assert!(
+        value("git_sha").as_str().is_some(),
+        "git_sha must be a string"
+    );
     for numeric in [
         "scale",
         "jobs",
@@ -117,8 +67,8 @@ fn meta_envelope_key_order_and_types_are_pinned() {
         "parallel_fallbacks",
     ] {
         assert!(
-            is_unsigned_integer(value(numeric)),
-            "{numeric} must be an unsigned integer, got {}",
+            value(numeric).as_u64().is_some(),
+            "{numeric} must be an unsigned integer, got {:?}",
             value(numeric)
         );
     }
@@ -126,12 +76,11 @@ fn meta_envelope_key_order_and_types_are_pinned() {
 
 #[test]
 fn meta_envelope_escapes_experiment_names() {
-    let meta = meta_json("quo\"te");
-    assert!(
-        meta.contains("\"experiment\":\"quo\\\"te\""),
-        "experiment names must be JSON-escaped: {meta}"
-    );
-    // The envelope must still parse as a flat object afterwards.
-    let fields = fields(&meta);
+    let fields = meta("quo\"te");
     assert_eq!(fields[1].0, "experiment");
+    assert_eq!(
+        fields[1].1.as_str(),
+        Some("quo\"te"),
+        "experiment names must be JSON-escaped"
+    );
 }

@@ -24,7 +24,6 @@ use xcache_sim::{counter, CounterId, Cycle, TraceKind};
 
 use crate::{splitmix64, MetaAccess, MetaKey};
 
-use super::sched::YieldPolicy;
 use super::{SimError, XCache, HAZARD_RETRY, STALL_LIMIT};
 
 /// How one executed action leaves its lane.
@@ -143,8 +142,8 @@ impl<D: MemoryPort> XCache<D> {
             // Copy the table word out: entries are small and `Copy`, and
             // handlers need `&mut self`.
             let entry = self.dispatch[lane.routine.0 as usize][lane.pc];
-            self.ctx.stats.incr_id(counter!("xcache.ucode_read"));
-            self.ctx.stats.incr_id(entry.category);
+            self.stats.incr_id(counter!("xcache.ucode_read"));
+            self.stats.incr_id(entry.category);
             let outcome = match (entry.handler)(self, now, lane.slot, &entry.op) {
                 Ok(o) => o,
                 Err(mut e) => {
@@ -167,9 +166,9 @@ impl<D: MemoryPort> XCache<D> {
                 }
                 Outcome::Stall => {
                     lane.stall_cycles += 1;
-                    self.ctx.stats.incr_id(counter!("xcache.exec_stall"));
+                    self.stats.incr_id(counter!("xcache.exec_stall"));
                     if lane.stall_cycles > STALL_LIMIT {
-                        self.ctx.stats.incr_id(counter!("xcache.walker_timeout"));
+                        self.stats.incr_id(counter!("xcache.walker_timeout"));
                         self.lanes[lane_idx] = None;
                         self.fault_walker(now, lane.slot);
                     } else {
@@ -178,7 +177,7 @@ impl<D: MemoryPort> XCache<D> {
                 }
                 Outcome::StallHazard => {
                     lane.stall_cycles += 1;
-                    self.ctx.stats.incr_id(counter!("xcache.exec_stall"));
+                    self.stats.incr_id(counter!("xcache.exec_stall"));
                     if lane.stall_cycles > HAZARD_RETRY {
                         self.lanes[lane_idx] = None;
                         self.abort_and_replay(now, lane.slot);
@@ -187,23 +186,18 @@ impl<D: MemoryPort> XCache<D> {
                     }
                 }
                 Outcome::YieldLane => {
-                    match self.yield_policy {
-                        YieldPolicy::ReleaseLane => {
-                            // A freed lane can unblock a refused launch.
-                            self.wait.wake_lane();
-                            self.lanes[lane_idx] = None;
-                            self.arena.in_lane[lane.slot] = false;
-                        }
-                        YieldPolicy::HoldLane => {
-                            lane.waiting = true;
-                            self.lanes[lane_idx] = Some(lane);
-                        }
+                    if self.yield_holds_lane {
+                        lane.waiting = true;
+                        self.lanes[lane_idx] = Some(lane);
+                    } else {
+                        // A freed lane can unblock a refused launch.
+                        self.wait.wake_lane();
+                        self.lanes[lane_idx] = None;
+                        self.arena.in_lane[lane.slot] = false;
                     }
-                    self.ctx
-                        .trace
-                        .emit_with(now, TraceKind::Yield, "xcache", || {
-                            format!("slot {}", lane.slot)
-                        });
+                    self.trace.emit_with(now, TraceKind::Yield, "xcache", || {
+                        format!("slot {}", lane.slot)
+                    });
                     self.note_progress(now, lane.slot);
                 }
                 Outcome::FreeLane => {
@@ -229,7 +223,7 @@ impl<D: MemoryPort> XCache<D> {
         Ok(match op {
             DecOperand::Reg(r) => {
                 self.xregs
-                    .read(crate::xreg::XRegFile(slot as u16), r, &mut self.ctx.stats)
+                    .read(crate::xreg::XRegFile(slot as u16), r, &mut self.stats)
             }
             DecOperand::Imm(v) => v,
             DecOperand::Key => self.wk(slot, now)?.key.0,
@@ -253,7 +247,7 @@ impl<D: MemoryPort> XCache<D> {
             crate::xreg::XRegFile(slot as u16),
             reg,
             value,
-            &mut self.ctx.stats,
+            &mut self.stats,
         );
     }
 }
@@ -378,7 +372,7 @@ fn h_hash<D: MemoryPort>(
         now + xc.cfg.hash_latency,
         (slot, gen, op.event, [digest, 0, 0, 0]),
     );
-    xc.ctx.stats.incr_id(counter!("xcache.hash_issue"));
+    xc.stats.incr_id(counter!("xcache.hash_issue"));
     Ok(Outcome::Advance)
 }
 
@@ -399,13 +393,11 @@ fn h_dram_read<D: MemoryPort>(
             xc.wk(slot, now)?;
             let gen = xc.arena.gen[slot];
             xc.inflight.insert(id, (slot, gen));
-            xc.ctx.stats.incr_id(counter!("xcache.dram_req"));
-            xc.ctx.stats.add_id(counter!("xcache.dram_req_bytes"), l);
-            xc.ctx
-                .trace
-                .emit_with(now, TraceKind::DramIssue, "xcache", || {
-                    format!("slot {slot} addr {a:#x} len {l}")
-                });
+            xc.stats.incr_id(counter!("xcache.dram_req"));
+            xc.stats.add_id(counter!("xcache.dram_req_bytes"), l);
+            xc.trace.emit_with(now, TraceKind::DramIssue, "xcache", || {
+                format!("slot {slot} addr {a:#x} len {l}")
+            });
             Ok(Outcome::Advance)
         }
         Err(_) => Ok(Outcome::Stall),
@@ -424,7 +416,7 @@ fn h_dram_write<D: MemoryPort>(
     let sectors = (l as usize).div_ceil(xc.data.words_per_sector() * 8);
     let mut words = xc.take_buf();
     xc.data
-        .gather_into(s as u32, sectors as u32, &mut words, &mut xc.ctx.stats);
+        .gather_into(s as u32, sectors as u32, &mut words, &mut xc.stats);
     let mut bytes = Vec::with_capacity(l as usize);
     for w in &words {
         bytes.extend_from_slice(&w.to_le_bytes());
@@ -442,8 +434,8 @@ fn h_dram_write<D: MemoryPort>(
             xc.wk(slot, now)?;
             let gen = xc.arena.gen[slot];
             xc.inflight.insert(id, (slot, gen));
-            xc.ctx.stats.incr_id(counter!("xcache.dram_req"));
-            xc.ctx.stats.add_id(counter!("xcache.dram_req_bytes"), l);
+            xc.stats.incr_id(counter!("xcache.dram_req"));
+            xc.stats.add_id(counter!("xcache.dram_req_bytes"), l);
             Ok(Outcome::Advance)
         }
         Err(_) => Ok(Outcome::Stall),
@@ -490,7 +482,7 @@ fn h_respond<D: MemoryPort>(
     let e = *xc.tags.entry(r);
     let mut data = xc.take_buf();
     xc.data
-        .gather_into(e.sector_start, e.sector_count, &mut data, &mut xc.ctx.stats);
+        .gather_into(e.sector_start, e.sector_count, &mut data, &mut xc.stats);
     let mut waiters: Vec<MetaAccess> = std::mem::take(&mut xc.wk_mut(slot, now)?.waiters);
     // Origin first, then waiters in arrival order; the last response
     // consumes the gathered buffer, the rest draw copies from the pool.
@@ -527,7 +519,7 @@ fn h_alloc_m<D: MemoryPort>(
         let w = xc.wk(slot, now)?;
         (w.key, w.state)
     };
-    match xc.tags.alloc(key, state, &mut xc.ctx.stats) {
+    match xc.tags.alloc(key, state, &mut xc.stats) {
         Some((r, evicted)) => {
             // The set's tags changed: re-check refused accesses in it.
             xc.wait.wake_set(r.set);
@@ -545,7 +537,7 @@ fn h_alloc_m<D: MemoryPort>(
         // clear — fault so the datapath can drain and retry (its overflow
         // path). Otherwise a walker will retire and free a way: stall.
         None if xc.tags.set_unevictable(key) => {
-            xc.ctx.stats.incr_id(counter!("xcache.set_pinned_full"));
+            xc.stats.incr_id(counter!("xcache.set_pinned_full"));
             xc.fault_walker(now, slot);
             Ok(Outcome::FreeLane)
         }
@@ -564,7 +556,7 @@ fn h_dealloc_m<D: MemoryPort>(
         .entry
         .take()
         .ok_or_else(|| SimError::new(slot, now, "DeallocM without meta entry"))?;
-    let e = xc.tags.invalidate(r, &mut xc.ctx.stats);
+    let e = xc.tags.invalidate(r, &mut xc.stats);
     // A freed way can unblock a refused launch in its set.
     xc.wait.wake_set(r.set);
     if e.sector_count > 0 {
@@ -611,16 +603,16 @@ fn h_insert_m<D: MemoryPort>(
         .ok_or_else(|| SimError::new(slot, now, "InsertM without a DRAM response"))?;
     let bytes = (n as usize * 8).min(data.len());
     let sectors = bytes.div_ceil(xc.data.words_per_sector() * 8).max(1);
-    let Some(start) = xc.data.alloc(sectors, &mut xc.ctx.stats) else {
-        xc.ctx.stats.incr_id(counter!("xcache.insertm_skip"));
+    let Some(start) = xc.data.alloc(sectors, &mut xc.stats) else {
+        xc.stats.incr_id(counter!("xcache.insertm_skip"));
         return Ok(Outcome::Advance);
     };
     let Some((r, evicted)) = xc
         .tags
-        .alloc(k, xcache_isa::StateId::DEFAULT, &mut xc.ctx.stats)
+        .alloc(k, xcache_isa::StateId::DEFAULT, &mut xc.stats)
     else {
         xc.data.free(start, sectors as u32);
-        xc.ctx.stats.incr_id(counter!("xcache.insertm_skip"));
+        xc.stats.incr_id(counter!("xcache.insertm_skip"));
         return Ok(Outcome::Advance);
     };
     // A newly resident key can turn a refused load in its set into a
@@ -631,7 +623,7 @@ fn h_insert_m<D: MemoryPort>(
             xc.data.free(v.sector_start, v.sector_count);
         }
     }
-    xc.data.fill_bytes(start, &data[..bytes], &mut xc.ctx.stats);
+    xc.data.fill_bytes(start, &data[..bytes], &mut xc.stats);
     xc.tags.update_entry(r, |entry| {
         entry.sector_start = start;
         entry.sector_count = sectors as u32;
@@ -640,7 +632,7 @@ fn h_insert_m<D: MemoryPort>(
     // Speculative insert: lowest replacement priority so it cannot
     // displace proven-hot keys.
     xc.tags.demote(r);
-    xc.ctx.stats.incr_id(counter!("xcache.insertm"));
+    xc.stats.incr_id(counter!("xcache.insertm"));
     Ok(Outcome::Advance)
 }
 
@@ -656,7 +648,7 @@ fn h_update_m<D: MemoryPort>(
         .wk(slot, now)?
         .entry
         .ok_or_else(|| SimError::new(slot, now, "UpdateM without meta entry"))?;
-    xc.ctx.stats.incr_id(counter!("xcache.tag_write"));
+    xc.stats.incr_id(counter!("xcache.tag_write"));
     xc.tags.update_entry(r, |entry| {
         entry.sector_start = s as u32;
         entry.sector_count = (e.saturating_sub(s) + 1) as u32;
@@ -710,13 +702,13 @@ fn h_alloc_d<D: MemoryPort>(
         return Err(SimError::new(slot, now, "AllocD of zero sectors"));
     }
     loop {
-        if let Some(start) = xc.data.alloc(n, &mut xc.ctx.stats) {
+        if let Some(start) = xc.data.alloc(n, &mut xc.stats) {
             xc.write_reg(slot, op.dst, u64::from(start));
             return Ok(Outcome::Advance);
         }
         // Capacity pressure: evict an idle entry and retry.
         if !xc.evict_one_idle() {
-            xc.ctx.stats.incr_id(counter!("xcache.dataram_full_stall"));
+            xc.stats.incr_id(counter!("xcache.dataram_full_stall"));
             return Ok(Outcome::StallHazard);
         }
     }
@@ -751,7 +743,7 @@ fn h_read_d<D: MemoryPort>(
 ) -> Result<Outcome, SimError> {
     let s = xc.dval(now, slot, op.a)?;
     let wd = xc.dval(now, slot, op.b)?;
-    let v = xc.data.read_word(s as u32, wd as u32, &mut xc.ctx.stats);
+    let v = xc.data.read_word(s as u32, wd as u32, &mut xc.stats);
     xc.write_reg(slot, op.dst, v);
     Ok(Outcome::Advance)
 }
@@ -765,8 +757,7 @@ fn h_write_d<D: MemoryPort>(
     let s = xc.dval(now, slot, op.a)?;
     let wd = xc.dval(now, slot, op.b)?;
     let v = xc.dval(now, slot, op.c)?;
-    xc.data
-        .write_word(s as u32, wd as u32, v, &mut xc.ctx.stats);
+    xc.data.write_word(s as u32, wd as u32, v, &mut xc.stats);
     Ok(Outcome::Advance)
 }
 
@@ -784,8 +775,7 @@ fn h_fill_d<D: MemoryPort>(
         .clone()
         .ok_or_else(|| SimError::new(slot, now, "FillD without a DRAM response"))?;
     let bytes = (n as usize * 8).min(data.len());
-    xc.data
-        .fill_bytes(s as u32, &data[..bytes], &mut xc.ctx.stats);
+    xc.data.fill_bytes(s as u32, &data[..bytes], &mut xc.stats);
     Ok(Outcome::Advance)
 }
 

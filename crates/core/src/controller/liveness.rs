@@ -93,18 +93,16 @@ impl<D: MemoryPort> XCache<D> {
                         recovered,
                     },
                 );
-                self.ctx.stats.incr_id(counter!("xcache.watchdog.stall"));
+                self.stats.incr_id(counter!("xcache.watchdog.stall"));
                 if recovered {
                     self.retry_counts.insert(key, attempts + 1);
-                    self.ctx.stats.incr_id(counter!("xcache.fault.retry"));
+                    self.stats.incr_id(counter!("xcache.fault.retry"));
                     // Exponential backoff: transient downstream faults (port
                     // stalls, delayed fills) clear while the walk is parked.
                     self.abort_with_backoff(now, slot, RETRY_BACKOFF_BASE << attempts);
                 } else {
                     self.retry_counts.remove(&key);
-                    self.ctx
-                        .stats
-                        .incr_id(counter!("xcache.watchdog.walker_kill"));
+                    self.stats.incr_id(counter!("xcache.watchdog.walker_kill"));
                     self.note_meta_strike(now);
                     // Containment: only this slot's origin and waiters are
                     // answered "not found"; siblings are untouched.
@@ -140,9 +138,7 @@ impl<D: MemoryPort> XCache<D> {
                 recovered: false,
             },
         );
-        self.ctx
-            .stats
-            .incr_id(counter!("xcache.watchdog.global_stall"));
+        self.stats.incr_id(counter!("xcache.watchdog.global_stall"));
         for slot in 0..self.arena.len() {
             if self.arena.is_live(slot) {
                 self.fault_walker(now, slot);
@@ -155,9 +151,7 @@ impl<D: MemoryPort> XCache<D> {
             .chain(self.delayed_replay.drain())
             .collect();
         for a in shed {
-            self.ctx
-                .stats
-                .incr_id(counter!("xcache.watchdog.shed_access"));
+            self.stats.incr_id(counter!("xcache.watchdog.shed_access"));
             self.respond(now, a.id(), a.key(), false, Vec::new());
         }
         self.wait.wake_all();
@@ -183,7 +177,7 @@ impl<D: MemoryPort> XCache<D> {
         self.launching.remove(&key);
         if let Some(r) = entry {
             if owns_entry {
-                let e = self.tags.invalidate(r, &mut self.ctx.stats);
+                let e = self.tags.invalidate(r, &mut self.stats);
                 if e.sector_count > 0 {
                     self.data.free(e.sector_start, e.sector_count);
                 }
@@ -208,8 +202,8 @@ impl<D: MemoryPort> XCache<D> {
         }
         self.arena.deactivate(slot);
         self.xregs
-            .release(crate::xreg::XRegFile(slot as u16), now, &mut self.ctx.stats);
-        self.ctx.stats.incr_id(counter!("xcache.walker_replay"));
+            .release(crate::xreg::XRegFile(slot as u16), now, &mut self.stats);
+        self.stats.incr_id(counter!("xcache.walker_replay"));
     }
 
     /// A deterministic description of what `slot` is blocked on, for
@@ -253,7 +247,7 @@ impl<D: MemoryPort> XCache<D> {
         if self.health_strikes >= DEGRADE_STRIKES && self.degraded_until <= now {
             self.degraded_until = now + DEGRADE_PENALTY;
             self.health_strikes = 0;
-            self.ctx.stats.incr_id(counter!("xcache.degraded_enter"));
+            self.stats.incr_id(counter!("xcache.degraded_enter"));
             // The hazard picture changed: pending loads/stores that were
             // refused can now be answered through the bypass.
             self.wait.wake_all();
@@ -266,8 +260,7 @@ impl<D: MemoryPort> XCache<D> {
     }
 
     fn push_stall_report(&mut self, now: Cycle, report: StallReport) {
-        self.ctx
-            .trace
+        self.trace
             .emit_with(now, TraceKind::Other, "xcache", || report.to_string());
         if self.stall_reports.len() < STALL_REPORT_CAP {
             self.stall_reports.push(report);

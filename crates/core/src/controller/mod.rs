@@ -9,19 +9,19 @@
 //!   entirely through a dedicated read port with a pipelined `hit_latency`
 //!   load-to-use.
 //! * [`sched`] — lane scheduling: round-robin wakeup of dormant walkers and
-//!   the walker *discipline* policy (§3.3 ablation) behind the
-//!   [`sched::DisciplineStage`] trait: coroutines release their lane at
-//!   every yield; blocking threads hold a lane from launch to retirement,
-//!   including all memory stalls (Figure 7).
+//!   the walker *discipline* policy (§3.3 ablation), resolved once into a
+//!   static occupancy charge and whether a yield holds the lane:
+//!   coroutines release their lane at every yield; blocking threads hold
+//!   a lane from launch to retirement, including all memory stalls
+//!   (Figure 7).
 //! * [`executor`] — the back-end: `#Exe` executor lanes run woken routines
 //!   one action per lane per cycle; routines end by yielding (coroutine
 //!   goes dormant, lane freed) or retiring.
 //! * [`walker`] — walker lifecycle: per-walk context, datapath responses,
 //!   retirement, faults, and abort-and-replay.
 //!
-//! The stages communicate through the instance's
-//! [`SimContext`](xcache_sim::SimContext) (cycle, stats, trace hooks)
-//! plus the shared structural state on [`XCache`] itself.
+//! The stages share the instance's statistics registry and trace hooks
+//! and its structural state, all fields of [`XCache`] itself.
 
 mod arena;
 mod due;
@@ -38,8 +38,8 @@ use xcache_isa::verify::{verify_structure, verify_with, VerifyError, VerifyLimit
 use xcache_isa::{EventId, Operand, RoutineId, WalkerProgram};
 use xcache_mem::MemoryPort;
 use xcache_sim::{
-    counter, watchdog_budget, Cycle, FaultPlan, FxHashMap, MsgQueue, SimContext, StallReport,
-    Stats, TraceBuffer,
+    counter, watchdog_budget, Cycle, FaultPlan, FxHashMap, MsgQueue, StallReport, Stats,
+    TraceBuffer,
 };
 
 use crate::{
@@ -49,7 +49,6 @@ use crate::{
 
 use arena::WalkerArena;
 use due::DueQueue;
-use sched::{discipline_stage, YieldPolicy};
 
 /// A delayed internal event (a hash digest or a posted event): (slot,
 /// generation, event, payload), queued in [`XCache::delayed`] by due cycle.
@@ -252,8 +251,11 @@ pub struct XCache<D> {
     /// The executor issued a downstream request since the last downstream
     /// tick; the cached [`ds_next`](XCache::ds_next) is stale.
     pub(crate) ds_dirty: bool,
-    /// Ambient services (cycle, stats, trace) shared by all stages.
-    pub(crate) ctx: SimContext,
+    /// The instance's statistics registry, shared by all stages.
+    pub(crate) stats: Stats,
+    /// The instance's trace hooks (disabled until
+    /// [`enable_trace`](XCache::enable_trace)).
+    pub(crate) trace: TraceBuffer,
     /// Cycle of the last `tick`, for fast-forward-aware per-cycle charges
     /// (static occupancy, launch-stall backfill).
     pub(crate) last_tick: Option<Cycle>,
@@ -275,9 +277,9 @@ pub struct XCache<D> {
     /// Static occupancy charge per cycle, resolved from the discipline at
     /// construction (zero for coroutines).
     pub(crate) occ_charge: u64,
-    /// Lane disposition on yield, resolved from the discipline at
-    /// construction.
-    pub(crate) yield_policy: YieldPolicy,
+    /// Whether a yield parks the walker's lane instead of freeing it
+    /// (blocking threads), resolved from the discipline at construction.
+    pub(crate) yield_holds_lane: bool,
     /// Cycle of the last globally observable forward progress (response,
     /// launch, retire, fill, dispatch, …).
     pub(crate) global_progress: Cycle,
@@ -390,7 +392,7 @@ impl<D: MemoryPort> XCache<D> {
         // lifetime; blocking threads additionally pay for their statically
         // allocated hardware contexts every cycle (see `tick`).
         let charged = usize::from(program.regs.max(1));
-        let stage = discipline_stage(cfg.discipline);
+        let (occ_charge, yield_holds_lane) = sched::discipline(&cfg);
         // Pre-decode the (now verified) program into the direct-threaded
         // dispatch table the executor runs from.
         let decoded = xcache_isa::predecode::predecode(&program, &cfg.params, MSG_WORDS);
@@ -416,14 +418,15 @@ impl<D: MemoryPort> XCache<D> {
             downstream,
             ds_next: None,
             ds_dirty: true,
-            ctx: SimContext::new(),
+            stats: Stats::new(),
+            trace: TraceBuffer::disabled(),
             last_tick: None,
             wait: trigger::WindowWait::default(),
             fault: FaultPlan::current(),
             wd_budget: watchdog_budget(),
             wd_earliest: Cycle::NEVER,
-            occ_charge: stage.static_occupancy(&cfg),
-            yield_policy: stage.on_yield(),
+            occ_charge,
+            yield_holds_lane,
             global_progress: Cycle::ZERO,
             stall_reports: Vec::new(),
             retry_counts: FxHashMap::default(),
@@ -453,13 +456,7 @@ impl<D: MemoryPort> XCache<D> {
     /// Accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> &Stats {
-        &self.ctx.stats
-    }
-
-    /// The simulation context shared by the pipeline stages.
-    #[must_use]
-    pub fn context(&self) -> &SimContext {
-        &self.ctx
+        &self.stats
     }
 
     /// Per-set meta-tag hit/alloc/eviction counters (length = `sets`),
@@ -489,20 +486,20 @@ impl<D: MemoryPort> XCache<D> {
 
     /// Enables bounded tracing for debugging and the figure narratives.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.ctx.enable_trace(capacity);
+        self.trace = TraceBuffer::with_capacity(capacity);
     }
 
     /// The trace buffer.
     #[must_use]
     pub fn trace(&self) -> &TraceBuffer {
-        &self.ctx.trace
+        &self.trace
     }
 
     /// Meta-tag hit ratio so far, or `None` before any access.
     #[must_use]
     pub fn hit_rate(&self) -> Option<f64> {
-        let h = self.ctx.stats.get("xcache.hit");
-        let m = self.ctx.stats.get("xcache.miss");
+        let h = self.stats.get("xcache.hit");
+        let m = self.stats.get("xcache.miss");
         (h + m > 0).then(|| h as f64 / (h + m) as f64)
     }
 
@@ -524,7 +521,7 @@ impl<D: MemoryPort> XCache<D> {
         match self.access_q.push(now, access) {
             Ok(()) => Ok(()),
             Err(e) => {
-                self.ctx.stats.incr_id(counter!("xcache.access_stall"));
+                self.stats.incr_id(counter!("xcache.access_stall"));
                 Err(e.0)
             }
         }
@@ -586,11 +583,10 @@ impl<D: MemoryPort> XCache<D> {
     /// idle). Per-cycle charges are scaled by the elapsed gap so counters
     /// match a single-stepped run exactly.
     pub fn tick(&mut self, now: Cycle) {
-        self.ctx.advance(now);
         let elapsed = self.last_tick.map_or(1, |t| now.since(t));
         self.last_tick = Some(now);
         if self.occ_charge > 0 {
-            self.ctx.stats.add_id(
+            self.stats.add_id(
                 counter!("xcache.occupancy_reg_byte_cycles"),
                 self.occ_charge * elapsed,
             );
@@ -598,8 +594,7 @@ impl<D: MemoryPort> XCache<D> {
         if elapsed > 1 && self.window_blocked() {
             // Every cycle jumped over would have launch-stalled again (no
             // wake re-opened the window, so no verdict in it changed).
-            self.ctx
-                .stats
+            self.stats
                 .add_id(counter!("xcache.launch_stall"), elapsed - 1);
         }
         {

@@ -1,17 +1,17 @@
 //! Lane scheduling and the walker-discipline policy (§3.3).
 //!
 //! The §3.3 ablation contrasts two ways of binding walkers to executor
-//! lanes. Both are expressed through one [`DisciplineStage`] trait so the
-//! rest of the pipeline is discipline-agnostic:
+//! lanes. [`discipline`] resolves each into the two values the rest of
+//! the pipeline reads, once at construction:
 //!
-//! * [`CoroutineStage`] — a yield releases the lane; the walker goes
-//!   dormant holding only its X-register file. Resources are allocated and
-//!   freed at action granularity.
-//! * [`BlockingThreadStage`] — a yield parks the lane (`waiting`); the
-//!   walker holds it from launch to retirement, including all memory
-//!   stalls, and every statically partitioned thread context charges its
-//!   full register file each cycle ("resources are allocated/freed at a
-//!   coarse granularity").
+//! * coroutines — a yield releases the lane; the walker goes dormant
+//!   holding only its X-register file. Resources are allocated and freed
+//!   at action granularity, so nothing is charged while idle.
+//! * blocking threads — a yield parks the lane (`waiting`); the walker
+//!   holds it from launch to retirement, including all memory stalls, and
+//!   every statically partitioned thread context charges its full
+//!   register file each cycle ("resources are allocated/freed at a coarse
+//!   granularity").
 
 use xcache_mem::MemoryPort;
 use xcache_sim::{counter, Cycle, TraceKind};
@@ -20,59 +20,18 @@ use crate::config::{WalkerDiscipline, XCacheConfig};
 
 use super::{Lane, XCache};
 
-/// What a discipline does with a lane whose routine just yielded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum YieldPolicy {
-    /// Free the lane; the walker re-arbitrates for one on its next event.
-    ReleaseLane,
-    /// Park the lane (`waiting = true`); the walker resumes in place.
-    HoldLane,
-}
-
-/// Discipline-specific scheduling behaviour, one implementor per
-/// [`WalkerDiscipline`] variant.
-pub(crate) trait DisciplineStage {
-    /// Register-byte-cycles statically charged every cycle regardless of
-    /// activity (zero for disciplines that only pay for live walkers).
-    fn static_occupancy(&self, cfg: &XCacheConfig) -> u64;
-
-    /// How a routine yield disposes of its lane.
-    fn on_yield(&self) -> YieldPolicy;
-}
-
-/// Coroutine discipline: fine-grained lane release (§3.3, X-Cache).
-pub(crate) struct CoroutineStage;
-
-impl DisciplineStage for CoroutineStage {
-    fn static_occupancy(&self, _cfg: &XCacheConfig) -> u64 {
-        0
-    }
-    fn on_yield(&self) -> YieldPolicy {
-        YieldPolicy::ReleaseLane
-    }
-}
-
-/// Blocking-thread discipline: coarse-grained lane retention (§3.3
-/// baseline).
-pub(crate) struct BlockingThreadStage;
-
-impl DisciplineStage for BlockingThreadStage {
-    fn static_occupancy(&self, cfg: &XCacheConfig) -> u64 {
+/// `cfg`'s discipline as its two values: the register-byte-cycles
+/// statically charged every cycle regardless of activity, and whether a
+/// yield holds the lane.
+pub(super) fn discipline(cfg: &XCacheConfig) -> (u64, bool) {
+    match cfg.discipline {
+        WalkerDiscipline::Coroutine => (0, false),
         // Thread contexts are statically partitioned hardware: every
         // context's full register file is occupied every cycle, whether
         // walking or stalled.
-        (cfg.thread_context_regs * 8 * cfg.active) as u64
-    }
-    fn on_yield(&self) -> YieldPolicy {
-        YieldPolicy::HoldLane
-    }
-}
-
-/// The stage implementing `discipline`.
-pub(crate) fn discipline_stage(discipline: WalkerDiscipline) -> &'static dyn DisciplineStage {
-    match discipline {
-        WalkerDiscipline::Coroutine => &CoroutineStage,
-        WalkerDiscipline::BlockingThread => &BlockingThreadStage,
+        WalkerDiscipline::BlockingThread => {
+            ((cfg.thread_context_regs * 8 * cfg.active) as u64, true)
+        }
     }
 }
 
@@ -104,7 +63,7 @@ impl<D: MemoryPort> XCache<D> {
         };
         let Some(routine) = self.program.table.lookup(state, event) else {
             // Protocol error: no transition for (state, event).
-            self.ctx.stats.incr_id(counter!("xcache.protocol_error"));
+            self.stats.incr_id(counter!("xcache.protocol_error"));
             self.arena.pop_event(slot);
             self.fault_walker(now, slot);
             return true;
@@ -122,12 +81,10 @@ impl<D: MemoryPort> XCache<D> {
             waiting: false,
             stall_cycles: 0,
         });
-        self.ctx.stats.incr_id(counter!("xcache.wakeup"));
-        self.ctx
-            .trace
-            .emit_with(now, TraceKind::Wake, "xcache", || {
-                format!("slot {slot} event {event}")
-            });
+        self.stats.incr_id(counter!("xcache.wakeup"));
+        self.trace.emit_with(now, TraceKind::Wake, "xcache", || {
+            format!("slot {slot} event {event}")
+        });
         true
     }
 
@@ -158,33 +115,32 @@ impl<D: MemoryPort> XCache<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::XCacheConfig;
+
+    fn with(discipline: WalkerDiscipline) -> XCacheConfig {
+        XCacheConfig {
+            discipline,
+            ..XCacheConfig::test_tiny()
+        }
+    }
 
     #[test]
     fn coroutine_discipline_is_free_when_idle() {
-        let cfg = XCacheConfig::test_tiny();
-        let stage = discipline_stage(WalkerDiscipline::Coroutine);
-        assert_eq!(stage.static_occupancy(&cfg), 0);
-        assert_eq!(stage.on_yield(), YieldPolicy::ReleaseLane);
+        assert_eq!(discipline(&with(WalkerDiscipline::Coroutine)), (0, false));
     }
 
     #[test]
     fn blocking_thread_discipline_charges_all_contexts() {
-        let cfg = XCacheConfig::test_tiny();
-        let stage = discipline_stage(WalkerDiscipline::BlockingThread);
-        assert_eq!(
-            stage.static_occupancy(&cfg),
-            (cfg.thread_context_regs * 8 * cfg.active) as u64
-        );
-        assert_eq!(stage.on_yield(), YieldPolicy::HoldLane);
+        let cfg = with(WalkerDiscipline::BlockingThread);
+        let all_contexts = (cfg.thread_context_regs * 8 * cfg.active) as u64;
+        assert_eq!(discipline(&cfg), (all_contexts, true));
     }
 
     #[test]
     fn disciplines_map_to_distinct_stages() {
         // The two policies must disagree on yield handling — that is the
         // entire §3.3 ablation.
-        let co = discipline_stage(WalkerDiscipline::Coroutine).on_yield();
-        let th = discipline_stage(WalkerDiscipline::BlockingThread).on_yield();
+        let (_, co) = discipline(&with(WalkerDiscipline::Coroutine));
+        let (_, th) = discipline(&with(WalkerDiscipline::BlockingThread));
         assert_ne!(co, th);
     }
 }

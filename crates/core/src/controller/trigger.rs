@@ -109,9 +109,8 @@ impl<D: MemoryPort> XCache<D> {
             self.arena.push_event(slot, EventId::FILL, payload);
             self.arena.last_progress[slot] = now;
             self.global_progress = now;
-            self.ctx.stats.incr_id(counter!("xcache.fill_resp"));
-            self.ctx
-                .trace
+            self.stats.incr_id(counter!("xcache.fill_resp"));
+            self.trace
                 .emit_with(now, TraceKind::DramResp, "xcache", || {
                     format!("slot {slot} addr {:#x}", resp.addr)
                 });
@@ -170,7 +169,7 @@ impl<D: MemoryPort> XCache<D> {
             // Empty, or every candidate is known refused: a scan would
             // fail identically, so charge the stall without one.
             if window > 0 {
-                self.ctx.stats.incr_id(counter!("xcache.launch_stall"));
+                self.stats.incr_id(counter!("xcache.launch_stall"));
             }
             return;
         }
@@ -204,7 +203,7 @@ impl<D: MemoryPort> XCache<D> {
             }
         }
         self.wait.known = window;
-        self.ctx.stats.incr_id(counter!("xcache.launch_stall"));
+        self.stats.incr_id(counter!("xcache.launch_stall"));
     }
 
     /// Every access in the non-empty trigger window is known refused: the
@@ -335,7 +334,7 @@ impl<D: MemoryPort> XCache<D> {
         if let Some(&slot) = self.launching.get(&key) {
             debug_assert!(self.arena.is_live(slot), "launching entry");
             self.arena.cold[slot].waiters.push(access);
-            self.ctx.stats.incr_id(counter!("xcache.waiter"));
+            self.stats.incr_id(counter!("xcache.waiter"));
             return;
         }
         // Degraded meta path (can_serve agreed): answer "not found" so
@@ -344,11 +343,11 @@ impl<D: MemoryPort> XCache<D> {
         if self.degraded(now) && !matches!(access, MetaAccess::Take { .. }) {
             match access {
                 MetaAccess::Load { id, .. } => {
-                    self.ctx.stats.incr_id(counter!("xcache.degraded_load"));
+                    self.stats.incr_id(counter!("xcache.degraded_load"));
                     self.respond(now, id, key, false, Vec::new());
                 }
                 MetaAccess::Store { id, .. } => {
-                    self.ctx.stats.incr_id(counter!("xcache.degraded_store"));
+                    self.stats.incr_id(counter!("xcache.degraded_store"));
                     self.respond(now, id, key, false, Vec::new());
                 }
                 MetaAccess::Take { .. } => unreachable!("takes are not bypassed"),
@@ -359,14 +358,12 @@ impl<D: MemoryPort> XCache<D> {
         // scan when it was for this key (always, on the path through a
         // successful `can_serve` peek).
         let raw = match self.probe_cache.take() {
-            Some((k, r)) if k == key => self.tags.probe_at(r, &mut self.ctx.stats),
-            _ => self.tags.probe(key, &mut self.ctx.stats),
+            Some((k, r)) if k == key => self.tags.probe_at(r, &mut self.stats),
+            _ => self.tags.probe(key, &mut self.stats),
         };
         let probe = match raw {
             Some(r) if self.misfires(&access, self.tags.entry(r).pinned) => {
-                self.ctx
-                    .stats
-                    .incr_id(counter!("xcache.fault.meta_misfire"));
+                self.stats.incr_id(counter!("xcache.fault.meta_misfire"));
                 self.note_meta_strike(now);
                 None
             }
@@ -377,17 +374,16 @@ impl<D: MemoryPort> XCache<D> {
                 if let Some(r) = probe {
                     let e = *self.tags.entry(r);
                     debug_assert!(!e.active, "active entry without launching record");
-                    self.ctx.stats.incr_id(counter!("xcache.hit"));
+                    self.stats.incr_id(counter!("xcache.hit"));
                     let mut data = self.take_buf();
                     self.data.gather_into(
                         e.sector_start,
                         e.sector_count,
                         &mut data,
-                        &mut self.ctx.stats,
+                        &mut self.stats,
                     );
                     self.respond(now, id, key, true, data);
-                    self.ctx
-                        .trace
+                    self.trace
                         .emit_with(now, TraceKind::Hit, "xcache", || format!("{key}"));
                 } else {
                     self.launch(
@@ -406,7 +402,7 @@ impl<D: MemoryPort> XCache<D> {
                 msg[0] = payload[0];
                 msg[1] = payload[1];
                 if let Some(r) = probe {
-                    self.ctx.stats.incr_id(counter!("xcache.store_hit"));
+                    self.stats.incr_id(counter!("xcache.store_hit"));
                     self.launch(
                         now,
                         access,
@@ -417,29 +413,29 @@ impl<D: MemoryPort> XCache<D> {
                         wake_budget,
                     );
                 } else {
-                    self.ctx.stats.incr_id(counter!("xcache.store_miss"));
+                    self.stats.incr_id(counter!("xcache.store_miss"));
                     self.launch(now, access, false, None, msg, EventId::UPDATE, wake_budget);
                 }
             }
             MetaAccess::Take { id, .. } => {
                 if let Some(r) = probe {
-                    let e = self.tags.invalidate(r, &mut self.ctx.stats);
+                    let e = self.tags.invalidate(r, &mut self.stats);
                     // A freed way can let a refused launch allocate.
                     self.wait.wake_all();
-                    self.ctx.stats.incr_id(counter!("xcache.take_hit"));
+                    self.stats.incr_id(counter!("xcache.take_hit"));
                     let mut data = self.take_buf();
                     self.data.gather_into(
                         e.sector_start,
                         e.sector_count,
                         &mut data,
-                        &mut self.ctx.stats,
+                        &mut self.stats,
                     );
                     if e.sector_count > 0 {
                         self.data.free(e.sector_start, e.sector_count);
                     }
                     self.respond(now, id, key, true, data);
                 } else {
-                    self.ctx.stats.incr_id(counter!("xcache.take_miss"));
+                    self.stats.incr_id(counter!("xcache.take_miss"));
                     self.respond(now, id, key, false, Vec::new());
                 }
             }
@@ -493,14 +489,12 @@ impl<D: MemoryPort> XCache<D> {
         self.wd_earliest = self.wd_earliest.min(now + self.wd_budget);
         self.launching.insert(access.key(), slot);
         self.global_progress = now;
-        self.ctx.stats.incr_id(counter!("xcache.walker_launch"));
+        self.stats.incr_id(counter!("xcache.walker_launch"));
         if event == EventId::MISS {
-            self.ctx.stats.incr_id(counter!("xcache.miss"));
-            self.ctx
-                .trace
-                .emit_with(now, TraceKind::Miss, "xcache", || {
-                    format!("{}", access.key())
-                });
+            self.stats.incr_id(counter!("xcache.miss"));
+            self.trace.emit_with(now, TraceKind::Miss, "xcache", || {
+                format!("{}", access.key())
+            });
         }
         // Launch consumes the cycle's wake: dispatch immediately.
         *wake_budget = 0;

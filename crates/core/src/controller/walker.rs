@@ -70,7 +70,7 @@ impl<D: MemoryPort> XCache<D> {
             data,
         };
         if let Some(t) = self.issue_times.remove(&id) {
-            self.ctx.stats.sample_id(
+            self.stats.sample_id(
                 counter!("xcache.load_to_use"),
                 now.since(t) + self.cfg.hit_latency + sectors - 1,
             );
@@ -80,7 +80,7 @@ impl<D: MemoryPort> XCache<D> {
         let extra = sectors - 1;
         // FIFO order: once anything spilled, later responses follow it.
         if !self.resp_spill.is_empty() || self.resp_q.is_full() {
-            self.ctx.stats.incr_id(counter!("xcache.resp_spill"));
+            self.stats.incr_id(counter!("xcache.resp_spill"));
             self.resp_spill.push_back((extra, resp));
             return;
         }
@@ -127,13 +127,11 @@ impl<D: MemoryPort> XCache<D> {
         self.arena.cold[slot].waiters = waiters;
         self.arena.deactivate(slot);
         self.xregs
-            .release(crate::xreg::XRegFile(slot as u16), now, &mut self.ctx.stats);
-        self.ctx.stats.incr_id(counter!("xcache.walker_retire"));
-        self.ctx
-            .stats
+            .release(crate::xreg::XRegFile(slot as u16), now, &mut self.stats);
+        self.stats.incr_id(counter!("xcache.walker_retire"));
+        self.stats
             .sample_id(counter!("xcache.walk_latency"), now.since(launched_at));
-        self.ctx
-            .trace
+        self.trace
             .emit_with(now, TraceKind::Retire, "xcache", || format!("slot {slot}"));
     }
 
@@ -157,7 +155,7 @@ impl<D: MemoryPort> XCache<D> {
         self.launching.remove(&key);
         if let Some(r) = entry {
             if owns_entry {
-                let e = self.tags.invalidate(r, &mut self.ctx.stats);
+                let e = self.tags.invalidate(r, &mut self.stats);
                 if e.sector_count > 0 {
                     self.data.free(e.sector_start, e.sector_count);
                 }
@@ -182,8 +180,8 @@ impl<D: MemoryPort> XCache<D> {
         }
         self.arena.deactivate(slot);
         self.xregs
-            .release(crate::xreg::XRegFile(slot as u16), now, &mut self.ctx.stats);
-        self.ctx.stats.incr_id(counter!("xcache.walker_fault"));
+            .release(crate::xreg::XRegFile(slot as u16), now, &mut self.stats);
+        self.stats.incr_id(counter!("xcache.walker_fault"));
     }
 
     /// Aborts a walker that lost an allocation race and replays its access
@@ -205,7 +203,7 @@ impl<D: MemoryPort> XCache<D> {
         self.launching.remove(&key);
         if let Some(r) = entry {
             if owns_entry {
-                let e = self.tags.invalidate(r, &mut self.ctx.stats);
+                let e = self.tags.invalidate(r, &mut self.stats);
                 if e.sector_count > 0 {
                     self.data.free(e.sector_start, e.sector_count);
                 }
@@ -225,16 +223,15 @@ impl<D: MemoryPort> XCache<D> {
         }
         self.arena.deactivate(slot);
         self.xregs
-            .release(crate::xreg::XRegFile(slot as u16), now, &mut self.ctx.stats);
-        self.ctx.stats.incr_id(counter!("xcache.walker_replay"));
+            .release(crate::xreg::XRegFile(slot as u16), now, &mut self.stats);
+        self.stats.incr_id(counter!("xcache.walker_replay"));
     }
 
     /// Records a runtime protocol violation and faults the walker: the
     /// structured replacement for the executor's old panic paths.
     pub(super) fn runtime_error(&mut self, now: Cycle, err: &SimError) -> Outcome {
-        self.ctx.stats.incr_id(counter!("xcache.walker_error"));
-        self.ctx
-            .trace
+        self.stats.incr_id(counter!("xcache.walker_error"));
+        self.trace
             .emit_with(now, TraceKind::Other, "xcache", || err.to_string());
         self.fault_walker(now, err.slot);
         Outcome::FreeLane
@@ -248,11 +245,11 @@ impl<D: MemoryPort> XCache<D> {
         let Some(r) = self.tags.idle_victim() else {
             return false;
         };
-        let e = self.tags.invalidate(r, &mut self.ctx.stats);
+        let e = self.tags.invalidate(r, &mut self.stats);
         // The set's tags changed: re-check refused accesses in it.
         self.wait.wake_set(r.set);
         self.data.free(e.sector_start, e.sector_count);
-        self.ctx.stats.incr_id(counter!("xcache.capacity_evict"));
+        self.stats.incr_id(counter!("xcache.capacity_evict"));
         true
     }
 }

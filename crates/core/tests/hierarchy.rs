@@ -233,7 +233,6 @@ fn mxa_walker_misses_filter_through_address_cache() {
             hit_latency: 2,
             mshrs: 4,
             policy: xcache_mem::ReplacementPolicy::Lru,
-            ports: 1,
             prefetch_next: false,
         },
         dram,

@@ -463,8 +463,7 @@ pub fn run_xcache(workload: &SpgemmWorkload, geometry: Option<XCacheConfig>) -> 
 /// Drives the single-controller X-Cache topology without checking the
 /// product: A is streamed from DRAM by the stream engine, and the
 /// datapath requests each element's B row from the X-Cache and MACs it
-/// into C. MAC occupancy counts a cached row's sector padding as pairs,
-/// unlike [`drive_xcache_sharded`].
+/// into C.
 ///
 /// # Errors
 ///
@@ -540,13 +539,8 @@ pub fn drive_xcache(
                 let id = resp.id as usize;
                 let (i, k, a) = items[id];
                 if resp.found {
-                    macs.accumulate(i, a, sector_row_pairs(&resp.data));
-                    // MAC occupancy counts the sector padding as pairs
-                    // here; the sharded drive counts only real pairs.
-                    // Two-pair (32-byte) sectors pad an odd row by one
-                    // pair, which never changes the four-per-cycle
-                    // charge, so the two agree today.
-                    macs.occupy(now, resp.data.len() as u64 / 2);
+                    let pairs = macs.accumulate(i, a, sector_row_pairs(&resp.data));
+                    macs.occupy(now, pairs);
                     done += 1;
                 } else if let Some(row) = row_buffer.get(u64::from(k)) {
                     // Cache refused (empty or oversized row), but the
@@ -633,8 +627,7 @@ pub fn run_xcache_sharded(
 /// of the banked DRAM; the element stream is routed to owners over
 /// crossbar links, replacing the stream engine as the pacing element.
 /// Oversized/empty rows still bypass to a driver-side DRAM port, serviced
-/// at horizon boundaries. MAC occupancy counts only a row's real pairs,
-/// unlike [`drive_xcache`].
+/// at horizon boundaries.
 ///
 /// # Errors
 ///

@@ -458,7 +458,6 @@ pub fn matched_address_cache_config(geometry: &XCacheConfig) -> CacheConfig {
         hit_latency: geometry.hit_latency,
         mshrs: geometry.active.max(4),
         policy: xcache_mem::ReplacementPolicy::Lru,
-        ports: 1,
         prefetch_next: false,
     }
 }

@@ -435,43 +435,107 @@ impl Action {
     }
 }
 
-impl fmt::Display for Action {
+/// The names an action's text gives events, states and parameters: a
+/// program's own (the disassembler's), or none, which spells each by its
+/// numeric id (`Display`).
+#[derive(Default)]
+pub(crate) struct Names<'a> {
+    pub(crate) events: &'a [String],
+    pub(crate) states: &'a [String],
+    pub(crate) params: &'a [String],
+}
+
+/// A name from [`Names`], or the numeric spelling of an id it lacks.
+enum Word<'a, T> {
+    Name(&'a str),
+    Id(T),
+}
+
+impl<T: fmt::Display> fmt::Display for Word<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Action::Alu { op, dst, a, b } => write!(f, "{op} {dst}, {a}, {b}"),
-            Action::Mov { dst, a } => write!(f, "mov {dst}, {a}"),
-            Action::AllocR => write!(f, "allocR"),
-            Action::Hash { done, a } => write!(f, "hash {done}, {a}"),
-            Action::DramRead { addr, len } => write!(f, "dram_read {addr}, {len}"),
+            Word::Name(name) => f.write_str(name),
+            Word::Id(id) => id.fmt(f),
+        }
+    }
+}
+
+impl<'a> Names<'a> {
+    fn word<T>(names: &'a [String], i: usize, id: T) -> Word<'a, T> {
+        names.get(i).map_or(Word::Id(id), |n| Word::Name(n))
+    }
+
+    fn event(&self, e: EventId) -> Word<'a, EventId> {
+        Self::word(self.events, e.index(), e)
+    }
+
+    fn state(&self, s: StateId) -> Word<'a, StateId> {
+        Self::word(self.states, s.index(), s)
+    }
+
+    fn operand(&self, o: Operand) -> Word<'a, Operand> {
+        match o {
+            Operand::Param(i) => Self::word(self.params, usize::from(i), o),
+            _ => Word::Id(o),
+        }
+    }
+}
+
+impl Action {
+    /// Writes the action in the assembler's syntax, spelling its events,
+    /// states and parameters by `names`.
+    pub(crate) fn write(&self, out: &mut dyn fmt::Write, names: &Names<'_>) -> fmt::Result {
+        let o = |x: &Operand| names.operand(*x);
+        match self {
+            Action::Alu { op, dst, a, b } => write!(out, "{op} {dst}, {}, {}", o(a), o(b)),
+            Action::Mov { dst, a } => write!(out, "mov {dst}, {}", o(a)),
+            Action::AllocR => out.write_str("allocR"),
+            Action::Hash { done, a } => write!(out, "hash {}, {}", names.event(*done), o(a)),
+            Action::DramRead { addr, len } => write!(out, "dram_read {}, {}", o(addr), o(len)),
             Action::DramWrite { addr, sector, len } => {
-                write!(f, "dram_write {addr}, {sector}, {len}")
+                write!(out, "dram_write {}, {}, {}", o(addr), o(sector), o(len))
             }
             Action::PostEvent {
                 event,
                 delay,
                 payload,
-            } => write!(f, "post {event}, {delay}, {payload}"),
-            Action::Peek { dst, word } => write!(f, "peek {dst}, {word}"),
-            Action::Respond => write!(f, "respond"),
-            Action::AllocM => write!(f, "allocM"),
-            Action::DeallocM => write!(f, "deallocM"),
-            Action::PinM => write!(f, "pinm"),
-            Action::InsertM { key, words } => write!(f, "insertm {key}, {words}"),
-            Action::UpdateM { start, end } => write!(f, "updatem {start}, {end}"),
-            Action::Branch { cond, a, b, target } => write!(f, "{cond} {a}, {b}, @{target}"),
-            Action::Yield { state } => write!(f, "yield {state}"),
-            Action::Retire => write!(f, "retire"),
-            Action::Fault => write!(f, "fault"),
-            Action::AllocD { dst, count } => write!(f, "allocD {dst}, {count}"),
-            Action::DeallocD => write!(f, "deallocD"),
-            Action::ReadD { dst, sector, word } => write!(f, "readd {dst}, {sector}, {word}"),
+            } => write!(out, "post {}, {delay}, {}", names.event(*event), o(payload)),
+            Action::Peek { dst, word } => write!(out, "peek {dst}, {word}"),
+            Action::Respond => out.write_str("respond"),
+            Action::AllocM => out.write_str("allocM"),
+            Action::DeallocM => out.write_str("deallocM"),
+            Action::PinM => out.write_str("pinm"),
+            Action::InsertM { key, words } => write!(out, "insertm {}, {}", o(key), o(words)),
+            Action::UpdateM { start, end } => write!(out, "updatem {}, {}", o(start), o(end)),
+            Action::Branch {
+                cond: cond @ (Cond::Miss | Cond::Hit),
+                target,
+                ..
+            } => write!(out, "{cond} @{target}"),
+            Action::Branch { cond, a, b, target } => {
+                write!(out, "{cond} {}, {}, @{target}", o(a), o(b))
+            }
+            Action::Yield { state } => write!(out, "yield {}", names.state(*state)),
+            Action::Retire => out.write_str("retire"),
+            Action::Fault => out.write_str("fault"),
+            Action::AllocD { dst, count } => write!(out, "allocD {dst}, {}", o(count)),
+            Action::DeallocD => out.write_str("deallocD"),
+            Action::ReadD { dst, sector, word } => {
+                write!(out, "readd {dst}, {}, {}", o(sector), o(word))
+            }
             Action::WriteD {
                 sector,
                 word,
                 value,
-            } => write!(f, "writed {sector}, {word}, {value}"),
-            Action::FillD { sector, words } => write!(f, "filld {sector}, {words}"),
+            } => write!(out, "writed {}, {}, {}", o(sector), o(word), o(value)),
+            Action::FillD { sector, words } => write!(out, "filld {}, {}", o(sector), o(words)),
         }
+    }
+}
+
+impl fmt::Display for Action {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, &Names::default())
     }
 }
 
@@ -562,6 +626,14 @@ mod tests {
             target: 5,
         };
         assert_eq!(a.to_string(), "beq r1, key, @5");
+        // `bhit`/`bmiss` take no operands in the assembler's syntax.
+        let hit = Action::Branch {
+            cond: Cond::Hit,
+            a: Operand::Imm(0),
+            b: Operand::Imm(0),
+            target: 5,
+        };
+        assert_eq!(hit.to_string(), "bhit @5");
         assert_eq!(
             Action::Mov {
                 dst: Reg(0),

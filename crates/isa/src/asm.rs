@@ -58,6 +58,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::action::Names;
 use crate::verify::verify_structure;
 use crate::{
     Action, AluOp, Cond, EventId, Operand, Reg, Routine, RoutineId, RoutineTable, StateId,
@@ -631,14 +632,18 @@ pub fn disassemble(p: &WalkerProgram) -> String {
     if !p.param_names.is_empty() {
         let _ = writeln!(out, "params {}", p.param_names.join(", "));
     }
+    // Events, states and parameters by name, so the output reassembles.
+    let names = Names {
+        events: &p.event_names,
+        states: &p.state_names,
+        params: &p.param_names,
+    };
     for r in &p.routines {
         let _ = writeln!(out, "\nroutine {} {{", r.name);
         for a in &r.actions {
-            let mut text = render_action(p, a);
-            if let Action::Yield { state } = a {
-                text = format!("yield {}", p.state_names[state.index()]);
-            }
-            let _ = writeln!(out, "    {text}");
+            out.push_str("    ");
+            let _ = a.write(&mut out, &names);
+            out.push('\n');
         }
         let _ = writeln!(out, "}}");
     }
@@ -657,100 +662,6 @@ pub fn disassemble(p: &WalkerProgram) -> String {
         }
     }
     out
-}
-
-fn render_action(p: &WalkerProgram, a: &Action) -> String {
-    // Event names need symbolic rendering so the output reassembles.
-    match a {
-        Action::Hash { done, a } => format!(
-            "hash {}, {}",
-            p.event_names[done.index()],
-            render_operand(p, a)
-        ),
-        Action::PostEvent {
-            event,
-            delay,
-            payload,
-        } => format!(
-            "post {}, {}, {}",
-            p.event_names[event.index()],
-            delay,
-            render_operand(p, payload)
-        ),
-        Action::Alu { op, dst, a: x, b } => format!(
-            "{op} {dst}, {}, {}",
-            render_operand(p, x),
-            render_operand(p, b)
-        ),
-        Action::Mov { dst, a: x } => format!("mov {dst}, {}", render_operand(p, x)),
-        Action::DramRead { addr, len } => format!(
-            "dram_read {}, {}",
-            render_operand(p, addr),
-            render_operand(p, len)
-        ),
-        Action::DramWrite { addr, sector, len } => format!(
-            "dram_write {}, {}, {}",
-            render_operand(p, addr),
-            render_operand(p, sector),
-            render_operand(p, len)
-        ),
-        Action::UpdateM { start, end } => format!(
-            "updatem {}, {}",
-            render_operand(p, start),
-            render_operand(p, end)
-        ),
-        Action::InsertM { key, words } => format!(
-            "insertm {}, {}",
-            render_operand(p, key),
-            render_operand(p, words)
-        ),
-        Action::Branch {
-            cond,
-            a: x,
-            b,
-            target,
-        } => match cond {
-            Cond::Miss | Cond::Hit => format!("{cond} @{target}"),
-            _ => format!(
-                "{cond} {}, {}, @{target}",
-                render_operand(p, x),
-                render_operand(p, b)
-            ),
-        },
-        Action::AllocD { dst, count } => format!("allocD {dst}, {}", render_operand(p, count)),
-        Action::ReadD { dst, sector, word } => format!(
-            "readd {dst}, {}, {}",
-            render_operand(p, sector),
-            render_operand(p, word)
-        ),
-        Action::WriteD {
-            sector,
-            word,
-            value,
-        } => format!(
-            "writed {}, {}, {}",
-            render_operand(p, sector),
-            render_operand(p, word),
-            render_operand(p, value)
-        ),
-        Action::FillD { sector, words } => format!(
-            "filld {}, {}",
-            render_operand(p, sector),
-            render_operand(p, words)
-        ),
-        other => other.to_string(),
-    }
-}
-
-fn render_operand(p: &WalkerProgram, o: &Operand) -> String {
-    match o {
-        Operand::Param(i) => p
-            .param_names
-            .get(*i as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("p{i}")),
-        other => other.to_string(),
-    }
 }
 
 #[cfg(test)]

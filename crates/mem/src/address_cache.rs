@@ -47,8 +47,6 @@ pub struct CacheConfig {
     pub mshrs: usize,
     /// Victim selection.
     pub policy: ReplacementPolicy,
-    /// Requests accepted from the input queue per cycle.
-    pub ports: usize,
     /// Tagged next-line prefetch: a demand miss on block *B* also fills
     /// *B+1* when absent (strengthens this baseline on streaming walks).
     pub prefetch_next: bool,
@@ -63,7 +61,6 @@ impl Default for CacheConfig {
             hit_latency: 3,
             mshrs: 16,
             policy: ReplacementPolicy::Lru,
-            ports: 1,
             prefetch_next: false,
         }
     }
@@ -93,9 +90,6 @@ impl CacheConfig {
         }
         if self.mshrs == 0 {
             return Err("mshrs must be nonzero".into());
-        }
-        if self.ports == 0 {
-            return Err("ports must be nonzero".into());
         }
         Ok(())
     }
@@ -357,6 +351,64 @@ impl<D: MemoryPort> AddressCache<D> {
         }
     }
 
+    /// Serves the input queue's head, if it is visible: a hit, a
+    /// coalesced secondary miss, or a primary miss that claims an MSHR and
+    /// issues its fill. A full MSHR file or a refusing downstream port
+    /// leaves the head queued (the stall is counted).
+    fn serve_input(&mut self, now: Cycle) {
+        let Some(req) = self.input.peek(now) else {
+            return;
+        };
+        let block = self.cfg.block_of(req.addr);
+        let set = self.cfg.set_of(block);
+        self.stats.incr_id(counter!("cache.tag_reads"));
+        if let Some(way) = self.find_way(set, block) {
+            let Some(req) = self.input.pop(now) else {
+                self.stats.incr_id(counter!("cache.fault.underflow"));
+                return;
+            };
+            self.stats.incr_id(counter!("cache.hits"));
+            self.serve_hit(now, set, way, &req);
+            return;
+        }
+        // Miss path.
+        if self.mshrs.contains_key(&block) {
+            // Secondary miss: coalesce.
+            let Some(req) = self.input.pop(now) else {
+                self.stats.incr_id(counter!("cache.fault.underflow"));
+                return;
+            };
+            self.stats.incr_id(counter!("cache.misses"));
+            self.stats.incr_id(counter!("cache.mshr_coalesced"));
+            if let Some(mshr) = self.mshrs.get_mut(&block) {
+                mshr.waiters.push(req);
+            }
+            return;
+        }
+        if self.mshrs.len() >= self.cfg.mshrs {
+            self.stats.incr_id(counter!("cache.mshr_stall"));
+            return; // structural hazard: stall the input queue
+        }
+        let fill_id = self.next_internal_id;
+        let fill = MemReq::read(fill_id, block, self.cfg.block_bytes as u32);
+        match self.downstream.try_request(now, fill) {
+            Ok(()) => {
+                let Some(req) = self.input.pop(now) else {
+                    self.stats.incr_id(counter!("cache.fault.underflow"));
+                    return;
+                };
+                self.stats.incr_id(counter!("cache.misses"));
+                self.next_internal_id += 1;
+                self.inflight_fills.insert(ReqId(fill_id), block);
+                self.mshrs.insert(block, Mshr { waiters: vec![req] });
+                if self.cfg.prefetch_next {
+                    self.issue_prefetch(now, block + self.cfg.block_bytes);
+                }
+            }
+            Err(_) => self.stats.incr_id(counter!("cache.downstream_stall")),
+        }
+    }
+
     /// Issues everything waiting for the downstream port, in order, until
     /// the first refusal.
     fn drain_pending_down(&mut self, now: Cycle) {
@@ -414,63 +466,8 @@ impl<D: MemoryPort> MemoryPort for AddressCache<D> {
             // Write acks for writebacks need no action.
         }
 
-        // 2. Process up to `ports` input requests.
-        for _ in 0..self.cfg.ports {
-            let Some(req) = self.input.peek(now) else {
-                break;
-            };
-            let block = self.cfg.block_of(req.addr);
-            let set = self.cfg.set_of(block);
-            self.stats.incr_id(counter!("cache.tag_reads"));
-            if let Some(way) = self.find_way(set, block) {
-                let Some(req) = self.input.pop(now) else {
-                    self.stats.incr_id(counter!("cache.fault.underflow"));
-                    break;
-                };
-                self.stats.incr_id(counter!("cache.hits"));
-                self.serve_hit(now, set, way, &req);
-                continue;
-            }
-            // Miss path.
-            if self.mshrs.contains_key(&block) {
-                // Secondary miss: coalesce.
-                let Some(req) = self.input.pop(now) else {
-                    self.stats.incr_id(counter!("cache.fault.underflow"));
-                    break;
-                };
-                self.stats.incr_id(counter!("cache.misses"));
-                self.stats.incr_id(counter!("cache.mshr_coalesced"));
-                if let Some(mshr) = self.mshrs.get_mut(&block) {
-                    mshr.waiters.push(req);
-                }
-                continue;
-            }
-            if self.mshrs.len() >= self.cfg.mshrs {
-                self.stats.incr_id(counter!("cache.mshr_stall"));
-                break; // structural hazard: stall the input queue
-            }
-            let fill_id = self.next_internal_id;
-            let fill = MemReq::read(fill_id, block, self.cfg.block_bytes as u32);
-            match self.downstream.try_request(now, fill) {
-                Ok(()) => {
-                    let Some(req) = self.input.pop(now) else {
-                        self.stats.incr_id(counter!("cache.fault.underflow"));
-                        break;
-                    };
-                    self.stats.incr_id(counter!("cache.misses"));
-                    self.next_internal_id += 1;
-                    self.inflight_fills.insert(ReqId(fill_id), block);
-                    self.mshrs.insert(block, Mshr { waiters: vec![req] });
-                    if self.cfg.prefetch_next {
-                        self.issue_prefetch(now, block + self.cfg.block_bytes);
-                    }
-                }
-                Err(_) => {
-                    self.stats.incr_id(counter!("cache.downstream_stall"));
-                    break;
-                }
-            }
-        }
+        // 2. Serve one input request.
+        self.serve_input(now);
 
         // 3. Tick the level below.
         self.downstream.tick(now);
@@ -532,7 +529,6 @@ mod tests {
             hit_latency: 2,
             mshrs: 4,
             policy: ReplacementPolicy::Lru,
-            ports: 1,
             prefetch_next: false,
         };
         AddressCache::new(cfg, DramModel::new(DramConfig::test_tiny())).expect("valid config")
@@ -661,7 +657,6 @@ mod tests {
                 hit_latency: 1,
                 mshrs: 2,
                 policy,
-                ports: 1,
                 prefetch_next: false,
             };
             AddressCache::new(cfg, DramModel::new(DramConfig::test_tiny())).expect("valid config")
@@ -694,7 +689,6 @@ mod tests {
                 hit_latency: 1,
                 mshrs: 2,
                 policy: ReplacementPolicy::Random(seed),
-                ports: 1,
                 prefetch_next: false,
             };
             let mut c = AddressCache::new(cfg, DramModel::new(DramConfig::test_tiny()))
@@ -760,7 +754,6 @@ mod prefetch_tests {
             hit_latency: 1,
             mshrs: 4,
             policy: ReplacementPolicy::Lru,
-            ports: 1,
             prefetch_next: prefetch,
         };
         AddressCache::new(cfg, DramModel::new(DramConfig::test_tiny())).expect("valid config")

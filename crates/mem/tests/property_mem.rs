@@ -19,7 +19,6 @@ fn tiny_cache(policy: ReplacementPolicy) -> AddressCache<DramModel> {
         hit_latency: 1,
         mshrs: 4,
         policy,
-        ports: 1,
         prefetch_next: false,
     };
     AddressCache::new(cfg, DramModel::new(DramConfig::test_tiny())).expect("valid config")

@@ -239,8 +239,8 @@ fn fig18_cells(scale: u32, seed: u64) -> Vec<CellSpec> {
                 run: Arc::new(move || {
                     let cycles = bench.cycles(scale, seed, active, exe);
                     Ok(format!(
-                        "{{\"bench\":\"{}\",\"active\":{active},\"exe\":{exe},\"cycles\":{cycles}}}",
-                        bench.name()
+                        "{{\"bench\":{},\"active\":{active},\"exe\":{exe},\"cycles\":{cycles}}}",
+                        json_str(bench.name())
                     ))
                 }),
             });

@@ -15,7 +15,8 @@
 //! produces output byte-identical to an uninterrupted run.
 //!
 //! Modules:
-//! - [`json`] — dependency-free JSON parse/serialize.
+//! - [`json`] — the workspace's JSON codec, re-exported from
+//!   [`xcache_sim::json`].
 //! - [`journal`] — the per-job manifest + append-only completion log.
 //! - [`grids`] — job specs and the cell grids they expand into.
 //! - [`http`] — minimal HTTP/1.1 server/client plumbing.
@@ -27,8 +28,9 @@
 pub mod grids;
 pub mod http;
 pub mod journal;
-pub mod json;
 pub mod service;
+
+pub use xcache_sim::json;
 
 pub use grids::{CellSpec, JobSpec};
 pub use journal::{Journal, JournalError, ReplayStats};

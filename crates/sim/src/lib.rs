@@ -12,6 +12,10 @@
 //! and all of them are fully deterministic: the same inputs always produce
 //! the same cycle counts.
 //!
+//! The crate also carries [`json`], the workspace's one JSON codec. It
+//! lives here because this is the lowest crate that both the harness and
+//! the service depend on.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -25,10 +29,10 @@
 //! ```
 
 mod clock;
-mod context;
 pub mod env;
 mod fault;
 mod fxhash;
+pub mod json;
 mod parallel;
 mod prof;
 mod queue;
@@ -38,7 +42,6 @@ mod trace;
 mod watchdog;
 
 pub use clock::Cycle;
-pub use context::SimContext;
 pub use env::{
     env_count, env_flag, env_parse, env_parse_map, exit2, sim_knobs, EnvError, SimKnobs,
 };

@@ -201,8 +201,9 @@ mod tests {
         }
         assert_eq!(t.len(), 2);
         assert_eq!(t.dropped(), 2);
-        let details: Vec<_> = t.events().map(|e| e.detail.as_str()).collect();
-        assert_eq!(details, vec!["2", "3"]);
+        // The survivors keep the cycle each was emitted at.
+        let kept: Vec<_> = t.events().map(|e| (e.at, e.detail.as_str())).collect();
+        assert_eq!(kept, vec![(Cycle(2), "2"), (Cycle(3), "3")]);
     }
 
     #[test]

@@ -115,7 +115,6 @@ fn main() {
             hit_latency: 2,
             mshrs: 8,
             policy: xcache_mem::ReplacementPolicy::Lru,
-            ports: 1,
             prefetch_next: false,
         },
         dram(),
